@@ -66,12 +66,6 @@ func (p *PromWriter) sample(name string, labels []PromLabel, value float64) {
 	p.printf("%s%s %s\n", name, renderLabels(labels), formatValue(value))
 }
 
-// Counter emits a single-sample counter family.
-func (p *PromWriter) Counter(name, help string, v uint64) {
-	p.header(name, "counter", help)
-	p.sample(name, nil, float64(v))
-}
-
 // CounterVec emits a counter family with one sample per label set.
 // Empty families still emit their headers, so scrapers see the full
 // metric surface from the first scrape.
@@ -82,23 +76,12 @@ func (p *PromWriter) CounterVec(name, help string, samples []PromSample) {
 	}
 }
 
-// Gauge emits a single-sample gauge family.
-func (p *PromWriter) Gauge(name, help string, v float64) {
-	p.header(name, "gauge", help)
-	p.sample(name, nil, v)
-}
-
 // GaugeVec emits a gauge family with one sample per label set.
 func (p *PromWriter) GaugeVec(name, help string, samples []PromSample) {
 	p.header(name, "gauge", help)
 	for _, s := range samples {
 		p.sample(name, s.Labels, s.Value)
 	}
-}
-
-// Histogram emits one unlabeled histogram family from a snapshot.
-func (p *PromWriter) Histogram(name, help string, s HistogramSnapshot) {
-	p.HistogramVec(name, help, []PromHistSeries{{Snap: s}})
 }
 
 // HistogramVec emits a histogram family with one bucket/sum/count series

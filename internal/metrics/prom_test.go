@@ -100,23 +100,22 @@ func normalizeKey(t *testing.T, key string) string {
 }
 
 func TestPromCountersAndGauges(t *testing.T) {
+	var r Registry
+	r.Counter("fix_requests_total", "Fix requests received.", "").Add(42)
+	codes := r.CounterVec("http_responses_total", "Responses by status.", "code")
+	codes.Counter("", "200").Add(40)
+	codes.Counter("", "429").Add(2)
+	r.Gauge("queue_depth", "Admitted, waiting.", "").Set(3)
+	r.CounterVec("cache_events_total", "By layer.", "layer") // empty family: headers only
 	var b strings.Builder
-	p := NewPromWriter(&b)
-	p.Counter("fix_requests_total", "Fix requests received.", 42)
-	p.CounterVec("http_responses_total", "Responses by status.", []PromSample{
-		{Labels: []PromLabel{{Name: "code", Value: "200"}}, Value: 40},
-		{Labels: []PromLabel{{Name: "code", Value: "429"}}, Value: 2},
-	})
-	p.Gauge("queue_depth", "Admitted, waiting.", 3)
-	p.GaugeVec("cache_events_total", "By layer.", nil) // empty family: headers only
-	if err := p.Err(); err != nil {
+	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	samples, types := parseProm(t, b.String())
 	if types["fix_requests_total"] != "counter" || types["queue_depth"] != "gauge" {
 		t.Fatalf("types = %v", types)
 	}
-	if types["cache_events_total"] != "gauge" {
+	if types["cache_events_total"] != "counter" {
 		t.Fatal("empty family did not emit its TYPE header")
 	}
 	if samples["fix_requests_total"] != 42 {
@@ -134,10 +133,10 @@ func TestPromCountersAndGauges(t *testing.T) {
 // mandatory +Inf bucket with a zero cumulative count, zero sum, zero
 // count — not vanish from the scrape.
 func TestPromEmptyHistogram(t *testing.T) {
+	var r Registry
+	r.Histogram("fix_latency_ms", "Fix latency.", "", NewLatencyHistogram())
 	var b strings.Builder
-	p := NewPromWriter(&b)
-	p.Histogram("fix_latency_ms", "Fix latency.", NewLatencyHistogram().Snapshot())
-	if err := p.Err(); err != nil {
+	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	samples, types := parseProm(t, b.String())
@@ -160,9 +159,12 @@ func TestPromHistogramCumulative(t *testing.T) {
 	for _, v := range []float64{0.5, 0.5, 1.5, 3, 100} {
 		h.Observe(v)
 	}
+	var r Registry
+	r.Histogram("lat_ms", "latencies", "", h)
 	var b strings.Builder
-	p := NewPromWriter(&b)
-	p.Histogram("lat_ms", "latencies", h.Snapshot())
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
 	samples, _ := parseProm(t, b.String())
 	if got := samples[`lat_ms_bucket{le="1"}`]; got != 2 {
 		t.Fatalf("le=1 cumulative = %v, want 2", got)
@@ -184,9 +186,12 @@ func TestPromHistogramCumulative(t *testing.T) {
 	// empty, but +Inf must still appear with the total.
 	h2 := NewHistogram(1, 2, 3)
 	h2.Observe(0.5)
+	var r2 Registry
+	r2.Histogram("lat2_ms", "latencies", "", h2)
 	b.Reset()
-	p2 := NewPromWriter(&b)
-	p2.Histogram("lat2_ms", "latencies", h2.Snapshot())
+	if err := r2.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
 	samples2, _ := parseProm(t, b.String())
 	if got := samples2[`lat2_ms_bucket{le="+Inf"}`]; got != 1 {
 		t.Fatalf("+Inf with empty overflow = %v, want 1", got)
@@ -227,19 +232,20 @@ func TestPromScrapeRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(float64(i))
 	}
+	var r Registry
+	r.Counter("fix_requests_total", "Fix requests.", "").Add(123)
+	cache := r.CounterVec("cache_events_total", "Cache events by layer and kind.", "layer", "event")
+	cache.Counter("", "compile", "hit").Add(50)
+	cache.Func("", func() float64 { return 5 }, "compile", "miss")
+	r.Gauge("in_flight", "Running now.", "").Set(2)
+	r.HistogramsFunc("stage_duration_ms", "Per-stage span durations.", func() []PromHistSeries {
+		return []PromHistSeries{
+			{Labels: []PromLabel{{Name: "stage", Value: "compile"}}, Snap: h.Snapshot()},
+			{Labels: []PromLabel{{Name: "stage", Value: "sim"}}, Snap: NewLatencyHistogram().Snapshot()},
+		}
+	})
 	var b strings.Builder
-	p := NewPromWriter(&b)
-	p.Counter("fix_requests_total", "Fix requests.", 123)
-	p.CounterVec("cache_events_total", "Cache events by layer and kind.", []PromSample{
-		{Labels: []PromLabel{{Name: "layer", Value: "compile"}, {Name: "event", Value: "hit"}}, Value: 50},
-		{Labels: []PromLabel{{Name: "layer", Value: "compile"}, {Name: "event", Value: "miss"}}, Value: 5},
-	})
-	p.Gauge("in_flight", "Running now.", 2)
-	p.HistogramVec("stage_duration_ms", "Per-stage span durations.", []PromHistSeries{
-		{Labels: []PromLabel{{Name: "stage", Value: "compile"}}, Snap: h.Snapshot()},
-		{Labels: []PromLabel{{Name: "stage", Value: "sim"}}, Snap: NewLatencyHistogram().Snapshot()},
-	})
-	if err := p.Err(); err != nil {
+	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	samples, types := parseProm(t, b.String())

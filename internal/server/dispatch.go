@@ -133,7 +133,7 @@ func (s *Server) admitLocked(f *flight) error {
 		return errQueueFull
 	}
 	s.flightWG.Add(1)
-	s.st.queueDepth.Inc()
+	s.m.queueDepth.Inc()
 	// The queue span opens the moment admission is charged and closes
 	// when the run slot is acquired (or the flight dies first), so its
 	// duration is exactly the time the request read as "queued".
@@ -192,9 +192,9 @@ func (s *Server) collectBatch(first *flight) []*flight {
 // individually via OnResult, so a fast job never waits for a slow
 // batchmate's response (only for the batch's worker slots).
 func (s *Server) runBatch(batch []*flight) {
-	s.st.batches.Inc()
-	s.st.batchedJobs.Add(uint64(len(batch)))
-	s.st.recordBatchSize(len(batch))
+	s.m.batches.Inc()
+	s.m.batchedJobs.Add(uint64(len(batch)))
+	s.m.maxBatch.Max(int64(len(batch)))
 
 	jobs := make([]pipeline.Job, len(batch))
 	for i, f := range batch {
@@ -208,8 +208,8 @@ func (s *Server) runBatch(batch []*flight) {
 		if !s.flightAliveOrRetire(f) {
 			// Every waiter's deadline expired before the run started.
 			// Skip the work; finish delivers tr == nil.
-			s.st.queueDepth.Dec()
-			s.st.expiredBeforeRun.Inc()
+			s.m.queueDepth.Dec()
+			s.m.expiredBeforeRun.Inc()
 			f.queueSpan.SetStr("outcome", "expired")
 			f.queueSpan.End()
 			return nil
@@ -222,16 +222,16 @@ func (s *Server) runBatch(batch []*flight) {
 			// Safe to write here: fn and this job's finish (via
 			// OnResult) run sequentially, and finish only overwrites
 			// err on a pipeline-level cancellation.
-			s.st.queueDepth.Dec()
+			s.m.queueDepth.Dec()
 			f.err = errShutdown
 			f.queueSpan.SetStr("outcome", "shutdown")
 			f.queueSpan.End()
 			return nil
 		}
 		defer func() { <-s.runSlots }()
-		s.st.queueDepth.Dec()
+		s.m.queueDepth.Dec()
 		if !s.flightAliveOrRetire(f) {
-			s.st.expiredBeforeRun.Inc()
+			s.m.expiredBeforeRun.Inc()
 			f.queueSpan.SetStr("outcome", "expired")
 			f.queueSpan.End()
 			return nil
@@ -240,9 +240,9 @@ func (s *Server) runBatch(batch []*flight) {
 		if s.testHook != nil {
 			s.testHook(f)
 		}
-		s.st.inFlight.Inc()
-		defer s.st.inFlight.Dec()
-		s.st.agentRuns.Inc()
+		s.m.inFlight.Inc()
+		defer s.m.inFlight.Dec()
+		s.m.agentRuns.Inc()
 		if fault.Hit(fault.WorkerPanic) {
 			// Deliberately past the gauges and their defers: the injected
 			// panic unwinds through them exactly like a real one, and the
@@ -259,13 +259,13 @@ func (s *Server) runBatch(batch []*flight) {
 			// Per-run resilience accounting (per run, not per waiter —
 			// coalesced followers share one transcript).
 			if tr.LLMRetries > 0 {
-				s.st.llmRetriedRuns.Inc()
+				s.m.llmRetriedRuns.Inc()
 				if tr.Aborted == "" {
-					s.st.llmRetryRecovered.Inc()
+					s.m.llmRetryRecovered.Inc()
 				}
 			}
 			if tr.Aborted != "" {
-				s.st.llmAborted.Inc()
+				s.m.llmAborted.Inc()
 			}
 		}
 		ag.End()
@@ -290,12 +290,12 @@ func (s *Server) runBatch(batch []*flight) {
 				// The run panicked mid-flight: fn's defers already
 				// released the run slot and gauges during the unwind, so
 				// no queue-depth charge is outstanding here.
-				s.st.panicsWorker.Inc()
+				s.m.panicsWorker.Inc()
 				s.cfg.logf("server: agent run panicked (isolated): %v\n%s", pe.Value, pe.Stack)
 			} else if r.Err != nil {
 				// Canceled before it ran (server Close): the queue-depth
 				// charge from admission is still outstanding.
-				s.st.queueDepth.Dec()
+				s.m.queueDepth.Dec()
 			}
 			s.finish(f, r)
 		},

@@ -242,18 +242,19 @@ func TestStatsCarriesStagesAndSimCheck(t *testing.T) {
 		t.Fatal("fix failed")
 	}
 	snap := s.Stats()
-	if snap.SimCheck.Checked != 1 {
-		t.Fatalf("sim checks = %+v, want 1 checked", snap.SimCheck)
+	if got := stat(t, s, "sim_check.checked"); got != 1 {
+		t.Fatalf("sim checks = %v, want 1 checked", snap["sim_check"])
 	}
-	if snap.SimCheck.Passed+snap.SimCheck.Failed+snap.SimCheck.Skipped != 1 {
-		t.Fatalf("sim check outcome unaccounted: %+v", snap.SimCheck)
+	if stat(t, s, "sim_check.passed")+stat(t, s, "sim_check.failed")+stat(t, s, "sim_check.skipped") != 1 {
+		t.Fatalf("sim check outcome unaccounted: %v", snap["sim_check"])
 	}
-	if snap.Trace == nil || snap.Trace.Collected == 0 {
-		t.Fatalf("stats missing trace occupancy: %+v", snap.Trace)
+	if occ, ok := snap["trace"].(trace.Occupancy); !ok || occ.Collected == 0 {
+		t.Fatalf("stats missing trace occupancy: %v", snap["trace"])
 	}
+	stages, _ := snap["stages"].(trace.OrderedStages)
 	for _, stage := range []string{"fix", "queue", "agent", "compile"} {
-		if snap.Stages[stage].Count == 0 {
-			t.Fatalf("stage %q absent from stats: %v", stage, snap.Stages)
+		if stages[stage].Count == 0 {
+			t.Fatalf("stage %q absent from stats: %v", stage, snap["stages"])
 		}
 	}
 	// And it round-trips through the wire form loadgen reads.
@@ -278,8 +279,8 @@ func TestSimCheckDisabled(t *testing.T) {
 	if status, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource}); status != http.StatusOK {
 		t.Fatal("fix failed")
 	}
-	if snap := s.Stats(); snap.SimCheck.Checked != 0 {
-		t.Fatalf("disabled sim check ran: %+v", snap.SimCheck)
+	if got := stat(t, s, "sim_check.checked"); got != 0 {
+		t.Fatalf("disabled sim check ran: %v", s.Stats()["sim_check"])
 	}
 }
 
@@ -292,24 +293,24 @@ func TestStatsSimObservability(t *testing.T) {
 	if status, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource}); status != http.StatusOK {
 		t.Fatal("fix failed")
 	}
-	snap := s.Stats()
-	if snap.Sim == nil {
+	sim, _ := s.Stats()["sim"].(*SimObsSnapshot)
+	if sim == nil {
 		t.Fatal("stats missing sim observability section")
 	}
-	if snap.Sim.Runs == 0 || snap.Sim.Samples == 0 {
-		t.Fatalf("sim check ran unobserved: %+v", snap.Sim)
+	if sim.Runs == 0 || sim.Samples == 0 {
+		t.Fatalf("sim check ran unobserved: %+v", sim)
 	}
 	// The smoke check pulses the clock, so at minimum clk rose and fell
 	// and the sequential process fired.
-	if snap.Sim.Toggles == 0 || snap.Sim.LastCoveredPoints == 0 || snap.Sim.LastFraction <= 0 {
-		t.Fatalf("zero toggle coverage from a clocked smoke check: %+v", snap.Sim)
+	if sim.Toggles == 0 || sim.LastCoveredPoints == 0 || sim.LastFraction <= 0 {
+		t.Fatalf("zero toggle coverage from a clocked smoke check: %+v", sim)
 	}
-	if snap.Sim.LastProcsActive == 0 {
-		t.Fatalf("no process activations recorded: %+v", snap.Sim)
+	if sim.LastProcsActive == 0 {
+		t.Fatalf("no process activations recorded: %+v", sim)
 	}
 	// The fixed design compiles, so the engine profile must be live too.
-	if snap.Sim.Instructions == 0 || snap.Sim.Settles == 0 || len(snap.Sim.TopOps) == 0 {
-		t.Fatalf("compiled-engine profile empty: %+v", snap.Sim)
+	if sim.Instructions == 0 || sim.Settles == 0 || len(sim.TopOps) == 0 {
+		t.Fatalf("compiled-engine profile empty: %+v", sim)
 	}
 
 	// Wire form: the "sim" key is present with the same numbers.
@@ -320,8 +321,8 @@ func TestStatsSimObservability(t *testing.T) {
 	if err := json.Unmarshal(raw, &wire); err != nil {
 		t.Fatal(err)
 	}
-	if wire.Sim == nil || wire.Sim.Runs != snap.Sim.Runs {
-		t.Fatalf("wire sim section = %+v, want runs %d", wire.Sim, snap.Sim.Runs)
+	if wire.Sim == nil || wire.Sim.Runs != sim.Runs {
+		t.Fatalf("wire sim section = %+v, want runs %d", wire.Sim, sim.Runs)
 	}
 
 	_, raw = get(t, ts.URL+"/metrics")
@@ -357,12 +358,11 @@ func TestSimObserveDisabled(t *testing.T) {
 	if status, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource}); status != http.StatusOK {
 		t.Fatal("fix failed")
 	}
-	snap := s.Stats()
-	if snap.SimCheck.Checked != 1 {
-		t.Fatalf("sim check should still run: %+v", snap.SimCheck)
+	if got := stat(t, s, "sim_check.checked"); got != 1 {
+		t.Fatalf("sim check should still run: %v", s.Stats()["sim_check"])
 	}
-	if snap.Sim != nil {
-		t.Fatalf("disabled observation still reported: %+v", snap.Sim)
+	if sim, ok := s.Stats()["sim"]; ok {
+		t.Fatalf("disabled observation still reported: %+v", sim)
 	}
 	var wire map[string]json.RawMessage
 	_, raw := get(t, ts.URL+"/v1/stats")
@@ -454,5 +454,80 @@ func TestConcurrentMetricsScrapes(t *testing.T) {
 	_, raw := get(t, ts.URL+"/metrics")
 	if !strings.Contains(string(raw), "rtlfixer_sim_observed_runs_total") {
 		t.Fatal("sim family absent after concurrent traffic")
+	}
+}
+
+// TestSurfaceParity: after one fix and one lint, every registry family
+// renders on /metrics with its HELP and TYPE lines and, at each of its
+// paths, on /v1/stats. That covers the two families /metrics once
+// lacked, the readyz request counter and the attempted sim checks, whose
+// values must agree across the surfaces.
+func TestSurfaceParity(t *testing.T) {
+	s, ts := newTestServer(t, Config{Tracing: trace.NewCollector(0, 0, 0)})
+	if status, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource}); status != http.StatusOK {
+		t.Fatal("fix failed")
+	}
+	resp, err := http.Post(ts.URL+"/v1/lint", "application/json", strings.NewReader(`{"source":"module m;\nendmodule\n"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	get(t, ts.URL+"/v1/readyz")
+
+	_, raw := get(t, ts.URL+"/metrics")
+	prom := string(raw)
+	_, raw = get(t, ts.URL+"/v1/stats")
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	fams := s.reg.Families()
+	if got := strings.Count(prom, "# TYPE "); got != len(fams) {
+		t.Fatalf("/metrics renders %d families, the registry declares %d", got, len(fams))
+	}
+	for _, f := range fams {
+		for _, line := range []string{"# HELP " + f.Name + " " + f.Help + "\n", "# TYPE " + f.Name + " " + string(f.Kind) + "\n"} {
+			if !strings.Contains(prom, line) {
+				t.Errorf("/metrics lacks %q", line)
+			}
+		}
+		for _, path := range f.Paths {
+			if _, ok := lookup(doc, path); !ok {
+				t.Errorf("family %s: /v1/stats has no %q", f.Name, path)
+			}
+		}
+	}
+	for path, sample := range map[string]string{
+		"requests.readyz":   "rtlfixer_readyz_requests_total 1\n",
+		"sim_check.checked": "rtlfixer_sim_checks_attempted_total 1\n",
+	} {
+		if !strings.Contains(prom, sample) {
+			t.Errorf("/metrics lacks %q", sample)
+		}
+		if got := num(t, doc, path); got != 1 {
+			t.Errorf("/v1/stats %s = %v, want 1", path, got)
+		}
+	}
+}
+
+// TestSimCheckPanicCountsOnce: a sim check that panics after reaching
+// its verdict — here in the deferred coverage fold — is isolated and
+// counts exactly one outcome, skipped, so the attempted total still
+// equals the sum of the results.
+func TestSimCheckPanicCountsOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.simObs.ops = nil // the fold's write into the op tally now panics
+	status, out := postFix(t, ts.URL, map[string]any{"source": brokenSource})
+	if status != http.StatusOK || out["success"] != true {
+		t.Fatalf("fix = %d %v; a sim-check panic must not fail the request", status, out)
+	}
+	doc := s.Stats()
+	for path, want := range map[string]float64{
+		"sim_check.checked": 1, "sim_check.skipped": 1,
+		"sim_check.passed": 0, "sim_check.failed": 0, "sim_check.watchdog": 0,
+	} {
+		if got := num(t, doc, path); got != want {
+			t.Errorf("%s = %v, want %v (sim_check %v)", path, got, want, doc["sim_check"])
+		}
 	}
 }

@@ -93,25 +93,26 @@ func TestStatsReportsPerCacheLayersAndStore(t *testing.T) {
 		t.Fatalf("fix status = %d", status)
 	}
 
-	snap := s.Stats()
-	if snap.Store == nil {
+	doc := s.Stats()
+	stored, ok := doc["store"].(store.Stats)
+	if !ok {
 		t.Fatal("stats must carry the store section when -state-dir is set")
 	}
-	if snap.Store.Dir != dir {
-		t.Fatalf("store dir = %q, want %q", snap.Store.Dir, dir)
+	if stored.Dir != dir {
+		t.Fatalf("store dir = %q, want %q", stored.Dir, dir)
 	}
-	if snap.Store.Stores == 0 {
+	if stored.Stores == 0 {
 		t.Fatal("serving a fix must write compile records behind")
 	}
 	// The aggregate must equal the sum of the per-layer counters.
-	sum := snap.Cache.Compile.Hits + snap.Cache.Sim.Hits + snap.Cache.Retrieval.Hits
-	if snap.Cache.Hits != sum {
-		t.Fatalf("aggregate hits %d != per-layer sum %d", snap.Cache.Hits, sum)
+	sum := num(t, doc, "cache.compile.hits") + num(t, doc, "cache.sim.hits") + num(t, doc, "cache.retrieval.hits")
+	if hits := num(t, doc, "cache.hits"); hits != sum {
+		t.Fatalf("aggregate hits %v != per-layer sum %v", hits, sum)
 	}
 
 	// Without a store the section is absent.
 	s2, _ := newTestServer(t, Config{})
-	if s2.Stats().Store != nil {
+	if _, ok := s2.Stats()["store"]; ok {
 		t.Fatal("store section must be omitted without -state-dir")
 	}
 }

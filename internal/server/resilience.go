@@ -105,7 +105,7 @@ func (s *Server) traceStart(name string) *trace.Span {
 		return nil
 	}
 	if s.brownedOut() {
-		s.st.brownoutTracesShed.Inc()
+		s.m.brownoutTracesShed.Inc()
 		return nil
 	}
 	return s.tracer.Start(name)
@@ -127,30 +127,36 @@ func (s *Server) prewarm() {
 	if _, err := s.fixerFor(key); err != nil {
 		s.cfg.logf("server: prewarm failed (serving anyway): %v", err)
 	}
-	s.ready.Store(true)
+	s.prewarmed.Store(true)
 	s.cfg.logf("server: prewarmed default fixer configuration; ready")
 }
 
-// handleReadyz serves GET /v1/readyz: the routability probe. 503 while
-// draining, while the prewarm is still building, or while the store is
-// degraded; 200 otherwise. Load balancers and loadgen -wait-ready poll
-// this; liveness stays on /v1/healthz.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.st.readyzRequests.Inc()
-	body := map[string]any{}
-	status := http.StatusOK
+// readiness is the one readiness predicate — /v1/readyz, the
+// rtlfixer_ready gauge, and /v1/stats resilience.ready all read it:
+// "ready", or why not ("draining", "warming" while the prewarm is still
+// building, "store-degraded" while the store sheds to memory).
+func (s *Server) readiness() string {
 	switch {
 	case s.isDraining():
-		body["status"] = "draining"
-		status = http.StatusServiceUnavailable
-	case !s.ready.Load():
-		body["status"] = "warming"
-		status = http.StatusServiceUnavailable
+		return "draining"
+	case !s.prewarmed.Load():
+		return "warming"
 	case s.cfg.Store != nil && s.cfg.Store.Degraded():
-		body["status"] = "store-degraded"
-		status = http.StatusServiceUnavailable
-	default:
-		body["status"] = "ready"
+		return "store-degraded"
 	}
-	writeJSON(w, status, body)
+	return "ready"
+}
+
+// handleReadyz serves GET /v1/readyz: the routability probe, 200 when
+// ready and 503 otherwise, with the readiness status in the body. Load
+// balancers and loadgen -wait-ready poll this; liveness stays on
+// /v1/healthz.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	s.m.readyzRequests.Inc()
+	status := s.readiness()
+	code := http.StatusOK
+	if status != "ready" {
+		code = http.StatusServiceUnavailable
+	}
+	writeJSON(w, code, map[string]any{"status": status})
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/store"
 )
 
 // getJSON fetches url and decodes the JSON body.
@@ -191,24 +192,59 @@ func TestBreakerOpensAndRecloses(t *testing.T) {
 	}
 }
 
-// TestReadyzGates: readyz follows the readiness latch (warming → 503)
-// while healthz stays 200 throughout — the liveness/routability split.
+// TestReadyzGates: readiness is one predicate. /v1/readyz, the
+// rtlfixer_ready gauge and /v1/stats resilience.ready agree in every
+// state — ready, warming, store-degraded (reached through a store fault
+// profile), draining — while healthz stays 200 throughout: the
+// liveness/routability split.
 func TestReadyzGates(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	if status, out := getJSON(t, ts.URL+"/v1/readyz"); status != http.StatusOK || out["status"] != "ready" {
-		t.Fatalf("readyz = %d %v", status, out)
+	st, err := store.Open(t.TempDir(), store.Options{NoFlusher: true, DegradeAfter: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.ready.Store(false)
-	if status, out := getJSON(t, ts.URL+"/v1/readyz"); status != http.StatusServiceUnavailable || out["status"] != "warming" {
-		t.Fatalf("warming readyz = %d %v", status, out)
+	t.Cleanup(func() { st.Close() })
+	s, ts := newTestServer(t, Config{Store: st})
+	check := func(want string) {
+		t.Helper()
+		code, out := getJSON(t, ts.URL+"/v1/readyz")
+		wantCode, gauge := http.StatusServiceUnavailable, "rtlfixer_ready 0\n"
+		if want == "ready" {
+			wantCode, gauge = http.StatusOK, "rtlfixer_ready 1\n"
+		}
+		if code != wantCode || out["status"] != want {
+			t.Fatalf("readyz = %d %v, want %d %q", code, out, wantCode, want)
+		}
+		if got, _ := lookup(serverStatsJSON(t, ts.URL), "resilience.ready"); got != (want == "ready") {
+			t.Fatalf("%s: /v1/stats resilience.ready = %v", want, got)
+		}
+		if _, raw := get(t, ts.URL+"/metrics"); !strings.Contains(string(raw), gauge) {
+			t.Fatalf("%s: /metrics lacks %q", want, gauge)
+		}
+		if code, _ := getJSON(t, ts.URL+"/v1/healthz"); code != http.StatusOK {
+			t.Fatalf("healthz while %s = %d, want 200", want, code)
+		}
 	}
-	if status, _ := getJSON(t, ts.URL+"/v1/healthz"); status != http.StatusOK {
-		t.Fatalf("healthz while warming = %d, want 200", status)
+	check("ready")
+	s.prewarmed.Store(false)
+	check("warming")
+	s.prewarmed.Store(true)
+	check("ready")
+
+	st.Put(store.KindCompile, 1, []byte("pending"))
+	fault.Install(fault.MustParse("store.write.error:1", 1))
+	if err := st.Flush(); err == nil {
+		fault.Uninstall()
+		t.Fatal("flush should fail under the store fault")
 	}
-	s.ready.Store(true)
-	if status, _ := getJSON(t, ts.URL+"/v1/readyz"); status != http.StatusOK {
-		t.Fatalf("readyz after warmup = %d", status)
+	check("store-degraded")
+	fault.Uninstall()
+	if err := st.Flush(); err != nil {
+		t.Fatalf("recovery flush: %v", err)
 	}
+	check("ready")
+
+	s.BeginDrain()
+	check("draining")
 }
 
 // TestPrewarmBuildsDefaultFixer: with Prewarm on, readyz turns 200 once

@@ -51,6 +51,7 @@ import (
 	"repro/internal/diag"
 	"repro/internal/fault"
 	"repro/internal/memo"
+	"repro/internal/metrics"
 	"repro/internal/resilience"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -210,7 +211,10 @@ type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
 	start time.Time
-	st    serverStats
+	// reg declares every exported metric family (stats.go); m holds the
+	// live handles the serving path updates.
+	reg metrics.Registry
+	m   liveMetrics
 
 	// fixers pools one core.RTLFixer per configuration, lazily built, so
 	// every request against the same configuration shares its compile
@@ -240,11 +244,11 @@ type Server struct {
 	testHook func(f *flight)
 
 	// Resilience plane (resilience.go): per-fixer-configuration circuit
-	// breakers, the readiness latch /v1/readyz gates on, and the
+	// breakers, the prewarm latch readiness gates on, and the
 	// admission-fill mark past which best-effort surfaces brown out.
 	breakersMu sync.Mutex
 	breakers   map[fixerKey]*resilience.Breaker
-	ready      atomic.Bool
+	prewarmed  atomic.Bool
 	brownoutAt int
 
 	// Observability plane. tracer aliases cfg.Tracing (nil = off);
@@ -278,7 +282,6 @@ func New(cfg Config) *Server {
 		dispatcherDone: make(chan struct{}),
 		breakers:       map[fixerKey]*resilience.Breaker{},
 	}
-	s.st.init()
 	s.brownoutAt = int(cfg.BrownoutThreshold * float64(cfg.MaxInFlight+cfg.QueueDepth))
 	if s.brownoutAt < 1 {
 		s.brownoutAt = 1
@@ -294,6 +297,7 @@ func New(cfg Config) *Server {
 			s.simObs = newSimObs()
 		}
 	}
+	s.declareMetrics()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/fix", s.handleFix)
 	s.mux.HandleFunc("/v1/lint", s.handleLint)
@@ -306,7 +310,7 @@ func New(cfg Config) *Server {
 	if cfg.Prewarm {
 		go s.prewarm()
 	} else {
-		s.ready.Store(true)
+		s.prewarmed.Store(true)
 	}
 	go s.dispatch()
 	return s
@@ -341,7 +345,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rv := recover(); rv != nil {
 				pe := resilience.Recovered("http", rv)
-				s.st.panicsHTTP.Inc()
+				s.m.panicsHTTP.Inc()
 				s.cfg.logf("server: recovered handler panic on %s %s: %v\n%s",
 					r.Method, r.URL.Path, pe.Value, pe.Stack)
 				if rec.status == 0 {
@@ -352,7 +356,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}()
 		s.mux.ServeHTTP(rec, r)
 	}()
-	s.st.countStatus(rec.code())
+	s.m.countStatus(rec.code())
 	if s.cfg.AccessLog != nil {
 		s.cfg.AccessLog.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("id", id),
@@ -657,7 +661,7 @@ func (s *Server) Fixers() int {
 
 // handleFix serves POST /v1/fix: admit, coalesce, dispatch, wait.
 func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
-	s.st.fixRequests.Inc()
+	s.m.fixRequests.Inc()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
@@ -692,7 +696,7 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 	if !br.Allow() {
 		adm.SetStr("outcome", "breaker_open")
 		adm.End()
-		s.st.breakerRejected.Inc()
+		s.m.breakerRejected.Inc()
 		writeError(w, http.StatusServiceUnavailable,
 			"circuit breaker open for this fixer configuration; retry after cooldown")
 		return
@@ -706,11 +710,11 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, errDraining):
 			adm.SetStr("outcome", "rejected_draining")
-			s.st.rejectedDraining.Inc()
+			s.m.rejectedDraining.Inc()
 			writeError(w, http.StatusServiceUnavailable, "server is draining")
 		case errors.Is(err, errQueueFull):
 			adm.SetStr("outcome", "rejected_queue_full")
-			s.st.rejectedQueueFull.Inc()
+			s.m.rejectedQueueFull.Inc()
 			writeError(w, http.StatusTooManyRequests, "admission queue full (%d in flight + %d queued)",
 				s.cfg.MaxInFlight, s.cfg.QueueDepth)
 		default:
@@ -722,7 +726,7 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 	}
 	if coalesced {
 		adm.SetStr("outcome", "coalesced")
-		s.st.coalesced.Inc()
+		s.m.coalesced.Inc()
 	} else {
 		adm.SetStr("outcome", "admitted")
 	}
@@ -737,13 +741,13 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 		wait.SetBool("expired", true)
 		wait.End()
 		root.SetStr("outcome", "deadline_expired")
-		s.st.deadlineExpired.Inc()
-		s.st.fixLatency.Observe(msSince(started))
+		s.m.deadlineExpired.Inc()
+		s.m.fixLatency.Observe(msSince(started))
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded after %v", s.timeout(req))
 		return
 	}
 
-	s.st.fixLatency.Observe(msSince(started))
+	s.m.fixLatency.Observe(msSince(started))
 	// Only the leader of a non-coalesced flight records the run's outcome
 	// on the breaker, so one bad run counts once no matter how many
 	// waiters shared it.
@@ -764,7 +768,7 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 		// The leader's deadline expired before the run started, so the
 		// batch skipped it; this waiter raced the same fate.
 		root.SetStr("outcome", "expired_before_run")
-		s.st.deadlineExpired.Inc()
+		s.m.deadlineExpired.Inc()
 		writeError(w, http.StatusGatewayTimeout, "coalesced run expired before starting")
 	case f.tr.Aborted != "":
 		// The (simulated) LLM backend stayed down past the retry budget:
@@ -786,9 +790,9 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 		root.SetStr("outcome", "ok")
 		root.SetBool("success", f.tr.Success)
 		if f.tr.Success {
-			s.st.fixOK.Inc()
+			s.m.fixOK.Inc()
 		} else {
-			s.st.fixFailed.Inc()
+			s.m.fixFailed.Inc()
 		}
 		writeJSON(w, http.StatusOK, resp)
 	}
@@ -798,7 +802,7 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 // lint is a single frontend pass — orders of magnitude cheaper than a fix
 // run, and served from the shared compile cache on repeats).
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
-	s.st.lintRequests.Inc()
+	s.m.lintRequests.Inc()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
@@ -806,7 +810,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	if s.brownedOut() {
 		// Lint is a best-effort surface: under fix-traffic pressure it is
 		// the first thing shed (the degradation ladder's brownout rung).
-		s.st.brownoutLintShed.Inc()
+		s.m.brownoutLintShed.Inc()
 		writeError(w, http.StatusServiceUnavailable, "lint shed under load (brownout); retry later")
 		return
 	}
@@ -848,10 +852,10 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Findings = append(resp.Findings, f)
 		if d.Rule != "" {
-			s.st.countFinding(d.Rule)
+			s.m.countFinding(d.Rule)
 		}
 	}
-	s.st.lintLatency.Observe(msSince(started))
+	s.m.lintLatency.Observe(msSince(started))
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -863,7 +867,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 // durable store attached, the body carries its size and flush lag so
 // operators can see unflushed work at a glance.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.st.healthzRequests.Inc()
+	s.m.healthzRequests.Inc()
 	body := map[string]any{}
 	if s.cfg.Store != nil {
 		// Brief, not Stats: healthz is polled, and the full snapshot

@@ -65,6 +65,39 @@ func postFix(t *testing.T, url string, body map[string]any) (int, map[string]any
 	return resp.StatusCode, out
 }
 
+// lookup walks a dotted path through a /v1/stats document: the live one
+// from Server.Stats or one decoded from the wire.
+func lookup(doc map[string]any, path string) (any, bool) {
+	var v any = doc
+	for _, k := range strings.Split(path, ".") {
+		m, ok := v.(map[string]any)
+		if !ok {
+			return nil, false
+		}
+		if v, ok = m[k]; !ok {
+			return nil, false
+		}
+	}
+	return v, true
+}
+
+// num reads one numeric value from a /v1/stats document by path.
+func num(t *testing.T, doc map[string]any, path string) float64 {
+	t.Helper()
+	v, _ := lookup(doc, path)
+	f, ok := v.(float64)
+	if !ok {
+		t.Fatalf("stats %s = %v, want a number", path, v)
+	}
+	return f
+}
+
+// stat reads one numeric value from the server's live /v1/stats document.
+func stat(t *testing.T, s *Server, path string) float64 {
+	t.Helper()
+	return num(t, s.Stats(), path)
+}
+
 func TestFixEndpointFixesPaperExample(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	status, out := postFix(t, ts.URL, map[string]any{"source": brokenSource, "transcript": true})
@@ -170,17 +203,17 @@ func TestCoalescing(t *testing.T) {
 
 	// Wait until every follower has joined the (hook-blocked) leader.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.st.coalesced.Value() < n-1 {
+	for stat(t, s, "fix.coalesced") < n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests coalesced", s.st.coalesced.Value(), n-1)
+			t.Fatalf("only %v/%d requests coalesced", stat(t, s, "fix.coalesced"), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
 	wg.Wait()
 
-	if runs := s.st.agentRuns.Value(); runs != 1 {
-		t.Fatalf("agent runs = %d, want 1 for %d identical requests", runs, n)
+	if runs := stat(t, s, "fix.agent_runs"); runs != 1 {
+		t.Fatalf("agent runs = %v, want 1 for %d identical requests", runs, n)
 	}
 	for i, r := range replies {
 		if r.status != http.StatusOK {
@@ -191,8 +224,10 @@ func TestCoalescing(t *testing.T) {
 			t.Fatalf("request %d got a different answer", i)
 		}
 	}
-	if s.Stats().Fix.Coalesced != n-1 {
-		t.Fatalf("stats report %d coalesced, want %d", s.Stats().Fix.Coalesced, n-1)
+	// The /metrics sample agrees with the /v1/stats value.
+	_, raw := get(t, ts.URL+"/metrics")
+	if want := fmt.Sprintf(`rtlfixer_fix_outcomes_total{outcome="coalesced"} %d`, n-1); !strings.Contains(string(raw), want) {
+		t.Fatalf("metrics missing %q:\n%s", want, raw)
 	}
 }
 
@@ -226,8 +261,8 @@ func TestAdmissionOverflow(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("overflow request = %d (%v), want 429", status, out)
 	}
-	if s.st.rejectedQueueFull.Value() != 1 {
-		t.Fatalf("rejectedQueueFull = %d, want 1", s.st.rejectedQueueFull.Value())
+	if got := stat(t, s, "fix.rejected_queue_full"); got != 1 {
+		t.Fatalf("fix.rejected_queue_full = %v, want 1", got)
 	}
 }
 
@@ -249,8 +284,8 @@ func TestDeadlineExpiry(t *testing.T) {
 	if waited > 5*time.Second {
 		t.Fatalf("504 took %v; deadline did not cut the wait", waited)
 	}
-	if s.st.deadlineExpired.Value() == 0 {
-		t.Fatal("deadlineExpired counter not incremented")
+	if stat(t, s, "fix.deadline_expired") == 0 {
+		t.Fatal("fix.deadline_expired not incremented")
 	}
 	// The abandoned run still completes and releases its admission slot:
 	// a follow-up request must succeed.
@@ -339,12 +374,11 @@ func TestBatchedDispatch(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	snap := s.Stats()
-	if snap.Dispatch.BatchedJobs != n {
-		t.Fatalf("batched jobs = %d, want %d", snap.Dispatch.BatchedJobs, n)
+	if got := stat(t, s, "dispatch.batched_jobs"); got != n {
+		t.Fatalf("batched jobs = %v, want %d", got, n)
 	}
-	if snap.Dispatch.MaxBatch < 2 {
-		t.Fatalf("max batch = %d; concurrent requests were never batched", snap.Dispatch.MaxBatch)
+	if got := stat(t, s, "dispatch.max_batch"); got < 2 {
+		t.Fatalf("max batch = %v; concurrent requests were never batched", got)
 	}
 }
 
@@ -360,22 +394,22 @@ func TestStatsEndpointShape(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status = %d", resp.StatusCode)
 	}
-	var snap StatsSnapshot
+	var snap map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("stats body is not the snapshot shape: %v", err)
+		t.Fatalf("stats body is not a JSON object: %v", err)
 	}
-	if snap.Requests.Fix != 2 {
-		t.Fatalf("fix requests = %d, want 2", snap.Requests.Fix)
+	if got := num(t, snap, "requests.fix"); got != 2 {
+		t.Fatalf("fix requests = %v, want 2", got)
 	}
-	if snap.LatencyFixMS.Count != 2 {
-		t.Fatalf("fix latency count = %d, want 2", snap.LatencyFixMS.Count)
+	if got := num(t, snap, "latency_fix_ms.count"); got != 2 {
+		t.Fatalf("fix latency count = %v, want 2", got)
 	}
-	if snap.Fix.AgentRuns == 0 || snap.Fixers != 1 {
-		t.Fatalf("run/fixer accounting off: %+v", snap.Fix)
+	if num(t, snap, "fix.agent_runs") == 0 || num(t, snap, "fixers") != 1 {
+		t.Fatalf("run/fixer accounting off: %v", snap["fix"])
 	}
 	// Identical sequential requests share the pooled fixer's compile
 	// cache; the second one must have produced hits.
-	if snap.Cache.Hits == 0 {
+	if num(t, snap, "cache.hits") == 0 {
 		t.Fatal("second identical request produced no cache hits")
 	}
 }
@@ -484,7 +518,7 @@ func TestFollowerSurvivesLeaderTimeout(t *testing.T) {
 		}{st, out}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.st.coalesced.Value() < 1 {
+	for stat(t, s, "fix.coalesced") < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("follower never joined the leader's flight")
 		}
@@ -499,8 +533,8 @@ func TestFollowerSurvivesLeaderTimeout(t *testing.T) {
 	if r.status != http.StatusOK || r.body["success"] != true {
 		t.Fatalf("follower = %d (%v), want a successful 200: the leader's timeout must not kill the flight", r.status, r.body)
 	}
-	if s.st.expiredBeforeRun.Value() != 0 {
-		t.Fatalf("flight was skipped (%d expiredBeforeRun) despite a live follower", s.st.expiredBeforeRun.Value())
+	if got := stat(t, s, "fix.expired_before_run"); got != 0 {
+		t.Fatalf("flight was skipped (%v expired_before_run) despite a live follower", got)
 	}
 }
 
@@ -628,11 +662,10 @@ func TestLintStructuredFindings(t *testing.T) {
 		t.Fatalf("analyzer toggle did not split the fixer pool: %d fixers", s.Fixers())
 	}
 
-	snap := s.Stats()
-	if snap.Lint.FindingsByRule["L001"] == 0 || snap.Lint.FindingsByRule["L002"] == 0 {
-		t.Fatalf("stats did not count findings by rule: %v", snap.Lint.FindingsByRule)
+	if stat(t, s, "lint.findings_by_rule.L001") == 0 || stat(t, s, "lint.findings_by_rule.L002") == 0 {
+		t.Fatalf("stats did not count findings by rule: %v", s.Stats()["lint"])
 	}
-	if _, ok := snap.Lint.FindingsByRule["L010"]; !ok {
+	if _, ok := lookup(s.Stats(), "lint.findings_by_rule.L010"); !ok {
 		t.Fatal("stats snapshot omits zero-count rules")
 	}
 }

@@ -29,31 +29,48 @@ const (
 	simCheckSteps = 64
 )
 
-// simCheck runs the smoke check behind a panic guard: the check is a
-// best-effort signal on the degradation ladder, so a panicking engine
-// (or a fault-injected one) skips the feature instead of failing the
-// whole agent run it rides on.
+// simCheck runs the smoke check behind a panic guard and counts its
+// outcome exactly once: the result label runSimCheck returned, or
+// "skipped" when the check panicked — wherever it panicked, so a panic
+// after the verdict (say, in the deferred coverage fold) does not count
+// the check twice. The check is a best-effort signal on the degradation
+// ladder: a panicking engine (or a fault-injected one) skips the feature
+// instead of failing the whole agent run it rides on.
 func (s *Server) simCheck(tr *agent.Transcript, parent *trace.Span) {
-	if err := resilience.Safe("simcheck", func() { s.runSimCheck(tr, parent) }); err != nil {
-		s.st.simSkipped.Inc()
+	var result string
+	if err := resilience.Safe("simcheck", func() { result = s.runSimCheck(tr, parent) }); err != nil {
+		result = "panic"
 		s.cfg.logf("server: sim check panicked (isolated): %v", err)
+	}
+	switch result {
+	case "": // no check ran
+	case "ok":
+		s.m.simPassed.Inc()
+	case "settle_error", "clock_error":
+		s.m.simFailed.Inc()
+	case "watchdog":
+		s.m.simWatchdog.Inc()
+	default: // not_elaborable, not_simulable, panic
+		s.m.simSkipped.Inc()
 	}
 }
 
-// runSimCheck is the smoke check for one finished agent run, recording
-// the outcome under a "sim" child of parent. Sources that do not
-// elaborate (the personas accept code the stricter sim frontend
-// rejects) are counted as skipped, not failed; a simulation that blows
-// its watchdog budget is canceled and counted, never request-fatal. The
-// shared SimCache means a coalesced-or-repeated source pays
-// frontend+compile once.
-func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) {
+// runSimCheck is the smoke check for one finished agent run. It returns
+// the result label it records on a "sim" child of parent, or "" when no
+// check applies. Sources that do not elaborate (the personas accept code
+// the stricter sim frontend rejects) are skipped, not failed; a
+// simulation that blows its watchdog budget is canceled, never
+// request-fatal. The shared SimCache means a coalesced-or-repeated source
+// pays frontend+compile once.
+func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) (result string) {
 	if s.simCache == nil || tr == nil || !tr.Success {
-		return
+		return ""
 	}
 	sp := parent.Child("sim")
-	defer sp.End()
-	s.st.simChecks.Inc()
+	defer func() {
+		sp.SetStr("result", result)
+		sp.End()
+	}()
 
 	prog, design, _ := s.simCache.Program(tr.FinalCode)
 	var sm *sim.Simulator
@@ -66,14 +83,10 @@ func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) {
 		var err error
 		sm, err = sim.NewWith(design, sim.EngineWalker)
 		if err != nil {
-			sp.SetStr("result", "not_simulable")
-			s.st.simSkipped.Inc()
-			return
+			return "not_simulable"
 		}
 	default:
-		sp.SetStr("result", "not_elaborable")
-		s.st.simSkipped.Inc()
-		return
+		return "not_elaborable"
 	}
 
 	sm.SetWatchdog(resilience.NewWatchdog(simCheckWall, simCheckSteps))
@@ -99,29 +112,20 @@ func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) {
 	}
 	if err := sm.Settle(); err != nil {
 		if resilience.IsWatchdog(err) {
-			sp.SetStr("result", "watchdog")
-			s.st.simWatchdog.Inc()
-			return
+			return "watchdog"
 		}
-		sp.SetStr("result", "settle_error")
-		s.st.simFailed.Inc()
-		return
+		return "settle_error"
 	}
 	if clk := clockInput(sm.Design()); clk != "" {
 		sp.SetStr("clock", clk)
 		if err := sm.ClockPulse(clk); err != nil {
 			if resilience.IsWatchdog(err) {
-				sp.SetStr("result", "watchdog")
-				s.st.simWatchdog.Inc()
-				return
+				return "watchdog"
 			}
-			sp.SetStr("result", "clock_error")
-			s.st.simFailed.Inc()
-			return
+			return "clock_error"
 		}
 	}
-	sp.SetStr("result", "ok")
-	s.st.simPassed.Inc()
+	return "ok"
 }
 
 // clockInput finds the design's clock-looking input port, if any.

@@ -107,11 +107,8 @@ func (o *simObs) snapshot() *SimObsSnapshot {
 		Runs: o.runs, Samples: o.samples, Toggles: o.toggles,
 		LastCoveredPoints: o.lastCovered, LastTotalPoints: o.lastTotal,
 		LastProcesses: o.lastProcs, LastProcsActive: o.lastProcsAct,
-		BestFraction: o.bestFraction,
+		LastFraction: o.lastFraction(), BestFraction: o.bestFraction,
 		Instructions: o.instructions, Settles: o.settles, FixpointIters: o.fixpointIters,
-	}
-	if total := o.lastTotal + o.lastProcs; total > 0 {
-		snap.LastFraction = float64(o.lastCovered+o.lastProcsAct) / float64(total)
 	}
 	for op, n := range o.ops {
 		snap.TopOps = append(snap.TopOps, wave.OpCount{Op: op, Count: n})
@@ -132,13 +129,21 @@ func (o *simObs) snapshot() *SimObsSnapshot {
 	return snap
 }
 
-// coverageGauge returns the latest run's coverage fraction for the
-// rtlfixer_sim_toggle_coverage gauge (0 when nothing observed yet).
-func (o *simObs) coverageGauge() (frac float64, runs, toggles, instructions uint64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+// lastFraction is the latest observed run's coverage fraction (0 before
+// any run). Callers hold mu.
+func (o *simObs) lastFraction() float64 {
 	if total := o.lastTotal + o.lastProcs; total > 0 {
-		frac = float64(o.lastCovered+o.lastProcsAct) / float64(total)
+		return float64(o.lastCovered+o.lastProcsAct) / float64(total)
 	}
-	return frac, o.runs, o.toggles, o.instructions
+	return 0
+}
+
+// reader returns a locked read of one aggregate figure, the value source
+// of an rtlfixer_sim_* family.
+func (o *simObs) reader(get func(*simObs) float64) func() float64 {
+	return func() float64 {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		return get(o)
+	}
 }

@@ -1,8 +1,9 @@
-// Live metrics for the fix service, surfaced at GET /v1/stats: request
-// and status counters, fix/lint latency histograms (internal/metrics),
-// queue and in-flight gauges, dispatch batching figures, and the
-// process-wide memoization counters (memo.Totals). Everything is cheap
-// atomics — the monitoring plane never contends with the serving plane.
+// Live metrics for the fix service. Every family is declared once, in
+// declareMetrics, with its Prometheus name and help, kind, labels, and
+// /v1/stats path (metrics.Registry); GET /metrics and GET /v1/stats both
+// render from that registry, so the two surfaces cannot drift. Handlers
+// hold the returned handles and pay one atomic add per increment — the
+// monitoring plane never contends with the serving plane.
 package server
 
 import (
@@ -13,363 +14,229 @@ import (
 	"repro/internal/fault"
 	"repro/internal/memo"
 	"repro/internal/metrics"
-	"repro/internal/resilience"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
 // statusCodes are the statuses the service can emit; anything else lands
-// in the "other" bucket.
+// in the "other" series.
 var statusCodes = []int{200, 400, 404, 405, 413, 429, 500, 502, 503, 504}
 
-// serverStats holds every live counter. Fields are written with atomics;
-// Snapshot reads are not a consistent cut across fields (each field is
-// individually exact), which is fine for monitoring.
-type serverStats struct {
-	fixRequests     metrics.Counter
-	lintRequests    metrics.Counter
-	healthzRequests metrics.Counter
-	readyzRequests  metrics.Counter
-	statsRequests   metrics.Counter
+// liveMetrics holds the handles the serving path updates; each one is
+// returned by its family's declaration in declareMetrics.
+type liveMetrics struct {
+	fixRequests, lintRequests, healthzRequests, readyzRequests, statsRequests *metrics.Counter
 
-	status      map[int]*metrics.Counter
-	statusOther metrics.Counter
+	status      []*metrics.Counter // parallel to statusCodes
+	statusOther *metrics.Counter
 
-	fixOK             metrics.Counter
-	fixFailed         metrics.Counter
-	coalesced         metrics.Counter
-	agentRuns         metrics.Counter
-	expiredBeforeRun  metrics.Counter
-	deadlineExpired   metrics.Counter
-	rejectedQueueFull metrics.Counter
-	rejectedDraining  metrics.Counter
+	fixOK, fixFailed, coalesced, agentRuns                                 *metrics.Counter
+	expiredBeforeRun, deadlineExpired, rejectedQueueFull, rejectedDraining *metrics.Counter
 
-	batches     metrics.Counter
-	batchedJobs metrics.Counter
-	maxBatch    metrics.Gauge
+	batches, batchedJobs           *metrics.Counter
+	maxBatch, queueDepth, inFlight *metrics.Gauge
+	fixLatency, lintLatency        *metrics.Histogram
 
-	queueDepth metrics.Gauge
-	inFlight   metrics.Gauge
+	// findings counts analyzer findings served through /v1/lint by rule
+	// code; the key set is the static rule registry, so the counters are
+	// lock-free, and codes outside it land in findingsOther.
+	findings      map[string]*metrics.Counter
+	findingsOther *metrics.Counter
 
-	fixLatency  *metrics.Histogram
-	lintLatency *metrics.Histogram
-
-	// findingsByRule counts analyzer findings served through /v1/lint,
-	// keyed by rule code. The key set is fixed at init from the static
-	// rule registry, so the counters are lock-free; codes outside the
-	// registry land in findingsOther. findingRules holds the codes in
-	// registry order for stable /metrics exposition.
-	findingsByRule map[string]*metrics.Counter
-	findingRules   []string
-	findingsOther  metrics.Counter
-
-	// Post-fix simulation smoke checks (simcheck.go): attempted, and the
-	// passed/failed/skipped split. Skipped means the fixed code does not
-	// elaborate under the stricter sim frontend — expected for a subset
-	// of persona-accepted sources, not an error.
-	simChecks  metrics.Counter
-	simPassed  metrics.Counter
-	simFailed  metrics.Counter
-	simSkipped metrics.Counter
+	// Post-fix simulation smoke-check outcomes (simcheck.go); each check
+	// counts exactly one, so attempted checks are their sum.
+	simPassed, simFailed, simSkipped, simWatchdog *metrics.Counter
 
 	// Resilience plane: recovered panics by bulkhead, circuit-breaker
-	// fast-fails, the in-agent LLM retry ledger, brownout shedding, and
-	// sim-check watchdog trips.
-	panicsHTTP         metrics.Counter
-	panicsWorker       metrics.Counter
-	breakerRejected    metrics.Counter
-	llmRetriedRuns     metrics.Counter
-	llmRetryRecovered  metrics.Counter
-	llmAborted         metrics.Counter
-	brownoutLintShed   metrics.Counter
-	brownoutTracesShed metrics.Counter
-	simWatchdog        metrics.Counter
+	// fast-fails, the in-agent LLM retry ledger, and brownout shedding.
+	panicsHTTP, panicsWorker, breakerRejected     *metrics.Counter
+	llmRetriedRuns, llmRetryRecovered, llmAborted *metrics.Counter
+	brownoutLintShed, brownoutTracesShed          *metrics.Counter
 }
 
-func (st *serverStats) init() {
-	st.status = make(map[int]*metrics.Counter, len(statusCodes))
-	for _, code := range statusCodes {
-		st.status[code] = &metrics.Counter{}
-	}
-	st.fixLatency = metrics.NewLatencyHistogram()
-	st.lintLatency = metrics.NewLatencyHistogram()
-	st.findingsByRule = make(map[string]*metrics.Counter, len(analyze.Rules()))
-	for _, r := range analyze.Rules() {
-		st.findingsByRule[r.Code] = &metrics.Counter{}
-		st.findingRules = append(st.findingRules, r.Code)
-	}
-}
-
-func (st *serverStats) countFinding(rule string) {
-	if c, ok := st.findingsByRule[rule]; ok {
-		c.Inc()
-		return
-	}
-	st.findingsOther.Inc()
-}
-
-func (st *serverStats) countStatus(code int) {
-	if c, ok := st.status[code]; ok {
-		c.Inc()
-		return
-	}
-	st.statusOther.Inc()
-}
-
-// recordBatchSize keeps a running maximum of dispatch batch sizes.
-func (st *serverStats) recordBatchSize(n int) { st.maxBatch.Max(int64(n)) }
-
-// StatsSnapshot is the GET /v1/stats response body.
-type StatsSnapshot struct {
-	UptimeMS float64 `json:"uptime_ms"`
-
-	Requests struct {
-		Fix     uint64 `json:"fix"`
-		Lint    uint64 `json:"lint"`
-		Healthz uint64 `json:"healthz"`
-		Readyz  uint64 `json:"readyz"`
-		Stats   uint64 `json:"stats"`
-	} `json:"requests"`
-
-	// Status maps HTTP status code (as a string, for JSON) to count.
-	Status map[string]uint64 `json:"status"`
-
-	Fix struct {
-		OK                uint64 `json:"ok"`
-		Failed            uint64 `json:"failed"`
-		Coalesced         uint64 `json:"coalesced"`
-		AgentRuns         uint64 `json:"agent_runs"`
-		ExpiredBeforeRun  uint64 `json:"expired_before_run"`
-		DeadlineExpired   uint64 `json:"deadline_expired"`
-		RejectedQueueFull uint64 `json:"rejected_queue_full"`
-		RejectedDraining  uint64 `json:"rejected_draining"`
-	} `json:"fix"`
-
-	Dispatch struct {
-		Batches     uint64  `json:"batches"`
-		BatchedJobs uint64  `json:"batched_jobs"`
-		MaxBatch    int64   `json:"max_batch"`
-		MeanBatch   float64 `json:"mean_batch"`
-	} `json:"dispatch"`
-
-	Queue struct {
-		Depth       int64 `json:"depth"`
-		InFlight    int64 `json:"in_flight"`
-		MaxInFlight int   `json:"max_in_flight"`
-		QueueDepth  int   `json:"queue_depth"`
-		Draining    bool  `json:"draining"`
-	} `json:"queue"`
-
-	// Lint aggregates the analyzer findings served through /v1/lint,
-	// keyed by rule code ("L001", ...); "other" collects codes outside
-	// the registry. Zero-count rules are included so dashboards see the
-	// full rule set.
-	Lint struct {
-		FindingsByRule map[string]uint64 `json:"findings_by_rule"`
-	} `json:"lint"`
-
-	// Fixers is the number of distinct pooled configurations.
-	Fixers int `json:"fixers"`
-
-	LatencyFixMS  metrics.HistogramSnapshot `json:"latency_fix_ms"`
-	LatencyLintMS metrics.HistogramSnapshot `json:"latency_lint_ms"`
-
-	// Cache mirrors memo.Totals(): the process-wide memoization counters
-	// behind every pooled fixer. The aggregate fields are kept for
-	// compatibility; Compile/Sim/Retrieval break the same counters out
-	// per cache layer (memo.TotalsByKind) so warm-start effectiveness is
-	// observable per layer.
-	Cache struct {
-		Hits      uint64 `json:"hits"`
-		Misses    uint64 `json:"misses"`
-		Evictions uint64 `json:"evictions"`
-		Lookups   uint64 `json:"lookups"`
-
-		Compile   CacheLayerStats `json:"compile"`
-		Sim       CacheLayerStats `json:"sim"`
-		Retrieval CacheLayerStats `json:"retrieval"`
-	} `json:"cache"`
-
-	// SimCheck summarizes the post-fix simulation smoke checks (zeros
-	// when disabled). Watchdog counts checks canceled for blowing their
-	// wall-clock/step budget — a skip, not a verdict on the fix.
-	SimCheck struct {
-		Checked  uint64 `json:"checked"`
-		Passed   uint64 `json:"passed"`
-		Failed   uint64 `json:"failed"`
-		Skipped  uint64 `json:"skipped"`
-		Watchdog uint64 `json:"watchdog"`
-	} `json:"sim_check"`
-
-	// Resilience is the fault-tolerance ledger: recovered panics per
-	// bulkhead, breaker activity per fixer configuration, the LLM retry/
-	// abort split, brownout shedding, and store degradation.
-	Resilience struct {
-		PanicsHTTP         uint64 `json:"panics_http"`
-		PanicsWorker       uint64 `json:"panics_worker"`
-		BreakerRejected    uint64 `json:"breaker_rejected"`
-		LLMRetriedRuns     uint64 `json:"llm_retried_runs"`
-		LLMRetryRecovered  uint64 `json:"llm_retry_recovered"`
-		LLMAborted         uint64 `json:"llm_aborted"`
-		BrownoutLintShed   uint64 `json:"brownout_lint_shed"`
-		BrownoutTracesShed uint64 `json:"brownout_traces_shed"`
-		SimWatchdogTrips   uint64 `json:"sim_watchdog_trips"`
-		StoreDegraded      bool   `json:"store_degraded"`
-		Ready              bool   `json:"ready"`
-
-		// Breakers holds one snapshot per pooled fixer configuration,
-		// keyed "compiler/persona/mode" (rag/iters/analyze omitted from
-		// the key for readability; distinct configurations that collide
-		// are distinguished by a numeric suffix).
-		Breakers map[string]resilience.BreakerSnapshot `json:"breakers,omitempty"`
-	} `json:"resilience"`
-
-	// Faults, present only when a fault-injection profile is installed
-	// (-fault-profile), snapshots each active injection point's decision
-	// and fire counters — the chaos harness asserts determinism on these.
-	Faults map[string]fault.PointStats `json:"faults,omitempty"`
-
-	// Sim, present when the sim check runs with observability on, is
-	// the simulation-layer aggregate: toggle coverage of the observed
-	// checks plus the compiled engine's execution-profile tallies.
-	Sim *SimObsSnapshot `json:"sim,omitempty"`
-
-	// Stages, present when tracing is on, is the per-stage latency
-	// breakdown folded from finished request traces — one histogram per
-	// span name (fix, queue, run, agent, iteration, compile, rag, llm,
-	// sim). Keys marshal in pipeline order (trace.StageNames), so the
-	// JSON object order matches the attribution table. loadgen -stages
-	// renders this as a table.
-	Stages trace.OrderedStages `json:"stages,omitempty"`
-
-	// Trace, present when tracing is on, is the trace collector's
-	// occupancy (ring fill, slow tier, totals).
-	Trace *trace.Occupancy `json:"trace,omitempty"`
-
-	// Store, present when the daemon runs with -state-dir, is the durable
-	// state layer's snapshot: record counts, journal size, flush lag, and
-	// load/store counters.
-	Store *store.Stats `json:"store,omitempty"`
-}
-
-// CacheLayerStats is one cache layer's counters (memo.Stats, JSON-ready).
-type CacheLayerStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Lookups   uint64 `json:"lookups"`
-}
-
-func cacheLayer(s memo.Stats) CacheLayerStats {
-	return CacheLayerStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Lookups: s.Lookups}
-}
-
-// Stats snapshots the live counters (also what /v1/stats serves).
-func (s *Server) Stats() StatsSnapshot {
-	st := &s.st
-	var snap StatsSnapshot
-	snap.UptimeMS = msSince(s.start)
-
-	snap.Requests.Fix = st.fixRequests.Value()
-	snap.Requests.Lint = st.lintRequests.Value()
-	snap.Requests.Healthz = st.healthzRequests.Value()
-	snap.Requests.Readyz = st.readyzRequests.Value()
-	snap.Requests.Stats = st.statsRequests.Value()
-
-	snap.Status = make(map[string]uint64)
-	for _, code := range statusCodes {
-		if v := st.status[code].Value(); v > 0 {
-			snap.Status[strconv.Itoa(code)] = v
+func (m *liveMetrics) countStatus(code int) {
+	for i, c := range statusCodes {
+		if c == code {
+			m.status[i].Inc()
+			return
 		}
 	}
-	if v := st.statusOther.Value(); v > 0 {
-		snap.Status["other"] = v
+	m.statusOther.Inc()
+}
+
+func (m *liveMetrics) countFinding(rule string) {
+	if c, ok := m.findings[rule]; ok {
+		c.Inc()
+		return
+	}
+	m.findingsOther.Inc()
+}
+
+// declareMetrics declares every family the server exports, in /metrics
+// order. This is the only place a family's name, help, kind, labels and
+// /v1/stats path are written. Families of a feature that is off (sim
+// observation, tracing) are not declared and appear on neither surface;
+// their /v1/stats form is the feature's document section (Stats).
+func (s *Server) declareMetrics() {
+	r, m := &s.reg, &s.m
+	m.fixRequests = r.Counter("rtlfixer_fix_requests_total", "Fix requests received.", "requests.fix")
+	m.lintRequests = r.Counter("rtlfixer_lint_requests_total", "Lint requests received.", "requests.lint")
+	m.healthzRequests = r.Counter("rtlfixer_healthz_requests_total", "Health checks received.", "requests.healthz")
+	m.readyzRequests = r.Counter("rtlfixer_readyz_requests_total", "Readiness checks received.", "requests.readyz")
+	m.statsRequests = r.Counter("rtlfixer_stats_requests_total", "Stats requests received.", "requests.stats")
+
+	status := r.CounterVec("rtlfixer_http_responses_total", "HTTP responses by status code.", "code")
+	for _, code := range statusCodes {
+		c := strconv.Itoa(code)
+		m.status = append(m.status, status.Sparse("status."+c, c))
+	}
+	m.statusOther = status.Sparse("status.other", "other")
+
+	outcomes := r.CounterVec("rtlfixer_fix_outcomes_total", "Fix request outcomes.", "outcome")
+	outcome := func(o string) *metrics.Counter { return outcomes.Counter("fix."+o, o) }
+	m.fixOK, m.fixFailed, m.coalesced = outcome("ok"), outcome("failed"), outcome("coalesced")
+	m.expiredBeforeRun, m.deadlineExpired = outcome("expired_before_run"), outcome("deadline_expired")
+	m.rejectedQueueFull, m.rejectedDraining = outcome("rejected_queue_full"), outcome("rejected_draining")
+	m.agentRuns = r.Counter("rtlfixer_agent_runs_total", "Agent debugging loops executed.", "fix.agent_runs")
+
+	m.batches = r.Counter("rtlfixer_dispatch_batches_total", "Dispatch batches formed.", "dispatch.batches")
+	m.batchedJobs = r.Counter("rtlfixer_dispatch_batched_jobs_total", "Jobs carried by dispatch batches.", "dispatch.batched_jobs")
+	m.maxBatch = r.Gauge("rtlfixer_dispatch_max_batch", "Largest batch dispatched so far.", "dispatch.max_batch")
+	r.Derived("dispatch.mean_batch", func() float64 {
+		if b := m.batches.Value(); b > 0 {
+			return float64(m.batchedJobs.Value()) / float64(b)
+		}
+		return 0
+	})
+
+	m.queueDepth = r.Gauge("rtlfixer_queue_depth", "Admitted fix requests not yet running.", "queue.depth")
+	m.inFlight = r.Gauge("rtlfixer_in_flight", "Agent runs executing now.", "queue.in_flight")
+	r.Flag("rtlfixer_draining", "1 while the server refuses new fix work.", "queue.draining", s.isDraining)
+	r.GaugeFunc("rtlfixer_uptime_seconds", "Seconds since the server started.", "", func() float64 { return msSince(s.start) / 1000 })
+	r.Derived("uptime_ms", func() float64 { return msSince(s.start) }) // the same clock, in ms
+	r.GaugeFunc("rtlfixer_fixer_configs", "Distinct pooled fixer configurations.", "fixers", func() float64 { return float64(s.Fixers()) })
+
+	m.fixLatency = r.Histogram("rtlfixer_fix_latency_ms", "Fix request latency, milliseconds.", "latency_fix_ms", metrics.NewLatencyHistogram())
+	m.lintLatency = r.Histogram("rtlfixer_lint_latency_ms", "Lint request latency, milliseconds.", "latency_lint_ms", metrics.NewLatencyHistogram())
+
+	declareCacheMetrics(r)
+
+	findings := r.CounterVec("rtlfixer_lint_findings_total", "Analyzer findings served via /v1/lint, by rule.", "rule")
+	m.findings = make(map[string]*metrics.Counter, len(analyze.Rules()))
+	for _, rule := range analyze.Rules() {
+		m.findings[rule.Code] = findings.Counter("lint.findings_by_rule."+rule.Code, rule.Code)
+	}
+	m.findingsOther = findings.Sparse("lint.findings_by_rule.other", "other")
+
+	results := r.CounterVec("rtlfixer_sim_checks_total", "Post-fix simulation smoke checks by result.", "result")
+	result := func(res string) *metrics.Counter { return results.Counter("sim_check."+res, res) }
+	m.simPassed, m.simFailed, m.simSkipped, m.simWatchdog = result("passed"), result("failed"), result("skipped"), result("watchdog")
+	r.CounterFunc("rtlfixer_sim_checks_attempted_total", "Post-fix simulation smoke checks attempted (the sum over results).", "sim_check.checked", func() float64 {
+		return float64(m.simPassed.Value() + m.simFailed.Value() + m.simSkipped.Value() + m.simWatchdog.Value())
+	})
+	if o := s.simObs; o != nil {
+		r.GaugeFunc("rtlfixer_sim_toggle_coverage", "Toggle+activation coverage fraction of the latest observed sim check.", "", o.reader((*simObs).lastFraction))
+		r.CounterFunc("rtlfixer_sim_observed_runs_total", "Sim smoke checks run with coverage observation attached.", "", o.reader(func(o *simObs) float64 { return float64(o.runs) }))
+		r.CounterFunc("rtlfixer_sim_toggles_total", "Signal bit-toggle events across observed sim checks.", "", o.reader(func(o *simObs) float64 { return float64(o.toggles) }))
+		r.CounterFunc("rtlfixer_sim_instructions_total", "Compiled-engine instructions executed across observed sim checks.", "", o.reader(func(o *simObs) float64 { return float64(o.instructions) }))
 	}
 
-	snap.Fix.OK = st.fixOK.Value()
-	snap.Fix.Failed = st.fixFailed.Value()
-	snap.Fix.Coalesced = st.coalesced.Value()
-	snap.Fix.AgentRuns = st.agentRuns.Value()
-	snap.Fix.ExpiredBeforeRun = st.expiredBeforeRun.Value()
-	snap.Fix.DeadlineExpired = st.deadlineExpired.Value()
-	snap.Fix.RejectedQueueFull = st.rejectedQueueFull.Value()
-	snap.Fix.RejectedDraining = st.rejectedDraining.Value()
-
-	snap.Dispatch.Batches = st.batches.Value()
-	snap.Dispatch.BatchedJobs = st.batchedJobs.Value()
-	snap.Dispatch.MaxBatch = st.maxBatch.Value()
-	if b := snap.Dispatch.Batches; b > 0 {
-		snap.Dispatch.MeanBatch = float64(snap.Dispatch.BatchedJobs) / float64(b)
-	}
-
-	snap.Queue.Depth = st.queueDepth.Value()
-	snap.Queue.InFlight = st.inFlight.Value()
-	snap.Queue.MaxInFlight = s.cfg.MaxInFlight
-	snap.Queue.QueueDepth = s.cfg.QueueDepth
-	snap.Queue.Draining = s.isDraining()
-
-	snap.Lint.FindingsByRule = make(map[string]uint64, len(st.findingsByRule)+1)
-	for code, c := range st.findingsByRule {
-		snap.Lint.FindingsByRule[code] = c.Value()
-	}
-	if v := st.findingsOther.Value(); v > 0 {
-		snap.Lint.FindingsByRule["other"] = v
-	}
-
-	snap.Fixers = s.Fixers()
-	snap.LatencyFixMS = st.fixLatency.Snapshot()
-	snap.LatencyLintMS = st.lintLatency.Snapshot()
-
-	t := memo.Totals()
-	snap.Cache.Hits = t.Hits
-	snap.Cache.Misses = t.Misses
-	snap.Cache.Evictions = t.Evictions
-	snap.Cache.Lookups = t.Lookups
-	byKind := memo.TotalsByKind()
-	snap.Cache.Compile = cacheLayer(byKind.Compile)
-	snap.Cache.Sim = cacheLayer(byKind.Sim)
-	snap.Cache.Retrieval = cacheLayer(byKind.Retrieval)
-
-	snap.SimCheck.Checked = st.simChecks.Value()
-	snap.SimCheck.Passed = st.simPassed.Value()
-	snap.SimCheck.Failed = st.simFailed.Value()
-	snap.SimCheck.Skipped = st.simSkipped.Value()
-	snap.SimCheck.Watchdog = st.simWatchdog.Value()
-
-	snap.Resilience.PanicsHTTP = st.panicsHTTP.Value()
-	snap.Resilience.PanicsWorker = st.panicsWorker.Value()
-	snap.Resilience.BreakerRejected = st.breakerRejected.Value()
-	snap.Resilience.LLMRetriedRuns = st.llmRetriedRuns.Value()
-	snap.Resilience.LLMRetryRecovered = st.llmRetryRecovered.Value()
-	snap.Resilience.LLMAborted = st.llmAborted.Value()
-	snap.Resilience.BrownoutLintShed = st.brownoutLintShed.Value()
-	snap.Resilience.BrownoutTracesShed = st.brownoutTracesShed.Value()
-	snap.Resilience.SimWatchdogTrips = st.simWatchdog.Value()
-	snap.Resilience.StoreDegraded = s.cfg.Store != nil && s.cfg.Store.Degraded()
-	snap.Resilience.Ready = s.ready.Load()
-	snap.Resilience.Breakers = s.breakerSnapshots()
-	snap.Faults = fault.Snapshot()
-
-	snap.Sim = s.simObs.snapshot()
+	panics := r.CounterVec("rtlfixer_panics_recovered_total", "Panics recovered by bulkhead site.", "site")
+	m.panicsHTTP, m.panicsWorker = panics.Counter("resilience.panics_http", "http"), panics.Counter("resilience.panics_worker", "worker")
+	m.breakerRejected = r.Counter("rtlfixer_breaker_rejected_total", "Fix requests fast-failed by an open circuit breaker.", "resilience.breaker_rejected")
+	llm := r.CounterVec("rtlfixer_llm_runs_total", "Agent runs by LLM-backend resilience event.", "event")
+	m.llmRetriedRuns = llm.Counter("resilience.llm_retried_runs", "retried")
+	m.llmRetryRecovered = llm.Counter("resilience.llm_retry_recovered", "recovered")
+	m.llmAborted = llm.Counter("resilience.llm_aborted", "aborted")
+	shed := r.CounterVec("rtlfixer_brownout_shed_total", "Best-effort work shed under overload, by surface.", "surface")
+	m.brownoutLintShed = shed.Counter("resilience.brownout_lint_shed", "lint")
+	m.brownoutTracesShed = shed.Counter("resilience.brownout_traces_shed", "trace")
+	r.Flag("rtlfixer_ready", "1 once the server passes /v1/readyz gating (prewarm done, not draining).", "resilience.ready",
+		func() bool { return s.readiness() == "ready" })
+	r.Flag("rtlfixer_store_degraded", "1 while the durable store is shedding to in-memory-only.", "resilience.store_degraded",
+		func() bool { return s.cfg.Store != nil && s.cfg.Store.Degraded() })
 
 	if s.stages != nil {
-		snap.Stages = trace.OrderedStages(s.stages.Snapshot())
+		r.HistogramsFunc("rtlfixer_stage_duration_ms", "Span durations per pipeline stage, milliseconds.", func() []metrics.PromHistSeries {
+			snap := s.stages.Snapshot()
+			series := make([]metrics.PromHistSeries, 0, len(snap))
+			for _, stage := range trace.StageNames(snap) {
+				series = append(series, metrics.PromHistSeries{
+					Labels: []metrics.PromLabel{{Name: "stage", Value: stage}},
+					Snap:   snap[stage],
+				})
+			}
+			return series
+		})
+	}
+	if t := s.tracer; t != nil {
+		occ := func(get func(trace.Occupancy) float64) func() float64 {
+			return func() float64 { return get(t.Occupancy()) }
+		}
+		r.CounterFunc("rtlfixer_traces_collected_total", "Request traces finished and collected.", "", occ(func(o trace.Occupancy) float64 { return float64(o.Collected) }))
+		r.GaugeFunc("rtlfixer_trace_ring_occupancy", "Traces held in the recent-trace ring.", "", occ(func(o trace.Occupancy) float64 { return float64(o.Ring) }))
+		r.GaugeFunc("rtlfixer_trace_ring_capacity", "Capacity of the recent-trace ring.", "", occ(func(o trace.Occupancy) float64 { return float64(o.RingCap) }))
+		r.GaugeFunc("rtlfixer_trace_slow_retained", "Slow traces retained past ring eviction.", "", occ(func(o trace.Occupancy) float64 { return float64(o.Slow) }))
+	}
+}
+
+// declareCacheMetrics mirrors the process-wide memoization counters
+// behind every pooled fixer (memo.TotalsByKind) per cache layer, so
+// warm-start effectiveness is observable per layer; /v1/stats also keeps
+// the all-layer totals under "cache".
+func declareCacheMetrics(r *metrics.Registry) {
+	events := [][2]string{{"hit", "hits"}, {"miss", "misses"}, {"eviction", "evictions"}, {"lookup", "lookups"}}
+	count := func(s memo.Stats, event int) float64 {
+		return float64([]uint64{s.Hits, s.Misses, s.Evictions, s.Lookups}[event])
+	}
+	vec := r.CounterVec("rtlfixer_cache_events_total", "Memoization events by cache layer.", "layer", "event")
+	for layer, name := range []string{"compile", "sim", "retrieval"} {
+		for event, e := range events {
+			vec.Func("cache."+name+"."+e[1], func() float64 {
+				t := memo.TotalsByKind()
+				return count([]memo.Stats{t.Compile, t.Sim, t.Retrieval}[layer], event)
+			}, name, e[0])
+		}
+	}
+	for event, e := range events {
+		r.Derived("cache."+e[1], func() float64 { return count(memo.Totals(), event) })
+	}
+}
+
+// Stats renders the GET /v1/stats document: every registry family at its
+// path, plus the sections that are documents rather than metric
+// families — the queue configuration, per-configuration breakers, fault
+// injection counters, the sim-layer aggregate, the per-stage latency
+// breakdown, trace occupancy, and the durable store.
+func (s *Server) Stats() map[string]any {
+	doc := s.reg.JSON()
+	metrics.SetPath(doc, "queue.max_in_flight", s.cfg.MaxInFlight)
+	metrics.SetPath(doc, "queue.queue_depth", s.cfg.QueueDepth)
+	if b := s.breakerSnapshots(); len(b) > 0 {
+		metrics.SetPath(doc, "resilience.breakers", b)
+	}
+	if f := fault.Snapshot(); len(f) > 0 {
+		doc["faults"] = f
+	}
+	if s.simObs != nil {
+		doc["sim"] = s.simObs.snapshot()
+	}
+	if st := s.stages.Snapshot(); len(st) > 0 {
+		// Keys marshal in pipeline order (trace.StageNames), matching the
+		// attribution table loadgen -stages renders from this section.
+		doc["stages"] = trace.OrderedStages(st)
 	}
 	if s.tracer != nil {
-		occ := s.tracer.Occupancy()
-		snap.Trace = &occ
+		doc["trace"] = s.tracer.Occupancy()
 	}
-
 	if s.cfg.Store != nil {
-		st := s.cfg.Store.Stats()
-		snap.Store = &st
+		doc["store"] = s.cfg.Store.Stats()
 	}
-	return snap
+	return doc
 }
 
 // handleStats serves GET /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.st.statsRequests.Inc()
+	s.m.statsRequests.Inc()
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
