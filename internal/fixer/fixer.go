@@ -6,10 +6,7 @@
 // quotes — so the agent spends its iterations on real syntax errors.
 package fixer
 
-import (
-	"regexp"
-	"strings"
-)
+import "strings"
 
 // Result reports what the fixer did.
 type Result struct {
@@ -128,13 +125,16 @@ func looksLikeVerilogStart(t string) bool {
 		strings.HasPrefix(t, "/*")
 }
 
+// smartQuotes maps typographic quotes to their ASCII forms.
+var smartQuotes = strings.NewReplacer(
+	"‘", "'", "’", "'",
+	"“", `"`, "”", `"`,
+)
+
 // normalizeSmartQuotes replaces typographic quotes that chat output
 // sometimes carries into string or literal positions.
 func normalizeSmartQuotes(src string) (string, bool) {
-	replaced := strings.NewReplacer(
-		"‘", "'", "’", "'",
-		"“", `"`, "”", `"`,
-	).Replace(src)
+	replaced := smartQuotes.Replace(src)
 	return replaced, replaced != src
 }
 
@@ -142,6 +142,9 @@ func normalizeSmartQuotes(src string) (string, bool) {
 // body to the top of the file. A misplaced timescale is the paper's
 // example of what the rule-based fixer handles.
 func hoistTimescale(src string) (string, bool) {
+	if !strings.Contains(src, "`timescale") {
+		return src, false
+	}
 	lines := strings.Split(src, "\n")
 	var directives, rest []string
 	inModule := false
@@ -167,22 +170,15 @@ func hoistTimescale(src string) (string, bool) {
 	return strings.Join(append(directives, rest...), "\n"), true
 }
 
-// moduleTokenRe and endmoduleTokenRe match the keywords as whole tokens:
-// substring counting would see a spurious "module" inside identifiers like
-// `top_module` (ubiquitous in VerilogEval sources) and inflate the open
-// count, so stacked duplicate `endmodule`s were never removed. \b treats
-// `_` as a word character, so neither regexp matches inside identifiers,
-// and `module` does not match inside `endmodule`.
-var (
-	moduleTokenRe    = regexp.MustCompile(`\bmodule\b`)
-	endmoduleTokenRe = regexp.MustCompile(`\bendmodule\b`)
-)
-
 // dropDuplicateEndmodule removes endmodule keywords beyond the balance
-// point (one endmodule per module).
+// point (one endmodule per module). The keywords are counted as whole
+// words: substring counting would see a spurious "module" inside
+// identifiers like `top_module` (ubiquitous in VerilogEval sources) and
+// inflate the open count, so stacked duplicate `endmodule`s would never be
+// removed; and `module` does not count inside `endmodule`.
 func dropDuplicateEndmodule(src string) (string, bool) {
-	closes := len(endmoduleTokenRe.FindAllStringIndex(src, -1))
-	opens := len(moduleTokenRe.FindAllStringIndex(src, -1))
+	closes := WordCount(src, "endmodule")
+	opens := WordCount(src, "module")
 	if closes <= opens || closes <= 1 {
 		return src, false
 	}
@@ -232,4 +228,32 @@ func trimTrailingGarbage(src string) (string, bool) {
 		return src, false
 	}
 	return src[:end] + "\n", true
+}
+
+// WordCount counts the occurrences of word in s that stand as whole
+// words: not preceded or followed by an ASCII letter, digit or '_'. That
+// is the word set of regexp's \b, so for a word of word characters that
+// cannot overlap itself (begin, end, module, endmodule, ...) the count
+// equals len(regexp.MustCompile(`\b`+word+`\b`).FindAllString(s, -1)),
+// without compiling a pattern or allocating.
+func WordCount(s, word string) int {
+	count := 0
+	idx := 0
+	for {
+		j := strings.Index(s[idx:], word)
+		if j < 0 {
+			return count
+		}
+		k := idx + j
+		before := k == 0 || !isWordChar(s[k-1])
+		after := k+len(word) >= len(s) || !isWordChar(s[k+len(word)])
+		if before && after {
+			count++
+		}
+		idx = k + len(word)
+	}
+}
+
+func isWordChar(c byte) bool {
+	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }

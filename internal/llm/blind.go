@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/diag"
+	"repro/internal/fixer"
 )
 
 // BlindHypotheses inspects the code visually, with no compiler feedback —
@@ -21,9 +22,9 @@ func BlindHypotheses(code string) []Hypothesis {
 	beginDepth := 0
 	sawEndmodule := false
 	declaredRanges := map[string]int{}
-	declRe := regexp.MustCompile(`\[(\d+):0\]\s*([A-Za-z_][A-Za-z0-9_]*)`)
-	idxRe := regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]`)
 
+	// Each per-line pattern runs only on lines holding a literal that
+	// every match of it must contain.
 	for i, raw := range lines {
 		t := strings.TrimSpace(raw)
 		lineNo := i + 1
@@ -34,20 +35,23 @@ func BlindHypotheses(code string) []Hypothesis {
 			sawEndmodule = true
 			inModule = false
 		}
-		beginDepth += strings.Count(" "+t+" ", " begin")
-		if wordCount(t, "end") > 0 {
-			beginDepth -= wordCount(t, "end")
+		// A begin opens after a space or at the start of the line.
+		beginDepth += strings.Count(t, " begin") - fixer.WordCount(t, "end")
+		if strings.HasPrefix(t, "begin") {
+			beginDepth++
 		}
-		for _, m := range declRe.FindAllStringSubmatch(t, -1) {
-			var msb int
-			if _, err := sscanInt(m[1], &msb); err == nil {
-				declaredRanges[m[2]] = msb
+		if strings.Contains(t, ":0]") {
+			for _, m := range declRe.FindAllStringSubmatch(t, -1) {
+				var msb int
+				if _, err := sscanInt(m[1], &msb); err == nil {
+					declaredRanges[m[2]] = msb
+				}
 			}
 		}
 
 		// C idioms are the most visually obvious defects.
 		if strings.Contains(t, "++") || strings.Contains(t, "--") ||
-			compoundAssignRe.MatchString(t) {
+			hasOpAssign(t) && compoundAssignRe.MatchString(t) {
 			out = append(out, Hypothesis{
 				Line: lineNo, Category: diag.CatCStyleSyntax,
 				Confidence: 0.72, Excerpt: t,
@@ -84,32 +88,34 @@ func BlindHypotheses(code string) []Hypothesis {
 			})
 		}
 		// Bad digits in literals.
-		if m := badLiteralRe.FindString(t); m != "" {
+		if strings.Contains(t, "'") && badLiteralRe.MatchString(t) {
 			out = append(out, Hypothesis{
 				Line: lineNo, Category: diag.CatMalformedLiteral,
 				Confidence: 0.55, Excerpt: t,
 			})
 		}
 		// Reserved word declared as a signal.
-		if keywordDeclRe.MatchString(t) {
+		if (strings.HasPrefix(t, "wire") || strings.HasPrefix(t, "reg")) && keywordDeclRe.MatchString(t) {
 			out = append(out, Hypothesis{
 				Line: lineNo, Category: diag.CatKeywordAsIdent,
 				Confidence: 0.5, Excerpt: t,
 			})
 		}
 		// Constant index beyond a [N:0] declaration seen earlier.
-		for _, m := range idxRe.FindAllStringSubmatch(t, -1) {
-			msb, ok := declaredRanges[m[1]]
-			if !ok {
-				continue
-			}
-			var v int
-			if _, err := sscanInt(m[2], &v); err == nil && v > msb {
-				out = append(out, Hypothesis{
-					Line: lineNo, Category: diag.CatIndexOutOfRange,
-					Symbol: m[1], Confidence: 0.35,
-					Excerpt: t + " // index " + m[2] + " vs [" + itoa(msb) + ":0]",
-				})
+		if len(declaredRanges) > 0 && strings.Contains(t, "[") {
+			for _, m := range idxRe.FindAllStringSubmatch(t, -1) {
+				msb, ok := declaredRanges[m[1]]
+				if !ok {
+					continue
+				}
+				var v int
+				if _, err := sscanInt(m[2], &v); err == nil && v > msb {
+					out = append(out, Hypothesis{
+						Line: lineNo, Category: diag.CatIndexOutOfRange,
+						Symbol: m[1], Confidence: 0.35,
+						Excerpt: t + " // index " + m[2] + " vs [" + itoa(msb) + ":0]",
+					})
+				}
 			}
 		}
 	}
@@ -130,19 +136,43 @@ func BlindHypotheses(code string) []Hypothesis {
 
 	// Signals driven in always blocks but not declared reg: needs
 	// cross-referencing, so lower confidence.
-	out = append(out, blindLValueScan(code, lines)...)
+	out = append(out, blindLValueScan(lines)...)
 	// posedge of a signal that is not in any declaration.
-	out = append(out, blindUndeclaredScan(code, lines)...)
+	out = append(out, blindUndeclaredScan(lines)...)
 	return out
 }
 
 var (
+	declRe           = regexp.MustCompile(`\[(\d+):0\]\s*([A-Za-z_][A-Za-z0-9_]*)`)
+	idxRe            = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]`)
+	regLineRe        = regexp.MustCompile(`\breg\b[^;]*?\b([A-Za-z_][A-Za-z0-9_]*)`)
+	rangeRe          = regexp.MustCompile(`\[[^\]]*\]`)
 	compoundAssignRe = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*\s*[+\-*/&|^]=[^=]`)
 	badLiteralRe     = regexp.MustCompile(`\d+'b[01_]*[2-9a-fA-F]|\d+'h[0-9a-fA-F_]*[g-zG-Z]`)
 	keywordDeclRe    = regexp.MustCompile(`^\s*(wire|reg)\s+(case|begin|end|wire|reg|module)\s*;`)
 	edgeUseRe        = regexp.MustCompile(`(posedge|negedge)\s+([A-Za-z_][A-Za-z0-9_]*)`)
 	alwaysTargetRe   = regexp.MustCompile(`^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(\[[^\]]*\]\s*)?<?=[^=]`)
 )
+
+// hasOpAssign reports whether t holds a compound-assignment operator
+// ("+=", "-=", "*=", "/=", "&=", "|=", "^="), which every match of
+// compoundAssignRe and compoundRe contains.
+func hasOpAssign(t string) bool {
+	for i := 1; i < len(t); i++ {
+		if t[i] == '=' && strings.IndexByte("+-*/&|^", t[i-1]) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// stripRanges deletes every [...] range from a line.
+func stripRanges(t string) string {
+	if !strings.Contains(t, "[") {
+		return t
+	}
+	return rangeRe.ReplaceAllString(t, "")
+}
 
 func looksUnterminated(t string, lines []string, i int) bool {
 	if t == "" || strings.HasSuffix(t, ";") || strings.HasSuffix(t, ",") {
@@ -170,18 +200,18 @@ func looksUnterminated(t string, lines []string, i int) bool {
 	return false
 }
 
-func blindLValueScan(code string, lines []string) []Hypothesis {
+func blindLValueScan(lines []string) []Hypothesis {
 	var out []Hypothesis
 	regDecl := map[string]bool{}
 	outPlain := map[string]int{} // output (non-reg) name -> decl line
 	for i, raw := range lines {
 		t := strings.TrimSpace(raw)
-		if m := regexp.MustCompile(`\breg\b[^;]*?\b([A-Za-z_][A-Za-z0-9_]*)`).FindStringSubmatch(t); m != nil {
-			regDecl[m[1]] = true
-		}
-		if strings.Contains(t, "output") && !strings.Contains(t, "reg") {
-			noRange := regexp.MustCompile(`\[[^\]]*\]`).ReplaceAllString(t, "")
-			for _, w := range anyIdentRe.FindAllString(noRange, -1) {
+		if strings.Contains(t, "reg") {
+			if m := regLineRe.FindStringSubmatch(t); m != nil {
+				regDecl[m[1]] = true
+			}
+		} else if strings.Contains(t, "output") {
+			for _, w := range anyIdentRe.FindAllString(stripRanges(t), -1) {
 				if w != "output" && w != "wire" && w != "signed" && w != "input" {
 					outPlain[w] = i + 1
 				}
@@ -220,14 +250,20 @@ func blindLValueScan(code string, lines []string) []Hypothesis {
 	return out
 }
 
-func blindUndeclaredScan(code string, lines []string) []Hypothesis {
-	declared := map[string]bool{}
-	for _, n := range declaredNames(code) {
-		declared[n] = true
-	}
+func blindUndeclaredScan(lines []string) []Hypothesis {
+	var declared map[string]bool // built on the first edge use
 	var out []Hypothesis
 	for i, raw := range lines {
+		if !strings.Contains(raw, "edge") {
+			continue
+		}
 		for _, m := range edgeUseRe.FindAllStringSubmatch(raw, -1) {
+			if declared == nil {
+				declared = map[string]bool{}
+				for _, n := range declaredNames(lines) {
+					declared[n] = true
+				}
+			}
 			if !declared[m[2]] {
 				out = append(out, Hypothesis{
 					Line: i + 1, Category: diag.CatUndeclaredIdent, Symbol: m[2],
@@ -270,26 +306,4 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(b[i:])
-}
-
-func wordCount(s, word string) int {
-	count := 0
-	idx := 0
-	for {
-		j := strings.Index(s[idx:], word)
-		if j < 0 {
-			return count
-		}
-		k := idx + j
-		before := k == 0 || !isWordChar(s[k-1])
-		after := k+len(word) >= len(s) || !isWordChar(s[k+len(word)])
-		if before && after {
-			count++
-		}
-		idx = k + len(word)
-	}
-}
-
-func isWordChar(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }

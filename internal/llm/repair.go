@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/diag"
+	"repro/internal/fixer"
 )
 
 // Outcome is the result of attempting one repair strategy.
@@ -91,14 +92,14 @@ func lineAt(lines []string, diagLine int) int {
 	return i
 }
 
-var declNameRe = regexp.MustCompile(`\b(?:input|output|inout|wire|reg|logic|integer)\b[^;,\n]*?([A-Za-z_][A-Za-z0-9_]*)\s*[;,\n)]`)
 var anyIdentRe = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
 
-// declaredNames extracts the declared signal names, textually.
-func declaredNames(code string) []string {
+// declaredNames extracts the declared signal names, textually, from the
+// source's lines.
+func declaredNames(lines []string) []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, line := range splitLines(code) {
+	for _, line := range lines {
 		t := strings.TrimSpace(line)
 		if !strings.HasPrefix(t, "input") && !strings.HasPrefix(t, "output") &&
 			!strings.HasPrefix(t, "inout") && !strings.HasPrefix(t, "wire") &&
@@ -108,8 +109,7 @@ func declaredNames(code string) []string {
 		}
 		// Strip the range, then every identifier that is not a keyword is
 		// a declared name.
-		noRange := regexp.MustCompile(`\[[^\]]*\]`).ReplaceAllString(t, "")
-		for _, w := range anyIdentRe.FindAllString(noRange, -1) {
+		for _, w := range anyIdentRe.FindAllString(stripRanges(t), -1) {
 			switch w {
 			case "input", "output", "inout", "wire", "reg", "logic",
 				"integer", "signed":
@@ -165,7 +165,7 @@ func repairUndeclared(code string, h Hypothesis) Outcome {
 	// 1) Misspelling: a declared name within edit distance 2.
 	var best string
 	bestDist := 3
-	for _, name := range declaredNames(code) {
+	for _, name := range declaredNames(splitLines(code)) {
 		if name == h.Symbol {
 			continue
 		}
@@ -242,6 +242,8 @@ func insertAfterHeader(code, line string) (string, bool) {
 var indexMsgRe = regexp.MustCompile(`index (-?\d+)`)
 var rangeMsgRe = regexp.MustCompile(`declared range \[(-?\d+):(-?\d+)\]`)
 var negArithRe = regexp.MustCompile(`\(0-1\)\*\d+\s*\+\s*`)
+var partSelectMsgRe = regexp.MustCompile(`part-select \[(\d+):(\d+)\]`)
+var litIndexRe = regexp.MustCompile(`\[(\d+)\]`)
 
 func repairIndex(code string, h Hypothesis) Outcome {
 	lines := splitLines(code)
@@ -284,7 +286,7 @@ func repairIndex(code string, h Hypothesis) Outcome {
 		}
 	}
 	// Part-select shifted past the MSB: slide the window back down.
-	if m := regexp.MustCompile(`part-select \[(\d+):(\d+)\]`).FindStringSubmatch(h.Excerpt); m != nil && msb >= 0 {
+	if m := partSelectMsgRe.FindStringSubmatch(h.Excerpt); m != nil && msb >= 0 {
 		hi, _ := strconv.Atoi(m[1])
 		lo, _ := strconv.Atoi(m[2])
 		delta := hi - msb
@@ -302,8 +304,7 @@ func repairIndex(code string, h Hypothesis) Outcome {
 	// Last resort: any literal index on the line one past a [N:0]
 	// declaration found in the code.
 	if msb >= 0 {
-		pat := regexp.MustCompile(`\[(\d+)\]`)
-		if m := pat.FindStringSubmatch(line); m != nil {
+		if m := litIndexRe.FindStringSubmatch(line); m != nil {
 			if v, _ := strconv.Atoi(m[1]); v > msb {
 				lines[li] = strings.Replace(line, "["+m[1]+"]", fmt.Sprintf("[%d]", msb), 1)
 				return Outcome{
@@ -423,8 +424,8 @@ func repairBeginEnd(code string, h Hypothesis) Outcome {
 		}
 	}
 	// Missing 'end': rebalance by inserting before 'endmodule'.
-	begins := countWord(code, "begin")
-	ends := countWord(code, "end")
+	begins := fixer.WordCount(code, "begin")
+	ends := fixer.WordCount(code, "end")
 	if begins > ends {
 		lines := splitLines(code)
 		for i := len(lines) - 1; i >= 0; i-- {
@@ -444,17 +445,10 @@ func repairBeginEnd(code string, h Hypothesis) Outcome {
 	return failed(code, "could not rebalance begin/end")
 }
 
-// countWord counts whole-word occurrences (so "end" does not count
-// "endmodule" or "endcase").
-func countWord(code, word string) int {
-	re := regexp.MustCompile(`\b` + word + `\b`)
-	return len(re.FindAllString(code, -1))
-}
-
 func repairMissingEndmodule(code string, _ Hypothesis) Outcome {
 	// Close any open begin blocks first, then the module.
-	begins := countWord(code, "begin")
-	ends := countWord(code, "end")
+	begins := fixer.WordCount(code, "begin")
+	ends := fixer.WordCount(code, "end")
 	var b strings.Builder
 	b.WriteString(strings.TrimRight(code, " \t\n"))
 	for i := 0; i < begins-ends; i++ {
@@ -473,18 +467,25 @@ var (
 	compoundRe = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)\s*([+\-*/&|^])=\s*`)
 )
 
-func repairCStyle(code string, h Hypothesis) Outcome {
+func repairCStyle(code string, _ Hypothesis) Outcome {
 	lines := splitLines(code)
-	li := lineAt(lines, h.Line)
-	// Scan the flagged line first, then the whole file — C idioms travel
-	// in groups, and one compile round should clear them all.
+	// Rewrite the whole file, not just the flagged line: C idioms travel
+	// in groups, and one compile round should clear them all. Each
+	// pattern runs only on lines holding the literal its matches need.
 	changed := false
-	for i := range lines {
-		orig := lines[i]
-		lines[i] = incRe.ReplaceAllString(lines[i], "$1 = $1 + 1")
-		lines[i] = decRe.ReplaceAllString(lines[i], "$1 = $1 - 1")
-		lines[i] = compoundRe.ReplaceAllString(lines[i], "$1 = $1 $2 ")
-		if lines[i] != orig {
+	for i, l := range lines {
+		orig := l
+		if strings.Contains(l, "++") {
+			l = incRe.ReplaceAllString(l, "$1 = $1 + 1")
+		}
+		if strings.Contains(l, "--") {
+			l = decRe.ReplaceAllString(l, "$1 = $1 - 1")
+		}
+		if hasOpAssign(l) {
+			l = compoundRe.ReplaceAllString(l, "$1 = $1 $2 ")
+		}
+		if l != orig {
+			lines[i] = l
 			changed = true
 		}
 	}
@@ -514,7 +515,6 @@ func repairCStyle(code string, h Hypothesis) Outcome {
 	if !changed {
 		return failed(code, "no C-style construct found to rewrite")
 	}
-	_ = li
 	return Outcome{
 		Code: strings.Join(lines, "\n"), Applied: true, StructDifficulty: 0.18,
 		Note: "rewrote C-style operators/blocks into Verilog syntax",
@@ -582,7 +582,7 @@ func repairSensitivity(code string, h Hypothesis) Outcome {
 		t := lines[i]
 		if strings.Contains(t, "always") && !strings.Contains(t, "@") {
 			event := " @(*)"
-			if strings.Contains(code, "<=") && headerHasSignal(code, "clk") {
+			if strings.Contains(code, "<=") && clkInputRe.MatchString(code) {
 				event = " @(posedge clk)"
 			}
 			lines[i] = strings.Replace(t, "always", "always"+event, 1)
@@ -595,9 +595,8 @@ func repairSensitivity(code string, h Hypothesis) Outcome {
 	return failed(code, "could not find the always block missing its event control")
 }
 
-func headerHasSignal(code, name string) bool {
-	return regexp.MustCompile(`\binput\b[^;\n)]*\b` + regexp.QuoteMeta(name) + `\b`).MatchString(code)
-}
+// clkInputRe matches an input declaration that names clk.
+var clkInputRe = regexp.MustCompile(`\binput\b[^;\n)]*\bclk\b`)
 
 func repairPortMismatch(code string, h Hypothesis) Outcome {
 	if strings.Contains(h.Excerpt, "expected a port name") {
@@ -664,7 +663,7 @@ func repairGenericSyntax(code string, h Hypothesis) Outcome {
 		out.StructDifficulty = 0.5
 		return out
 	}
-	begins, ends := countWord(code, "begin"), countWord(code, "end")
+	begins, ends := fixer.WordCount(code, "begin"), fixer.WordCount(code, "end")
 	if begins != ends {
 		if out := repairBeginEnd(code, h); out.Applied {
 			out.StructDifficulty = 0.5

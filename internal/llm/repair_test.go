@@ -167,7 +167,7 @@ func TestDeclaredNames(t *testing.T) {
 	wire [3:0] tmp;
 	integer i;
 endmodule`
-	names := declaredNames(code)
+	names := declaredNames(splitLines(code))
 	want := map[string]bool{"clk": true, "data_in": true, "q": true, "tmp": true, "i": true}
 	for _, n := range names {
 		delete(want, n)

@@ -300,13 +300,20 @@ func (e *elaborator) checkPorts(m *verilog.Module) {
 func (e *elaborator) checkDrivers(m *verilog.Module) {
 	// Every drive site is recorded so the diagnostic can point at each
 	// offender: Pos is the first site, Related the remaining ones.
+	// The name slices keep first-drive order, so same-position warnings
+	// (one assign driving a concatenation) come out in a fixed order
+	// rather than in map iteration order.
 	assignSites := map[string][]diag.Pos{}
 	alwaysSites := map[string][]diag.Pos{}
+	var assignNames, alwaysNames []string
 
 	for _, item := range m.Items {
 		switch it := item.(type) {
 		case *verilog.AssignItem:
 			for _, name := range lhsBaseNames(it.LHS) {
+				if assignSites[name] == nil {
+					assignNames = append(assignNames, name)
+				}
 				assignSites[name] = append(assignSites[name], it.Pos())
 			}
 		case *verilog.AlwaysBlock:
@@ -319,6 +326,9 @@ func (e *elaborator) checkDrivers(m *verilog.Module) {
 				for _, name := range lhsBaseNames(as.LHS) {
 					if !seen[name] {
 						seen[name] = true
+						if alwaysSites[name] == nil {
+							alwaysNames = append(alwaysNames, name)
+						}
 						alwaysSites[name] = append(alwaysSites[name], as.Pos())
 					}
 				}
@@ -333,7 +343,8 @@ func (e *elaborator) checkDrivers(m *verilog.Module) {
 		}
 		e.diags.Add(d)
 	}
-	for name, sites := range assignSites {
+	for _, name := range assignNames {
+		sites := assignSites[name]
 		// Bit/part-select assigns of disjoint slices are a legitimate
 		// idiom only within always blocks; two whole-signal continuous
 		// drivers are flagged regardless.
@@ -345,8 +356,8 @@ func (e *elaborator) checkDrivers(m *verilog.Module) {
 				"'%s' is driven by both a continuous assignment and an always block", name)
 		}
 	}
-	for name, sites := range alwaysSites {
-		if len(sites) > 1 {
+	for _, name := range alwaysNames {
+		if sites := alwaysSites[name]; len(sites) > 1 {
 			warn(sites, name, "'%s' is driven from %d always blocks", name, len(sites))
 		}
 	}

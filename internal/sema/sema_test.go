@@ -1,6 +1,7 @@
 package sema
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/diag"
@@ -495,4 +496,36 @@ endmodule`)
 	_ = pd // the parser flags the missing '='; sema must not panic either way
 	_, diags := Elaborate(file)
 	_ = diags
+}
+
+// TestElabMultipleDriverWarningOrder pins the order of same-position
+// driver warnings: one assign driving a concatenation twice warns for
+// each part in first-drive order, not in map iteration order (the
+// order reaches compile logs, and through them repair transcripts).
+func TestElabMultipleDriverWarningOrder(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`
+module m(input [1:0] a, output cout, output sum);
+	assign {cout, sum} = a + 1'b1;
+	assign {cout, sum} = a - 1'b1;
+endmodule`, "cout sum"},
+		{`
+module m(input clk, input [1:0] a, output reg hi, output reg lo);
+	always @(posedge clk) {hi, lo} <= a;
+	always @(negedge clk) {hi, lo} <= ~a;
+endmodule`, "hi lo"},
+	} {
+		for i := 0; i < 20; i++ {
+			_, diags := elab(t, tc.src)
+			var got []string
+			for _, d := range diags.Warnings() {
+				if d.Category == diag.CatMultipleDrivers {
+					got = append(got, d.Symbol)
+				}
+			}
+			if strings.Join(got, " ") != tc.want {
+				t.Fatalf("run %d: multiple-driver warnings for %v, want [%s]", i, got, tc.want)
+			}
+		}
+	}
 }
