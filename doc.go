@@ -14,15 +14,19 @@
 // and retrieval hot paths through internal/memo — output is byte-identical
 // for any worker count and with the cache on or off.
 //
-// The functional oracle behind pass@k is a compiled cycle simulator:
-// internal/sim lowers each elaborated design once into a slot-indexed
-// instruction program (topologically scheduled combinational logic,
-// bounded fixpoint only for genuine feedback) and runs steady-state
-// cycles with zero heap allocations via internal/bitvec's in-place
-// operations — 6-11x over the legacy tree-walker, which survives as the
-// bit-identical reference oracle and automatic fallback. Compiled
-// programs are content-addressed in memo.SimCache beside the compile
-// cache, so repeated checks of one source pay one compile.
+// The functional oracle behind pass@k is the problem's reference RTL:
+// as in VerilogEval, a candidate is simulated in lockstep with the
+// reference on the same vectors and must match every reference output
+// after every cycle, so each problem has one specification of its
+// correct output. Both run on a compiled cycle simulator: internal/sim
+// lowers each elaborated design once into a slot-indexed instruction
+// program (topologically scheduled combinational logic, bounded fixpoint
+// only for genuine feedback) and runs steady-state cycles with zero heap
+// allocations via internal/bitvec's in-place operations — 6-11x over the
+// legacy tree-walker, which survives as the bit-identical differential
+// oracle and automatic fallback. Compiled programs are content-addressed
+// in memo.SimCache beside the compile cache, so repeated checks of one
+// source, the reference's included, pay one compile.
 //
 // The fix loop also runs as a long-lived service: internal/server (daemon:
 // cmd/rtlfixerd, traffic generator: cmd/loadgen) serves POST /v1/fix with

@@ -1,12 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-	"math/bits"
-
-	"repro/internal/bitvec"
-	"repro/internal/sim"
-)
+import "fmt"
 
 // circuit is the suite-independent definition of one benchmark design.
 // suites.go instantiates it into Machine- and Human-track problems with
@@ -18,7 +12,6 @@ type circuit struct {
 	humanDesc   string
 	src         string
 	clock       string
-	golden      func() sim.Golden
 	cycles      int
 }
 
@@ -33,7 +26,6 @@ const stdHeader = "module top_module"
 
 func init() {
 	for _, w := range []int{2, 3, 4, 8, 12, 16, 24, 32, 64, 100} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("not_w%d", w),
 			difficulty: Easy,
@@ -48,9 +40,6 @@ func init() {
 	assign out = ~in;
 endmodule
 `, stdHeader, w-1, w-1),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				return map[string]bitvec.Vec{"out": vec(in, "in").Not()}
-			}),
 		})
 	}
 }
@@ -61,19 +50,17 @@ func init() {
 	type gate struct {
 		name string
 		expr string
-		eval func(a, b uint64) uint64
 	}
 	gates := []gate{
-		{"and", "a & b", func(a, b uint64) uint64 { return a & b }},
-		{"or", "a | b", func(a, b uint64) uint64 { return a | b }},
-		{"xor", "a ^ b", func(a, b uint64) uint64 { return a ^ b }},
-		{"nand", "~(a & b)", func(a, b uint64) uint64 { return ^(a & b) }},
-		{"nor", "~(a | b)", func(a, b uint64) uint64 { return ^(a | b) }},
-		{"xnor", "~(a ^ b)", func(a, b uint64) uint64 { return ^(a ^ b) }},
+		{"and", "a & b"},
+		{"or", "a | b"},
+		{"xor", "a ^ b"},
+		{"nand", "~(a & b)"},
+		{"nor", "~(a | b)"},
+		{"xnor", "~(a ^ b)"},
 	}
 	for _, g := range gates {
 		for _, w := range []int{1, 4, 8, 16} {
-			g, w := g, w
 			addCircuit(circuit{
 				baseID:     fmt.Sprintf("gate_%s_w%d", g.name, w),
 				difficulty: Easy,
@@ -89,9 +76,6 @@ func init() {
 	assign out = %s;
 endmodule
 `, stdHeader, w-1, w-1, w-1, g.expr),
-				golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-					return out1("out", w, g.eval(u64(in, "a"), u64(in, "b"))&mask(w))
-				}),
 			})
 		}
 	}
@@ -101,7 +85,6 @@ endmodule
 
 func init() {
 	for _, w := range []int{1, 4, 8, 16, 32, 100} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("mux2_w%d", w),
 			difficulty: Easy,
@@ -118,16 +101,9 @@ func init() {
 	assign out = sel ? b : a;
 endmodule
 `, stdHeader, w-1, w-1, w-1),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "sel") == 1 {
-					return map[string]bitvec.Vec{"out": vec(in, "b")}
-				}
-				return map[string]bitvec.Vec{"out": vec(in, "a")}
-			}),
 		})
 	}
 	for _, w := range []int{2, 8} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("mux4_w%d", w),
 			difficulty: Easy,
@@ -153,10 +129,6 @@ endmodule
 	end
 endmodule
 `, stdHeader, w-1, w-1, w-1, w-1, w-1),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				name := fmt.Sprintf("d%d", u64(in, "sel")&3)
-				return map[string]bitvec.Vec{"out": vec(in, name)}
-			}),
 		})
 	}
 }
@@ -186,14 +158,6 @@ func init() {
 	end
 endmodule
 `, stdHeader, w-1, w-1, w, w-1),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				v := vec(in, "in")
-				out := bitvec.New(w)
-				for i := 0; i < w; i++ {
-					out = out.SetBit(i, v.Bit(w-1-i))
-				}
-				return map[string]bitvec.Vec{"out": out}
-			}),
 		})
 	}
 }
@@ -225,9 +189,6 @@ func init() {
 	end
 endmodule
 `, stdHeader, w-1, ow-1, w),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				return out1("out", ow, uint64(vec(in, "in").PopCount())&mask(ow))
-			}),
 		})
 	}
 }
@@ -236,7 +197,6 @@ endmodule
 
 func init() {
 	for _, w := range []int{4, 8, 16, 24, 32} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("adder_w%d", w),
 			difficulty: Easy,
@@ -254,17 +214,9 @@ func init() {
 	assign {cout, sum} = a + b + cin;
 endmodule
 `, stdHeader, w-1, w-1, w-1),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				total := u64(in, "a") + u64(in, "b") + u64(in, "cin")
-				return map[string]bitvec.Vec{
-					"sum":  bitvec.FromUint64(w, total&mask(w)),
-					"cout": bitvec.FromUint64(1, (total>>w)&1),
-				}
-			}),
 		})
 	}
 	for _, w := range []int{8, 16, 32} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("subtract_w%d", w),
 			difficulty: Easy,
@@ -280,9 +232,6 @@ endmodule
 	assign out = a - b;
 endmodule
 `, stdHeader, w-1, w-1, w-1),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				return out1("out", w, (u64(in, "a")-u64(in, "b"))&mask(w))
-			}),
 		})
 	}
 	// Signed overflow detection: a known LLM stumbling block -> hard.
@@ -302,15 +251,6 @@ endmodule
 	assign overflow = (a[7] & b[7] & ~s[7]) | (~a[7] & ~b[7] & s[7]);
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			a, b := u64(in, "a"), u64(in, "b")
-			s := (a + b) & 0xFF
-			ov := ((a>>7)&(b>>7)&^(s>>7))&1 | ((^a>>7)&(^b>>7)&(s>>7))&1
-			return map[string]bitvec.Vec{
-				"s":        bitvec.FromUint64(8, s),
-				"overflow": bitvec.FromUint64(1, ov),
-			}
-		}),
 	})
 }
 
@@ -318,7 +258,6 @@ endmodule
 
 func init() {
 	for _, n := range []int{2, 3, 4, 5} {
-		n := n
 		w := 1 << n
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("decoder_%dto%d", n, w),
@@ -334,9 +273,6 @@ func init() {
 	assign out = 1 << sel;
 endmodule
 `, stdHeader, n-1, w-1),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				return out1("out", w, (uint64(1)<<u64(in, "sel"))&mask(w))
-			}),
 		})
 	}
 	for _, cfg := range []struct {
@@ -365,21 +301,6 @@ endmodule
 	end
 endmodule
 `, stdHeader, w-1, ow-1, w),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				v := u64(in, "in") & mask(w)
-				pos := uint64(0)
-				if v != 0 {
-					pos = uint64(63 - bits.LeadingZeros64(v))
-				}
-				valid := uint64(0)
-				if v != 0 {
-					valid = 1
-				}
-				return map[string]bitvec.Vec{
-					"pos":   bitvec.FromUint64(ow, pos),
-					"valid": bitvec.FromUint64(1, valid),
-				}
-			}),
 		})
 	}
 }
@@ -388,7 +309,6 @@ endmodule
 
 func init() {
 	for _, w := range []int{8, 16, 32} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("parity_w%d", w),
 			difficulty: Easy,
@@ -403,13 +323,9 @@ func init() {
 	assign parity = ^in;
 endmodule
 `, stdHeader, w-1),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				return out1("parity", 1, uint64(vec(in, "in").PopCount()&1))
-			}),
 		})
 	}
 	for _, w := range []int{4, 8, 16, 32} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("bin2gray_w%d", w),
 			difficulty: Easy,
@@ -424,10 +340,6 @@ endmodule
 	assign gray = bin ^ (bin >> 1);
 endmodule
 `, stdHeader, w-1, w-1),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				b := u64(in, "bin") & mask(w)
-				return out1("gray", w, b^(b>>1))
-			}),
 		})
 	}
 }
@@ -447,9 +359,6 @@ func init() {
 	assign out = in << 2;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			return out1("out", 8, (u64(in, "in")<<2)&0xFF)
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "shr_fixed_w8",
@@ -463,9 +372,6 @@ endmodule
 	assign out = in >> 3;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			return out1("out", 8, (u64(in, "in")&0xFF)>>3)
-		}),
 	})
 	for _, cfg := range []struct {
 		dir  string
@@ -488,14 +394,6 @@ endmodule
 	assign out = %s;
 endmodule
 `, stdHeader, expr),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				v := u64(in, "in") & 0xFFFF
-				amt := u64(in, "amt") & 0xF
-				if dir == "left" {
-					return out1("out", 16, (v<<amt)&0xFFFF)
-				}
-				return out1("out", 16, v>>amt)
-			}),
 		})
 	}
 	addCircuit(circuit{
@@ -513,18 +411,6 @@ endmodule
 	assign out = (in << amt) | (in >> inv);
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			v := u64(in, "in") & 0xFF
-			amt := u64(in, "amt") & 7
-			out := v
-			if amt != 0 {
-				out = ((v << amt) | (v >> (8 - amt))) & 0xFF
-			} else {
-				// matches the RTL: in >> 8 is 0, so out = in << 0 | 0
-				out = v
-			}
-			return out1("out", 8, out)
-		}),
 	})
 }
 
@@ -548,20 +434,6 @@ func init() {
 	assign gt = a > b;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			a, b := u64(in, "a"), u64(in, "b")
-			bl := func(c bool) uint64 {
-				if c {
-					return 1
-				}
-				return 0
-			}
-			return map[string]bitvec.Vec{
-				"eq": bitvec.FromUint64(1, bl(a == b)),
-				"lt": bitvec.FromUint64(1, bl(a < b)),
-				"gt": bitvec.FromUint64(1, bl(a > b)),
-			}
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "minmax_w8",
@@ -578,17 +450,6 @@ endmodule
 	assign max = a < b ? b : a;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			a, b := u64(in, "a"), u64(in, "b")
-			mn, mx := a, b
-			if b < a {
-				mn, mx = b, a
-			}
-			return map[string]bitvec.Vec{
-				"min": bitvec.FromUint64(8, mn),
-				"max": bitvec.FromUint64(8, mx),
-			}
-		}),
 	})
 }
 
@@ -607,13 +468,6 @@ func init() {
 	assign out = {{8{in[7]}}, in};
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			v := u64(in, "in") & 0xFF
-			if v&0x80 != 0 {
-				v |= 0xFF00
-			}
-			return out1("out", 16, v)
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "byte_swap_w16",
@@ -627,10 +481,6 @@ endmodule
 	assign out = {in[7:0], in[15:8]};
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			v := u64(in, "in") & 0xFFFF
-			return out1("out", 16, ((v&0xFF)<<8)|(v>>8))
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "byte_swap_w32",
@@ -644,11 +494,6 @@ endmodule
 	assign out = {in[7:0], in[15:8], in[23:16], in[31:24]};
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			v := u64(in, "in")
-			out := (v&0xFF)<<24 | (v>>8&0xFF)<<16 | (v>>16&0xFF)<<8 | (v >> 24 & 0xFF)
-			return out1("out", 32, out)
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "twos_complement_w8",
@@ -662,9 +507,6 @@ endmodule
 	assign out = ~in + 1;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			return out1("out", 8, (-u64(in, "in"))&0xFF)
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "abs_w8",
@@ -678,13 +520,6 @@ endmodule
 	assign out = in[7] ? (~in + 1) : in;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			v := u64(in, "in") & 0xFF
-			if v&0x80 != 0 {
-				v = (-v) & 0xFF
-			}
-			return out1("out", 8, v)
-		}),
 	})
 }
 
@@ -710,9 +545,6 @@ func init() {
 	assign out = a * b;
 endmodule
 `, stdHeader, w-1, w-1, 2*w-1),
-			golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				return out1("out", 2*w, (u64(in, "a")&mask(w))*(u64(in, "b")&mask(w)))
-			}),
 		})
 	}
 	addCircuit(circuit{
@@ -727,12 +559,5 @@ endmodule
 	assign valid = digit < 10;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			v := uint64(0)
-			if u64(in, "digit")&0xF < 10 {
-				v = 1
-			}
-			return out1("valid", 1, v)
-		}),
 	})
 }

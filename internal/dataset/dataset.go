@@ -1,9 +1,11 @@
 // Package dataset holds the benchmark problem corpora standing in for
 // VerilogEval-Machine, VerilogEval-Human, and RTLLM. Each problem pairs a
 // natural-language description (machine-style low-level or human-style
-// high-level, matching the two VerilogEval tracks), a reference Verilog
-// implementation, and a cycle-accurate Go golden model used by the
-// simulator-based pass@k oracle.
+// high-level, matching the two VerilogEval tracks) with a reference
+// Verilog implementation. The reference is the only specification of a
+// problem's correct output: as in VerilogEval's harness, the pass@k
+// oracle simulates a candidate beside the reference on the same vectors
+// and compares every output after every cycle.
 //
 // The suite sizes mirror the paper: Human has 156 problems split 71 easy /
 // 85 hard (the paper's split at pass-rate 0.1), Machine has 143, and the
@@ -17,6 +19,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/memo"
+	"repro/internal/sema"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -71,19 +74,18 @@ type Problem struct {
 	Difficulty Difficulty
 	// Description is the prompt text, styled per suite.
 	Description string
-	// RefSource is the known-good Verilog implementation.
+	// RefSource is the known-good Verilog implementation, and the oracle
+	// every candidate is scored against (NewGolden).
 	RefSource string
 	// Clock names the clock input, or "" for combinational problems.
 	Clock string
-	// NewGolden builds a fresh golden model instance.
-	NewGolden func() sim.Golden
 	// Cycles is the number of testbench vectors to run (0 = 64).
 	Cycles int
 }
 
 // Vectors generates the problem's stimulus: random values on every
 // non-clock input, with reset-style inputs held high for the first two
-// cycles so golden model and DUT leave reset together.
+// cycles so reference and candidate leave reset together.
 func (p *Problem) Vectors(rng *rand.Rand) ([]sim.Vector, error) {
 	_, design, diags := oracle.Frontend(p.RefSource)
 	if design == nil {
@@ -143,18 +145,44 @@ func randomVec(rng *rand.Rand, width int) bitvec.Vec {
 	return v
 }
 
-// Check runs the problem's testbench against a candidate design. The
-// candidate must already be elaborated (compile first). Compilation —
-// frontend and engine lowering — is amortized through the package cache,
-// so rechecking a seen candidate costs only the simulation itself.
+// NewGolden returns a fresh simulator over the reference design, the
+// golden model a candidate runs beside in sim.RunTestbenchSim. It shares
+// the oracle cache's compiled program with every other check of the
+// problem, and is nil only when the reference does not simulate.
+func (p *Problem) NewGolden() *sim.Simulator {
+	prog, design, _ := oracle.Program(p.RefSource)
+	if design == nil {
+		return nil
+	}
+	s, _ := instantiate(prog, design) // nil fails the testbench run, which says so
+	return s
+}
+
+// instantiate runs a cached program on the compiled engine, or the design
+// on the walker when the engine rejected it: the cache already recorded
+// the rejection, so this goes straight to the walker rather than
+// re-attempting compilation through EngineAuto.
+func instantiate(prog *sim.Program, design *sema.Design) (*sim.Simulator, error) {
+	if prog != nil {
+		return sim.NewFromProgram(prog), nil
+	}
+	return sim.NewWith(design, sim.EngineWalker)
+}
+
+// Check runs the problem's testbench against a candidate design: the
+// candidate and the reference step through the same vectors and must
+// agree on every reference output after every cycle. The candidate must
+// already be elaborated (compile first). Compilation — frontend and
+// engine lowering — is amortized through the package cache, so rechecking
+// a seen candidate costs only the simulation itself.
 func (p *Problem) Check(candidate string, rng *rand.Rand) (sim.TBResult, error) {
 	return p.CheckObserved(candidate, rng, sim.TBObserve{})
 }
 
 // CheckObserved is Check with simulation-layer observability attached
-// for the run: a waveform recorder (marked at the first mismatch),
-// toggle/activity coverage, or an engine execution profile. A zero
-// TBObserve makes it identical to Check.
+// to the candidate for the run: a waveform recorder (marked at the first
+// mismatch), toggle/activity coverage, or an engine execution profile. A
+// zero TBObserve makes it identical to Check.
 func (p *Problem) CheckObserved(candidate string, rng *rand.Rand, obs sim.TBObserve) (sim.TBResult, error) {
 	prog, design, diags := oracle.Program(candidate)
 	if design == nil {
@@ -164,17 +192,9 @@ func (p *Problem) CheckObserved(candidate string, rng *rand.Rand, obs sim.TBObse
 	if err != nil {
 		return sim.TBResult{}, err
 	}
-	var s *sim.Simulator
-	if prog != nil {
-		s = sim.NewFromProgram(prog)
-	} else {
-		// construct outside the compiled engine's coverage: the cache
-		// already recorded the rejection, so go straight to the walker
-		// rather than re-attempting compilation through EngineAuto
-		s, err = sim.NewWith(design, sim.EngineWalker)
-		if err != nil {
-			return sim.TBResult{}, err
-		}
+	s, err := instantiate(prog, design)
+	if err != nil {
+		return sim.TBResult{}, err
 	}
 	return sim.RunTestbenchObserved(s, p.Clock, vectors, p.NewGolden(), obs)
 }
@@ -221,39 +241,4 @@ func SuiteStats(s Suite) Stats {
 		}
 	}
 	return st
-}
-
-// ---------- golden model helpers ----------
-
-// combGolden wraps a pure function of the inputs.
-func combGolden(f func(in map[string]bitvec.Vec) map[string]bitvec.Vec) func() sim.Golden {
-	return func() sim.Golden { return sim.GoldenFunc(f) }
-}
-
-// u64 reads an input as uint64 (zero when missing).
-func u64(in map[string]bitvec.Vec, name string) uint64 {
-	if v, ok := in[name]; ok {
-		return v.Uint64()
-	}
-	return 0
-}
-
-// vec reads an input as a bitvec (empty when missing).
-func vec(in map[string]bitvec.Vec, name string) bitvec.Vec {
-	if v, ok := in[name]; ok {
-		return v
-	}
-	return bitvec.New(1)
-}
-
-// out1 builds a single-output result.
-func out1(name string, width int, val uint64) map[string]bitvec.Vec {
-	return map[string]bitvec.Vec{name: bitvec.FromUint64(width, val)}
-}
-
-func mask(width int) uint64 {
-	if width >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << width) - 1
 }

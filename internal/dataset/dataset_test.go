@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/compiler"
@@ -75,10 +77,14 @@ func TestAllReferencesCompile(t *testing.T) {
 	}
 }
 
-// TestAllReferencesPassOwnTestbench closes the loop: the reference
-// implementation simulated against the golden model must match on every
-// vector. A failure means either the RTL, the model, or the simulator is
-// wrong.
+// TestAllReferencesPassOwnTestbench checks that every problem is well
+// formed through the production path (oracle cache, vectors, lockstep
+// harness): its reference elaborates, its vectors drive only its inputs,
+// it simulates every cycle without a runtime error, and two simulators
+// instantiated from one cached program keep independent state. Since the
+// reference is its own oracle, a mismatch here is a simulator fault; the
+// oracle's power to reject is TestDifferentialTestbenchAccounting's
+// inverted references.
 func TestAllReferencesPassOwnTestbench(t *testing.T) {
 	for _, suite := range []Suite{SuiteHuman, SuiteRTLLM} {
 		for _, p := range Problems(suite) {
@@ -89,7 +95,7 @@ func TestAllReferencesPassOwnTestbench(t *testing.T) {
 				if err != nil {
 					t.Fatalf("testbench error: %v", err)
 				}
-				if !res.Passed() {
+				if !res.Passed() || res.Cycles == 0 {
 					t.Fatalf("reference fails its own testbench: %s (%d/%d mismatches)",
 						res.FirstMismatch, res.Mismatches, res.Cycles)
 				}
@@ -129,5 +135,45 @@ func TestCheckRejectsNonCompiling(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	if _, err := p.Check("module broken(", rng); err == nil {
 		t.Fatal("non-compiling candidate must error")
+	}
+}
+
+// TestCheckRequiresReferenceOutputs: a candidate must drive every output
+// port of the reference. Dropping one, declaring it as an input, or
+// keeping it as an internal wire must fail the check and name the port,
+// however well the remaining outputs match.
+func TestCheckRequiresReferenceOutputs(t *testing.T) {
+	p, ok := ByID(SuiteHuman, "half_adder")
+	if !ok {
+		t.Fatal("missing problem")
+	}
+	for name, src := range map[string]string{
+		"dropped": `module top_module(input a, input b, output sum);
+	assign sum = a ^ b;
+endmodule
+`,
+		"input": `module top_module(input a, input b, output sum, input cout);
+	assign sum = a ^ b;
+endmodule
+`,
+		"internal": `module top_module(input a, input b, output sum);
+	wire cout;
+	assign sum = a ^ b;
+	assign cout = a & b;
+endmodule
+`,
+	} {
+		res, err := p.Check(src, rand.New(rand.NewSource(9)))
+		if err == nil && res.Passed() {
+			t.Errorf("%s: candidate without output cout passed %d/%d cycles", name, res.Cycles, res.Cycles)
+			continue
+		}
+		if why := fmt.Sprint(err) + res.FirstMismatch; !strings.Contains(why, `"cout"`) {
+			t.Errorf("%s: failure does not name the port: err=%v first=%q", name, err, res.FirstMismatch)
+		}
+	}
+	// the control: the same ports, all present, pass
+	if res, err := p.Check(p.RefSource, rand.New(rand.NewSource(9))); err != nil || !res.Passed() {
+		t.Fatalf("reference must pass: %+v %v", res, err)
 	}
 }

@@ -10,12 +10,14 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
+	"strings"
 	"testing"
 
-	"repro/internal/bitvec"
 	"repro/internal/compiler"
 	"repro/internal/fixer"
 	"repro/internal/llm"
+	"repro/internal/sema"
 	"repro/internal/sim"
 )
 
@@ -105,6 +107,13 @@ func TestDifferentialCorpus(t *testing.T) {
 				if err := lockstep(p, eng, wlk, vectors); err != nil {
 					t.Errorf("%s/%s seed %d: %v", suite, p.ID, seed, err)
 				}
+				// the same pair through the scoring harness: the
+				// reference on the walker against the oracle, the
+				// reference on the engine
+				res, err := sim.RunTestbenchSim(wlk, p.Clock, vectors, p.NewGolden())
+				if err != nil || !res.Passed() || res.Cycles != len(vectors) {
+					t.Errorf("%s/%s seed %d: walker reference vs oracle: %+v, %v", suite, p.ID, seed, res, err)
+				}
 			}
 		}
 	}
@@ -117,8 +126,10 @@ func TestDifferentialCorpus(t *testing.T) {
 
 // TestDifferentialTestbenchAccounting compares full testbench results —
 // cycle counts, mismatch counts, and the formatted first-mismatch
-// position — between backends, using a deliberately wrong candidate so
-// the mismatch path is exercised.
+// position — between backends. Each problem scores its reference, which
+// must pass, and its inverted reference (every output complemented),
+// which the oracle must reject on every output of every cycle, so the
+// mismatch path is exercised on all of them.
 func TestDifferentialTestbenchAccounting(t *testing.T) {
 	checked := 0
 	for _, suite := range []Suite{SuiteHuman, SuiteRTLLM} {
@@ -127,32 +138,39 @@ func TestDifferentialTestbenchAccounting(t *testing.T) {
 			if design == nil {
 				t.Fatalf("%s/%s: reference does not compile", suite, p.ID)
 			}
-			prog, err := sim.Compile(design)
-			if err != nil {
-				continue
-			}
 			vectors, err := p.Vectors(rand.New(rand.NewSource(7)))
 			if err != nil {
 				t.Fatalf("%s/%s: vectors: %v", suite, p.ID, err)
 			}
-			wlk, err := sim.NewWith(design, sim.EngineWalker)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A golden model that deliberately disagrees on every cycle
-			// forces mismatch accounting through both backends.
-			wrong := func() sim.Golden {
-				inner := p.NewGolden()
-				return &invertingGolden{inner: inner}
-			}
-			for _, mk := range []func() sim.Golden{p.NewGolden, wrong} {
-				re, errE := sim.RunTestbenchSim(sim.NewFromProgram(prog), p.Clock, vectors, mk())
-				rw, errW := sim.RunTestbenchSim(wlk, p.Clock, vectors, mk())
-				if (errE == nil) != (errW == nil) {
-					t.Fatalf("%s/%s: error disagreement: %v vs %v", suite, p.ID, errE, errW)
+			inverted := invertedReference(p, design)
+			for _, src := range []string{p.RefSource, inverted} {
+				_, cand, diags := compiler.Frontend(src)
+				if cand == nil {
+					t.Fatalf("%s/%s: does not compile: %s\n%s", suite, p.ID, diags.Summary(), src)
+				}
+				prog, err := sim.Compile(cand)
+				if err != nil {
+					t.Fatalf("%s/%s: engine rejects: %v", suite, p.ID, err)
+				}
+				wlk, err := sim.NewWith(cand, sim.EngineWalker)
+				if err != nil {
+					t.Fatal(err)
+				}
+				re, errE := sim.RunTestbenchSim(sim.NewFromProgram(prog), p.Clock, vectors, p.NewGolden())
+				rw, errW := sim.RunTestbenchSim(wlk, p.Clock, vectors, p.NewGolden())
+				if errE != nil || errW != nil {
+					t.Fatalf("%s/%s: testbench error: %v vs %v", suite, p.ID, errE, errW)
 				}
 				if re != rw {
 					t.Errorf("%s/%s: testbench result diverged:\n  engine: %+v\n  walker: %+v", suite, p.ID, re, rw)
+				}
+				want := 0
+				if src == inverted {
+					want = len(vectors) * len(design.Outputs())
+				}
+				if re.Cycles != len(vectors) || re.Mismatches != want {
+					t.Errorf("%s/%s: %d mismatches over %d cycles, want %d over %d",
+						suite, p.ID, re.Mismatches, re.Cycles, want, len(vectors))
 				}
 			}
 			checked++
@@ -163,62 +181,86 @@ func TestDifferentialTestbenchAccounting(t *testing.T) {
 	}
 }
 
-// invertingGolden wraps a golden model and complements every expected
-// output, guaranteeing mismatches whose positions both backends must
-// report identically.
-type invertingGolden struct{ inner sim.Golden }
-
-func (g *invertingGolden) Reset() { g.inner.Reset() }
-
-func (g *invertingGolden) Step(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-	out := g.inner.Step(in)
-	flipped := make(map[string]bitvec.Vec, len(out))
-	for k, v := range out {
-		flipped[k] = v.Not()
+// invertedReference rewrites p's reference so that every output port
+// carries the complement of the reference's value: each output x is
+// renamed x_ref below the port list and driven by assign x = ~x_ref.
+func invertedReference(p *Problem, design *sema.Design) string {
+	end := strings.Index(p.RefSource, "\n);") + len("\n);")
+	header := strings.ReplaceAll(p.RefSource[:end], "output reg", "output")
+	body := p.RefSource[end:]
+	var decls strings.Builder
+	for _, o := range design.Outputs() {
+		body = regexp.MustCompile(`\b`+o.Name+`\b`).ReplaceAllString(body, o.Name+"_ref")
+		kind := "wire"
+		if o.Kind.IsVariable() {
+			kind = "reg"
+		}
+		fmt.Fprintf(&decls, "\n\t%s [%d:%d] %s_ref;\n\tassign %s = ~%s_ref;", kind, o.MSB, o.LSB, o.Name, o.Name, o.Name)
 	}
-	return flipped
+	return header + decls.String() + body
 }
 
-// TestDifferentialGeneratedCandidates fuzzes the backends with what the
-// oracle actually scores in production: LLM-style corrupted samples run
-// through the rule-based pre-fixer. Every candidate that elaborates and
-// compiles must behave identically on both backends.
-func TestDifferentialGeneratedCandidates(t *testing.T) {
+// generatedCandidate is one LLM-style corrupted sample run through the
+// rule-based pre-fixer: what the oracle actually scores in production.
+type generatedCandidate struct {
+	p          *Problem
+	pi, sample int
+	code       string
+}
+
+// vecSeed is the stimulus seed the candidate is scored with.
+func (c generatedCandidate) vecSeed() int64 { return int64(c.pi*31 + c.sample) }
+
+// generatedCandidates draws 4 samples of every 7th Human problem from one
+// seed-2024 stream, compiling or not.
+func generatedCandidates() []generatedCandidate {
 	rng := rand.New(rand.NewSource(2024))
 	problems := Problems(SuiteHuman)
-	simulated, compared := 0, 0
+	var out []generatedCandidate
 	for pi := 0; pi < len(problems); pi += 7 {
 		p := problems[pi]
 		rates := llm.SkewRates(llm.RatesFor(string(p.Suite), string(p.Difficulty)), p.ID)
 		for sample := 0; sample < 4; sample++ {
 			code := fixer.Fix(llm.Generate(p.RefSource, rates, rng).Code).Code
-			_, design, _ := compiler.Frontend(code)
-			if design == nil {
-				continue // compile errors never reach the simulator
-			}
-			simulated++
-			prog, err := sim.Compile(design)
-			if err != nil {
-				continue // fallback candidates run the walker on both sides
-			}
-			vectors, err := p.Vectors(rand.New(rand.NewSource(int64(pi*31 + sample))))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wlk, err := sim.NewWith(design, sim.EngineWalker)
-			if err != nil {
-				t.Fatal(err)
-			}
-			re, errE := sim.RunTestbenchSim(sim.NewFromProgram(prog), p.Clock, vectors, p.NewGolden())
-			rw, errW := sim.RunTestbenchSim(wlk, p.Clock, vectors, p.NewGolden())
-			if (errE == nil) != (errW == nil) {
-				t.Fatalf("%s sample %d: error disagreement: %v vs %v", p.ID, sample, errE, errW)
-			}
-			if re != rw {
-				t.Errorf("%s sample %d: verdict diverged:\n  engine: %+v\n  walker: %+v", p.ID, sample, re, rw)
-			}
-			compared++
+			out = append(out, generatedCandidate{p: p, pi: pi, sample: sample, code: code})
 		}
+	}
+	return out
+}
+
+// TestDifferentialGeneratedCandidates fuzzes the backends with the
+// generated candidates. Every candidate that elaborates and compiles must
+// behave identically on both backends.
+func TestDifferentialGeneratedCandidates(t *testing.T) {
+	simulated, compared := 0, 0
+	for _, c := range generatedCandidates() {
+		p, sample := c.p, c.sample
+		_, design, _ := compiler.Frontend(c.code)
+		if design == nil {
+			continue // compile errors never reach the simulator
+		}
+		simulated++
+		prog, err := sim.Compile(design)
+		if err != nil {
+			continue // fallback candidates run the walker on both sides
+		}
+		vectors, err := p.Vectors(rand.New(rand.NewSource(c.vecSeed())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wlk, err := sim.NewWith(design, sim.EngineWalker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, errE := sim.RunTestbenchSim(sim.NewFromProgram(prog), p.Clock, vectors, p.NewGolden())
+		rw, errW := sim.RunTestbenchSim(wlk, p.Clock, vectors, p.NewGolden())
+		if (errE == nil) != (errW == nil) {
+			t.Fatalf("%s sample %d: error disagreement: %v vs %v", p.ID, sample, errE, errW)
+		}
+		if re != rw {
+			t.Errorf("%s sample %d: verdict diverged:\n  engine: %+v\n  walker: %+v", p.ID, sample, re, rw)
+		}
+		compared++
 	}
 	if compared < 10 {
 		t.Fatalf("only %d/%d candidates compared; fuzz corpus too thin", compared, simulated)

@@ -1,9 +1,5 @@
 package dataset
 
-import (
-	"repro/internal/bitvec"
-)
-
 // rtllmCircuits defines the RTLLM-style suite: larger multi-feature
 // designs in the spirit of the RTLLM benchmark's accu / adder_16bit /
 // counter_12 / freq_div / signal_generator / traffic_light / alu set.
@@ -55,33 +51,6 @@ func init() {
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var sum, cnt, dataOut, validOut uint64
-			reset := func() { sum, cnt, dataOut, validOut = 0, 0, 0, 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "rst") == 1 {
-					sum, cnt, dataOut, validOut = 0, 0, 0, 0
-				} else {
-					validOut = 0
-					if u64(in, "valid_in") == 1 {
-						d := u64(in, "data") & 0xFF
-						if cnt == 3 {
-							dataOut = (sum + d) & 0x3FF
-							validOut = 1
-							sum, cnt = 0, 0
-						} else {
-							sum = (sum + d) & 0x3FF
-							cnt++
-						}
-					}
-				}
-				return map[string]bitvec.Vec{
-					"data_out":  bitvec.FromUint64(10, dataOut),
-					"valid_out": bitvec.FromUint64(1, validOut),
-				}
-			}
-			return reset, step
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -99,13 +68,6 @@ endmodule
 	assign {Co, y} = a + b + Cin;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			t := u64(in, "a") + u64(in, "b") + u64(in, "Cin")
-			return map[string]bitvec.Vec{
-				"y":  bitvec.FromUint64(16, t&0xFFFF),
-				"Co": bitvec.FromUint64(1, (t>>16)&1),
-			}
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -124,16 +86,6 @@ endmodule
 	assign done = en;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			var y uint64
-			if u64(in, "en") == 1 {
-				y = (u64(in, "ain") & 0xFFFF) * (u64(in, "bin") & 0xFFFF)
-			}
-			return map[string]bitvec.Vec{
-				"yout": bitvec.FromUint64(32, y),
-				"done": bitvec.FromUint64(1, u64(in, "en")&1),
-			}
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -155,19 +107,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var q uint64
-			reset := func() { q = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "rst") == 1 {
-					q = 0
-				} else {
-					q = ((^q & 1) << 63) | (q >> 1)
-				}
-				return out1("q", 64, q)
-			}
-			return reset, step
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -185,15 +124,6 @@ endmodule
 		q <= {d, q[7:1]};
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var q uint64
-			reset := func() { q = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				q = ((u64(in, "d") & 1) << 7) | (q >> 1)
-				return out1("q", 8, q)
-			}
-			return reset, step
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -220,23 +150,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var q uint64
-			reset := func() { q = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "rst") == 1 {
-					q = 0
-				} else if u64(in, "valid_count") == 1 {
-					if q == 11 {
-						q = 0
-					} else {
-						q++
-					}
-				}
-				return out1("out", 4, q)
-			}
-			return reset, step
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -265,23 +178,6 @@ endmodule
 	assign clk_div8 = cnt[2];
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var cnt uint64
-			reset := func() { cnt = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "rst") == 1 {
-					cnt = 0
-				} else {
-					cnt = (cnt + 1) & 7
-				}
-				return map[string]bitvec.Vec{
-					"clk_div2": bitvec.FromUint64(1, cnt&1),
-					"clk_div4": bitvec.FromUint64(1, (cnt>>1)&1),
-					"clk_div8": bitvec.FromUint64(1, (cnt>>2)&1),
-				}
-			}
-			return reset, step
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -319,31 +215,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var wave, dir uint64
-			reset := func() { wave, dir = 0, 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "rst") == 1 {
-					wave, dir = 0, 0
-				} else if dir == 0 {
-					if wave == 31 {
-						dir = 1
-						wave--
-					} else {
-						wave++
-					}
-				} else {
-					if wave == 0 {
-						dir = 0
-						wave++
-					} else {
-						wave--
-					}
-				}
-				return out1("wave", 5, wave)
-			}
-			return reset, step
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -377,27 +248,6 @@ endmodule
 	assign valid_out = 1;
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var data, cnt uint64
-			reset := func() { data, cnt = 0, 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "rst") == 1 {
-					data, cnt = 0, 0
-				} else {
-					if cnt == 0 {
-						data = u64(in, "d") & 0xF
-					} else {
-						data = (data << 1) & 0xF
-					}
-					cnt = (cnt + 1) & 3
-				}
-				return map[string]bitvec.Vec{
-					"dout":      bitvec.FromUint64(1, (data>>3)&1),
-					"valid_out": bitvec.FromUint64(1, 1),
-				}
-			}
-			return reset, step
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -427,26 +277,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var p1, p2, out uint64
-			reset := func() { p1, p2, out = 0, 0, 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "rst") == 1 {
-					p1, p2, out = 0, 0, 0
-				} else {
-					d := u64(in, "data_in") & 1
-					if p2 == 0 && p1 == 1 && d == 0 {
-						out = 1
-					} else {
-						out = 0
-					}
-					p2 = p1
-					p1 = d
-				}
-				return out1("data_out", 1, out)
-			}
-			return reset, step
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -487,33 +317,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var hold, half, validOut, dataOut uint64
-			reset := func() { hold, half, validOut, dataOut = 0, 0, 0, 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "rst") == 1 {
-					hold, half, validOut, dataOut = 0, 0, 0, 0
-				} else {
-					validOut = 0
-					if u64(in, "valid_in") == 1 {
-						d := u64(in, "data_in") & 0xFF
-						if half == 1 {
-							dataOut = hold<<8 | d
-							validOut = 1
-							half = 0
-						} else {
-							hold = d
-							half = 1
-						}
-					}
-				}
-				return map[string]bitvec.Vec{
-					"valid_out": bitvec.FromUint64(1, validOut),
-					"data_out":  bitvec.FromUint64(16, dataOut),
-				}
-			}
-			return reset, step
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -550,38 +353,6 @@ endmodule
 	assign red = state == 2'd2;
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			state, timer := uint64(0), uint64(7)
-			reset := func() { state, timer = 0, 7 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "rst") == 1 {
-					state, timer = 0, 7
-				} else if timer == 0 {
-					switch state {
-					case 0:
-						state, timer = 1, 1
-					case 1:
-						state, timer = 2, 5
-					default:
-						state, timer = 0, 7
-					}
-				} else {
-					timer--
-				}
-				bl := func(c bool) uint64 {
-					if c {
-						return 1
-					}
-					return 0
-				}
-				return map[string]bitvec.Vec{
-					"green":  bitvec.FromUint64(1, bl(state == 0)),
-					"yellow": bitvec.FromUint64(1, bl(state == 1)),
-					"red":    bitvec.FromUint64(1, bl(state == 2)),
-				}
-			}
-			return reset, step
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -612,37 +383,6 @@ endmodule
 	assign zero = r == 0;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			a, b := u64(in, "a")&0xFF, u64(in, "b")&0xFF
-			var r uint64
-			switch u64(in, "op") & 7 {
-			case 0:
-				r = a + b
-			case 1:
-				r = a - b
-			case 2:
-				r = a & b
-			case 3:
-				r = a | b
-			case 4:
-				r = a ^ b
-			case 5:
-				r = a << 1
-			case 6:
-				r = a >> 1
-			default:
-				r = a
-			}
-			r &= 0xFF
-			z := uint64(0)
-			if r == 0 {
-				z = 1
-			}
-			return map[string]bitvec.Vec{
-				"r":    bitvec.FromUint64(8, r),
-				"zero": bitvec.FromUint64(1, z),
-			}
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -665,16 +405,6 @@ endmodule
 	assign dout = s2;
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var s1, s2 uint64
-			reset := func() { s1, s2 = 0, 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				s2 = s1
-				s1 = u64(in, "data_in") & 1
-				return out1("dout", 1, s2)
-			}
-			return reset, step
-		}),
 	})
 
 	addRTLLM(circuit{
@@ -702,26 +432,5 @@ endmodule
 	assign match = state == 3;
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var state uint64
-			reset := func() { state = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "rst") == 1 {
-					state = 0
-				} else if u64(in, "in") == 1 {
-					if state != 3 {
-						state++
-					}
-				} else {
-					state = 0
-				}
-				m := uint64(0)
-				if state == 3 {
-					m = 1
-				}
-				return out1("match", 1, m)
-			}
-			return reset, step
-		}),
 	})
 }

@@ -1,40 +1,11 @@
 package dataset
 
-import (
-	"fmt"
-
-	"repro/internal/bitvec"
-	"repro/internal/sim"
-)
-
-// statefulGolden adapts reset/step closures to sim.Golden.
-type statefulGolden struct {
-	reset func()
-	step  func(in map[string]bitvec.Vec) map[string]bitvec.Vec
-}
-
-// Reset implements sim.Golden.
-func (g *statefulGolden) Reset() { g.reset() }
-
-// Step implements sim.Golden.
-func (g *statefulGolden) Step(in map[string]bitvec.Vec) map[string]bitvec.Vec { return g.step(in) }
-
-// seqGolden builds a fresh-state golden factory from a constructor that
-// returns (reset, step) closures over shared state.
-func seqGolden(build func() (func(), func(in map[string]bitvec.Vec) map[string]bitvec.Vec)) func() sim.Golden {
-	return func() sim.Golden {
-		reset, step := build()
-		g := &statefulGolden{reset: reset, step: step}
-		g.reset()
-		return g
-	}
-}
+import "fmt"
 
 // ---------- D flip-flops ----------
 
 func init() {
 	for _, w := range []int{1, 8, 16, 32, 64} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("dff_w%d", w),
 			difficulty: Easy,
@@ -52,19 +23,9 @@ func init() {
 		q <= d;
 endmodule
 `, stdHeader, w-1, w-1),
-			golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-				var q bitvec.Vec
-				reset := func() { q = bitvec.New(w) }
-				step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-					q = vec(in, "d").Resize(w)
-					return map[string]bitvec.Vec{"q": q}
-				}
-				return reset, step
-			}),
 		})
 	}
 	for _, w := range []int{1, 8, 16} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("dff_en_w%d", w),
 			difficulty: Easy,
@@ -84,17 +45,6 @@ endmodule
 			q <= d;
 endmodule
 `, stdHeader, w-1, w-1),
-			golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-				var q bitvec.Vec
-				reset := func() { q = bitvec.New(w) }
-				step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-					if u64(in, "ena") == 1 {
-						q = vec(in, "d").Resize(w)
-					}
-					return map[string]bitvec.Vec{"q": q}
-				}
-				return reset, step
-			}),
 		})
 	}
 	addCircuit(circuit{
@@ -116,19 +66,6 @@ endmodule
 			q <= d;
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			q := uint64(0)
-			reset := func() { q = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "areset") == 1 {
-					q = 0
-				} else {
-					q = u64(in, "d") & 0xFF
-				}
-				return out1("q", 8, q)
-			}
-			return reset, step
-		}),
 	})
 }
 
@@ -136,7 +73,6 @@ endmodule
 
 func init() {
 	for _, w := range []int{4, 6, 8, 12, 16} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("counter_up_w%d", w),
 			difficulty: Easy,
@@ -158,7 +94,6 @@ func init() {
 	end
 endmodule
 `, stdHeader, w-1),
-			golden: counterGolden(w, 1, 0),
 		})
 	}
 	addCircuit(circuit{
@@ -180,7 +115,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: counterGolden(8, -1, 0xFF),
 	})
 	for _, cfg := range []struct {
 		mod  int
@@ -211,22 +145,6 @@ endmodule
 	end
 endmodule
 `, stdHeader, w-1, mod-1),
-			golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-				q := uint64(0)
-				reset := func() { q = 0 }
-				step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-					switch {
-					case u64(in, "reset") == 1:
-						q = 0
-					case q == uint64(mod-1):
-						q = 0
-					default:
-						q++
-					}
-					return out1("q", w, q)
-				}
-				return reset, step
-			}),
 		})
 	}
 	addCircuit(circuit{
@@ -248,19 +166,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			q := uint64(0)
-			reset := func() { q = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					q = 0
-				} else if q != 15 {
-					q++
-				}
-				return out1("q", 4, q)
-			}
-			return reset, step
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "gray_counter_w4",
@@ -283,39 +188,6 @@ endmodule
 	assign q = bin ^ (bin >> 1);
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			bin := uint64(0)
-			reset := func() { bin = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					bin = 0
-				} else {
-					bin = (bin + 1) & 0xF
-				}
-				return out1("q", 4, bin^(bin>>1))
-			}
-			return reset, step
-		}),
-	})
-}
-
-// counterGolden builds an up/down counter model: delta +1/-1, reload value
-// on reset.
-func counterGolden(w int, delta int, reload uint64) func() sim.Golden {
-	return seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-		q := uint64(0)
-		reset := func() { q = 0 }
-		step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			if u64(in, "reset") == 1 {
-				q = reload
-			} else if delta > 0 {
-				q = (q + 1) & mask(w)
-			} else {
-				q = (q - 1) & mask(w)
-			}
-			return out1("q", w, q)
-		}
-		return reset, step
 	})
 }
 
@@ -323,7 +195,6 @@ func counterGolden(w int, delta int, reload uint64) func() sim.Golden {
 
 func init() {
 	for _, w := range []int{4, 8, 16} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("shift_reg_w%d", w),
 			difficulty: Easy,
@@ -341,15 +212,6 @@ func init() {
 		q <= {q[%d:0], sin};
 endmodule
 `, stdHeader, w-1, w-2),
-			golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-				q := uint64(0)
-				reset := func() { q = 0 }
-				step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-					q = ((q << 1) | u64(in, "sin")) & mask(w)
-					return out1("q", w, q)
-				}
-				return reset, step
-			}),
 		})
 	}
 	addCircuit(circuit{
@@ -371,19 +233,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			q := uint64(0)
-			reset := func() { q = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					q = 1
-				} else {
-					q = ((q << 1) | (q >> 3)) & 0xF
-				}
-				return out1("q", 4, q)
-			}
-			return reset, step
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "johnson_counter_w4",
@@ -404,19 +253,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			q := uint64(0)
-			reset := func() { q = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					q = 0
-				} else {
-					q = ((q << 1) | ((^q >> 3) & 1)) & 0xF
-				}
-				return out1("q", 4, q)
-			}
-			return reset, step
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "lfsr_w5",
@@ -437,20 +273,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			q := uint64(1)
-			reset := func() { q = 1 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					q = 1
-				} else {
-					b := func(i uint) uint64 { return (q >> i) & 1 }
-					q = b(0)<<4 | b(4)<<3 | (b(3)^b(0))<<2 | b(2)<<1 | b(1)
-				}
-				return out1("q", 5, q)
-			}
-			return reset, step
-		}),
 	})
 }
 
@@ -475,17 +297,6 @@ func init() {
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			prev, rise := uint64(0), uint64(0)
-			reset := func() { prev, rise = 0, 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				cur := u64(in, "in") & 1
-				rise = ^prev & cur & 1
-				prev = cur
-				return out1("rise", 1, rise)
-			}
-			return reset, step
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "edge_detect_any",
@@ -505,18 +316,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			prev := uint64(0)
-			var edge uint64
-			reset := func() { prev, edge = 0, 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				cur := u64(in, "in") & 0xFF
-				edge = prev ^ cur
-				prev = cur
-				return out1("anyedge", 8, edge)
-			}
-			return reset, step
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "toggle_ff",
@@ -538,22 +337,8 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			q := uint64(0)
-			reset := func() { q = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					q = 0
-				} else if u64(in, "t") == 1 {
-					q ^= 1
-				}
-				return out1("q", 1, q)
-			}
-			return reset, step
-		}),
 	})
 	for _, w := range []int{8, 16, 32} {
-		w := w
 		addCircuit(circuit{
 			baseID:     fmt.Sprintf("accumulator_w%d", w),
 			difficulty: Easy,
@@ -576,19 +361,6 @@ endmodule
 	end
 endmodule
 `, stdHeader, w-1, w-1),
-			golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-				q := uint64(0)
-				reset := func() { q = 0 }
-				step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-					if u64(in, "reset") == 1 {
-						q = 0
-					} else {
-						q = (q + u64(in, "d")) & mask(w)
-					}
-					return out1("q", w, q)
-				}
-				return reset, step
-			}),
 		})
 	}
 	addCircuit(circuit{
@@ -610,19 +382,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			q := uint64(0)
-			reset := func() { q = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					q = 0
-				} else {
-					q ^= 1
-				}
-				return out1("q", 1, q)
-			}
-			return reset, step
-		}),
 	})
 }
 
@@ -633,13 +392,7 @@ endmodule
 func seqDetector(id, pattern string) circuit {
 	n := len(pattern)
 	// The RTL tracks the last n input bits in a shift register and
-	// compares; the golden model mirrors that directly.
-	var patVal uint64
-	for i := 0; i < n; i++ {
-		if pattern[i] == '1' {
-			patVal |= 1 << (n - 1 - i)
-		}
-	}
+	// compares.
 	return circuit{
 		baseID:     id,
 		difficulty: Hard,
@@ -666,23 +419,6 @@ func seqDetector(id, pattern string) circuit {
 	assign z = hist == %d'b%s;
 endmodule
 `, stdHeader, n-1, n-2, n, pattern),
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			hist := uint64(0)
-			reset := func() { hist = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					hist = 0
-				} else {
-					hist = ((hist << 1) | (u64(in, "x") & 1)) & mask(n)
-				}
-				z := uint64(0)
-				if hist == patVal {
-					z = 1
-				}
-				return out1("z", 1, z)
-			}
-			return reset, step
-		}),
 	}
 }
 
@@ -723,39 +459,6 @@ func init() {
 	assign out = state == 2'd2;
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			state := uint64(0)
-			reset := func() { state = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					state = 0
-				} else {
-					x := u64(in, "in") & 1
-					switch state {
-					case 0:
-						if x == 1 {
-							state = 1
-						}
-					case 1:
-						if x == 0 {
-							state = 2
-						}
-					case 2:
-						if x == 1 {
-							state = 1
-						} else {
-							state = 0
-						}
-					}
-				}
-				z := uint64(0)
-				if state == 2 {
-					z = 1
-				}
-				return out1("out", 1, z)
-			}
-			return reset, step
-		}),
 	})
 
 	addCircuit(circuit{
@@ -787,30 +490,6 @@ endmodule
 	assign done = state[2];
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			state := uint64(1)
-			reset := func() { state = 1 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					state = 1
-				} else {
-					switch state {
-					case 1:
-						if u64(in, "go") == 1 {
-							state = 2
-						}
-					case 2:
-						state = 4
-					case 4:
-						state = 1
-					default:
-						state = 1
-					}
-				}
-				return out1("done", 1, (state>>2)&1)
-			}
-			return reset, step
-		}),
 	})
 
 	addCircuit(circuit{
@@ -852,32 +531,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			grant, last := uint64(0), uint64(1)
-			reset := func() { grant, last = 0, 1 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					grant, last = 0, 1
-					return out1("grant", 2, grant)
-				}
-				req := u64(in, "req") & 3
-				grant = 0
-				switch {
-				case req == 3:
-					if last == 1 {
-						grant, last = 1, 0
-					} else {
-						grant, last = 2, 1
-					}
-				case req&1 == 1:
-					grant, last = 1, 0
-				case req&2 == 2:
-					grant, last = 2, 1
-				}
-				return out1("grant", 2, grant)
-			}
-			return reset, step
-		}),
 	})
 
 	addCircuit(circuit{
@@ -915,31 +568,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var sh, cnt, dout, valid uint64
-			reset := func() { sh, cnt, dout, valid = 0, 0, 0, 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "reset") == 1 {
-					sh, cnt, dout, valid = 0, 0, 0, 0
-				} else {
-					nsh := ((sh << 1) | (u64(in, "sin") & 1)) & 0xFF
-					if cnt == 7 {
-						cnt = 0
-						dout = nsh
-						valid = 1
-					} else {
-						cnt++
-						valid = 0
-					}
-					sh = nsh
-				}
-				return map[string]bitvec.Vec{
-					"dout":  bitvec.FromUint64(8, dout),
-					"valid": bitvec.FromUint64(1, valid),
-				}
-			}
-			return reset, step
-		}),
 	})
 
 	addCircuit(circuit{
@@ -964,23 +592,6 @@ endmodule
 	assign tc = cnt == 0;
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			cnt := uint64(0)
-			reset := func() { cnt = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "load") == 1 {
-					cnt = u64(in, "value") & 0xFF
-				} else if cnt != 0 {
-					cnt--
-				}
-				tc := uint64(0)
-				if cnt == 0 {
-					tc = 1
-				}
-				return out1("tc", 1, tc)
-			}
-			return reset, step
-		}),
 	})
 
 	addCircuit(circuit{
@@ -1007,25 +618,5 @@ endmodule
 	assign out = cnt != 0;
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			cnt := uint64(0)
-			reset := func() { cnt = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				switch {
-				case u64(in, "reset") == 1:
-					cnt = 0
-				case u64(in, "in") == 1:
-					cnt = 4
-				case cnt != 0:
-					cnt--
-				}
-				o := uint64(0)
-				if cnt != 0 {
-					o = 1
-				}
-				return out1("out", 1, o)
-			}
-			return reset, step
-		}),
 	})
 }

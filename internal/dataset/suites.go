@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/bitvec"
 )
 
 // This file assembles the suites from the circuit definitions:
@@ -25,14 +23,12 @@ func init() {
 	for _, g := range []struct {
 		name string
 		expr string
-		eval func(a, b, c uint64) uint64
 	}{
-		{"and3", "a & b & c", func(a, b, c uint64) uint64 { return a & b & c }},
-		{"or3", "a | b | c", func(a, b, c uint64) uint64 { return a | b | c }},
-		{"xor3", "a ^ b ^ c", func(a, b, c uint64) uint64 { return a ^ b ^ c }},
+		{"and3", "a & b & c"},
+		{"or3", "a | b | c"},
+		{"xor3", "a ^ b ^ c"},
 	} {
 		for _, w := range []int{1, 8} {
-			g, w := g, w
 			addCircuit(circuit{
 				baseID:      fmt.Sprintf("gate_%s_w%d", g.name, w),
 				difficulty:  Easy,
@@ -47,9 +43,6 @@ func init() {
 	assign out = %s;
 endmodule
 `, stdHeader, w-1, w-1, w-1, w-1, g.expr),
-				golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-					return out1("out", w, g.eval(u64(in, "a"), u64(in, "b"), u64(in, "c"))&mask(w))
-				}),
 			})
 		}
 	}
@@ -57,24 +50,12 @@ endmodule
 	for _, r := range []struct {
 		name string
 		op   string
-		eval func(v bitvec.Vec, w int) uint64
 	}{
-		{"redand", "&", func(v bitvec.Vec, w int) uint64 {
-			if v.PopCount() == w {
-				return 1
-			}
-			return 0
-		}},
-		{"redor", "|", func(v bitvec.Vec, w int) uint64 {
-			if v.Bool() {
-				return 1
-			}
-			return 0
-		}},
-		{"redxor", "^", func(v bitvec.Vec, w int) uint64 { return uint64(v.PopCount() & 1) }},
+		{"redand", "&"},
+		{"redor", "|"},
+		{"redxor", "^"},
 	} {
 		for _, w := range []int{8, 16} {
-			r, w := r, w
 			addCircuit(circuit{
 				baseID:      fmt.Sprintf("%s_w%d", r.name, w),
 				difficulty:  Easy,
@@ -87,9 +68,6 @@ endmodule
 	assign out = %sin;
 endmodule
 `, stdHeader, w-1, r.op),
-				golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-					return out1("out", 1, r.eval(vec(in, "in").Resize(w), w))
-				}),
 			})
 		}
 	}
@@ -109,13 +87,6 @@ endmodule
 	assign cout = a & b;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			a, b := u64(in, "a")&1, u64(in, "b")&1
-			return map[string]bitvec.Vec{
-				"sum":  bitvec.FromUint64(1, a^b),
-				"cout": bitvec.FromUint64(1, a&b),
-			}
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "full_adder",
@@ -132,13 +103,6 @@ endmodule
 	assign {cout, sum} = a + b + cin;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			t := (u64(in, "a") & 1) + (u64(in, "b") & 1) + (u64(in, "cin") & 1)
-			return map[string]bitvec.Vec{
-				"sum":  bitvec.FromUint64(1, t&1),
-				"cout": bitvec.FromUint64(1, t>>1),
-			}
-		}),
 	})
 	// detectors
 	addCircuit(circuit{
@@ -153,13 +117,6 @@ endmodule
 	assign zero = in == 0;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			z := uint64(0)
-			if u64(in, "in")&0xFF == 0 {
-				z = 1
-			}
-			return out1("zero", 1, z)
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "allones_detect_w8",
@@ -173,13 +130,6 @@ endmodule
 	assign ones = &in;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			o := uint64(0)
-			if u64(in, "in")&0xFF == 0xFF {
-				o = 1
-			}
-			return out1("ones", 1, o)
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "range_detect_w8",
@@ -193,14 +143,6 @@ endmodule
 	assign hit = (in >= 32) && (in <= 96);
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			v := u64(in, "in") & 0xFF
-			h := uint64(0)
-			if v >= 32 && v <= 96 {
-				h = 1
-			}
-			return out1("hit", 1, h)
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "majority3",
@@ -216,10 +158,6 @@ endmodule
 	assign out = (a & b) | (a & c) | (b & c);
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			a, b, c := u64(in, "a")&1, u64(in, "b")&1, u64(in, "c")&1
-			return out1("out", 1, (a&b)|(a&c)|(b&c))
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "clamp_w8",
@@ -233,13 +171,6 @@ endmodule
 	assign out = in < 200 ? in : 8'd200;
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			v := u64(in, "in") & 0xFF
-			if v > 200 {
-				v = 200
-			}
-			return out1("out", 8, v)
-		}),
 	})
 	addCircuit(circuit{
 		baseID:      "nibble_swap_w8",
@@ -253,10 +184,6 @@ endmodule
 	assign out = {in[3:0], in[7:4]};
 endmodule
 `,
-		golden: combGolden(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-			v := u64(in, "in") & 0xFF
-			return out1("out", 8, ((v&0xF)<<4)|(v>>4))
-		}),
 	})
 	// capture register and enabled/up-down counters
 	addCircuit(circuit{
@@ -276,20 +203,8 @@ endmodule
 			q <= d;
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var q uint64
-			reset := func() { q = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				if u64(in, "load") == 1 {
-					q = u64(in, "d") & 0xFF
-				}
-				return out1("q", 8, q)
-			}
-			return reset, step
-		}),
 	})
 	for _, w := range []int{4, 8} {
-		w := w
 		addCircuit(circuit{
 			baseID:      fmt.Sprintf("counter_en_w%d", w),
 			difficulty:  Easy,
@@ -310,19 +225,6 @@ endmodule
 	end
 endmodule
 `, stdHeader, w-1),
-			golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-				var q uint64
-				reset := func() { q = 0 }
-				step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-					if u64(in, "reset") == 1 {
-						q = 0
-					} else if u64(in, "ena") == 1 {
-						q = (q + 1) & mask(w)
-					}
-					return out1("q", w, q)
-				}
-				return reset, step
-			}),
 		})
 	}
 	addCircuit(circuit{
@@ -347,22 +249,6 @@ endmodule
 	end
 endmodule
 `,
-		golden: seqGolden(func() (func(), func(map[string]bitvec.Vec) map[string]bitvec.Vec) {
-			var q uint64
-			reset := func() { q = 0 }
-			step := func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-				switch {
-				case u64(in, "reset") == 1:
-					q = 0
-				case u64(in, "up") == 1:
-					q = (q + 1) & 0xF
-				default:
-					q = (q - 1) & 0xF
-				}
-				return out1("q", 4, q)
-			}
-			return reset, step
-		}),
 	})
 }
 
@@ -442,7 +328,6 @@ func init() {
 			Description: c.humanDesc,
 			RefSource:   c.src,
 			Clock:       c.clock,
-			NewGolden:   c.golden,
 			Cycles:      c.cycles,
 		})
 		// Machine drops every 12th circuit to land on 143 problems.
@@ -456,7 +341,6 @@ func init() {
 			Description: c.machineDesc,
 			RefSource:   c.src,
 			Clock:       c.clock,
-			NewGolden:   c.golden,
 			Cycles:      c.cycles,
 		})
 	}
@@ -469,7 +353,6 @@ func init() {
 			Description: c.humanDesc,
 			RefSource:   c.src,
 			Clock:       c.clock,
-			NewGolden:   c.golden,
 			Cycles:      c.cycles,
 		})
 	}

@@ -78,19 +78,16 @@ func TestObserveCoverageBothBackends(t *testing.T) {
 	}
 }
 
-// failGolden expects q to lag one count behind reality, forcing a
-// mismatch from the second counted cycle on.
-type failGolden struct{ n uint64 }
-
-func (g *failGolden) Reset() { g.n = 0 }
-func (g *failGolden) Step(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-	if in["rst"].Bool() {
-		g.n = 0
-	} else if g.n++; g.n > 2 {
-		g.n++ // diverge from the design after two good cycles
-	}
-	return map[string]bitvec.Vec{"q": bitvec.FromUint64(4, g.n%16)}
-}
+// failRefSrc counts like obsCtrSrc for two cycles after reset, then
+// steps by two: the candidate mismatches from the third counted cycle on.
+const failRefSrc = `
+module ctr(input clk, input rst, output reg [3:0] q);
+	always @(posedge clk) begin
+		if (rst) q <= 0;
+		else if (q >= 2) q <= q + 2;
+		else q <= q + 1;
+	end
+endmodule`
 
 // TestTestbenchWaveformOnFailure: a failing observed run attaches a
 // parseable VCD excerpt windowed around the first mismatch.
@@ -104,12 +101,12 @@ func TestTestbenchWaveformOnFailure(t *testing.T) {
 		vectors[i] = Vector{Inputs: map[string]bitvec.Vec{"rst": bitvec.FromUint64(1, 0)}}
 	}
 	o := TBObserve{Recorder: wave.NewRecorder(8), Coverage: wave.NewCoverage(), Profile: true}
-	res, err := RunTestbenchObserved(s, "clk", vectors, &failGolden{}, o)
+	res, err := RunTestbenchObserved(s, "clk", vectors, newSim(t, failRefSrc), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Passed() || res.FirstMismatch == "" {
-		t.Fatalf("run should fail with a first mismatch, got %+v", res)
+	if res.Passed() || res.FirstMismatch != "cycle 2: output q = 4'h3, expected 4'h4" {
+		t.Fatalf("run should fail from the third cycle on, got %+v", res)
 	}
 	if res.Waveform == "" {
 		t.Fatal("failing observed run must attach a waveform")

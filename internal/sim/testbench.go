@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/bitvec"
-	"repro/internal/sema"
+	"repro/internal/verilog"
 	"repro/internal/wave"
 )
 
@@ -16,27 +16,6 @@ import (
 type Vector struct {
 	Inputs map[string]bitvec.Vec
 }
-
-// Golden is a cycle-accurate reference model implemented in Go. Step is
-// called once per vector with the driven inputs and must return the
-// expected value of every output port after the cycle completes.
-type Golden interface {
-	// Reset returns the model to its power-on state.
-	Reset()
-	// Step advances one cycle (or evaluates once, for combinational
-	// models) and returns expected outputs.
-	Step(inputs map[string]bitvec.Vec) map[string]bitvec.Vec
-}
-
-// GoldenFunc adapts a stateless function to the Golden interface, for
-// combinational circuits.
-type GoldenFunc func(inputs map[string]bitvec.Vec) map[string]bitvec.Vec
-
-// Reset implements Golden.
-func (GoldenFunc) Reset() {}
-
-// Step implements Golden.
-func (f GoldenFunc) Step(inputs map[string]bitvec.Vec) map[string]bitvec.Vec { return f(inputs) }
 
 // TBResult summarizes a testbench run.
 type TBResult struct {
@@ -56,24 +35,16 @@ type TBResult struct {
 // Passed reports whether the run completed with zero mismatches.
 func (r TBResult) Passed() bool { return r.Mismatches == 0 }
 
-// RunTestbench drives vectors through the design and compares every output
-// port against the golden model. clock names the clock input for
-// sequential designs, or is empty for combinational ones. A simulator
-// runtime error (combinational loop, runaway for-loop) is returned as err
-// and counts as a failed run.
-func RunTestbench(design *sema.Design, clock string, vectors []Vector, golden Golden) (TBResult, error) {
-	s, err := New(design)
-	if err != nil {
-		return TBResult{}, err
-	}
-	return RunTestbenchSim(s, clock, vectors, golden)
-}
-
-// RunTestbenchSim is RunTestbench over an existing simulator instance —
-// the entry point for callers that amortize compilation through a cached
-// Program (sim.NewFromProgram). The simulator is reset before the run.
-func RunTestbenchSim(s *Simulator, clock string, vectors []Vector, golden Golden) (TBResult, error) {
-	return RunTestbenchObserved(s, clock, vectors, golden, TBObserve{})
+// RunTestbenchSim drives vectors through the candidate simulator s and
+// the reference simulator ref in lockstep and compares every output port
+// of the reference after every vector: the reference RTL is the oracle.
+// clock names the clock input for sequential designs, or is empty for
+// combinational ones. Both simulators are reset before the run. A
+// reference output the candidate lacks (or declares with another
+// direction) and a simulator runtime error (combinational loop, runaway
+// for-loop) are returned as err and count as a failed run.
+func RunTestbenchSim(s *Simulator, clock string, vectors []Vector, ref *Simulator) (TBResult, error) {
+	return RunTestbenchObserved(s, clock, vectors, ref, TBObserve{})
 }
 
 // TBObserve bundles the optional observability for one testbench run.
@@ -92,9 +63,10 @@ type TBObserve struct {
 }
 
 // RunTestbenchObserved is RunTestbenchSim with observability attached
-// for the duration of the run. Observers are detached before returning,
-// so a cached simulator goes back to its zero-overhead configuration.
-func RunTestbenchObserved(s *Simulator, clock string, vectors []Vector, golden Golden, o TBObserve) (TBResult, error) {
+// to the candidate for the duration of the run. Observers are detached
+// before returning, so a cached simulator goes back to its zero-overhead
+// configuration.
+func RunTestbenchObserved(s *Simulator, clock string, vectors []Vector, ref *Simulator, o TBObserve) (TBResult, error) {
 	var parts []wave.Observer
 	if o.Recorder != nil {
 		parts = append(parts, o.Recorder)
@@ -111,7 +83,7 @@ func RunTestbenchObserved(s *Simulator, clock string, vectors []Vector, golden G
 	} else if o.Coverage != nil {
 		s.EnableActivations()
 	}
-	res, err := runTestbench(s, clock, vectors, golden, o.Recorder)
+	res, err := runTestbench(s, clock, vectors, ref, o.Recorder)
 	if o.Coverage != nil {
 		o.Coverage.AddActivations(s.Activations())
 	}
@@ -124,52 +96,38 @@ func RunTestbenchObserved(s *Simulator, clock string, vectors []Vector, golden G
 	return res, err
 }
 
-func runTestbench(s *Simulator, clock string, vectors []Vector, golden Golden, rec *wave.Recorder) (TBResult, error) {
-	design := s.Design()
-	s.Reset()
-	golden.Reset()
+func runTestbench(s *Simulator, clock string, vectors []Vector, ref *Simulator, rec *wave.Recorder) (TBResult, error) {
 	res := TBResult{}
-
-	outputs := design.Outputs()
+	if ref == nil {
+		return res, fmt.Errorf("testbench has no reference simulator")
+	}
+	outputs := ref.Design().Outputs()
 	outNames := make([]string, 0, len(outputs))
 	for _, o := range outputs {
+		if sig := s.Design().Signal(o.Name); sig == nil || sig.Dir != verilog.DirOutput {
+			return res, fmt.Errorf("candidate has no output port %q", o.Name)
+		}
 		outNames = append(outNames, o.Name)
 	}
 	sort.Strings(outNames)
+	s.Reset()
+	ref.Reset()
 
 	for cyc, vec := range vectors {
-		for name, v := range vec.Inputs {
-			if name == clock {
-				continue // the runner owns the clock
-			}
-			if design.Signal(name) == nil {
-				return res, fmt.Errorf("testbench drives unknown input %q", name)
-			}
-			if err := s.SetInput(name, v); err != nil {
-				return res, err
-			}
-		}
-		if err := s.Settle(); err != nil {
+		if err := apply(s, clock, vec); err != nil {
 			return res, err
 		}
-		if clock != "" {
-			if err := s.ClockPulse(clock); err != nil {
-				return res, err
-			}
+		if err := apply(ref, clock, vec); err != nil {
+			return res, fmt.Errorf("reference: %w", err)
 		}
-		want := golden.Step(vec.Inputs)
 		res.Cycles++
 		for _, name := range outNames {
-			wantV, ok := want[name]
-			if !ok {
-				continue // model does not constrain this output
-			}
-			gotV := s.Get(name)
-			if !gotV.Eq(wantV) {
+			got, want := s.Get(name), ref.Get(name)
+			if !got.Eq(want) {
 				res.Mismatches++
 				if res.FirstMismatch == "" {
 					res.FirstMismatch = fmt.Sprintf(
-						"cycle %d: output %s = %s, expected %s", cyc, name, gotV.Hex(), wantV.Resize(gotV.Width()).Hex())
+						"cycle %d: output %s = %s, expected %s", cyc, name, got.Hex(), want.Resize(got.Width()).Hex())
 					if rec != nil {
 						rec.Mark()
 					}
@@ -178,4 +136,27 @@ func runTestbench(s *Simulator, clock string, vectors []Vector, golden Golden, r
 		}
 	}
 	return res, nil
+}
+
+// apply runs one vector on s: drive its inputs (the runner owns the
+// clock, so a vector naming it is ignored), settle, then pulse the clock.
+func apply(s *Simulator, clock string, vec Vector) error {
+	for name, v := range vec.Inputs {
+		if name == clock {
+			continue
+		}
+		if s.design.Signal(name) == nil {
+			return fmt.Errorf("testbench drives unknown input %q", name)
+		}
+		if err := s.SetInput(name, v); err != nil {
+			return err
+		}
+	}
+	if err := s.Settle(); err != nil {
+		return err
+	}
+	if clock != "" {
+		return s.ClockPulse(clock)
+	}
+	return nil
 }

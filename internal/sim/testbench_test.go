@@ -1,6 +1,6 @@
-// Direct unit tests for testbench.go: vector construction, golden-model
-// adaptation, cycle accounting, and mismatch reporting. (sim_test.go
-// covers RunTestbench end-to-end on counters; these tests pin down the
+// Direct unit tests for testbench.go: lockstep stepping against a
+// reference design, cycle accounting, and mismatch reporting. (sim_test.go
+// covers the runner end-to-end on counters; these tests pin down the
 // testbench contract itself.)
 package sim
 
@@ -12,18 +12,11 @@ import (
 	"repro/internal/bitvec"
 )
 
-// fixedGolden returns constant outputs, making mismatch positions fully
-// predictable.
-type fixedGolden struct {
-	out    map[string]bitvec.Vec
-	resets int
-	steps  int
-}
-
-func (g *fixedGolden) Reset() { g.resets++ }
-func (g *fixedGolden) Step(map[string]bitvec.Vec) map[string]bitvec.Vec {
-	g.steps++
-	return g.out
+// runAgainst simulates the candidate source beside the reference source
+// on the same vectors.
+func runAgainst(t *testing.T, cand, ref, clock string, vectors []Vector) (TBResult, error) {
+	t.Helper()
+	return RunTestbenchSim(newSim(t, cand), clock, vectors, newSim(t, ref))
 }
 
 const wireSrc = `
@@ -34,44 +27,77 @@ endmodule`
 
 func vec4(v uint64) bitvec.Vec { return bitvec.FromUint64(4, v) }
 
-func TestTestbenchResetsGoldenAndCountsCycles(t *testing.T) {
-	d := buildDesign(t, wireSrc)
-	g := &fixedGolden{out: map[string]bitvec.Vec{}} // constrains nothing
-	vectors := []Vector{
-		{Inputs: map[string]bitvec.Vec{"a": vec4(1)}},
-		{Inputs: map[string]bitvec.Vec{"a": vec4(2)}},
-		{Inputs: map[string]bitvec.Vec{"a": vec4(3)}},
+func aVectors(vals ...uint64) []Vector {
+	vectors := make([]Vector, len(vals))
+	for i, v := range vals {
+		vectors[i] = Vector{Inputs: map[string]bitvec.Vec{"a": vec4(v)}}
 	}
-	res, err := RunTestbench(d, "", vectors, g)
-	if err != nil {
-		t.Fatal(err)
+	return vectors
+}
+
+const ctrSrc = `
+module counter(input clk, input reset, output reg [3:0] q);
+	always @(posedge clk) begin
+		if (reset) q <= 0;
+		else q <= q + 1;
+	end
+endmodule`
+
+// TestTestbenchResetsReferenceAndCountsCycles: both simulators start the
+// run from power-on state whatever ran on them before, and every vector
+// counts one cycle.
+func TestTestbenchResetsReferenceAndCountsCycles(t *testing.T) {
+	s, ref := newSim(t, ctrSrc), newSim(t, ctrSrc)
+	for i := 0; i < 5; i++ { // leave the reference 5 counts ahead
+		if err := ref.ClockPulse("clk"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if g.resets != 1 {
-		t.Fatalf("golden reset %d times, want exactly 1 (power-on)", g.resets)
+	// no reset in the vectors: only the runner's reset aligns the two
+	vectors := make([]Vector, 6)
+	for i := range vectors {
+		vectors[i] = Vector{Inputs: map[string]bitvec.Vec{"reset": bitvec.FromUint64(1, 0)}}
 	}
-	if g.steps != len(vectors) {
-		t.Fatalf("golden stepped %d times, want %d", g.steps, len(vectors))
-	}
-	if res.Cycles != len(vectors) {
-		t.Fatalf("Cycles = %d, want %d", res.Cycles, len(vectors))
-	}
-	// A model that constrains no outputs can never mismatch.
-	if !res.Passed() || res.Mismatches != 0 || res.FirstMismatch != "" {
-		t.Fatalf("unconstrained model produced mismatches: %+v", res)
+	for run := 0; run < 2; run++ { // a rerun on the same pair starts clean too
+		res, err := RunTestbenchSim(s, "clk", vectors, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles != len(vectors) {
+			t.Fatalf("run %d: Cycles = %d, want %d", run, res.Cycles, len(vectors))
+		}
+		if !res.Passed() || res.FirstMismatch != "" {
+			t.Fatalf("run %d: reference not reset before the run: %+v", run, res)
+		}
 	}
 }
 
-func TestTestbenchMismatchCountingAndFirstReport(t *testing.T) {
-	d := buildDesign(t, wireSrc)
-	// The design drives y = a, z = ~a; the golden insists y == 0 and
-	// z == 15 always — true only when a == 0.
-	g := &fixedGolden{out: map[string]bitvec.Vec{"y": vec4(0), "z": vec4(15)}}
-	vectors := []Vector{
-		{Inputs: map[string]bitvec.Vec{"a": vec4(0)}}, // matches
-		{Inputs: map[string]bitvec.Vec{"a": vec4(5)}}, // y and z both wrong
-		{Inputs: map[string]bitvec.Vec{"a": vec4(1)}}, // y and z both wrong
+// TestTestbenchComparesReferenceOutputsOnly: a candidate output the
+// reference does not have is not part of the spec.
+func TestTestbenchComparesReferenceOutputsOnly(t *testing.T) {
+	res, err := runAgainst(t, wireSrc, `
+module wires(input [3:0] a, output [3:0] y);
+	assign y = a;
+endmodule`, "", aVectors(1, 2, 3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := RunTestbench(d, "", vectors, g)
+	if !res.Passed() || res.Cycles != 3 {
+		t.Fatalf("extra candidate output was compared: %+v", res)
+	}
+}
+
+// constSrc is a reference insisting y == 0 and z == 15 always: true of
+// wireSrc only when a == 0.
+const constSrc = `
+module wires(input [3:0] a, output [3:0] y, output [3:0] z);
+	assign y = 4'd0;
+	assign z = 4'd15;
+endmodule`
+
+func TestTestbenchMismatchCountingAndFirstReport(t *testing.T) {
+	// a == 0 matches; a == 5 and a == 1 get y and z both wrong
+	res, err := runAgainst(t, wireSrc, constSrc, "", aVectors(0, 5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +118,11 @@ func TestTestbenchMismatchCountingAndFirstReport(t *testing.T) {
 }
 
 func TestTestbenchFirstMismatchSticksToEarliest(t *testing.T) {
-	d := buildDesign(t, wireSrc)
-	g := &fixedGolden{out: map[string]bitvec.Vec{"y": vec4(7)}}
-	vectors := []Vector{
-		{Inputs: map[string]bitvec.Vec{"a": vec4(1)}},
-		{Inputs: map[string]bitvec.Vec{"a": vec4(2)}},
-	}
-	res, err := RunTestbench(d, "", vectors, g)
+	res, err := runAgainst(t, wireSrc, `
+module wires(input [3:0] a, output [3:0] y, output [3:0] z);
+	assign y = 4'd7;
+	assign z = ~a;
+endmodule`, "", aVectors(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,61 +132,48 @@ func TestTestbenchFirstMismatchSticksToEarliest(t *testing.T) {
 }
 
 func TestTestbenchRejectsUnknownInput(t *testing.T) {
-	d := buildDesign(t, wireSrc)
 	vectors := []Vector{{Inputs: map[string]bitvec.Vec{"bogus": vec4(1)}}}
-	_, err := RunTestbench(d, "", vectors, GoldenFunc(func(map[string]bitvec.Vec) map[string]bitvec.Vec {
-		return nil
-	}))
+	_, err := runAgainst(t, wireSrc, wireSrc, "", vectors)
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("driving an unknown input returned %v, want a naming error", err)
+	}
+	if _, err := RunTestbenchSim(newSim(t, wireSrc), "", aVectors(1), nil); err == nil {
+		t.Fatal("a run without a reference must error")
 	}
 }
 
 func TestTestbenchClockIsRunnerOwned(t *testing.T) {
-	d := buildDesign(t, `
-module dff(input clk, input [3:0] din, output reg [3:0] q);
-	always @(posedge clk) q <= din;
-endmodule`)
 	// Driving the clock from a vector must be ignored (the runner owns
 	// it): a vector naming clk is not an unknown-input error, and the
-	// flop still advances exactly once per vector.
-	var got []uint64
-	golden := GoldenFunc(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-		return map[string]bitvec.Vec{"q": in["din"]}
-	})
+	// flop still loads din exactly once per vector, which is what the
+	// combinational reference computes.
 	vectors := []Vector{
 		{Inputs: map[string]bitvec.Vec{"din": vec4(9), "clk": bitvec.FromUint64(1, 1)}},
 		{Inputs: map[string]bitvec.Vec{"din": vec4(4)}},
 	}
-	res, err := RunTestbench(d, "clk", vectors, golden)
+	res, err := runAgainst(t, `
+module dff(input clk, input [3:0] din, output reg [3:0] q);
+	always @(posedge clk) q <= din;
+endmodule`, `
+module dff(input clk, input [3:0] din, output [3:0] q);
+	assign q = din;
+endmodule`, "clk", vectors)
 	if err != nil {
-		t.Fatalf("vector naming the clock errored: %v (q trace %v)", err, got)
+		t.Fatalf("vector naming the clock errored: %v", err)
 	}
 	if !res.Passed() || res.Cycles != 2 {
 		t.Fatalf("clocked run failed: %+v", res)
 	}
 }
 
-func TestTestbenchGoldenFuncAdapter(t *testing.T) {
-	calls := 0
-	f := GoldenFunc(func(in map[string]bitvec.Vec) map[string]bitvec.Vec {
-		calls++
-		return map[string]bitvec.Vec{"y": in["a"]}
-	})
-	f.Reset() // must be a no-op, not a panic
-	out := f.Step(map[string]bitvec.Vec{"a": vec4(3)})
-	if calls != 1 || !out["y"].Eq(vec4(3)) {
-		t.Fatalf("GoldenFunc adapter broken: calls=%d out=%v", calls, out)
-	}
-}
-
 func TestTestbenchExpectedValueResizedInReport(t *testing.T) {
-	d := buildDesign(t, wireSrc)
-	// Golden returns a wider expectation than the port: the report must
-	// render it at the port's width (Resize in testbench.go).
-	g := &fixedGolden{out: map[string]bitvec.Vec{"y": bitvec.FromUint64(8, 0x12)}}
-	vectors := []Vector{{Inputs: map[string]bitvec.Vec{"a": vec4(0)}}}
-	res, err := RunTestbench(d, "", vectors, g)
+	// The reference's output is wider than the candidate's port: the
+	// report must render it at the port's width (Resize in testbench.go).
+	res, err := runAgainst(t, wireSrc, `
+module wires(input [3:0] a, output [7:0] y, output [3:0] z);
+	assign y = 8'h12;
+	assign z = ~a;
+endmodule`, "", aVectors(0))
 	if err != nil {
 		t.Fatal(err)
 	}
