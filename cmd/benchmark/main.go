@@ -11,14 +11,7 @@
 //	benchmark -workers 8             # size the evaluation pool
 //	benchmark -cache=false           # disable the memoization layer
 //	benchmark -exp table1 -json      # machine-readable results on stdout
-//	benchmark -state-dir ./state             # journal per-job results
-//	benchmark -state-dir ./state -resume     # skip completed jobs
-//	benchmark -exp table1 -stages            # stage latency table on stderr
-//
-// With -state-dir, every completed agent job is journaled durably
-// (internal/store); after a crash or kill, -resume restores those
-// outcomes and re-runs only the unfinished jobs, producing final tables
-// byte-identical to an uninterrupted run.
+//	benchmark -exp table1 -stages    # stage latency table on stderr
 //
 // The expensive agent runs are fanned out over a worker pool
 // (internal/pipeline) and memoized through the sharded cache layer
@@ -43,10 +36,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/curate"
-	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/memo"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -58,8 +49,6 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "evaluation pool size (output is identical for any value)")
 	cache := flag.Bool("cache", true, "enable the sharded memoization layer (output is identical either way)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON on stdout (tables move to stderr)")
-	stateDir := flag.String("state-dir", "", "durable state directory: journal per-job results for -resume")
-	resume := flag.Bool("resume", false, "skip jobs already completed in -state-dir's journal (tables stay byte-identical)")
 	stages := flag.Bool("stages", false, "trace every agent job and print a per-stage latency table to stderr at exit")
 	coverage := flag.Bool("coverage", false, "print a per-problem reference-design toggle-coverage table to stderr at exit")
 	faultProfile := flag.String("fault-profile", "", `chaos testing: inject faults per "point:rate[:duration];..." (internal/fault); empty keeps output byte-identical`)
@@ -102,44 +91,6 @@ func main() {
 		defer func() {
 			fmt.Fprint(os.Stderr, bench.RenderCoverage(bench.CoverageReport(*seed)))
 		}()
-	}
-
-	if *resume && *stateDir == "" {
-		fmt.Fprintln(os.Stderr, "benchmark: -resume requires -state-dir")
-		os.Exit(2)
-	}
-	// With -state-dir every completed agent job is journaled through the
-	// pipeline's completion hook (write-behind; flushed at exit), and the
-	// simulation oracle records the sources it compiles. With -resume the
-	// journal is consulted first, so a killed run restarts and re-runs
-	// only the unfinished jobs — final tables are byte-identical to an
-	// uninterrupted run because the journal stores exactly the transcript
-	// fields the tables consume, keyed by the full job identity.
-	if *stateDir != "" {
-		st, err := store.Open(*stateDir, store.Options{Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "benchmark: "+format+"\n", args...)
-		}})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchmark: state: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			if err := st.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "benchmark: state flush: %v\n", err)
-			}
-		}()
-		if *resume {
-			bench.SetJournal(bench.NewStoreJournal(st))
-			warmed := dataset.AttachStore(st, true)
-			s := st.Stats()
-			fmt.Fprintf(os.Stderr, "benchmark: resuming from %s (%d bench jobs journaled, %d oracle sources warmed)\n",
-				*stateDir, s.ByKind["bench-job"], warmed)
-		} else {
-			// Record progress for a future -resume, but never consume
-			// state a previous run left behind.
-			bench.SetJournal(bench.RecordOnly(bench.NewStoreJournal(st)))
-			dataset.AttachStore(st, false)
-		}
 	}
 
 	// Under -json the human-readable stream moves wholesale to stderr so

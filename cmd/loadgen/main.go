@@ -14,9 +14,8 @@
 //
 // -duration runs for a wall-clock window instead of a fixed count, and
 // the report always splits out the first -split-first requests — on a
-// cold daemon they pay the compile misses, on a warm restart
-// (rtlfixerd -state-dir) they should match the steady state, so the
-// split is the warm-start A/B measurement.
+// fresh daemon they pay the compile misses, so the split shows the
+// cold-cache cost against the steady state.
 //
 // The corpus is the paper's curated erroneous-implementation dataset
 // (internal/curate), cycled round-robin over -distinct problems. Exit
@@ -60,7 +59,7 @@ func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8080", "rtlfixerd base URL")
 	n := flag.Int("n", 100, "total requests to send")
 	duration := flag.Duration("duration", 0, "wall-clock run length (overrides -n; send until the deadline)")
-	splitFirst := flag.Int("split-first", 10, "report the first N requests' latency separately (cold-vs-warm start A/B)")
+	splitFirst := flag.Int("split-first", 10, "report the first N requests' latency separately (cold-cache cost vs steady state)")
 	qps := flag.Float64("qps", 0, "target request rate (0 = as fast as -concurrency allows)")
 	concurrency := flag.Int("concurrency", 8, "concurrent in-flight requests")
 	distinct := flag.Int("distinct", 1, "distinct problems cycled through (1 = repeated-source herd)")
@@ -130,8 +129,8 @@ func main() {
 	transport.MaxIdleConnsPerHost = *concurrency
 	client := &http.Client{Timeout: clientTimeout, Transport: transport}
 
-	// Gate on readiness, not liveness: a prewarming or store-degraded
-	// daemon answers /v1/readyz 503 while /v1/healthz stays 200, and
+	// Gate on readiness, not liveness: a prewarming or draining daemon
+	// answers /v1/readyz 503 while /v1/healthz stays 200, and
 	// measuring against a warming daemon skews every first-N split.
 	if *waitReady > 0 {
 		deadline := time.Now().Add(*waitReady)
@@ -154,9 +153,8 @@ func main() {
 
 	hist := metrics.NewLatencyHistogram()
 	// The first -split-first requests are histogrammed separately: on a
-	// cold daemon they pay the compile misses, on a warm (-state-dir
-	// restart) daemon they should match the steady state — the split is
-	// the A/B signal for warm start.
+	// fresh daemon they pay the compile misses, so the split separates
+	// the cold-cache cost from the steady state.
 	histFirst := metrics.NewLatencyHistogram()
 	histRest := metrics.NewLatencyHistogram()
 
@@ -337,7 +335,7 @@ func main() {
 	// The cold-vs-warm split: mean latency of the first requests against
 	// the steady state that follows them.
 	if f, rest := histFirst.Snapshot(), histRest.Snapshot(); f.Count > 0 && rest.Count > 0 {
-		fmt.Printf("loadgen: first %d requests mean=%.2fms p50=%.2f max=%.2f; remaining %d mean=%.2fms p50=%.2f max=%.2f (warm-start ratio %.1fx)\n",
+		fmt.Printf("loadgen: first %d requests mean=%.2fms p50=%.2f max=%.2f; remaining %d mean=%.2fms p50=%.2f max=%.2f (first/rest ratio %.1fx)\n",
 			f.Count, f.Sum/float64(f.Count), f.P50, f.Max,
 			rest.Count, rest.Sum/float64(rest.Count), rest.P50, rest.Max,
 			(f.Sum/float64(f.Count))/(rest.Sum/float64(rest.Count)))

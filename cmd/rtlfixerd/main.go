@@ -10,7 +10,6 @@
 //	rtlfixerd -addr 127.0.0.1:0          # serve on a random free port
 //	rtlfixerd -max-inflight 8 -queue 32  # size admission control
 //	rtlfixerd -coalesce=false -cache=false   # A/B baseline for loadgen
-//	rtlfixerd -state-dir ./state         # durable caches: warm restart
 //	rtlfixerd -pprof -log-requests       # profiler + structured access log
 //	rtlfixerd -trace=false               # disable request tracing
 //
@@ -19,15 +18,9 @@
 // retrievable at GET /v1/trace/{id}; GET /metrics serves Prometheus
 // text exposition; -pprof mounts net/http/pprof under /debug/pprof/.
 //
-// With -state-dir, compile results and the retrieval index persist in a
-// content-addressed store (internal/store): a restarted daemon loads them
-// at boot and serves its first requests from cache; a SIGTERM drain
-// flushes the unwritten tail; a crash costs at most the write-behind
-// window, and a torn journal tail recovers at the next start.
-//
 // Resilience: /v1/readyz answers 503 until the default fixer is
-// prewarmed (-prewarm, on by default) and again while draining or while
-// the durable store is degraded; /v1/healthz is pure liveness. Panicking
+// prewarmed (-prewarm, on by default) and again while draining;
+// /v1/healthz is pure liveness. Panicking
 // runs and handlers are isolated into typed 500s, per-configuration
 // circuit breakers fail fast after repeated backend aborts, and
 // -fault-profile installs a deterministic fault-injection schedule
@@ -60,7 +53,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/server"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -76,7 +68,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "upper clamp on request deadlines")
 	coalesce := flag.Bool("coalesce", true, "coalesce identical concurrent requests into one run")
 	cache := flag.Bool("cache", true, "enable the sharded memoization layer")
-	stateDir := flag.String("state-dir", "", "durable state directory: caches persist across restarts (warm start)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a signal-triggered drain may take")
 	tracing := flag.Bool("trace", true, "collect per-request span traces (GET /v1/trace)")
 	traceRing := flag.Int("trace-ring", 0, "recent traces retained for /v1/trace (0 = default 256)")
@@ -101,18 +92,6 @@ func main() {
 		}
 		fault.Install(reg)
 		logger.Printf("fault injection ACTIVE (seed %d): %s", *faultSeed, *faultProfile)
-	}
-
-	// The durable state layer: pooled fixers warm-start from it, fresh
-	// results flush behind, and a SIGTERM drain flushes the tail before
-	// exit. A corrupt journal tail from a crash recovers at Open.
-	var st *store.Store
-	if *stateDir != "" {
-		var err error
-		st, err = store.Open(*stateDir, store.Options{Logf: logger.Printf})
-		if err != nil {
-			logger.Fatalf("state: %v", err)
-		}
 	}
 
 	qd := *queueDepth
@@ -140,7 +119,6 @@ func main() {
 		DisableCache:      !*cache,
 		DisableSimCheck:   !*simCheck,
 		DisableSimObserve: !*simObserve,
-		Store:             st,
 		Logf:              logger.Printf,
 		Tracing:           tracer,
 		AccessLog:         accessLog,
@@ -168,12 +146,8 @@ func main() {
 	}
 	// The one stdout line: scripts parse the resolved port from it.
 	fmt.Printf("rtlfixerd: listening on %s\n", ln.Addr())
-	state := "none"
-	if st != nil {
-		state = fmt.Sprintf("%s (%d records)", st.Dir(), st.Stats().Records)
-	}
-	logger.Printf("serving (inflight=%d queue=%d batch<=%d linger=%v coalesce=%v cache=%v state=%s trace=%v pprof=%v)",
-		*maxInFlight, *queueDepth, *maxBatch, *linger, *coalesce, *cache, state, *tracing, *pprofOn)
+	logger.Printf("serving (inflight=%d queue=%d batch<=%d linger=%v coalesce=%v cache=%v trace=%v pprof=%v)",
+		*maxInFlight, *queueDepth, *maxBatch, *linger, *coalesce, *cache, *tracing, *pprofOn)
 
 	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
@@ -197,19 +171,8 @@ func main() {
 	httpErr := httpSrv.Shutdown(shutdownCtx)
 	drainErr := srv.Drain(shutdownCtx)
 	srv.Close()
-	// The drain is over: every admitted request has written its results
-	// behind, so Close's final flush makes the cache state durable.
-	var stateErr error
-	if st != nil {
-		stateErr = st.Close()
-		if stateErr != nil {
-			logger.Printf("state flush: %v", stateErr)
-		} else {
-			logger.Printf("state flushed to %s", st.Dir())
-		}
-	}
-	if httpErr != nil || drainErr != nil || stateErr != nil {
-		logger.Printf("drain incomplete: http=%v dispatch=%v state=%v", httpErr, drainErr, stateErr)
+	if httpErr != nil || drainErr != nil {
+		logger.Printf("drain incomplete: http=%v dispatch=%v", httpErr, drainErr)
 		os.Exit(1)
 	}
 	logger.Printf("drained cleanly; bye")

@@ -61,28 +61,19 @@
 //
 // The service is also built to degrade rather than die: internal/fault
 // is a deterministic, zero-cost-when-off fault-injection framework
-// (named points for store I/O, LLM flake, and panics; the schedule is a
+// (named points for LLM flake, stalls, and panics; the schedule is a
 // pure function of seed and occurrence), and internal/resilience
 // supplies what the injected faults exercise — retry with backoff,
 // jitter, and a per-request budget around the LLM client; per-fixer-
 // configuration circuit breakers; panic isolation in pipeline workers
 // and HTTP handlers (typed 500s, the daemon stays up); watchdogs over
 // the sim check; and a degradation ladder that sheds best-effort
-// surfaces (lint, tracing) under overload and falls back to in-memory
-// caches when the durable store fails. /v1/readyz reports routability
-// (prewarm, drain, store health) while /v1/healthz stays pure liveness;
+// surfaces (lint, tracing) under overload. /v1/readyz reports
+// routability (prewarm, drain) while /v1/healthz stays pure liveness;
 // scripts/chaos_smoke.sh is the gate that proves the daemon survives a
 // chaos workload with every fault isolated and counted.
 //
-// All of that state survives the process through internal/store, a
-// durable content-addressed layer (append-only CRC-guarded journal,
-// compacted one-record-per-file CAS, write-behind flushing, torn-tail
-// crash recovery) hung under the memo caches: rtlfixerd -state-dir
-// warm-starts a restarted daemon so its first request is served from
-// cache, and benchmark -state-dir journals per-job results so -resume
-// restarts a killed run with byte-identical final tables.
-//
 // See README.md for the quickstart, DESIGN.md for the system inventory,
-// pipeline, server, and durable-state architecture, and EXPERIMENTS.md
+// pipeline and server architecture, and EXPERIMENTS.md
 // for paper-vs-measured results.
 package repro

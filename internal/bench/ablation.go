@@ -26,9 +26,8 @@ type AblationResult struct {
 
 // runFixRate measures the ReAct fix rate over entries for a fully built
 // fixer configuration, fanning the attempts out over the worker pool.
-// label scopes the resume journal per experiment.
-func runFixRate(label string, f *core.RTLFixer, entries []curate.Entry, repeats, workers int) float64 {
-	return runFixRateJobs(label, f, entries, repeats, workers).FixRate
+func runFixRate(f *core.RTLFixer, entries []curate.Entry, repeats, workers int) float64 {
+	return runFixRateJobs(f, entries, repeats, workers).FixRate
 }
 
 // RunRetrieverAblation compares retrieval strategies under the full
@@ -68,7 +67,7 @@ func RunRetrieverAblation(seed int64, repeats int, entries []curate.Entry, worke
 			panic(err)
 		}
 		out = append(out, AblationResult{Name: cfg.name,
-			FixRate: runFixRate("ablation/retriever/"+cfg.name, f, entries, repeats, workers)})
+			FixRate: runFixRate(f, entries, repeats, workers)})
 	}
 	return out
 }
@@ -100,7 +99,7 @@ func RunIterationBudgetAblation(seed int64, repeats, max int, entries []curate.E
 		}
 		out = append(out, AblationResult{
 			Name:    fmt.Sprintf("budget=%d", budget),
-			FixRate: runFixRate("ablation/budget", f, entries, repeats, workers),
+			FixRate: runFixRate(f, entries, repeats, workers),
 		})
 	}
 	return out
@@ -161,7 +160,7 @@ func RunGuidanceSizeAblation(seed int64, repeats int, entries []curate.Entry, wo
 		}
 		out = append(out, AblationResult{
 			Name:    fmt.Sprintf("entries=%d", keep),
-			FixRate: runFixRate(fmt.Sprintf("ablation/guidance/entries=%d", keep), f, entries, repeats, workers),
+			FixRate: runFixRate(f, entries, repeats, workers),
 		})
 	}
 	return out

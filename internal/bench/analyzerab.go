@@ -56,7 +56,7 @@ func RunAnalyzerAB(seed int64, repeats int, entries []curate.Entry, workers int,
 		if err != nil {
 			panic(err) // fixed configuration: always valid
 		}
-		sum := runFixRateJobs("analyzer-ab", f, entries, repeats, workers)
+		sum := runFixRateJobs(f, entries, repeats, workers)
 		return AnalyzerABArm{
 			Analyzer:     !disable,
 			FixRate:      sum.FixRate,

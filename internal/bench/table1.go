@@ -16,7 +16,18 @@ import (
 	"repro/internal/curate"
 	"repro/internal/llm"
 	"repro/internal/pipeline"
+	"repro/internal/trace"
 )
+
+// tracer is the package-wide trace collector (nil = tracing off). Set
+// once by SetTracer before any experiment runs.
+var tracer *trace.Collector
+
+// SetTracer installs a trace collector on every bench pipeline run, so
+// each agent job records a stage-level span tree (cmd/benchmark's
+// -stages breakdown). Pass nil to disable — the default, which keeps
+// experiment hot paths allocation-free and table output untouched.
+func SetTracer(c *trace.Collector) { tracer = c }
 
 // Table1Config parameterizes the fix-rate experiment.
 type Table1Config struct {
@@ -134,7 +145,7 @@ func RunTable1(cfg Table1Config) *Table1Result {
 		collectHist := cb.prompt == core.ModeReAct && cb.rag &&
 			cb.comp == "quartus" && cb.persona == "gpt-3.5"
 
-		sum := runFixRateJobs("table1", fixer, entries, cfg.Repeats, cfg.Workers)
+		sum := runFixRateJobs(fixer, entries, cfg.Repeats, cfg.Workers)
 		if collectHist {
 			res.IterationHist = sum.IterationHist
 		}
@@ -147,10 +158,8 @@ func RunTable1(cfg Table1Config) *Table1Result {
 // runFixRateJobs fans all (entry, repeat) attempts for one fixer
 // configuration out over the worker pool and aggregates them; shared by
 // Table 1 and the ablations. Each entry is one job group, so the
-// summary's FixRate is exactly metrics.FixRate over entries. The
-// experiment label plus the fixer fingerprint scopes the resume journal
-// (journal.go); repeats ride along because they shape the seed schedule.
-func runFixRateJobs(label string, f *core.RTLFixer, entries []curate.Entry, repeats, workers int) *pipeline.Summary {
+// summary's FixRate is exactly metrics.FixRate over entries.
+func runFixRateJobs(f *core.RTLFixer, entries []curate.Entry, repeats, workers int) *pipeline.Summary {
 	jobs := make([]pipeline.Job, 0, len(entries)*repeats)
 	for i, e := range entries {
 		for rep := 0; rep < repeats; rep++ {
@@ -162,8 +171,7 @@ func runFixRateJobs(label string, f *core.RTLFixer, entries []curate.Entry, repe
 			})
 		}
 	}
-	label = fmt.Sprintf("%s/%s/repeats=%d", label, fixerLabel(f), repeats)
-	results, err := runJobs(context.Background(), label, pipeline.Config{Workers: workers}, jobs, pipeline.FixWith(f))
+	results, err := pipeline.Run(context.Background(), pipeline.Config{Workers: workers, Tracer: tracer}, jobs, pipeline.FixWith(f))
 	if err != nil {
 		panic(err) // background context: cannot be canceled
 	}

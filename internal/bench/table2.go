@@ -200,11 +200,8 @@ func RunTable2(cfg Table2Config) *Table2Result {
 			}
 		}
 
-		// Phase B: the agent runs, fanned out over the pool (journaled
-		// when cmd/benchmark enabled -state-dir, so a resumed run skips
-		// completed fixes).
-		label := fmt.Sprintf("table2/%s/samples=%d/%s", suite, cfg.SampleN, fixerLabel(rtlfixer))
-		fixResults, err := runJobs(context.Background(), label, pipeline.Config{Workers: cfg.Workers}, jobs,
+		// Phase B: the agent runs, fanned out over the pool.
+		fixResults, err := pipeline.Run(context.Background(), pipeline.Config{Workers: cfg.Workers, Tracer: tracer}, jobs,
 			pipeline.FixWith(rtlfixer))
 		if err != nil {
 			panic(err) // background context: cannot be canceled

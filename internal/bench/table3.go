@@ -108,8 +108,7 @@ func RunTable3(cfg Table3Config) *Table3Result {
 		}
 	}
 
-	label := fmt.Sprintf("table3/samples=%d/%s", cfg.SampleN, fixerLabel(rtlfixer))
-	fixResults, err := runJobs(context.Background(), label, pipeline.Config{Workers: cfg.Workers}, jobs,
+	fixResults, err := pipeline.Run(context.Background(), pipeline.Config{Workers: cfg.Workers, Tracer: tracer}, jobs,
 		pipeline.FixWith(rtlfixer))
 	if err != nil {
 		panic(err) // background context: cannot be canceled

@@ -15,7 +15,6 @@ import (
 	"repro/internal/llm"
 	"repro/internal/memo"
 	"repro/internal/rag"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -62,13 +61,6 @@ type Options struct {
 	// compile observations carry the rendered findings as extra model
 	// feedback.
 	DisableAnalyzer bool
-	// Store, with Cache on, is the durable backing under the memo layer
-	// (internal/store): the compile cache warm-starts from it and writes
-	// behind, and the retrieval index is restored from its persisted
-	// image instead of rebuilt. Persistence is as transparent as the
-	// cache itself — restored state serves the same bytes a cold compute
-	// would.
-	Store store.Backing
 }
 
 // RTLFixer is a configured debugging agent.
@@ -107,12 +99,6 @@ func New(opts Options) (*RTLFixer, error) {
 	f := &RTLFixer{opts: opts, compiler: comp, persona: persona, retriever: opts.Retriever}
 	if opts.Cache {
 		f.compileCache = memo.NewCompileCache(opts.CacheCapacity)
-		if opts.Store != nil {
-			// Warm start: this persona's persisted compile results load
-			// into memory now, misses consult the store before
-			// recomputing, and fresh results are written behind.
-			f.compileCache.AttachStore(opts.Store, comp.Name())
-		}
 		f.compiler = f.compileCache.Cached(comp)
 	}
 	if opts.RAG {
@@ -122,13 +108,7 @@ func New(opts Options) (*RTLFixer, error) {
 			// shares the read-only inverted index and shingle sets.
 			// Custom strategies skip the build — the index could not
 			// serve them, so it would be constructed and never consulted.
-			// With a store attached the index image is restored from disk
-			// when its database hash matches, skipping the build.
-			if opts.Store != nil {
-				f.index = memo.NewPersistedRetrievalIndex(f.db, opts.Store)
-			} else {
-				f.index = memo.NewRetrievalIndex(f.db)
-			}
+			f.index = memo.NewRetrievalIndex(f.db)
 			f.retriever = f.index.Wrap(opts.Retriever)
 		}
 	}

@@ -21,7 +21,6 @@ import (
 	"repro/internal/memo"
 	"repro/internal/sema"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 // oracle is the package-wide content-addressed cache over the functional
@@ -31,16 +30,6 @@ import (
 // per-Check reference recompilation are served from cache. The cache is
 // transparent: results are byte-identical with or without it.
 var oracle = memo.NewSimCache(0)
-
-// AttachStore hooks a durable backing (internal/store) under the oracle
-// cache: every distinct source it compiles is recorded write-behind, and
-// with warm true, previously recorded sources are recompiled now — the
-// warm start that moves the oracle's compile cost to boot time. Call
-// before issuing Checks (cmd/benchmark does, from -state-dir). Returns
-// the number of sources replayed.
-func AttachStore(b store.Backing, warm bool) int {
-	return oracle.AttachStore(b, warm)
-}
 
 // OracleCacheStats snapshots the package oracle's memoization counters.
 func OracleCacheStats() memo.Stats { return oracle.Stats() }
@@ -138,7 +127,7 @@ func randomVec(rng *rand.Rand, width int) bitvec.Vec {
 		chunk := rng.Uint64()
 		for b := 0; b < 64 && i+b < width; b++ {
 			if chunk>>b&1 == 1 {
-				v = v.SetBit(i+b, true)
+				v.SetBitInPlace(i+b, true)
 			}
 		}
 	}

@@ -1,10 +1,9 @@
 // Package fault is a deterministic, seedable fault-injection registry
 // for the serving spine. Production code is threaded with named
-// injection points (store I/O errors and torn writes, transient and
-// persistent LLM backend failures, garbage LLM output, compile/sim
-// stalls, worker and handler panics); each point consults the globally
-// installed registry, which decides per the configured probability
-// whether the fault fires.
+// injection points (transient and persistent LLM backend failures,
+// garbage LLM output, compile/sim stalls, worker and handler panics);
+// each point consults the globally installed registry, which decides
+// per the configured probability whether the fault fires.
 //
 // Decisions are deterministic: the nth decision at point p under seed s
 // is a pure function of (s, p, n), so the same seed replays the same
@@ -22,7 +21,7 @@
 //	point:rate            fire with probability rate in [0, 1]
 //	point:rate:duration   stall points: sleep duration when fired
 //
-// e.g. "store.write.error:0.05;llm.transient:0.2;sim.stall:0.1:5ms".
+// e.g. "llm.transient:0.2;worker.panic:0.05;sim.stall:0.1:5ms".
 package fault
 
 import (
@@ -41,25 +40,17 @@ import (
 // typo in a -fault-profile fails at startup instead of silently never
 // firing.
 const (
-	StoreRead     = "store.read.error"  // journal/CAS record read fails
-	StoreWrite    = "store.write.error" // journal append write fails
-	StoreTorn     = "store.write.torn"  // journal append writes half a batch, then fails
-	StoreFsync    = "store.fsync.error" // journal fsync fails after a full write
-	StoreCAS      = "store.cas.error"   // CAS segment write fails during compaction
-	StoreSlow     = "store.slow"        // store I/O stalls (uses the point's duration)
-	LLMTransient  = "llm.transient"     // LLM backend fails once; a retry may succeed
-	LLMPersistent = "llm.persistent"    // LLM backend fails every attempt
-	LLMGarbage    = "llm.garbage"       // LLM returns garbled, uncompilable output
-	CompileStall  = "compile.stall"     // compiler front-end stalls (duration)
-	SimStall      = "sim.stall"         // simulator settle loop stalls (duration)
-	WorkerPanic   = "worker.panic"      // pipeline worker panics mid-run
-	HandlerPanic  = "handler.panic"     // HTTP handler panics before admission
-	AnalyzePanic  = "analyze.panic"     // semantic analyzer panics on a source
+	LLMTransient  = "llm.transient"  // LLM backend fails once; a retry may succeed
+	LLMPersistent = "llm.persistent" // LLM backend fails every attempt
+	LLMGarbage    = "llm.garbage"    // LLM returns garbled, uncompilable output
+	CompileStall  = "compile.stall"  // compiler front-end stalls (duration)
+	SimStall      = "sim.stall"      // simulator settle loop stalls (duration)
+	WorkerPanic   = "worker.panic"   // pipeline worker panics mid-run
+	HandlerPanic  = "handler.panic"  // HTTP handler panics before admission
+	AnalyzePanic  = "analyze.panic"  // semantic analyzer panics on a source
 )
 
 var known = map[string]bool{
-	StoreRead: true, StoreWrite: true, StoreTorn: true, StoreFsync: true,
-	StoreCAS: true, StoreSlow: true,
 	LLMTransient: true, LLMPersistent: true, LLMGarbage: true,
 	CompileStall: true, SimStall: true,
 	WorkerPanic: true, HandlerPanic: true, AnalyzePanic: true,

@@ -10,13 +10,13 @@ import (
 // TestParse: the profile grammar round-trips valid entries and rejects
 // unknown points, bad rates, and malformed entries with useful errors.
 func TestParse(t *testing.T) {
-	r, err := Parse("store.write.error:0.25; llm.transient:1.0 ; sim.stall:0.5:7ms", 42)
+	r, err := Parse("llm.garbage:0.25; llm.transient:1.0 ; sim.stall:0.5:7ms", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := r.Snapshot()
-	if got := snap[StoreWrite].Rate; got != 0.25 {
-		t.Fatalf("store.write.error rate = %v, want 0.25", got)
+	if got := snap[LLMGarbage].Rate; got != 0.25 {
+		t.Fatalf("llm.garbage rate = %v, want 0.25", got)
 	}
 	if got := snap[SimStall].DelayMS; got != 7 {
 		t.Fatalf("sim.stall delay = %vms, want 7", got)
@@ -27,18 +27,22 @@ func TestParse(t *testing.T) {
 
 	for _, bad := range []string{
 		"no.such.point:0.5",
-		"store.write.error:1.5",
-		"store.write.error:-0.1",
-		"store.write.error",
-		"store.write.error:0.5:not-a-duration",
-		"store.write.error:0.5:1ms:extra",
+		"llm.garbage:1.5",
+		"llm.garbage:-0.1",
+		"llm.garbage",
+		"llm.garbage:0.5:not-a-duration",
+		"llm.garbage:0.5:1ms:extra",
 	} {
 		if _, err := Parse(bad, 1); err == nil {
 			t.Errorf("Parse(%q) accepted, want error", bad)
 		}
 	}
-	if _, err := Parse("no.such.point:0.5", 1); err == nil || !strings.Contains(err.Error(), "known:") {
-		t.Fatalf("unknown-point error should list the catalog, got %v", err)
+	// A point that left the catalog (the durable store's, here) fails
+	// at Parse like any typo, so a stale profile cannot silently no-op.
+	for _, unknown := range []string{"no.such.point:0.5", "store.write.error:0.5"} {
+		if _, err := Parse(unknown, 1); err == nil || !strings.Contains(err.Error(), "known:") {
+			t.Fatalf("Parse(%q): unknown-point error should list the catalog, got %v", unknown, err)
+		}
 	}
 
 	// Empty profile: valid, empty registry.
@@ -79,16 +83,16 @@ func TestDeterministicSchedule(t *testing.T) {
 // TestRateAccuracy: over many decisions the fire fraction tracks the
 // configured rate, and the 0/1 extremes are exact.
 func TestRateAccuracy(t *testing.T) {
-	r := MustParse("store.read.error:0.2;store.write.error:0;store.fsync.error:1", 3)
+	r := MustParse("llm.garbage:0.2;llm.persistent:0;llm.transient:1", 3)
 	fired := 0
 	for i := 0; i < 5000; i++ {
-		if f, _ := r.decide(StoreRead); f {
+		if f, _ := r.decide(LLMGarbage); f {
 			fired++
 		}
-		if f, _ := r.decide(StoreWrite); f {
+		if f, _ := r.decide(LLMPersistent); f {
 			t.Fatal("rate-0 point fired")
 		}
-		if f, _ := r.decide(StoreFsync); !f {
+		if f, _ := r.decide(LLMTransient); !f {
 			t.Fatal("rate-1 point did not fire")
 		}
 	}
@@ -97,8 +101,8 @@ func TestRateAccuracy(t *testing.T) {
 		t.Fatalf("rate-0.2 point fired %.3f of the time", frac)
 	}
 	snap := r.Snapshot()
-	if snap[StoreRead].Decisions != 5000 || snap[StoreRead].Fired != uint64(fired) {
-		t.Fatalf("snapshot tallies off: %+v vs fired=%d", snap[StoreRead], fired)
+	if snap[LLMGarbage].Decisions != 5000 || snap[LLMGarbage].Fired != uint64(fired) {
+		t.Fatalf("snapshot tallies off: %+v vs fired=%d", snap[LLMGarbage], fired)
 	}
 }
 
@@ -126,22 +130,22 @@ func TestLimit(t *testing.T) {
 // helpers fire per the profile and Snapshot reflects it.
 func TestGlobalHelpers(t *testing.T) {
 	Uninstall()
-	if Enabled() || Hit(WorkerPanic) || Err(StoreRead) != nil || Snapshot() != nil {
+	if Enabled() || Hit(WorkerPanic) || Err(LLMPersistent) != nil || Snapshot() != nil {
 		t.Fatal("uninstalled registry not inert")
 	}
 	Delay(SimStall) // must not sleep or panic
 
-	Install(MustParse("store.read.error:1;worker.panic:0", 9))
+	Install(MustParse("llm.persistent:1;worker.panic:0", 9))
 	defer Uninstall()
 	if !Enabled() {
 		t.Fatal("Enabled() false after Install")
 	}
-	err := Err(StoreRead)
+	err := Err(LLMPersistent)
 	if err == nil || !IsInjected(err) {
 		t.Fatalf("rate-1 Err = %v", err)
 	}
 	var fe *Error
-	if !errors.As(err, &fe) || fe.Point != StoreRead {
+	if !errors.As(err, &fe) || fe.Point != LLMPersistent {
 		t.Fatalf("typed error wrong: %v", err)
 	}
 	if Hit(WorkerPanic) {
@@ -150,17 +154,17 @@ func TestGlobalHelpers(t *testing.T) {
 	if Hit("not.configured") {
 		t.Fatal("unconfigured point fired")
 	}
-	if snap := Snapshot(); snap[StoreRead].Fired != 1 {
+	if snap := Snapshot(); snap[LLMPersistent].Fired != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 }
 
 // TestDelaySleeps: a fired stall point sleeps its configured duration.
 func TestDelaySleeps(t *testing.T) {
-	Install(MustParse("store.slow:1:30ms", 5))
+	Install(MustParse("compile.stall:1:30ms", 5))
 	defer Uninstall()
 	start := time.Now()
-	Delay(StoreSlow)
+	Delay(CompileStall)
 	if el := time.Since(start); el < 25*time.Millisecond {
 		t.Fatalf("Delay slept only %v", el)
 	}
@@ -168,7 +172,7 @@ func TestDelaySleeps(t *testing.T) {
 
 // TestIsInjectedWrapped: IsInjected sees through wrapping.
 func TestIsInjectedWrapped(t *testing.T) {
-	inner := &Error{Point: StoreFsync}
+	inner := &Error{Point: LLMTransient}
 	if !IsInjected(inner) {
 		t.Fatal("bare")
 	}

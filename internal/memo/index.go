@@ -36,10 +36,6 @@ type RetrievalIndex struct {
 	mu       sync.RWMutex
 	shingles map[int][]map[string]struct{}
 
-	// restored is true when the index image was loaded from a durable
-	// backing instead of built (NewPersistedRetrievalIndex, persist.go).
-	restored bool
-
 	c counters
 }
 
@@ -128,10 +124,6 @@ func shingleEntries(entries []rag.Entry, k int) []map[string]struct{} {
 
 // Database returns the database the index was built over.
 func (idx *RetrievalIndex) Database() *rag.Database { return idx.db }
-
-// Restored reports whether the index image came from a durable backing
-// rather than a fresh build.
-func (idx *RetrievalIndex) Restored() bool { return idx.restored }
 
 // Stats snapshots the index's lookup counter.
 func (idx *RetrievalIndex) Stats() Stats { return idx.c.snapshot() }

@@ -24,40 +24,33 @@
 //     shared by every dataset.Problem.Check so the pass@k loop pays one
 //     engine compile per distinct source.
 //
-// All three caches are process-lifetime by default; persist.go hangs a
-// durable backing (internal/store) underneath them: compile results and
-// the retrieval-index image restore at attach time (warm start) and
-// write behind, sim sources are recorded and replayed through the
-// compiler at boot. Lookups stay in-memory-first; only a miss consults
-// disk before recomputing. Per-layer process totals (TotalsByKind)
-// make warm-start effectiveness observable per cache.
+// CompileCache and SimCache share one cache core (cache.go): a sharded
+// map with FIFO displacement, a source-compare collision guard, and
+// per-cache counters mirrored into per-layer process totals
+// (TotalsByKind). Every cache lives as long as its process.
 //
 // Correctness contract: every component is transparent. A cached compile
 // returns the same Result the wrapped persona would produce (results are
 // shared, so callers must treat them as read-only — which every consumer
 // already does); an indexed retrieval returns the same entries in the
-// same order as the naive scan; a restored record serves the same bytes
-// a cold compute would (collision-guarded and schema-versioned, so
-// anything doubtful recomputes). Table output is therefore byte-identical
-// with the layer on or off, at any worker count, across restarts.
+// same order as the naive scan. Table output is therefore byte-identical
+// with the layer on or off, at any worker count.
 package memo
 
 import (
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/compiler"
-	"repro/internal/store"
 )
 
 // Stats is a point-in-time snapshot of memoization counters.
 type Stats struct {
-	// Hits and Misses count compile-cache lookups.
+	// Hits and Misses count cache lookups.
 	Hits   uint64
 	Misses uint64
-	// Evictions counts compile-cache entries displaced by capacity
-	// pressure (or, rarely, by an FNV collision overwrite).
+	// Evictions counts cache entries displaced by capacity pressure (or,
+	// rarely, by an FNV collision overwrite).
 	Evictions uint64
 	// Lookups counts retrievals served from a RetrievalIndex.
 	Lookups uint64
@@ -100,9 +93,8 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// The process-wide totals are kept per cache layer so warm-start
-// effectiveness is observable per layer (compile vs sim vs retrieval),
-// then summed for the legacy aggregate view.
+// The process-wide totals are kept per cache layer (compile vs sim vs
+// retrieval), then summed for the aggregate view.
 var (
 	globalCompile   counters
 	globalSim       counters
@@ -140,14 +132,6 @@ func TotalsByKind() KindTotals {
 	}
 }
 
-// Default sizing. 64 shards keeps lock contention negligible for any
-// plausible worker count; 16384 entries comfortably hold a full Table 1
-// run's distinct (source, persona) population.
-const (
-	defaultShards   = 64
-	defaultCapacity = 16384
-)
-
 // compileKey is the content address of one compilation.
 type compileKey struct {
 	persona  string
@@ -155,70 +139,20 @@ type compileKey struct {
 	srcHash  uint64
 }
 
-// compileEntry retains the source alongside the result so an FNV-64
-// collision degrades to a miss instead of serving a wrong result.
-type compileEntry struct {
-	src string
-	res compiler.Result
-}
-
-// cacheShard is one lock domain of the cache: a bounded map with FIFO
-// displacement (deterministic, no clock reads).
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[compileKey]compileEntry
-	order   []compileKey
-}
+func (k compileKey) shardHash() uint64 { return k.srcHash }
 
 // CompileCache is a concurrency-safe, sharded, content-addressed cache of
 // compilation results.
 type CompileCache struct {
-	shards      []cacheShard
-	capPerShard int
-	c           counters
-	// backing, when non-nil, is the durable store under the cache:
-	// misses consult it before recomputing, fresh results are written
-	// behind. Set once via AttachStore (persist.go) before serving.
-	backing store.Backing
-	// loaded counts entries restored from the backing (attach-time warm
-	// start plus lazy miss-path loads).
-	loaded atomic.Uint64
+	cache[compileKey, compiler.Result]
 }
 
 // NewCompileCache builds a cache holding at least capacity results
-// across all shards; capacity <= 0 selects the default (16384). The
-// bound is rounded up to shard granularity (shards × ceil(capacity /
-// shards), never more than 2x the request), so a caller bounding memory
-// never gets avoidable evictions below its requested capacity.
+// (the sizing rule is cache.init's); capacity <= 0 selects the default.
 func NewCompileCache(capacity int) *CompileCache {
-	if capacity <= 0 {
-		capacity = defaultCapacity
-	}
-	shards := defaultShards
-	if capacity < shards {
-		shards = capacity // one entry per shard: the bound is exact
-	}
-	perShard := (capacity + shards - 1) / shards
-	cc := &CompileCache{shards: make([]cacheShard, shards), capPerShard: perShard}
-	for i := range cc.shards {
-		cc.shards[i].entries = make(map[compileKey]compileEntry)
-	}
+	cc := &CompileCache{}
+	cc.init(capacity, &globalCompile)
 	return cc
-}
-
-// Stats snapshots this cache's counters.
-func (cc *CompileCache) Stats() Stats { return cc.c.snapshot() }
-
-// Len returns the number of cached results (for tests and sizing checks).
-func (cc *CompileCache) Len() int {
-	n := 0
-	for i := range cc.shards {
-		s := &cc.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // HashSource is the content address used by the memoization layer (and
@@ -229,90 +163,6 @@ func HashSource(src string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(src))
 	return h.Sum64()
-}
-
-func (cc *CompileCache) shardFor(key compileKey) *cacheShard {
-	return &cc.shards[key.srcHash%uint64(len(cc.shards))]
-}
-
-// get returns the cached result for key when present and the stored
-// source matches (the collision guard).
-func (cc *CompileCache) get(key compileKey, src string) (compiler.Result, bool) {
-	s := cc.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	s.mu.Unlock()
-	if ok && e.src == src {
-		cc.c.hits.Add(1)
-		globalCompile.hits.Add(1)
-		return e.res, true
-	}
-	// Memory missed (or an FNV collision shadowed the slot): consult the
-	// durable backing before conceding a recompute.
-	if cc.backing != nil {
-		if res, ok := cc.backingGet(key, src); ok {
-			cc.c.hits.Add(1)
-			globalCompile.hits.Add(1)
-			return res, true
-		}
-	}
-	cc.c.misses.Add(1)
-	globalCompile.misses.Add(1)
-	return compiler.Result{}, false
-}
-
-// peek is get without the miss accounting: a present entry counts as a
-// hit (exactly as get would count it), an absent one counts nothing and
-// touches nothing, so a caller probing before a full Compile leaves the
-// hit/miss statistics identical to an unprobed Compile.
-func (cc *CompileCache) peek(key compileKey, src string) (compiler.Result, bool) {
-	s := cc.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	s.mu.Unlock()
-	if ok && e.src == src {
-		cc.c.hits.Add(1)
-		globalCompile.hits.Add(1)
-		return e.res, true
-	}
-	if cc.backing != nil {
-		if res, ok := cc.backingGet(key, src); ok {
-			cc.c.hits.Add(1)
-			globalCompile.hits.Add(1)
-			return res, true
-		}
-	}
-	return compiler.Result{}, false
-}
-
-// put stores a result, displacing the oldest entry in the shard when the
-// shard is full (FIFO: deterministic and cheap; a displaced entry is
-// simply recomputed on its next miss).
-func (cc *CompileCache) put(key compileKey, src string, res compiler.Result) {
-	s := cc.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.entries[key]; ok {
-		// Racing workers populating the same key, or an FNV collision
-		// overwrite; either way the slot is already accounted in order.
-		if old.src != src {
-			cc.c.evictions.Add(1)
-			globalCompile.evictions.Add(1)
-		}
-		s.entries[key] = compileEntry{src: src, res: res}
-		return
-	}
-	for len(s.entries) >= cc.capPerShard && len(s.order) > 0 {
-		oldest := s.order[0]
-		s.order = s.order[1:]
-		if _, ok := s.entries[oldest]; ok {
-			delete(s.entries, oldest)
-			cc.c.evictions.Add(1)
-			globalCompile.evictions.Add(1)
-		}
-	}
-	s.entries[key] = compileEntry{src: src, res: res}
-	s.order = append(s.order, key)
 }
 
 // cachedCompiler fronts a compiler.Compiler with a CompileCache.
@@ -341,10 +191,10 @@ func (c *cachedCompiler) Name() string { return c.inner.Name() }
 // InfoScore implements compiler.Compiler.
 func (c *cachedCompiler) InfoScore() float64 { return c.inner.InfoScore() }
 
-// CompileHit reports whether (filename, src) is already cached — in
-// memory or the durable backing — returning the cached result when so.
-// A hit is accounted exactly as a Compile hit; a miss has no side
-// effects, and callers fall through to Compile for the full miss path.
+// CompileHit reports whether (filename, src) is already cached,
+// returning the cached result when so. A hit is accounted exactly as a
+// Compile hit; a miss has no side effects, and callers fall through to
+// Compile for the full miss path.
 // The tracing layer probes this (via a structural interface) to
 // attribute cache hits on compile spans without widening
 // compiler.Compiler.
@@ -359,8 +209,5 @@ func (c *cachedCompiler) Compile(filename, src string) compiler.Result {
 	if res, ok := c.cache.get(key, src); ok {
 		return res
 	}
-	res := c.inner.Compile(filename, src)
-	c.cache.put(key, src, res)
-	c.cache.backingPut(key, src, res)
-	return res
+	return c.cache.put(key, src, c.inner.Compile(filename, src))
 }

@@ -118,12 +118,12 @@ func TestSimCacheCapacityBound(t *testing.T) {
 // then displaces the collided slot (counted as an eviction).
 func TestSimCacheCollisionGuard(t *testing.T) {
 	sc := NewSimCache(0)
-	key := HashSource(simCacheGood)
-	shard := &sc.shards[key%uint64(len(sc.shards))]
+	key := simKey(HashSource(simCacheGood))
+	shard := sc.shardFor(key)
 
 	// Plant a foreign entry (compiled from a different source) at
 	// simCacheGood's slot.
-	foreign := compileSimEntry(simCacheFallback)
+	foreign := entry[simEntry]{src: simCacheFallback, val: compileSimEntry(simCacheFallback)}
 	shard.mu.Lock()
 	shard.entries[key] = foreign
 	shard.order = append(shard.order, key)
@@ -182,12 +182,11 @@ func TestSimCacheChurnConcurrent(t *testing.T) {
 				// with an entry for a different source, as a hash
 				// collision would.
 				if i%17 == 0 {
-					key := HashSource(srcs[(i+1)%distinct])
-					shard := &sc.shards[key%uint64(len(sc.shards))]
+					key := simKey(HashSource(srcs[(i+1)%distinct]))
+					shard := sc.shardFor(key)
 					shard.mu.Lock()
 					if _, ok := shard.entries[key]; ok {
-						shard.entries[key] = simEntry{src: srcs[i%distinct],
-							file: nil, design: nil, diags: nil}
+						shard.entries[key] = entry[simEntry]{src: srcs[i%distinct]}
 					}
 					shard.mu.Unlock()
 				}
@@ -214,7 +213,7 @@ func TestSimCacheChurnConcurrent(t *testing.T) {
 		s := &sc.shards[i]
 		s.mu.Lock()
 		for key, e := range s.entries {
-			if e.design != nil && HashSource(e.src) != key {
+			if e.val.design != nil && simKey(HashSource(e.src)) != key {
 				s.mu.Unlock()
 				t.Fatalf("entry stored under wrong key: %q", e.src)
 			}

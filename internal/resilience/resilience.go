@@ -6,7 +6,7 @@
 // that cancel runaway simulations.
 //
 // The package is deliberately leaf-level (stdlib only) so every layer —
-// store, agent, sim, pipeline, server — can depend on it without
+// agent, sim, pipeline, server — can depend on it without
 // cycles. Policy lives here; *where* faults appear is internal/fault's
 // business, and *what degrades* is each layer's (see DESIGN.md §13 for
 // the degradation ladder).

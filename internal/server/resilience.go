@@ -9,10 +9,6 @@
 //   - LLM backend outage → retried inside the agent (internal/agent);
 //     past the budget the run aborts into a typed 502, and consecutive
 //     aborts against one configuration open its breaker here.
-//   - Store unavailable → the store itself degrades to bounded
-//     in-memory-only (internal/store); /v1/readyz answers 503
-//     "store-degraded" so balancers drain writes away, /v1/healthz just
-//     reports the flag (the process is alive).
 //   - Overload → once admission fill crosses BrownoutThreshold, lint
 //     answers 503 and new request traces are shed; fix traffic keeps
 //     the capacity.
@@ -133,16 +129,14 @@ func (s *Server) prewarm() {
 
 // readiness is the one readiness predicate — /v1/readyz, the
 // rtlfixer_ready gauge, and /v1/stats resilience.ready all read it:
-// "ready", or why not ("draining", "warming" while the prewarm is still
-// building, "store-degraded" while the store sheds to memory).
+// "ready", or why not ("draining", or "warming" while the prewarm is
+// still building).
 func (s *Server) readiness() string {
 	switch {
 	case s.isDraining():
 		return "draining"
 	case !s.prewarmed.Load():
 		return "warming"
-	case s.cfg.Store != nil && s.cfg.Store.Degraded():
-		return "store-degraded"
 	}
 	return "ready"
 }

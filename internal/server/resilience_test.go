@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/store"
 )
 
 // getJSON fetches url and decodes the JSON body.
@@ -194,16 +193,10 @@ func TestBreakerOpensAndRecloses(t *testing.T) {
 
 // TestReadyzGates: readiness is one predicate. /v1/readyz, the
 // rtlfixer_ready gauge and /v1/stats resilience.ready agree in every
-// state — ready, warming, store-degraded (reached through a store fault
-// profile), draining — while healthz stays 200 throughout: the
-// liveness/routability split.
+// state — ready, warming, draining — while healthz stays 200
+// throughout: the liveness/routability split.
 func TestReadyzGates(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{NoFlusher: true, DegradeAfter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	s, ts := newTestServer(t, Config{Store: st})
+	s, ts := newTestServer(t, Config{})
 	check := func(want string) {
 		t.Helper()
 		code, out := getJSON(t, ts.URL+"/v1/readyz")
@@ -228,19 +221,6 @@ func TestReadyzGates(t *testing.T) {
 	s.prewarmed.Store(false)
 	check("warming")
 	s.prewarmed.Store(true)
-	check("ready")
-
-	st.Put(store.KindCompile, 1, []byte("pending"))
-	fault.Install(fault.MustParse("store.write.error:1", 1))
-	if err := st.Flush(); err == nil {
-		fault.Uninstall()
-		t.Fatal("flush should fail under the store fault")
-	}
-	check("store-degraded")
-	fault.Uninstall()
-	if err := st.Flush(); err != nil {
-		t.Fatalf("recovery flush: %v", err)
-	}
 	check("ready")
 
 	s.BeginDrain()

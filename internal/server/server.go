@@ -26,8 +26,8 @@
 // worker panics are recovered into typed 500s, per-fixer-configuration
 // circuit breakers fail fast after consecutive bad runs, overload browns
 // out best-effort surfaces (lint, tracing) before fix traffic, and
-// /v1/readyz separates routability (drain, warm-up, store degradation)
-// from /v1/healthz liveness.
+// /v1/readyz separates routability (drain, warm-up) from /v1/healthz
+// liveness.
 //
 // Endpoints: POST /v1/fix, POST /v1/lint, GET /v1/healthz,
 // GET /v1/readyz, GET /v1/stats.
@@ -53,7 +53,6 @@ import (
 	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -91,14 +90,6 @@ type Config struct {
 	DisableCoalesce bool
 	// DisableCache builds the pooled fixers without the memo layer.
 	DisableCache bool
-	// Store, when non-nil, is the durable state layer (internal/store)
-	// under every pooled fixer's caches: each fixer warm-starts from it
-	// at construction and writes fresh results behind, so a restarted
-	// daemon serves its first requests from cache. The caller owns the
-	// store's lifecycle (rtlfixerd flushes and closes it after drain);
-	// /v1/stats and /v1/healthz report its size, flush lag, and
-	// load/store counters.
-	Store *store.Store
 	// Logf, when non-nil, receives one line per lifecycle event
 	// (start/drain) — never one per request.
 	Logf func(format string, args ...any)
@@ -603,10 +594,10 @@ var errFixerPoolFull = errors.New("fixer pool full: too many distinct configurat
 // fixerFor returns the pooled fixer for a configuration, building it on
 // first use. The pool is the point of the daemon: every request against
 // the same configuration shares one compile cache and retrieval index.
-// Construction runs outside fixersMu — with a store attached it scans
-// persisted records (disk I/O), and that must never stall every other
-// request behind the pool lock. Racing builders of one configuration
-// both construct; the loser's fixer is discarded.
+// Construction runs outside fixersMu — it builds the retrieval index,
+// and that must never stall every other request behind the pool lock.
+// Racing builders of one configuration both construct; the loser's
+// fixer is discarded.
 func (s *Server) fixerFor(key fixerKey) (*core.RTLFixer, error) {
 	s.fixersMu.Lock()
 	if f, ok := s.fixers[key]; ok {
@@ -619,12 +610,6 @@ func (s *Server) fixerFor(key fixerKey) (*core.RTLFixer, error) {
 	}
 	s.fixersMu.Unlock()
 
-	// A nil *store.Store must stay a nil Backing interface: a typed nil
-	// would read as "store present" inside core.New.
-	var backing store.Backing
-	if s.cfg.Store != nil {
-		backing = s.cfg.Store
-	}
 	f, err := core.New(core.Options{
 		CompilerName:    key.compiler,
 		PersonaName:     key.persona,
@@ -634,7 +619,6 @@ func (s *Server) fixerFor(key fixerKey) (*core.RTLFixer, error) {
 		Seed:            s.cfg.Seed,
 		Cache:           !s.cfg.DisableCache,
 		DisableAnalyzer: !key.analyze,
-		Store:           backing,
 	})
 	if err != nil {
 		return nil, err
@@ -860,22 +844,13 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz serves GET /v1/healthz: pure liveness, always 200 while
-// the process can answer at all. Routability — drain, warm-up, store
-// degradation — lives on /v1/readyz (resilience.go); healthz still
-// names those states in its body so one curl tells an operator the
-// story, but a draining or degraded daemon is alive, not dead. With a
-// durable store attached, the body carries its size and flush lag so
-// operators can see unflushed work at a glance.
+// the process can answer at all. Routability — drain, warm-up — lives
+// on /v1/readyz (resilience.go); healthz still names the drain in its
+// body so one curl tells an operator the story, but a draining daemon
+// is alive, not dead.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.m.healthzRequests.Inc()
-	body := map[string]any{}
-	if s.cfg.Store != nil {
-		// Brief, not Stats: healthz is polled, and the full snapshot
-		// walks the whole index under the store's serving mutex.
-		body["store"] = s.cfg.Store.Brief()
-		body["degraded"] = s.cfg.Store.Degraded()
-	}
-	body["build"] = buildSummary()
+	body := map[string]any{"build": buildSummary()}
 	if s.tracer != nil {
 		body["trace"] = s.tracer.Occupancy()
 	}

@@ -669,3 +669,62 @@ func TestLintStructuredFindings(t *testing.T) {
 		t.Fatal("stats snapshot omits zero-count rules")
 	}
 }
+
+// TestRestartServesIdenticalResponses is the in-process version of the
+// smoke script's restart assertion: a fresh server, started after the
+// first is closed, answers the same request byte-identically (modulo
+// timing fields). All state is process-lifetime, so the second server
+// recomputes what the first one cached.
+func TestRestartServesIdenticalResponses(t *testing.T) {
+	req := map[string]any{"source": brokenSource, "seed": int64(7)}
+
+	s1, ts1 := newTestServer(t, Config{})
+	status, first := postFix(t, ts1.URL, req)
+	if status != http.StatusOK {
+		t.Fatalf("first fix status = %d: %v", status, first)
+	}
+	ts1.Close()
+	s1.Close()
+
+	_, ts2 := newTestServer(t, Config{})
+	status, again := postFix(t, ts2.URL, req)
+	if status != http.StatusOK {
+		t.Fatalf("restarted fix status = %d: %v", status, again)
+	}
+	for _, field := range []string{"success", "iterations", "final_code", "fixer_rules"} {
+		a, b := fmtField(first[field]), fmtField(again[field])
+		if a != b {
+			t.Fatalf("field %q differs across restart:\nfirst: %v\nagain: %v", field, a, b)
+		}
+	}
+}
+
+func fmtField(v any) string {
+	switch x := v.(type) {
+	case nil:
+		return "<nil>"
+	case string:
+		return x
+	default:
+		b, _ := json.Marshal(v)
+		return string(b)
+	}
+}
+
+// TestStatsReportsPerCacheLayers checks the /v1/stats breakdown: the
+// aggregate cache counters equal the sum of the per-layer ones, and no
+// store section is reported.
+func TestStatsReportsPerCacheLayers(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if status, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource}); status != http.StatusOK {
+		t.Fatalf("fix status = %d", status)
+	}
+	doc := s.Stats()
+	sum := num(t, doc, "cache.compile.hits") + num(t, doc, "cache.sim.hits") + num(t, doc, "cache.retrieval.hits")
+	if hits := num(t, doc, "cache.hits"); hits != sum {
+		t.Fatalf("aggregate hits %v != per-layer sum %v", hits, sum)
+	}
+	if _, ok := doc["store"]; ok {
+		t.Fatal("stats must not carry a store section")
+	}
+}

@@ -152,8 +152,6 @@ func (s *Server) declareMetrics() {
 	m.brownoutTracesShed = shed.Counter("resilience.brownout_traces_shed", "trace")
 	r.Flag("rtlfixer_ready", "1 once the server passes /v1/readyz gating (prewarm done, not draining).", "resilience.ready",
 		func() bool { return s.readiness() == "ready" })
-	r.Flag("rtlfixer_store_degraded", "1 while the durable store is shedding to in-memory-only.", "resilience.store_degraded",
-		func() bool { return s.cfg.Store != nil && s.cfg.Store.Degraded() })
 
 	if s.stages != nil {
 		r.HistogramsFunc("rtlfixer_stage_duration_ms", "Span durations per pipeline stage, milliseconds.", func() []metrics.PromHistSeries {
@@ -181,7 +179,7 @@ func (s *Server) declareMetrics() {
 
 // declareCacheMetrics mirrors the process-wide memoization counters
 // behind every pooled fixer (memo.TotalsByKind) per cache layer, so
-// warm-start effectiveness is observable per layer; /v1/stats also keeps
+// each layer's effectiveness is observable on its own; /v1/stats also keeps
 // the all-layer totals under "cache".
 func declareCacheMetrics(r *metrics.Registry) {
 	events := [][2]string{{"hit", "hits"}, {"miss", "misses"}, {"eviction", "evictions"}, {"lookup", "lookups"}}
@@ -206,7 +204,7 @@ func declareCacheMetrics(r *metrics.Registry) {
 // path, plus the sections that are documents rather than metric
 // families — the queue configuration, per-configuration breakers, fault
 // injection counters, the sim-layer aggregate, the per-stage latency
-// breakdown, trace occupancy, and the durable store.
+// breakdown, and trace occupancy.
 func (s *Server) Stats() map[string]any {
 	doc := s.reg.JSON()
 	metrics.SetPath(doc, "queue.max_in_flight", s.cfg.MaxInFlight)
@@ -227,9 +225,6 @@ func (s *Server) Stats() map[string]any {
 	}
 	if s.tracer != nil {
 		doc["trace"] = s.tracer.Occupancy()
-	}
-	if s.cfg.Store != nil {
-		doc["store"] = s.cfg.Store.Stats()
 	}
 	return doc
 }

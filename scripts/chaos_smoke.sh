@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Chaos smoke test: start rtlfixerd under a deterministic fault-injection
-# profile (store I/O errors, transient + garbled LLM failures, periodic
+# profile (transient + garbled LLM failures, periodic
 # worker panics) and drive it with loadgen's chaos mode. The gate:
 #
 #   - the daemon never crashes — every request, malformed or not, gets a
 #     well-formed JSON response;
 #   - transient faults are retried and recovered above a floor, panics
 #     are isolated into typed 500s and counted;
-#   - a kill -9 mid-traffic restarts warm over the same state directory;
+#   - after a kill -9 mid-traffic, a cold restart still serves correctly;
 #   - the fault schedule is deterministic per seed (two daemons, same
 #     seed, same single-threaded workload → identical fault counters);
 #   - a zero-rate profile changes nothing (byte-identical fix response
@@ -21,7 +21,7 @@ daemon=""
 daemon2=""
 trap '{ [ -n "$daemon" ] && kill "$daemon" 2>/dev/null; [ -n "$daemon2" ] && kill "$daemon2" 2>/dev/null; } || true; rm -rf "$workdir"' EXIT
 
-profile='store.write.error:0.05;store.read.error:0.05;llm.transient:0.2;llm.garbage:0.05;worker.panic:0.1'
+profile='llm.transient:0.2;llm.garbage:0.05;worker.panic:0.1'
 fixbody='{"source":"module top_module (\n input [99:0] in,\n output reg [99:0] out\n);\n always @(posedge clk) begin\n  for (int i = 0; i < 100; i = i + 1) begin\n   out[i] <= in[99 - i];\n  end\n end\nendmodule\n","seed":7}'
 
 echo "== building rtlfixerd and loadgen"
@@ -53,7 +53,7 @@ stat_of() { # $1: port, $2: jq path
 }
 
 echo "== chaos run: daemon under fault profile, loadgen -chaos traffic"
-start_daemon chaos -state-dir "$workdir/state" -coalesce=false \
+start_daemon chaos -coalesce=false \
     -fault-profile "$profile" -fault-seed 7
 grep -q "fault injection ACTIVE" "$workdir/daemon.chaos.err" || {
     echo "FAIL: daemon did not log the active fault profile" >&2; exit 1; }
@@ -74,7 +74,7 @@ fired=$(stat_of "$port" '.faults["worker.panic"].fired')
 [ "$panics" = "$fired" ] || { echo "FAIL: panics_worker=$panics != worker.panic fired=$fired" >&2; exit 1; }
 echo "   retried=$retried recovered=$recovered worker_panics=$panics (all isolated)"
 
-echo "== kill -9 mid-traffic, then warm restart over the same state dir"
+echo "== kill -9 mid-traffic, then cold restart"
 "$workdir/loadgen" -addr "http://127.0.0.1:$port" -n 400 -concurrency 4 -distinct 2 \
     >"$workdir/loadgen.killed.out" 2>&1 &
 loadpid=$!
@@ -82,7 +82,7 @@ sleep 1
 kill -9 "$daemon"
 daemon=""
 wait "$loadpid" 2>/dev/null || true   # transport errors expected: the daemon was murdered
-start_daemon restart -state-dir "$workdir/state" -fault-profile "$profile" -fault-seed 7
+start_daemon restart -fault-profile "$profile" -fault-seed 7
 for _ in $(seq 1 100); do
     curl -sf "http://127.0.0.1:$port/v1/readyz" >/dev/null 2>&1 && break
     sleep 0.1
@@ -91,7 +91,7 @@ curl -sf -X POST "http://127.0.0.1:$port/v1/fix" -d "$fixbody" | jq -e '.success
     echo "FAIL: restarted daemon cannot serve the canonical fix" >&2
     cat "$workdir/daemon.restart.err" >&2; exit 1; }
 kill "$daemon"; wait "$daemon" 2>/dev/null || true; daemon=""
-echo "   warm restart after kill -9 serves correctly"
+echo "   cold restart after kill -9 serves correctly"
 
 echo "== determinism: same seed, same workload => identical fault counters"
 start_daemon detA -fault-profile 'llm.transient:0.3;llm.garbage:0.1' -fault-seed 11

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Server smoke test: start rtlfixerd on a random port with a durable
-# -state-dir, drive /v1/fix and /v1/stats through loadgen, drain on
-# SIGTERM — then restart over the same state directory and assert the
-# warm daemon serves the replayed workload from cache with byte-identical
-# responses, and finally that a corrupted journal tail recovers cleanly
-# instead of crashing the process. Along the way it exercises the
+# Server smoke test: start rtlfixerd on a random port, drive /v1/fix and
+# /v1/stats through loadgen, drain on SIGTERM — then restart the daemon
+# and assert the fresh process answers byte-identically to the first run
+# (timing fields aside) and serves the replayed workload. Along the way
+# it exercises the
 # observability plane: /metrics must parse as Prometheus exposition with
 # nonzero request counters, /v1/trace must return a span tree covering
 # compile and sim for a served fix, and a pprof endpoint must answer.
@@ -15,7 +14,6 @@ workdir=$(mktemp -d)
 daemon=""
 trap '{ [ -n "$daemon" ] && kill "$daemon" 2>/dev/null; } || true; rm -rf "$workdir"' EXIT
 
-statedir="$workdir/state"
 fixbody='{"source":"module top_module (\n input [99:0] in,\n output reg [99:0] out\n);\n always @(posedge clk) begin\n  for (int i = 0; i < 100; i = i + 1) begin\n   out[i] <= in[99 - i];\n  end\n end\nendmodule\n","seed":7}'
 
 echo "== building rtlfixerd and loadgen"
@@ -24,7 +22,7 @@ go build -o "$workdir/loadgen" ./cmd/loadgen
 
 start_daemon() { # $1: log suffix
     : >"$workdir/daemon.out"
-    "$workdir/rtlfixerd" -addr 127.0.0.1:0 -state-dir "$statedir" -pprof \
+    "$workdir/rtlfixerd" -addr 127.0.0.1:0 -pprof \
         >"$workdir/daemon.out" 2>"$workdir/daemon.$1.err" &
     daemon=$!
     port=""
@@ -39,7 +37,7 @@ start_daemon() { # $1: log suffix
         kill "$daemon" 2>/dev/null || true
         exit 1
     fi
-    echo "== daemon up on port $port (pid $daemon, state $statedir)"
+    echo "== daemon up on port $port (pid $daemon)"
 }
 
 stop_daemon() { # $1: log suffix
@@ -61,22 +59,21 @@ stop_daemon() { # $1: log suffix
 
 # canonical_fix captures one deterministic /v1/fix response with the
 # timing/coalescing fields stripped (they legitimately vary run to run;
-# everything else must be byte-identical across a warm restart).
+# everything else must be byte-identical across a restart).
 canonical_fix() { # $1: output file
     curl -sf -X POST "http://127.0.0.1:$port/v1/fix" -d "$fixbody" \
         | jq -cS 'del(.elapsed_ms, .coalesced)' >"$1"
 }
 
-echo "== cold start: driving /v1/fix (coalescing herd) and /v1/stats via loadgen"
-start_daemon cold
-canonical_fix "$workdir/fix.cold.json"
+echo "== first start: driving /v1/fix (coalescing herd) and /v1/stats via loadgen"
+start_daemon first
+canonical_fix "$workdir/fix.first.json"
 "$workdir/loadgen" -addr "http://127.0.0.1:$port" -n 20 -concurrency 4 -distinct 1 \
     -show-stats | tee "$workdir/loadgen.out"
 
 echo "== checking the stats the run produced"
 grep -q '"agent_runs"' "$workdir/loadgen.out" || { echo "FAIL: stats missing agent_runs" >&2; exit 1; }
 grep -q '"latency_fix_ms"' "$workdir/loadgen.out" || { echo "FAIL: stats missing latency histogram" >&2; exit 1; }
-grep -q '"store"' "$workdir/loadgen.out" || { echo "FAIL: stats missing store section" >&2; exit 1; }
 
 echo "== scraping /metrics (Prometheus exposition)"
 curl -sf "http://127.0.0.1:$port/metrics" >"$workdir/metrics.prom"
@@ -118,58 +115,24 @@ echo "== hitting a pprof endpoint"
 curl -sf "http://127.0.0.1:$port/debug/pprof/cmdline" >/dev/null || {
     echo "FAIL: pprof endpoint not serving" >&2; exit 1; }
 
-echo "== sending SIGTERM and waiting for graceful drain + state flush"
-stop_daemon cold
-grep -q "state flushed" "$workdir/daemon.cold.err" || {
-    echo "FAIL: daemon did not flush its state on drain" >&2
-    cat "$workdir/daemon.cold.err" >&2
-    exit 1
-}
-[ -s "$statedir/journal.log" ] || { echo "FAIL: no journal written" >&2; exit 1; }
+echo "== sending SIGTERM and waiting for graceful drain"
+stop_daemon first
 
-echo "== warm restart over the same -state-dir"
-start_daemon warm
-# The FIRST request after restart must be served from the restored cache
-# and answer byte-identically to the cold run.
-canonical_fix "$workdir/fix.warm.json"
-if ! cmp -s "$workdir/fix.cold.json" "$workdir/fix.warm.json"; then
-    echo "FAIL: warm response differs from cold response" >&2
-    diff "$workdir/fix.cold.json" "$workdir/fix.warm.json" >&2 || true
+echo "== restart"
+start_daemon restart
+# A fresh process starts with empty caches and must answer the same
+# request byte-identically to the first run.
+canonical_fix "$workdir/fix.restart.json"
+if ! cmp -s "$workdir/fix.first.json" "$workdir/fix.restart.json"; then
+    echo "FAIL: response after restart differs from the first run" >&2
+    diff "$workdir/fix.first.json" "$workdir/fix.restart.json" >&2 || true
     exit 1
 fi
-stats=$(curl -sf "http://127.0.0.1:$port/v1/stats")
-hits=$(echo "$stats" | jq '.cache.compile.hits')
-misses=$(echo "$stats" | jq '.cache.compile.misses')
-loaded=$(echo "$stats" | jq '.store.loaded_at_open')
-if [ "$hits" -eq 0 ] || [ "$loaded" -eq 0 ]; then
-    echo "FAIL: warm start ineffective (compile hits=$hits misses=$misses loaded_at_open=$loaded)" >&2
-    exit 1
-fi
-echo "== warm first request: compile hits=$hits misses=$misses, $loaded records loaded at open"
-# Replay the whole workload; the warm-start split line must appear.
+# Replay the whole workload; the first-N split line must appear.
 "$workdir/loadgen" -addr "http://127.0.0.1:$port" -n 20 -concurrency 4 -distinct 1 \
-    | tee "$workdir/loadgen.warm.out"
-grep -q "first .* requests" "$workdir/loadgen.warm.out" || {
-    echo "FAIL: loadgen warm-start split line missing" >&2; exit 1; }
-stop_daemon warm
+    | tee "$workdir/loadgen.restart.out"
+grep -q "first .* requests" "$workdir/loadgen.restart.out" || {
+    echo "FAIL: loadgen first-N split line missing" >&2; exit 1; }
+stop_daemon restart
 
-echo "== corrupting the journal tail (torn crash write) and restarting"
-printf '\x04\xde\xad\xbe\xef' >>"$statedir/journal.log"
-start_daemon corrupt
-health=$(curl -sf "http://127.0.0.1:$port/v1/healthz" | jq -r '.status')
-if [ "$health" != "ok" ]; then
-    echo "FAIL: daemon unhealthy after journal corruption: $health" >&2
-    exit 1
-fi
-grep -q "recovered journal" "$workdir/daemon.corrupt.err" || {
-    echo "FAIL: recovery not reported after a torn journal tail" >&2
-    cat "$workdir/daemon.corrupt.err" >&2
-    exit 1
-}
-# The recovered daemon still serves the workload correctly.
-canonical_fix "$workdir/fix.recovered.json"
-cmp -s "$workdir/fix.cold.json" "$workdir/fix.recovered.json" || {
-    echo "FAIL: post-recovery response differs" >&2; exit 1; }
-stop_daemon corrupt
-
-echo "== OK: cold serve, metrics+trace+pprof, clean drain, warm restart (hits=$hits, byte-identical responses), torn-tail recovery"
+echo "== OK: serve, metrics+trace+pprof, clean drain, restart (byte-identical responses)"
