@@ -108,14 +108,13 @@ func main() {
 			return
 		}
 		start := time.Now()
-		before := memo.Totals()
+		before := memo.TotalsByKind()
 		if v := f(); *jsonOut && v != nil {
 			experiments[name] = v
 		}
 		fmt.Fprintf(human, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-		if d := memo.Totals().Sub(before); *cache && d != (memo.Stats{}) {
-			fmt.Fprintf(os.Stderr, "[%s cache: %d compile hits, %d misses, %d evictions, %d index lookups]\n",
-				name, d.Hits, d.Misses, d.Evictions, d.Lookups)
+		if *cache {
+			printCacheDeltas(name, before, memo.TotalsByKind())
 		}
 	}
 
@@ -220,5 +219,19 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchmark: encode: %v\n", err)
 			os.Exit(1)
 		}
+	}
+}
+
+// printCacheDeltas writes one stderr line per memo layer (compile cache,
+// sim cache, retrieval index) that one experiment touched.
+func printCacheDeltas(exp string, before, after memo.KindTotals) {
+	if d := after.Compile.Sub(before.Compile); d != (memo.Stats{}) {
+		fmt.Fprintf(os.Stderr, "[%s compile cache: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)
+	}
+	if d := after.Sim.Sub(before.Sim); d != (memo.Stats{}) {
+		fmt.Fprintf(os.Stderr, "[%s sim cache: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)
+	}
+	if d := after.Retrieval.Sub(before.Retrieval); d != (memo.Stats{}) {
+		fmt.Fprintf(os.Stderr, "[%s retrieval index: %d lookups]\n", exp, d.Lookups)
 	}
 }

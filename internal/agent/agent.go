@@ -218,18 +218,21 @@ func preclean(code string, t *Transcript) string {
 
 // observe builds the observation/feedback text for one compile: the
 // persona log, plus (analyzer on) the semantic-lint findings for the
-// candidate. The lint lines ride along in the prompt without being
+// candidate. The findings come from the compile result, which lints the
+// design its own frontend pass elaborated: nothing is re-parsed, and a
+// result from the compile cache carries findings already computed. The
+// lint lines ride along in the prompt without being
 // mistaken for compile errors — their format deliberately matches none
 // of the compiler-log dialects the model's log analysis parses, so the
 // error taxonomy, retrieval, and repair strategy selection are
 // byte-identical with the analyzer on or off.
-func observe(cfg Config, code string, res compiler.Result, t *Transcript) string {
+func observe(cfg Config, res compiler.Result, t *Transcript) string {
 	if cfg.DisableAnalyzer {
 		return res.Log
 	}
 	// Analyzer failure is never fatal (degradation ladder): a panicking
 	// rule just means this observation carries no lint lines.
-	findings, err := analyze.SafeSource(code, analyze.Options{})
+	findings, err := analyze.Safe(res.Findings)
 	if err != nil || len(findings) == 0 {
 		return res.Log
 	}
@@ -314,7 +317,7 @@ func RunOneShot(cfg Config, code string) *Transcript {
 		t.add(StepAction, "Finish", "the code already compiles")
 		return t
 	}
-	obs := observe(cfg, cur, res, t)
+	obs := observe(cfg, res, t)
 	t.add(StepObservation, "", obs)
 
 	var guidance []rag.Entry
@@ -368,7 +371,7 @@ func RunReAct(cfg Config, code string) *Transcript {
 		t.add(StepAction, "Finish", "the code already compiles")
 		return t
 	}
-	obs := observe(cfg, cur, res, t)
+	obs := observe(cfg, res, t)
 	t.add(StepObservation, "", obs)
 
 	pol := cfg.retryPolicy() // one retry budget across all iterations
@@ -415,7 +418,7 @@ func RunReAct(cfg Config, code string) *Transcript {
 			it.End()
 			return t
 		}
-		obs = observe(cfg, cur, res, t)
+		obs = observe(cfg, res, t)
 		t.add(StepObservation, "", obs)
 		it.End()
 	}

@@ -203,19 +203,14 @@ func Run(file *verilog.SourceFile, design *sema.Design, opts Options) diag.List 
 	return out
 }
 
-// Source parses and elaborates src, then runs the analyzer. Sources
-// with parse errors yield no findings (there is no tree to analyze);
-// elaboration errors are tolerated. This is the entry point the fixer's
-// repair loop uses on intermediate candidates.
+// Source runs the shared frontend pass (sema.ParseAndElaborate) over
+// src, then the analyzer. Sources with parse errors yield no findings
+// (there is no tree to analyze); elaboration errors are tolerated. The
+// repair loop does not call this: compiler.Result.Findings runs the
+// analyzer on the design its compile already elaborated, under the same
+// entry condition.
 func Source(src string, opts Options) diag.List {
-	file, parseDiags := verilog.Parse(src)
-	if parseDiags.HasErrors() {
-		return nil
-	}
-	design, _ := sema.Elaborate(file)
-	if design == nil {
-		return nil
-	}
+	file, design, _ := sema.ParseAndElaborate(src)
 	return Run(file, design, opts)
 }
 

@@ -1,8 +1,9 @@
-package analyze
+package analyze_test
 
 import (
 	"testing"
 
+	"repro/internal/analyze"
 	"repro/internal/dataset"
 	"repro/internal/diag"
 )
@@ -22,7 +23,7 @@ func TestCorpusSweep(t *testing.T) {
 	for _, suite := range []dataset.Suite{dataset.SuiteMachine, dataset.SuiteHuman, dataset.SuiteRTLLM} {
 		for _, p := range dataset.Problems(suite) {
 			total++
-			for _, d := range Source(p.RefSource, Options{}) {
+			for _, d := range analyze.Source(p.RefSource, analyze.Options{}) {
 				counts[d.Rule]++
 				if counts[d.Rule] <= 3 {
 					t.Logf("%s/%s [%s] line %d: %s", suite, p.ID, d.Rule, d.Pos.Line, d.Message)
@@ -36,7 +37,7 @@ func TestCorpusSweep(t *testing.T) {
 	if total != 314 {
 		t.Fatalf("curated corpus changed size: %d problems (sweep expects 314)", total)
 	}
-	for _, r := range Rules() {
+	for _, r := range analyze.Rules() {
 		if _, ok := golden[r.Code]; !ok {
 			t.Errorf("rule %s missing from the golden snapshot; update it deliberately", r.Code)
 		}
@@ -100,7 +101,7 @@ endmodule`,
 	}
 	counts := map[string]int{}
 	for i, src := range fixtures {
-		fs := Source(src, Options{})
+		fs := analyze.Source(src, analyze.Options{})
 		if len(fs) == 0 {
 			t.Errorf("fixture %d produced no findings", i+1)
 		}

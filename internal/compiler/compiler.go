@@ -17,7 +17,10 @@ package compiler
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/analyze"
 	"repro/internal/diag"
 	"repro/internal/sema"
 	"repro/internal/verilog"
@@ -37,6 +40,69 @@ type Result struct {
 	File *verilog.SourceFile
 	// Design is the elaborated design, non-nil only when Ok.
 	Design *sema.Design
+
+	// lint holds the analyzer's input and its findings, shared by every
+	// copy of this Result; nil when the source had no analyzable design.
+	lint *lintSlot
+}
+
+// Findings returns the semantic-lint findings (every internal/analyze
+// rule at its default severity) for the compiled source: exactly what
+// analyze.Source would report for it. They are computed on first call
+// from the design this compile already elaborated — kept for the
+// analyzer even when elaboration errors leave Design nil — and shared by
+// every copy of the Result, so a Result served from the compile cache
+// never re-runs the analyzer. Sources with parse errors have none. Safe
+// for concurrent use; callers must not modify the returned list.
+func (r Result) Findings() diag.List {
+	if r.lint == nil {
+		return nil
+	}
+	return r.lint.findings()
+}
+
+// lintSlot is a Result's analyzer input plus its once-computed findings.
+// Unlike sync.Once, a run that panics leaves the slot unfilled, so the
+// next caller runs the analyzer again, as a fresh analyze.Source call
+// would.
+type lintSlot struct {
+	file   *verilog.SourceFile
+	design *sema.Design
+
+	done atomic.Bool
+	mu   sync.Mutex
+	list diag.List
+}
+
+func (s *lintSlot) findings() diag.List {
+	if s.done.Load() {
+		return s.list
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.done.Load() {
+		s.list = analyze.Run(s.file, s.design, analyze.Options{})
+		s.done.Store(true)
+	}
+	return s.list
+}
+
+// frontend is the one parse + elaborate pass behind every persona. It
+// fills the persona-independent part of a Result: the diagnostics, the
+// AST, the design under Frontend's masking rule, and the analyzer's
+// input, whose design survives elaboration errors.
+func frontend(src string) Result {
+	file, design, diags := sema.ParseAndElaborate(src)
+	res := Result{Diags: diags, File: file}
+	if design == nil {
+		return res
+	}
+	res.lint = &lintSlot{file: file, design: design}
+	if !diags.HasErrors() {
+		res.Design = design
+		res.Ok = true
+	}
+	return res
 }
 
 // Compiler is one feedback persona.
@@ -57,26 +123,14 @@ type Compiler interface {
 // Frontend runs parse + elaborate with the real-compiler masking rule:
 // semantic analysis only runs when parsing succeeded, so parse errors hide
 // the elaboration errors behind them (the cascade that makes iterative
-// fixing necessary).
+// fixing necessary). The design is nil unless the source compiles with no
+// errors.
 func Frontend(src string) (*verilog.SourceFile, *sema.Design, diag.List) {
-	file, parseDiags := verilog.Parse(src)
-	if parseDiags.HasErrors() {
-		parseDiags.SortByPos()
-		return file, nil, parseDiags
+	file, design, diags := sema.ParseAndElaborate(src)
+	if diags.HasErrors() {
+		design = nil
 	}
-	design, semaDiags := sema.Elaborate(file)
-	// Copy into a fresh slice: append(parseDiags, ...) may share
-	// parseDiags' backing array, which SortByPos would then mutate under
-	// any caller still holding the parse diagnostics.
-	all := make(diag.List, 0, len(parseDiags)+len(semaDiags))
-	all = append(all, parseDiags...)
-	all = append(all, semaDiags...)
-	all = all.Dedupe()
-	all.SortByPos()
-	if all.HasErrors() {
-		return file, nil, all
-	}
-	return file, design, all
+	return file, design, diags
 }
 
 // ---------- Simple ----------
@@ -93,8 +147,7 @@ func (Simple) InfoScore() float64 { return 0.0 }
 
 // Compile implements Compiler.
 func (Simple) Compile(filename, src string) Result {
-	file, design, diags := Frontend(src)
-	res := Result{File: file, Design: design, Diags: diags, Ok: design != nil}
+	res := frontend(src)
 	if res.Ok {
 		res.Log = "Compilation successful."
 	} else {
@@ -120,8 +173,7 @@ const giveUpThreshold = 4
 
 // Compile implements Compiler.
 func (IVerilog) Compile(filename, src string) Result {
-	file, design, diags := Frontend(src)
-	res := Result{File: file, Design: design, Diags: diags, Ok: design != nil}
+	res := frontend(src)
 	if res.Ok {
 		// Real iverilog is silent on success, but an empty log would leave
 		// the agent with an empty Observation step; echo the filename the
@@ -130,7 +182,7 @@ func (IVerilog) Compile(filename, src string) Result {
 		return res
 	}
 	var b strings.Builder
-	errs := diags.Errors()
+	errs := res.Diags.Errors()
 	syntaxErrs := 0
 	for _, d := range errs {
 		if isParseCategory(d.Category) {
@@ -268,6 +320,8 @@ func quartusCode(c diag.Category) int {
 		return 12241
 	case diag.CatAliasHazard:
 		return 10268
+	case diag.CatResourceLimit:
+		return 10252
 	default:
 		return 10170
 	}
@@ -275,11 +329,10 @@ func quartusCode(c diag.Category) int {
 
 // Compile implements Compiler.
 func (Quartus) Compile(filename, src string) Result {
-	file, design, diags := Frontend(src)
-	res := Result{File: file, Design: design, Diags: diags, Ok: design != nil}
+	res := frontend(src)
 	var b strings.Builder
-	warnings := diags.Warnings()
-	errs := diags.Errors()
+	warnings := res.Diags.Warnings()
+	errs := res.Diags.Errors()
 	if res.Ok {
 		for _, w := range warnings {
 			fmt.Fprintf(&b, "Warning (%d): Verilog HDL warning at %s(%d): %s\n",

@@ -7,9 +7,10 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 
 	"repro/internal/agent"
-	"repro/internal/analyze"
 	"repro/internal/compiler"
 	"repro/internal/diag"
 	"repro/internal/llm"
@@ -139,15 +140,15 @@ func (f *RTLFixer) Options() Options { return f.opts }
 // Lint compiles the source through the configured persona without running
 // the agent — the cheap diagnostic path (served from the compile cache
 // when Options.Cache is on). The returned Result carries the persona log
-// and the structured diagnostics; with the analyzer on, semantic-lint
-// findings are appended to a copy of the diagnostics (the cached slice is
-// never mutated).
+// and the structured diagnostics; with the analyzer on, the result's
+// semantic-lint findings are appended to a copy of the diagnostics (the
+// cached slice is never mutated).
 func (f *RTLFixer) Lint(filename, code string) compiler.Result {
 	res := f.compiler.Compile(filename, code)
 	if f.opts.DisableAnalyzer {
 		return res
 	}
-	findings := f.Analyze(code)
+	findings := res.Findings()
 	if len(findings) == 0 {
 		return res
 	}
@@ -158,15 +159,11 @@ func (f *RTLFixer) Lint(filename, code string) compiler.Result {
 	return res
 }
 
-// Analyze runs the semantic lint engine alone over the source and returns
-// its findings (nil when the source does not parse, or when the analyzer
-// is disabled). Unlike Lint it never consults the compiler persona.
-func (f *RTLFixer) Analyze(code string) diag.List {
-	if f.opts.DisableAnalyzer {
-		return nil
-	}
-	return analyze.Source(code, analyze.Options{})
-}
+// rngPool recycles the simulated model's random generators across fixes:
+// a math/rand source is about 5 KB, and every fix needs one. A run's
+// generator returns to the pool when FixTraced returns; the transcript
+// keeps no reference to the model.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // Database returns the retrieval database, nil when RAG is off.
 func (f *RTLFixer) Database() *rag.Database { return f.db }
@@ -185,9 +182,12 @@ func (f *RTLFixer) Fix(filename, code string, sampleSeed int64) *agent.Transcrip
 // Fix — the no-op span chain adds no allocations — and the transcript
 // is byte-identical either way.
 func (f *RTLFixer) FixTraced(filename, code string, sampleSeed int64, sp *trace.Span) *agent.Transcript {
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(f.opts.Seed ^ sampleSeed) // the stream of a fresh rand.NewSource
 	cfg := agent.Config{
 		Compiler:        f.compiler,
-		Model:           llm.NewModel(f.persona, f.opts.Seed^sampleSeed),
+		Model:           llm.NewModelRand(f.persona, rng),
 		DB:              f.db,
 		Retriever:       f.retriever,
 		MaxIterations:   f.opts.MaxIterations,

@@ -1,9 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/agent"
+	"repro/internal/analyze"
+	"repro/internal/diag"
+	"repro/internal/llm"
 	"repro/internal/memo"
 )
 
@@ -178,5 +184,67 @@ func TestLintAndOptions(t *testing.T) {
 	f.Lint("main.v", paperClkExample)
 	if after := f.CacheStats(); after.Hits <= before.Hits {
 		t.Fatalf("repeated Lint did not hit the compile cache: %+v -> %+v", before, after)
+	}
+}
+
+// TestPooledModelGeneratorsMatchFreshOnes: FixTraced's pooled,
+// reseeded generators give every run the stream a fresh
+// rand.NewSource(Seed^sampleSeed) would, even with many runs in flight
+// at once (run under -race: a generator shared by two live runs would
+// both race and change their transcripts).
+func TestPooledModelGeneratorsMatchFreshOnes(t *testing.T) {
+	f, err := New(Options{Seed: 11, RAG: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 32
+	want := make([]string, runs)
+	for i := range want {
+		cfg := agent.Config{
+			Compiler: f.compiler, Model: llm.NewModel(f.persona, f.opts.Seed^int64(i)),
+			DB: f.db, Retriever: f.retriever, Filename: "main.v", SampleSeed: int64(i),
+		}
+		want[i] = agent.RunReAct(cfg, paperClkExample).Render()
+	}
+	got := make([]string, runs)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = f.Fix("main.v", paperClkExample, int64(i)).Render()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d: pooled-generator transcript differs from a fresh model's", i)
+		}
+	}
+}
+
+// TestLintReadsFindingsFromCompileResult: Lint appends the findings the
+// compile result carries, which are exactly analyze.Source's for the
+// text, and a cached repeat reuses them rather than re-analyzing.
+func TestLintReadsFindingsFromCompileResult(t *testing.T) {
+	const latch = "module top_module(input sel, input a, output reg y);\n\talways @(*) begin\n\t\tif (sel) y = a;\n\tend\nendmodule\n"
+	f, err := New(Options{Cache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := analyze.Source(latch, analyze.Options{})
+	if len(want) == 0 {
+		t.Fatal("latch source has no findings")
+	}
+	first := f.Lint("main.v", latch)
+	if got := first.Diags[len(first.Diags)-len(want):]; !reflect.DeepEqual(diag.List(got), want) {
+		t.Fatalf("Lint findings %v, want %v", got, want)
+	}
+	again := f.Lint("main.v", latch)
+	if &again.Diags[len(again.Diags)-1] == &first.Diags[len(first.Diags)-1] {
+		t.Fatal("Lint appended into a shared diagnostics slice")
+	}
+	if a, b := first.Findings(), again.Findings(); &a[0] != &b[0] {
+		t.Fatal("a cached Lint re-ran the analyzer")
 	}
 }

@@ -140,6 +140,12 @@ const (
 	// engine/walker divergences in TestEngineRegressions.
 	CatAliasHazard
 
+	// CatResourceLimit is a declaration the frontend refuses because it
+	// exceeds a fixed resource bound (a signal wider than
+	// sema.MaxSignalBits). It is an elaboration error, listed last only so
+	// that adding it moved no other category's value.
+	CatResourceLimit
+
 	numCategories
 )
 
@@ -174,6 +180,8 @@ var categoryNames = map[Category]string{
 	CatReadBeforeWrite:       "read-before-write",
 	CatUnusedSignal:          "unused-signal",
 	CatAliasHazard:           "alias-hazard",
+
+	CatResourceLimit: "resource-limit",
 }
 
 // String returns the stable kebab-case tag for the category. These tags are

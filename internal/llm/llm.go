@@ -165,7 +165,16 @@ type Model struct {
 
 // NewModel builds a model with a deterministic seed.
 func NewModel(p Persona, seed int64) *Model {
-	return &Model{Persona: p, rng: rand.New(rand.NewSource(seed))}
+	return NewModelRand(p, rand.New(rand.NewSource(seed)))
+}
+
+// NewModelRand builds a model that draws its rolls from rng. A model from
+// NewModel(p, seed) behaves exactly like one from NewModelRand(p, rng)
+// once rng.Seed(seed) is called. The model owns rng until the caller's
+// last Repair returns; callers reuse generators this way to skip the
+// allocation of a fresh source per run.
+func NewModelRand(p Persona, rng *rand.Rand) *Model {
+	return &Model{Persona: p, rng: rng}
 }
 
 // aptitude returns the stable per-(sample, category) uniform draw in

@@ -25,11 +25,22 @@ type entry[V any] struct {
 }
 
 // shard is one lock domain of a cache: a bounded map with FIFO
-// displacement (deterministic, no clock reads).
+// displacement (deterministic, no clock reads), plus the computations in
+// flight for keys that missed.
 type shard[K comparable, V any] struct {
-	mu      sync.Mutex
-	entries map[K]entry[V]
-	order   []K
+	mu       sync.Mutex
+	entries  map[K]entry[V]
+	order    []K
+	inflight map[K]*flight[V]
+}
+
+// flight is one computation that concurrent misses on its key wait for.
+// val and ok are written before done is released and read only after.
+type flight[V any] struct {
+	src  string
+	done sync.WaitGroup
+	val  V
+	ok   bool // false when the computation panicked
 }
 
 // cache is the one content-addressed cache core under CompileCache and
@@ -61,6 +72,7 @@ func (c *cache[K, V]) init(capacity int, global *counters) {
 	c.global = global
 	for i := range c.shards {
 		c.shards[i].entries = make(map[K]entry[V])
+		c.shards[i].inflight = make(map[K]*flight[V])
 	}
 }
 
@@ -93,27 +105,79 @@ func (c *cache[K, V]) peek(k K, src string) (V, bool) {
 	e, ok := s.entries[k]
 	s.mu.Unlock()
 	if ok && e.src == src {
-		c.c.hits.Add(1)
-		c.global.hits.Add(1)
+		c.hit()
 		return e.val, true
 	}
 	var zero V
 	return zero, false
 }
 
-// get is peek with miss accounting.
-func (c *cache[K, V]) get(k K, src string) (V, bool) {
-	v, ok := c.peek(k, src)
-	if !ok {
-		c.c.misses.Add(1)
-		c.global.misses.Add(1)
+// getOrCompute returns the value cached under (k, src), computing and
+// storing it on a miss. Misses are single-flight: while one caller
+// computes a source, concurrent callers for the same source wait for its
+// value and count as hits, exactly as they would had they arrived after
+// it, so the miss count does not depend on the worker count. A
+// computation that panics releases its waiters, which then retry (one of
+// them computing in its place); the panic propagates to its own caller.
+// A caller whose source collides with the one in flight waits for that
+// flight, then computes its own. compute runs without the shard lock
+// held and must not look up k in this cache.
+func (c *cache[K, V]) getOrCompute(k K, src string, compute func() V) V {
+	s := c.shardFor(k)
+	for {
+		s.mu.Lock()
+		if e, ok := s.entries[k]; ok && e.src == src {
+			s.mu.Unlock()
+			c.hit()
+			return e.val
+		}
+		if f, busy := s.inflight[k]; busy {
+			s.mu.Unlock()
+			f.done.Wait()
+			if f.ok && f.src == src {
+				c.hit()
+				return f.val
+			}
+			// The flight panicked, or computed a different source under
+			// k (an FNV collision): look again.
+			continue
+		}
+		f := &flight[V]{src: src}
+		f.done.Add(1)
+		s.inflight[k] = f
+		s.mu.Unlock()
+		c.miss()
+		return c.lead(s, k, f, compute)
 	}
-	return v, ok
 }
 
-// put stores v under k and returns the value the cache now holds. When
-// racing workers computed the same source, the first value stays, so
-// every caller shares one copy. A different source at k (an FNV
+// lead runs the computation for flight f, stores its value, and then —
+// on every path, a panic included — retires f and releases its waiters.
+func (c *cache[K, V]) lead(s *shard[K, V], k K, f *flight[V], compute func() V) V {
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, k)
+		s.mu.Unlock()
+		f.done.Done()
+	}()
+	f.val = c.put(k, f.src, compute())
+	f.ok = true
+	return f.val
+}
+
+func (c *cache[K, V]) hit() {
+	c.c.hits.Add(1)
+	c.global.hits.Add(1)
+}
+
+func (c *cache[K, V]) miss() {
+	c.c.misses.Add(1)
+	c.global.misses.Add(1)
+}
+
+// put stores v under k and returns the value the cache now holds. Should
+// the source already be cached, the first value stays, so every caller
+// shares one copy. A different source at k (an FNV
 // collision) is overwritten and counted as an eviction; a full shard
 // displaces its oldest entry (FIFO: deterministic and cheap, a displaced
 // entry is simply recomputed on its next miss).

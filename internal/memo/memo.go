@@ -102,10 +102,9 @@ var (
 )
 
 // Totals returns the process-wide aggregate counters over every
-// CompileCache, SimCache, and RetrievalIndex ever created. Under
-// concurrency the hit/miss split is approximate (two workers can race to
-// populate the same key, recording two misses where a serial run records
-// one miss and one hit); the cached values themselves are exact.
+// CompileCache, SimCache, and RetrievalIndex ever created. Misses are
+// single-flight, so the hit/miss split matches a serial run's as long as
+// no entry is displaced.
 func Totals() Stats {
 	t := TotalsByKind()
 	return t.Compile.Add(t.Sim).Add(t.Retrieval)
@@ -206,8 +205,7 @@ func (c *cachedCompiler) CompileHit(filename, src string) (compiler.Result, bool
 // Compile implements compiler.Compiler.
 func (c *cachedCompiler) Compile(filename, src string) compiler.Result {
 	key := compileKey{persona: c.inner.Name(), filename: filename, srcHash: HashSource(src)}
-	if res, ok := c.cache.get(key, src); ok {
-		return res
-	}
-	return c.cache.put(key, src, c.inner.Compile(filename, src))
+	return c.cache.getOrCompute(key, src, func() compiler.Result {
+		return c.inner.Compile(filename, src)
+	})
 }

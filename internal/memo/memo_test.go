@@ -148,17 +148,19 @@ func TestCompileCacheCollisionGuard(t *testing.T) {
 	key := compileKey{persona: "Quartus", filename: "main.v", srcHash: 42}
 	resA := compiler.Result{Ok: true, Log: "A"}
 	cc.put(key, "source-a", resA)
-	if _, ok := cc.get(key, "source-b"); ok {
+	if _, ok := cc.peek(key, "source-b"); ok {
 		t.Fatal("colliding key with different source served a wrong result")
 	}
 	resB := compiler.Result{Ok: false, Log: "B"}
-	cc.put(key, "source-b", resB)
-	got, ok := cc.get(key, "source-b")
+	if got := cc.getOrCompute(key, "source-b", func() compiler.Result { return resB }); got.Log != "B" {
+		t.Fatalf("colliding lookup served %q, want the recomputed B", got.Log)
+	}
+	got, ok := cc.peek(key, "source-b")
 	if !ok || got.Log != "B" {
 		t.Fatalf("overwritten entry not served: ok=%v log=%q", ok, got.Log)
 	}
-	if s := cc.Stats(); s.Evictions != 1 {
-		t.Fatalf("collision overwrite should count one eviction, got %+v", s)
+	if s := cc.Stats(); s.Evictions != 1 || s.Misses != 1 {
+		t.Fatalf("collision should count one miss and one eviction, got %+v", s)
 	}
 }
 

@@ -68,11 +68,9 @@ func (sc *SimCache) Program(src string) (*sim.Program, *sema.Design, diag.List) 
 }
 
 func (sc *SimCache) lookup(src string) simEntry {
-	key := simKey(HashSource(src))
-	if e, ok := sc.get(key, src); ok {
-		return e
-	}
-	return sc.put(key, src, compileSimEntry(src))
+	return sc.getOrCompute(simKey(HashSource(src)), src, func() simEntry {
+		return compileSimEntry(src)
+	})
 }
 
 // compileSimEntry runs the full oracle compile pipeline for one source.

@@ -34,8 +34,11 @@ type Signal struct {
 }
 
 // Width returns the signal's width in bits.
-func (s *Signal) Width() int {
-	d := s.MSB - s.LSB
+func (s *Signal) Width() int { return rangeWidth(s.MSB, s.LSB) }
+
+// rangeWidth is the width in bits of the range [msb:lsb].
+func rangeWidth(msb, lsb int) int {
+	d := msb - lsb
 	if d < 0 {
 		d = -d
 	}
@@ -83,6 +86,41 @@ func (d *Design) portsByDir(dir verilog.PortDir) []*Signal {
 		}
 	}
 	return out
+}
+
+// MaxSignalBits bounds the state one declared signal may hold: its width
+// times its array depth (the supported subset declares no arrays, so the
+// depth is 1). IEEE 1364-2005 §4.3.1 lets an implementation limit vector
+// width provided the limit is at least 2^16 bits; this frontend takes
+// exactly that, so one untrusted declaration cannot make the simulator
+// or its observers allocate gigabytes. A wider range is a
+// diag.CatResourceLimit error.
+const MaxSignalBits = 1 << 16
+
+// ParseAndElaborate is the one frontend pass behind the compiler
+// personas and the semantic analyzer. It parses src and, only when the
+// parse is clean, elaborates it: parse errors mask the elaboration errors
+// behind them, as in real compilers. The design is returned even when
+// elaboration reports errors (the analyzer runs on such best-effort
+// designs); it is nil when parsing failed or the source declares no
+// module. The diagnostics are sorted by position (deduplicated when
+// elaboration ran) in a slice the caller owns.
+func ParseAndElaborate(src string) (*verilog.SourceFile, *Design, diag.List) {
+	file, parseDiags := verilog.Parse(src)
+	if parseDiags.HasErrors() {
+		parseDiags.SortByPos()
+		return file, nil, parseDiags
+	}
+	design, semaDiags := Elaborate(file)
+	// Copy into a fresh slice: append(parseDiags, ...) may share
+	// parseDiags' backing array, which SortByPos would then mutate under
+	// any caller still holding the parse diagnostics.
+	all := make(diag.List, 0, len(parseDiags)+len(semaDiags))
+	all = append(all, parseDiags...)
+	all = append(all, semaDiags...)
+	all = all.Dedupe()
+	all.SortByPos()
+	return file, design, all
 }
 
 // Elaborate elaborates the first module of the file and runs all semantic
@@ -233,6 +271,12 @@ func (e *elaborator) rangeBounds(r *verilog.Range, kind verilog.NetKind) (msb, l
 			"Range bounds must be constant expressions.",
 			"vector range bounds must be constant")
 		return 0, 0
+	}
+	if w := rangeWidth(m, l); w > MaxSignalBits {
+		e.errorf(diag.CatResourceLimit, r.Pos(), "",
+			fmt.Sprintf("Declare at most %d bits per signal.", MaxSignalBits),
+			"vector range [%d:%d] is %d bits wide, over the limit of %d bits per signal",
+			m, l, w, MaxSignalBits)
 	}
 	return m, l
 }

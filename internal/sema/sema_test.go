@@ -529,3 +529,25 @@ endmodule`, "hi lo"},
 		}
 	}
 }
+
+// TestSignalWidthLimit: a range wider than MaxSignalBits is a typed
+// resource-limit error wherever it is declared (ANSI port, body
+// declaration, block-local variable); the limit itself is accepted, and
+// the design is still returned for the analyzer.
+func TestSignalWidthLimit(t *testing.T) {
+	wantClean(t, "module m(input [65535:0] a, output [0:65535] y);\n\tassign y = a;\nendmodule")
+	for _, src := range []string{
+		"module top_module(input clk, output reg [1999999999:0] q);\n\talways @(posedge clk) q <= ~q;\nendmodule",
+		"module m(input a, output y);\n\treg [-1:65535] big;\n\tassign y = a;\nendmodule",
+		"module m(input a, output reg y);\n\talways @(*) begin : b\n\t\treg [65536:0] t;\n\t\ty = a;\n\tend\nendmodule",
+	} {
+		for _, d := range wantCategory(t, src, diag.CatResourceLimit) {
+			if d.Category == diag.CatResourceLimit && !strings.Contains(d.Message, "over the limit of 65536 bits") {
+				t.Errorf("limit diagnostic does not name the bound: %s", d.Message)
+			}
+		}
+		if d, _ := elab(t, src); d == nil {
+			t.Error("design dropped on a resource-limit error")
+		}
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -308,5 +309,29 @@ func TestBrownoutShedsLint(t *testing.T) {
 	res := serverStatsJSON(t, ts.URL)["resilience"].(map[string]any)
 	if res["brownout_lint_shed"].(float64) < 1 {
 		t.Fatalf("brownout_lint_shed = %v", res["brownout_lint_shed"])
+	}
+}
+
+// TestOversizedRegisterDoesNotKillServer: one /v1/fix of a design with a
+// 2e9-bit register used to reach the post-fix sim check, whose coverage
+// observer allocated the register's full width and killed the process.
+// The frontend now refuses any signal over sema.MaxSignalBits, so the
+// request gets an answer, the process stays healthy, and the request
+// allocates nowhere near the register's 250 MB.
+func TestOversizedRegisterDoesNotKillServer(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const src = "module top_module(input clk, output reg [1999999999:0] q); always @(posedge clk) q <= ~q; endmodule"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status, out := postFix(t, ts.URL, map[string]any{"source": src})
+	runtime.ReadMemStats(&after)
+	if status != http.StatusOK || out["success"] != false {
+		t.Fatalf("status %d, body %v: want a 200 reporting the design unfixed", status, out)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("the request allocated %d MB", grew>>20)
+	}
+	if code, health := getJSON(t, ts.URL+"/v1/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after the oversized design: %d %v", code, health)
 	}
 }

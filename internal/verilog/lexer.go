@@ -247,9 +247,19 @@ func validBaseDigit(base, c byte) bool {
 	return false
 }
 
+// opsByFirst lists, for each byte, the operators that start with it, in
+// the operators table's longest-first order, so lexOp tries only the
+// few candidates that can match instead of the whole table.
+var opsByFirst = func() (t [256][]string) {
+	for _, op := range operators {
+		t[op[0]] = append(t[op[0]], op)
+	}
+	return t
+}()
+
 func (lx *Lexer) lexOp(pos diag.Pos) Token {
 	rest := lx.src[lx.off:]
-	for _, op := range operators {
+	for _, op := range opsByFirst[rest[0]] {
 		if strings.HasPrefix(rest, op) {
 			for range op {
 				lx.advance()

@@ -58,4 +58,17 @@ if "$VLINT" -severity all=error testdata/lint/comb_loop.v >/dev/null; then
 fi
 "$VLINT" testdata/lint/comb_loop.v >/dev/null || fail "warnings alone should exit zero"
 
+# --- hostile input: an oversized register is a typed diagnostic -------
+# -coverage simulates every elaborable file; a 2e9-bit register must be
+# refused by the frontend (a resource-limit error, exit 1) before it
+# reaches the simulator, not kill vlint (a Go fatal error exits 2).
+HOSTILE=testdata/hostile/oversized_register.v
+rc=0; HOUT="$("$VLINT" -coverage -json "$HOSTILE")" || rc=$?
+[ "$rc" -eq 1 ] || fail "vlint -coverage on $HOSTILE exited $rc, want 1"
+echo "$HOUT" | jq -e '.[0].ok == false and .[0].findings[0].category == "resource-limit"' \
+  >/dev/null || fail "$HOSTILE: no resource-limit diagnostic in -json output"
+HLOG="$("$VLINT" -coverage "$HOSTILE")" || true
+echo "$HLOG" | grep -q 'over the limit of 65536 bits' \
+  || fail "$HOSTILE: the persona log does not report the width limit"
+
 echo "vlint_smoke: OK"
