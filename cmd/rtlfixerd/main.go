@@ -1,8 +1,9 @@
 // Command rtlfixerd is the long-running RTLFixer service: a JSON HTTP
 // daemon (internal/server) that pools one fixer per configuration so the
 // compile cache and retrieval index are shared across requests, with
-// bounded admission, request coalescing, batched dispatch, per-request
-// deadlines, live /v1/stats metrics, and graceful drain on SIGTERM.
+// bounded admission, request coalescing, a fixed set of -max-inflight
+// runners (no batching), per-request deadlines, live /v1/stats metrics,
+// and graceful drain on SIGTERM.
 //
 // Usage:
 //
@@ -59,11 +60,8 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	seed := flag.Int64("seed", 1, "base seed for every pooled fixer")
-	workers := flag.Int("workers", runtime.NumCPU(), "pipeline workers per dispatch batch")
 	maxInFlight := flag.Int("max-inflight", 2*runtime.NumCPU(), "max concurrently running fix requests")
 	queueDepth := flag.Int("queue", 64, "admitted-but-waiting requests beyond -max-inflight (0 = none)")
-	maxBatch := flag.Int("max-batch", 0, "max requests per dispatch batch (0 = -max-inflight)")
-	linger := flag.Duration("linger", 2*time.Millisecond, "batch fill window after the first queued request")
 	defaultTimeout := flag.Duration("default-timeout", 30*time.Second, "deadline for requests without timeout_ms")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "upper clamp on request deadlines")
 	coalesce := flag.Bool("coalesce", true, "coalesce identical concurrent requests into one run")
@@ -110,9 +108,6 @@ func main() {
 		Seed:              *seed,
 		MaxInFlight:       *maxInFlight,
 		QueueDepth:        qd,
-		MaxBatch:          *maxBatch,
-		BatchLinger:       *linger,
-		Workers:           *workers,
 		DefaultTimeout:    *defaultTimeout,
 		MaxTimeout:        *maxTimeout,
 		DisableCoalesce:   !*coalesce,
@@ -146,8 +141,8 @@ func main() {
 	}
 	// The one stdout line: scripts parse the resolved port from it.
 	fmt.Printf("rtlfixerd: listening on %s\n", ln.Addr())
-	logger.Printf("serving (inflight=%d queue=%d batch<=%d linger=%v coalesce=%v cache=%v trace=%v pprof=%v)",
-		*maxInFlight, *queueDepth, *maxBatch, *linger, *coalesce, *cache, *tracing, *pprofOn)
+	logger.Printf("serving (inflight=%d queue=%d coalesce=%v cache=%v trace=%v pprof=%v)",
+		*maxInFlight, *queueDepth, *coalesce, *cache, *tracing, *pprofOn)
 
 	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)

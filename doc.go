@@ -30,8 +30,9 @@
 //
 // The fix loop also runs as a long-lived service: internal/server (daemon:
 // cmd/rtlfixerd, traffic generator: cmd/loadgen) serves POST /v1/fix with
-// bounded admission, single-flight coalescing of identical requests,
-// batched dispatch through the pipeline workers, per-request deadlines,
+// bounded admission, single-flight coalescing of identical requests, a
+// fixed set of runners that take admitted requests in FIFO order,
+// per-request deadlines,
 // graceful drain on SIGTERM, and live /v1/stats metrics.
 //
 // The service is observable end to end: internal/trace threads a

@@ -174,20 +174,19 @@ func (c Config) filename() string {
 	return "main.v"
 }
 
-// hitCompiler is the optional probe the memo layer's cached compiler
-// implements. The tracer uses it to attribute cache hits on compile
-// spans without widening the compiler.Compiler interface; a hit counts
-// in the cache statistics exactly as a Compile hit would, and a miss
-// has no side effects, so memo transparency is undisturbed.
+// hitCompiler is the optional extension the memo layer's cached
+// compiler implements: one cache lookup that also reports whether it was
+// a hit. The tracer uses it to attribute cache hits on compile spans
+// without widening the compiler.Compiler interface; the result and the
+// cache statistics are exactly those of Compile.
 type hitCompiler interface {
-	CompileHit(filename, src string) (compiler.Result, bool)
+	CompileReportingHit(filename, src string) (compiler.Result, bool)
 }
 
 // compileStep compiles cur under a "compile" child span of parent,
 // annotating the outcome and — when the compiler is the memo layer's
 // cached wrapper — whether the result was served from cache. With a nil
-// parent this is exactly cfg.Compiler.Compile: no probe, no spans, no
-// allocations.
+// parent this is exactly cfg.Compiler.Compile: no spans, no allocations.
 func compileStep(cfg Config, parent *trace.Span, cur string) compiler.Result {
 	fault.Delay(fault.CompileStall)
 	sp := parent.Child("compile")
@@ -195,12 +194,11 @@ func compileStep(cfg Config, parent *trace.Span, cur string) compiler.Result {
 		return cfg.Compiler.Compile(cfg.filename(), cur)
 	}
 	var res compiler.Result
-	hit := false
 	if hc, ok := cfg.Compiler.(hitCompiler); ok {
-		res, hit = hc.CompileHit(cfg.filename(), cur)
+		var hit bool
+		res, hit = hc.CompileReportingHit(cfg.filename(), cur)
 		sp.SetBool("cache_hit", hit)
-	}
-	if !hit {
+	} else {
 		res = cfg.Compiler.Compile(cfg.filename(), cur)
 	}
 	sp.SetBool("ok", res.Ok)

@@ -95,25 +95,9 @@ func (c *cache[K, V]) shardFor(k K) *shard[K, V] {
 	return &c.shards[k.shardHash()%uint64(len(c.shards))]
 }
 
-// peek returns the value cached under k when the stored source matches
-// src (the collision guard). A present entry counts as a hit; an absent
-// one counts nothing, so a caller probing before a full lookup leaves
-// the statistics identical to an unprobed lookup.
-func (c *cache[K, V]) peek(k K, src string) (V, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	e, ok := s.entries[k]
-	s.mu.Unlock()
-	if ok && e.src == src {
-		c.hit()
-		return e.val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // getOrCompute returns the value cached under (k, src), computing and
-// storing it on a miss. Misses are single-flight: while one caller
+// storing it on a miss, and reports whether the lookup counted as a hit.
+// Misses are single-flight: while one caller
 // computes a source, concurrent callers for the same source wait for its
 // value and count as hits, exactly as they would had they arrived after
 // it, so the miss count does not depend on the worker count. A
@@ -122,21 +106,21 @@ func (c *cache[K, V]) peek(k K, src string) (V, bool) {
 // A caller whose source collides with the one in flight waits for that
 // flight, then computes its own. compute runs without the shard lock
 // held and must not look up k in this cache.
-func (c *cache[K, V]) getOrCompute(k K, src string, compute func() V) V {
+func (c *cache[K, V]) getOrCompute(k K, src string, compute func() V) (V, bool) {
 	s := c.shardFor(k)
 	for {
 		s.mu.Lock()
 		if e, ok := s.entries[k]; ok && e.src == src {
 			s.mu.Unlock()
 			c.hit()
-			return e.val
+			return e.val, true
 		}
 		if f, busy := s.inflight[k]; busy {
 			s.mu.Unlock()
 			f.done.Wait()
 			if f.ok && f.src == src {
 				c.hit()
-				return f.val
+				return f.val, true
 			}
 			// The flight panicked, or computed a different source under
 			// k (an FNV collision): look again.
@@ -147,7 +131,7 @@ func (c *cache[K, V]) getOrCompute(k K, src string, compute func() V) V {
 		s.inflight[k] = f
 		s.mu.Unlock()
 		c.miss()
-		return c.lead(s, k, f, compute)
+		return c.lead(s, k, f, compute), false
 	}
 }
 

@@ -190,22 +190,20 @@ func (c *cachedCompiler) Name() string { return c.inner.Name() }
 // InfoScore implements compiler.Compiler.
 func (c *cachedCompiler) InfoScore() float64 { return c.inner.InfoScore() }
 
-// CompileHit reports whether (filename, src) is already cached,
-// returning the cached result when so. A hit is accounted exactly as a
-// Compile hit; a miss has no side effects, and callers fall through to
-// Compile for the full miss path.
-// The tracing layer probes this (via a structural interface) to
-// attribute cache hits on compile spans without widening
-// compiler.Compiler.
-func (c *cachedCompiler) CompileHit(filename, src string) (compiler.Result, bool) {
-	key := compileKey{persona: c.inner.Name(), filename: filename, srcHash: HashSource(src)}
-	return c.cache.peek(key, src)
-}
-
-// Compile implements compiler.Compiler.
-func (c *cachedCompiler) Compile(filename, src string) compiler.Result {
+// CompileReportingHit compiles like Compile and also reports whether
+// the result was served from the cache (a single-flight waiter counts as
+// a hit, as in the counters). The tracing layer calls it (via a
+// structural interface) to attribute cache hits on compile spans without
+// widening compiler.Compiler.
+func (c *cachedCompiler) CompileReportingHit(filename, src string) (compiler.Result, bool) {
 	key := compileKey{persona: c.inner.Name(), filename: filename, srcHash: HashSource(src)}
 	return c.cache.getOrCompute(key, src, func() compiler.Result {
 		return c.inner.Compile(filename, src)
 	})
+}
+
+// Compile implements compiler.Compiler.
+func (c *cachedCompiler) Compile(filename, src string) compiler.Result {
+	res, _ := c.CompileReportingHit(filename, src)
+	return res
 }

@@ -148,16 +148,17 @@ func TestCompileCacheCollisionGuard(t *testing.T) {
 	key := compileKey{persona: "Quartus", filename: "main.v", srcHash: 42}
 	resA := compiler.Result{Ok: true, Log: "A"}
 	cc.put(key, "source-a", resA)
-	if _, ok := cc.peek(key, "source-b"); ok {
-		t.Fatal("colliding key with different source served a wrong result")
-	}
 	resB := compiler.Result{Ok: false, Log: "B"}
-	if got := cc.getOrCompute(key, "source-b", func() compiler.Result { return resB }); got.Log != "B" {
-		t.Fatalf("colliding lookup served %q, want the recomputed B", got.Log)
+	got, hit := cc.getOrCompute(key, "source-b", func() compiler.Result { return resB })
+	if hit || got.Log != "B" {
+		t.Fatalf("colliding lookup: hit=%v log=%q, want a miss recomputing B", hit, got.Log)
 	}
-	got, ok := cc.peek(key, "source-b")
-	if !ok || got.Log != "B" {
-		t.Fatalf("overwritten entry not served: ok=%v log=%q", ok, got.Log)
+	got, hit = cc.getOrCompute(key, "source-b", func() compiler.Result {
+		t.Error("overwritten entry recomputed")
+		return compiler.Result{}
+	})
+	if !hit || got.Log != "B" {
+		t.Fatalf("overwritten entry not served: hit=%v log=%q", hit, got.Log)
 	}
 	if s := cc.Stats(); s.Evictions != 1 || s.Misses != 1 {
 		t.Fatalf("collision should count one miss and one eviction, got %+v", s)

@@ -68,9 +68,10 @@ func (sc *SimCache) Program(src string) (*sim.Program, *sema.Design, diag.List) 
 }
 
 func (sc *SimCache) lookup(src string) simEntry {
-	return sc.getOrCompute(simKey(HashSource(src)), src, func() simEntry {
+	e, _ := sc.getOrCompute(simKey(HashSource(src)), src, func() simEntry {
 		return compileSimEntry(src)
 	})
+	return e
 }
 
 // compileSimEntry runs the full oracle compile pipeline for one source.

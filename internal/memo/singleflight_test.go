@@ -99,7 +99,7 @@ func TestCacheSingleFlightPanicReleasesWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = cc.getOrCompute(key, cleanSrc, func() compiler.Result {
+			got[i], _ = cc.getOrCompute(key, cleanSrc, func() compiler.Result {
 				computed.Add(1)
 				return good
 			})
@@ -116,8 +116,12 @@ func TestCacheSingleFlightPanicReleasesWaiters(t *testing.T) {
 	if c := computed.Load(); c != 1 {
 		t.Fatalf("waiters computed the value %d times, want 1", c)
 	}
-	if r, ok := cc.peek(key, cleanSrc); !ok || r.Log != "good" {
-		t.Fatalf("recomputed value not cached: ok=%v %q", ok, r.Log)
+	r, hit := cc.getOrCompute(key, cleanSrc, func() compiler.Result {
+		t.Error("recomputed value not cached")
+		return compiler.Result{}
+	})
+	if !hit || r.Log != "good" {
+		t.Fatalf("recomputed value not cached: hit=%v %q", hit, r.Log)
 	}
 }
 

@@ -73,22 +73,3 @@ func TestPanicIsolatedTimeoutPath(t *testing.T) {
 		}
 	}
 }
-
-// TestPanicReachesOnResult: serving layers key their accounting off
-// OnResult, so a panicked job must be delivered there like any other
-// completion.
-func TestPanicReachesOnResult(t *testing.T) {
-	jobs := makeJobs(4, 1)
-	var panicked int
-	cfg := Config{Workers: 2, OnResult: func(r Result) {
-		if pe, ok := resilience.AsPanic(r.Err); ok && pe != nil {
-			panicked++
-		}
-	}}
-	if _, err := Run(context.Background(), cfg, jobs, panicEvery(2)); err != nil {
-		t.Fatal(err)
-	}
-	if panicked != 2 {
-		t.Fatalf("OnResult saw %d panicked jobs, want 2", panicked)
-	}
-}

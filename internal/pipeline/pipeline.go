@@ -113,18 +113,6 @@ type Config struct {
 	// to finish in the background (agent runs are iteration-bounded, so
 	// this is bounded work).
 	JobTimeout time.Duration
-	// OnProgress, when non-nil, is called after each job completes with
-	// the number of completed jobs and the batch size. Calls are
-	// serialized but arrive in completion order, not job order.
-	OnProgress func(done, total int)
-	// OnResult, when non-nil, is called with each job's Result as soon
-	// as that job finishes, without waiting for the rest of the batch —
-	// the hook a server needs to answer each caller at its own job's
-	// completion. Calls are serialized (under the same lock as
-	// OnProgress) and arrive in completion order; canceled jobs are
-	// reported too, with Err set. The result slice Run returns is
-	// unaffected.
-	OnResult func(Result)
 	// Tracer, when non-nil, collects one trace per job: runOne opens a
 	// root "job" span, carries it on the worker's context
 	// (trace.NewContext), and ends it when the job finishes or times
@@ -155,29 +143,6 @@ func Run(ctx context.Context, cfg Config, jobs []Job, fn FixFunc) ([]Result, err
 	queue := make(chan int)
 	var wg sync.WaitGroup
 
-	// deliver serializes the completion callbacks across workers. They
-	// run under the mutex so invocations are truly serialized and done
-	// counts arrive in order, as Config documents; callbacks are expected
-	// to be cheap (progress display, handing a result to a waiter), so
-	// holding the lock across them does not throttle the pool
-	// meaningfully.
-	var progressMu sync.Mutex
-	done := 0
-	deliver := func(r Result) {
-		if cfg.OnProgress == nil && cfg.OnResult == nil {
-			return
-		}
-		progressMu.Lock()
-		if cfg.OnResult != nil {
-			cfg.OnResult(r)
-		}
-		if cfg.OnProgress != nil {
-			done++
-			cfg.OnProgress(done, len(jobs))
-		}
-		progressMu.Unlock()
-	}
-
 	workers := cfg.workers()
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -188,7 +153,6 @@ func Run(ctx context.Context, cfg Config, jobs []Job, fn FixFunc) ([]Result, err
 			defer wg.Done()
 			for i := range queue {
 				results[i] = runOne(ctx, cfg, jobs[i], i, fn)
-				deliver(results[i])
 			}
 		}()
 	}
@@ -206,7 +170,6 @@ feed:
 				jb := jobs[j]
 				jb.Index = j
 				results[j] = Result{Job: jb, Err: ctx.Err()}
-				deliver(results[j])
 			}
 			break feed
 		}
@@ -261,8 +224,8 @@ func runOne(ctx context.Context, cfg Config, j Job, index int, fn FixFunc) Resul
 // invoke runs the fix function with panic isolation: a panicking job
 // becomes a failed Result carrying a *resilience.PanicError instead of
 // unwinding the worker and crashing the pool (and, behind it, the
-// daemon). The fix function's own defers — run-slot release, in-flight
-// gauges — run normally during the unwind.
+// daemon). The fix function's own defers run normally during the
+// unwind.
 func invoke(ctx context.Context, j Job, fn FixFunc) (tr *agent.Transcript, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -203,28 +202,6 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
-// TestProgressCallback checks every completion is reported exactly once,
-// in order (calls are serialized, per Config's contract), and the final
-// call sees the full batch.
-func TestProgressCallback(t *testing.T) {
-	calls := 0 // plain int: the serialization contract makes this safe
-	cfg := Config{Workers: 4, OnProgress: func(done, total int) {
-		calls++
-		if total != 30 {
-			t.Errorf("total = %d, want 30", total)
-		}
-		if done != calls {
-			t.Errorf("done = %d on call %d; counts must arrive in order", done, calls)
-		}
-	}}
-	if _, err := Run(context.Background(), cfg, makeJobs(30, 5), synthFix); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 30 {
-		t.Fatalf("progress calls = %d, want 30", calls)
-	}
-}
-
 // TestShardAndMerge verifies sharded execution plus Merge reproduces the
 // single-pool summary.
 func TestShardAndMerge(t *testing.T) {
@@ -284,11 +261,10 @@ func TestEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestCancellationProgressReachesTotal: even when the batch is canceled
-// mid-drain, every job — completed or canceled — must be reported through
-// OnProgress exactly once, so a CLI progress display always terminates at
-// total, and every canceled slot must carry ctx.Err().
-func TestCancellationProgressReachesTotal(t *testing.T) {
+// TestCanceledSlotsCarryCtxErr: when the batch is canceled mid-drain,
+// Run returns ctx.Err() and every slot is either a completed job or
+// carries ctx.Err().
+func TestCanceledSlotsCarryCtxErr(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
 	block := make(chan struct{})
@@ -300,17 +276,6 @@ func TestCancellationProgressReachesTotal(t *testing.T) {
 		return synthFix(context.Background(), j)
 	}
 	jobs := makeJobs(25, 5)
-	var calls atomic.Int32
-	var maxDone atomic.Int32
-	cfg := Config{Workers: 2, OnProgress: func(done, total int) {
-		calls.Add(1)
-		if total != 25 {
-			t.Errorf("total = %d, want 25", total)
-		}
-		if int32(done) > maxDone.Load() {
-			maxDone.Store(int32(done))
-		}
-	}}
 	go func() {
 		for started.Load() < 2 {
 			time.Sleep(time.Millisecond)
@@ -318,12 +283,9 @@ func TestCancellationProgressReachesTotal(t *testing.T) {
 		<-ctx.Done()
 		close(block)
 	}()
-	results, runErr := Run(ctx, cfg, jobs, fn)
+	results, runErr := Run(ctx, Config{Workers: 2}, jobs, fn)
 	if !errors.Is(runErr, context.Canceled) {
 		t.Fatalf("Run error = %v, want context.Canceled", runErr)
-	}
-	if calls.Load() != 25 || maxDone.Load() != 25 {
-		t.Fatalf("progress calls = %d, max done = %d, want 25/25", calls.Load(), maxDone.Load())
 	}
 	for i, r := range results {
 		if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
@@ -378,83 +340,6 @@ func TestSummaryCarriesCacheStats(t *testing.T) {
 	want := memo.Stats{Hits: 11, Misses: 3, Evictions: 3, Lookups: 5}
 	if m.Cache != want {
 		t.Fatalf("Merge cache stats = %+v, want %+v", m.Cache, want)
-	}
-}
-
-// TestOnResultDeliversEveryJob checks the per-completion hook: every job
-// (including canceled ones) is reported exactly once, serialized, with the
-// same Result that lands in the returned slice.
-func TestOnResultDeliversEveryJob(t *testing.T) {
-	jobs := makeJobs(40, 8)
-	var mu sync.Mutex
-	seen := make(map[int]Result)
-	inHook := atomic.Int32{}
-	cfg := Config{Workers: 4, OnResult: func(r Result) {
-		if inHook.Add(1) != 1 {
-			t.Error("OnResult reentered: calls are not serialized")
-		}
-		mu.Lock()
-		if _, dup := seen[r.Job.Index]; dup {
-			t.Errorf("job %d reported twice", r.Job.Index)
-		}
-		seen[r.Job.Index] = r
-		mu.Unlock()
-		inHook.Add(-1)
-	}}
-	results, err := Run(context.Background(), cfg, jobs, synthFix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(jobs) {
-		t.Fatalf("OnResult saw %d jobs, want %d", len(seen), len(jobs))
-	}
-	for i, r := range results {
-		got := seen[i]
-		got.Elapsed = r.Elapsed
-		if !reflect.DeepEqual(got, r) {
-			t.Fatalf("job %d: OnResult saw %+v, Run returned %+v", i, got, r)
-		}
-	}
-}
-
-// TestOnResultReportsCanceledJobs verifies canceled jobs reach the hook
-// with Err set, so a server can answer their waiters.
-func TestOnResultReportsCanceledJobs(t *testing.T) {
-	jobs := makeJobs(30, 5)
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	blockingFix := func(_ context.Context, j Job) *agent.Transcript {
-		once.Do(func() { close(started) })
-		<-release
-		return synthFix(context.Background(), j)
-	}
-	var canceled, completed atomic.Int32
-	cfg := Config{Workers: 2, OnResult: func(r Result) {
-		if r.Err != nil {
-			canceled.Add(1)
-		} else {
-			completed.Add(1)
-		}
-	}}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, err := Run(ctx, cfg, jobs, blockingFix)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("Run err = %v, want context.Canceled", err)
-		}
-	}()
-	<-started
-	cancel()
-	close(release)
-	<-done
-	if got := int(canceled.Load() + completed.Load()); got != len(jobs) {
-		t.Fatalf("OnResult saw %d jobs, want %d", got, len(jobs))
-	}
-	if canceled.Load() == 0 {
-		t.Fatal("no canceled jobs reached OnResult")
 	}
 }
 

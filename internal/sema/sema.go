@@ -155,6 +155,11 @@ type elaborator struct {
 	// locals tracks block-scoped declarations (loop variables, block
 	// integers) currently visible, by name.
 	locals map[string]*Signal
+	// unknownParams names parameters declared without a constant value.
+	// Their own error is reported once; their uses resolve (no
+	// undeclared-identifier error, not assignable) but have no value or
+	// width.
+	unknownParams map[string]bool
 }
 
 func (e *elaborator) errorf(cat diag.Category, pos diag.Pos, sym, suggestion, format string, args ...any) {
@@ -206,6 +211,7 @@ func (e *elaborator) collectParams(m *verilog.Module) {
 			if dn.Init == nil {
 				e.errorf(diag.CatNonConstantExpr, dn.NamePos, dn.Name, "",
 					"parameter '%s' has no value", dn.Name)
+				e.declareUnknownParam(dn.Name)
 				continue
 			}
 			v, ok := e.evalConst(dn.Init)
@@ -213,9 +219,10 @@ func (e *elaborator) collectParams(m *verilog.Module) {
 				e.errorf(diag.CatNonConstantExpr, dn.NamePos, dn.Name,
 					"Parameter values must be constant expressions.",
 					"parameter '%s' is not a constant expression", dn.Name)
+				e.declareUnknownParam(dn.Name)
 				continue
 			}
-			if _, dup := e.design.Params[dn.Name]; dup {
+			if e.isParam(dn.Name) {
 				e.errorf(diag.CatDuplicateDecl, dn.NamePos, dn.Name, "",
 					"parameter '%s' is already declared", dn.Name)
 				continue
@@ -223,6 +230,24 @@ func (e *elaborator) collectParams(m *verilog.Module) {
 			e.design.Params[dn.Name] = v
 		}
 	}
+}
+
+// declareUnknownParam records a parameter whose value is already
+// reported as missing or not constant, so its uses add no second error.
+func (e *elaborator) declareUnknownParam(name string) {
+	if e.isParam(name) {
+		return
+	}
+	if e.unknownParams == nil {
+		e.unknownParams = map[string]bool{}
+	}
+	e.unknownParams[name] = true
+}
+
+// isParam reports whether name is a declared parameter, valued or not.
+func (e *elaborator) isParam(name string) bool {
+	_, ok := e.design.Params[name]
+	return ok || e.unknownParams[name]
 }
 
 func (e *elaborator) declare(s *Signal) {
@@ -447,7 +472,7 @@ func (e *elaborator) checkExpr(expr verilog.Expr) {
 	verilog.WalkExprs(expr, func(x verilog.Expr) {
 		switch n := x.(type) {
 		case *verilog.Ident:
-			if e.lookup(n.Name) == nil {
+			if e.lookup(n.Name) == nil && !e.unknownParams[n.Name] {
 				e.errorf(diag.CatUndeclaredIdent, n.Pos(), n.Name,
 					"Verify the object name is correct. If the name is correct, declare the object.",
 					"object \"%s\" is not declared", n.Name)
@@ -664,13 +689,13 @@ func (e *elaborator) checkLHSBase(base verilog.Expr, pos diag.Pos, mode lhsMode)
 		return
 	}
 	sig := e.lookup(id.Name)
-	if sig == nil {
+	if sig == nil && !e.unknownParams[id.Name] {
 		e.errorf(diag.CatUndeclaredIdent, pos, id.Name,
 			fmt.Sprintf("Declare '%s' before assigning to it.", id.Name),
 			"object '%s' is not declared", id.Name)
 		return
 	}
-	if _, isParam := e.design.Params[id.Name]; isParam {
+	if e.isParam(id.Name) {
 		e.errorf(diag.CatInvalidLValue, pos, id.Name,
 			"Parameters are constants and cannot be assigned.",
 			"parameter '%s' cannot be an assignment target", id.Name)

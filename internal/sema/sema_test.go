@@ -551,3 +551,32 @@ func TestSignalWidthLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestElabUnknownParamReportedOnce: a parameter with no constant value
+// gets one error; its later uses resolve to a declared parameter of
+// unknown value, so they add no undeclared-identifier error and no width
+// warning, and it stays unassignable.
+func TestElabUnknownParamReportedOnce(t *testing.T) {
+	_, diags := elab(t, `
+module top_module(input clk, output reg [7:0] q);
+	localparam P = {2000000000{1'b1}};
+	always @(posedge clk) q <= P;
+endmodule`)
+	if errs := diags.Errors(); len(errs) != 1 || errs[0].Category != diag.CatNonConstantExpr {
+		t.Fatalf("want exactly one non-constant-parameter error, got: %s", diags.Summary())
+	}
+	if w := diags.Warnings(); len(w) != 0 {
+		t.Fatalf("an unknown-valued parameter added warnings: %s", diags.Summary())
+	}
+	diags = wantCategory(t, `
+module m(input a, output y);
+	localparam Q = a;
+	assign y = Q[3] & a;
+	always @(*) Q = a;
+endmodule`, diag.CatInvalidLValue)
+	for _, d := range diags {
+		if d.Category == diag.CatUndeclaredIdent {
+			t.Fatalf("use of an unknown-valued parameter reported undeclared: %s", diags.Summary())
+		}
+	}
+}

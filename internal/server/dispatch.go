@@ -1,15 +1,12 @@
-// Admission, single-flight coalescing, and batched dispatch for the fix
+// Admission, single-flight coalescing, and dispatch for the fix
 // service. The flow for one POST /v1/fix:
 //
 //	handler ── joinOrLead ──┬── follower: wait on an existing flight
 //	                        └── leader: admit → enqueue → wait
-//	dispatcher ── collect a batch (≤ MaxBatch, ≤ BatchLinger) ──
-//	           └─ each batch runs in its own goroutine: pipeline.Run
-//	              fans it over Workers goroutines, agent runs gated by
-//	              the MaxInFlight run-slot semaphore; each flight is
-//	              finished (result stored, waiters woken) the moment its
-//	              own job completes (pipeline OnResult), so a slow run
-//	              never head-of-line-blocks an unrelated request.
+//	runners (MaxInFlight goroutines) ── take the next flight off the
+//	           FIFO queue → run the agent → finish it (result stored,
+//	           waiters woken), so a slow run holds only its own runner
+//	           and never head-of-line-blocks an unrelated request.
 //
 // Admission is a counting semaphore over leaders only: coalesced
 // followers ride for free, which is exactly the point — a thundering
@@ -28,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/memo"
-	"repro/internal/pipeline"
 	"repro/internal/resilience"
 	"repro/internal/trace"
 )
@@ -69,8 +65,8 @@ type flight struct {
 	done    chan struct{}
 
 	// root is the leader's request trace span (nil with tracing off or
-	// for FNV-collision flights); queueSpan covers admission → run-slot
-	// acquisition. Only the leader's trace carries the run: coalesced
+	// for FNV-collision flights); queueSpan covers admission → a runner
+	// taking the flight. Only the leader's trace carries the run: coalesced
 	// followers' traces record their own admission and wait, and the
 	// shared agent work appears once, under the request that started it.
 	root      *trace.Span
@@ -135,188 +131,115 @@ func (s *Server) admitLocked(f *flight) error {
 	s.flightWG.Add(1)
 	s.m.queueDepth.Inc()
 	// The queue span opens the moment admission is charged and closes
-	// when the run slot is acquired (or the flight dies first), so its
+	// when a runner takes the flight (or the flight dies first), so its
 	// duration is exactly the time the request read as "queued".
 	f.queueSpan = f.root.Child("queue")
 	s.queue <- f // capacity == admission limit: never blocks
 	return nil
 }
 
-// dispatch is the batching loop: take the first queued flight, linger
-// briefly to fill a batch, fan the batch out through internal/pipeline,
-// repeat. Batches run concurrently (tracked by batchWG) so one slow job
-// never head-of-line-blocks later arrivals; the number of agent runs
-// actually executing is bounded separately by the runSlots semaphore
-// (MaxInFlight), which is what makes concurrent batches safe.
-func (s *Server) dispatch() {
-	defer close(s.dispatcherDone)
-	for {
-		first, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := s.collectBatch(first)
-		s.batchWG.Add(1)
-		go func() {
-			defer s.batchWG.Done()
-			s.runBatch(batch)
-		}()
+// runner is one of the MaxInFlight goroutines that execute flights: it
+// takes them off the admission queue in FIFO order until the queue is
+// closed. The runner count is the bound on concurrent agent runs, so a
+// flight that leaves the queue starts at once, and a slow run occupies
+// only its own runner.
+func (s *Server) runner() {
+	defer s.runnersWG.Done()
+	for f := range s.queue {
+		s.runFlight(f)
 	}
 }
 
-// collectBatch gathers up to MaxBatch flights, waiting at most
-// BatchLinger after the first one — the DAQ event-building compromise
-// between batching efficiency and added latency.
-func (s *Server) collectBatch(first *flight) []*flight {
-	batch := []*flight{first}
-	if s.cfg.MaxBatch <= 1 {
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.BatchLinger)
-	defer timer.Stop()
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case f, ok := <-s.queue:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, f)
-		case <-timer.C:
-			return batch
-		}
-	}
-	return batch
-}
-
-// runBatch fans one batch over the pipeline pool. Each flight completes
-// individually via OnResult, so a fast job never waits for a slow
-// batchmate's response (only for the batch's worker slots).
-func (s *Server) runBatch(batch []*flight) {
-	s.m.batches.Inc()
-	s.m.batchedJobs.Add(uint64(len(batch)))
-	s.m.maxBatch.Max(int64(len(batch)))
-
-	jobs := make([]pipeline.Job, len(batch))
-	for i, f := range batch {
-		jobs[i] = pipeline.Job{Filename: f.filename, Code: f.source, SampleSeed: f.seed}
-	}
-	// The queueDepth gauge counts admitted-not-yet-running requests; it
-	// is decremented only once a run slot is held (or the flight dies
-	// first), so slot-waiting jobs still read as queued in /v1/stats.
-	fn := func(_ context.Context, j pipeline.Job) *agent.Transcript {
-		f := batch[j.Index]
-		if !s.flightAliveOrRetire(f) {
-			// Every waiter's deadline expired before the run started.
-			// Skip the work; finish delivers tr == nil.
-			s.m.queueDepth.Dec()
-			s.m.expiredBeforeRun.Inc()
-			f.queueSpan.SetStr("outcome", "expired")
-			f.queueSpan.End()
-			return nil
-		}
-		// Concurrent batches share the MaxInFlight run slots; waiting
-		// here is the queueing the admission budget promised.
-		select {
-		case s.runSlots <- struct{}{}:
-		case <-s.stop:
-			// Safe to write here: fn and this job's finish (via
-			// OnResult) run sequentially, and finish only overwrites
-			// err on a pipeline-level cancellation.
-			s.m.queueDepth.Dec()
-			f.err = errShutdown
-			f.queueSpan.SetStr("outcome", "shutdown")
-			f.queueSpan.End()
-			return nil
-		}
-		defer func() { <-s.runSlots }()
-		s.m.queueDepth.Dec()
-		if !s.flightAliveOrRetire(f) {
-			s.m.expiredBeforeRun.Inc()
-			f.queueSpan.SetStr("outcome", "expired")
-			f.queueSpan.End()
-			return nil
-		}
+// runFlight runs one flight unless Close stopped the server or every
+// waiter gave up while it was queued, then finishes it. The queueDepth
+// gauge counts admitted-not-yet-running flights, so it drops the moment
+// a runner takes the flight.
+func (s *Server) runFlight(f *flight) {
+	s.m.queueDepth.Dec()
+	select {
+	case <-s.stop:
+		// Close aborts flights that have not started: their waiters get
+		// 503, distinct from a deadline's 504.
+		f.queueSpan.SetStr("outcome", "shutdown")
 		f.queueSpan.End()
-		if s.testHook != nil {
-			s.testHook(f)
-		}
-		s.m.inFlight.Inc()
-		defer s.m.inFlight.Dec()
-		s.m.agentRuns.Inc()
-		if fault.Hit(fault.WorkerPanic) {
-			// Deliberately past the gauges and their defers: the injected
-			// panic unwinds through them exactly like a real one, and the
-			// pipeline's recover turns it into this job's PanicError.
-			panic("fault: injected worker panic")
-		}
-		run := f.root.Child("run")
-		run.SetInt("batch_size", int64(len(batch)))
-		ag := run.Child("agent")
-		tr := f.fixer.FixTraced(f.filename, f.source, f.seed, ag)
-		if tr != nil {
-			ag.SetBool("success", tr.Success)
-			ag.SetInt("iterations", int64(tr.Iterations))
-			// Per-run resilience accounting (per run, not per waiter —
-			// coalesced followers share one transcript).
-			if tr.LLMRetries > 0 {
-				s.m.llmRetriedRuns.Inc()
-				if tr.Aborted == "" {
-					s.m.llmRetryRecovered.Inc()
-				}
-			}
-			if tr.Aborted != "" {
-				s.m.llmAborted.Inc()
-			}
-		}
-		ag.End()
-		s.simCheck(tr, run)
-		run.End()
-		return tr
+		s.finish(f, nil, 0, errShutdown)
+		return
+	default:
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { // Close aborts jobs that have not started
-		select {
-		case <-s.stop:
-			cancel()
-		case <-ctx.Done():
+	if !s.flightAliveOrRetire(f) {
+		// Every waiter's deadline expired before the run started. Skip
+		// the work; finish delivers tr == nil.
+		s.m.expiredBeforeRun.Inc()
+		f.queueSpan.SetStr("outcome", "expired")
+		f.queueSpan.End()
+		s.finish(f, nil, 0, nil)
+		return
+	}
+	f.queueSpan.End()
+	start := time.Now()
+	tr, err := s.runAgent(f)
+	s.finish(f, tr, time.Since(start), err)
+}
+
+// runAgent is one agent run with panic isolation: a panicking run
+// becomes this flight's *resilience.PanicError (its waiters get a 500)
+// instead of unwinding the runner and crashing the daemon. The run's own
+// defers (the in-flight gauge) run normally during the unwind.
+func (s *Server) runAgent(f *flight) (tr *agent.Transcript, err error) {
+	defer func() {
+		if rv := recover(); rv != nil {
+			pe := resilience.Recovered("server.run", rv)
+			s.m.panicsWorker.Inc()
+			s.cfg.logf("server: agent run panicked (isolated): %v\n%s", pe.Value, pe.Stack)
+			tr, err = nil, pe
 		}
 	}()
-	_, _ = pipeline.Run(ctx, pipeline.Config{
-		Workers: s.cfg.Workers,
-		OnResult: func(r pipeline.Result) {
-			f := batch[r.Job.Index]
-			if pe, isPanic := resilience.AsPanic(r.Err); isPanic {
-				// The run panicked mid-flight: fn's defers already
-				// released the run slot and gauges during the unwind, so
-				// no queue-depth charge is outstanding here.
-				s.m.panicsWorker.Inc()
-				s.cfg.logf("server: agent run panicked (isolated): %v\n%s", pe.Value, pe.Stack)
-			} else if r.Err != nil {
-				// Canceled before it ran (server Close): the queue-depth
-				// charge from admission is still outstanding.
-				s.m.queueDepth.Dec()
+	if s.testHook != nil {
+		s.testHook(f)
+	}
+	s.m.inFlight.Inc()
+	defer s.m.inFlight.Dec()
+	s.m.agentRuns.Inc()
+	if fault.Hit(fault.WorkerPanic) {
+		// Deliberately past the gauges and their defers: the injected
+		// panic unwinds through them exactly like a real one.
+		panic("fault: injected worker panic")
+	}
+	run := f.root.Child("run")
+	ag := run.Child("agent")
+	tr = f.fixer.FixTraced(f.filename, f.source, f.seed, ag)
+	if tr != nil {
+		ag.SetBool("success", tr.Success)
+		ag.SetInt("iterations", int64(tr.Iterations))
+		// Per-run resilience accounting (per run, not per waiter —
+		// coalesced followers share one transcript).
+		if tr.LLMRetries > 0 {
+			s.m.llmRetriedRuns.Inc()
+			if tr.Aborted == "" {
+				s.m.llmRetryRecovered.Inc()
 			}
-			s.finish(f, r)
-		},
-	}, jobs, fn)
+		}
+		if tr.Aborted != "" {
+			s.m.llmAborted.Inc()
+		}
+	}
+	ag.End()
+	s.simCheck(tr, run)
+	run.End()
+	return tr, nil
 }
 
 // finish publishes a flight's outcome and releases its admission slot.
 // The flight leaves the map before done closes, so late arrivals start a
 // fresh run instead of reading a completed flight.
-func (s *Server) finish(f *flight, r pipeline.Result) {
+func (s *Server) finish(f *flight, tr *agent.Transcript, elapsed time.Duration, err error) {
 	s.flightsMu.Lock()
 	if cur, ok := s.flights[f.key]; ok && cur == f {
 		delete(s.flights, f.key)
 	}
 	s.flightsMu.Unlock()
 
-	f.tr = r.Transcript
-	f.elapsed = r.Elapsed
-	if r.Err != nil {
-		f.err = r.Err // preserve a pre-set errShutdown otherwise
-	}
+	f.tr, f.elapsed, f.err = tr, elapsed, err
 	close(f.done)
 
 	<-s.admitted // release the admission slot
@@ -362,7 +285,7 @@ func (s *Server) BeginDrain() {
 }
 
 // Drain gracefully shuts the dispatch machinery down: stop admission,
-// wait for every admitted flight to finish, then stop the dispatcher.
+// wait for every admitted flight to finish, then stop the runners.
 // Returns ctx.Err() if the deadline expires first (flights still running
 // keep running; call Close to abandon queued ones).
 func (s *Server) Drain(ctx context.Context) error {
@@ -378,18 +301,13 @@ func (s *Server) Drain(ctx context.Context) error {
 		return ctx.Err()
 	}
 	s.queueCloseOnce.Do(func() { close(s.queue) })
-	select {
-	case <-s.dispatcherDone:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	batchesDone := make(chan struct{})
+	runnersDone := make(chan struct{})
 	go func() {
-		s.batchWG.Wait()
-		close(batchesDone)
+		s.runnersWG.Wait()
+		close(runnersDone)
 	}()
 	select {
-	case <-batchesDone:
+	case <-runnersDone:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -397,15 +315,14 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Close force-stops the server: drain admission, cancel queued jobs that
-// have not started (their waiters get 503), and stop the dispatcher.
-// Running agent runs cannot be preempted and are left to finish their
-// flights. Always returns nil; the error form satisfies io.Closer.
+// Close force-stops the server: drain admission, answer queued flights
+// that have not started with 503, and stop the runners. Running agent
+// runs cannot be preempted and are left to finish their flights. Always
+// returns nil; the error form satisfies io.Closer.
 func (s *Server) Close() error {
 	s.BeginDrain()
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.queueCloseOnce.Do(func() { close(s.queue) })
-	<-s.dispatcherDone
-	s.batchWG.Wait()
+	s.runnersWG.Wait()
 	return nil
 }

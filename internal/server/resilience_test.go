@@ -261,7 +261,7 @@ func TestPrewarmBuildsDefaultFixer(t *testing.T) {
 // best-effort surface) is shed with 503 and counted; once load clears
 // it serves again. Fix traffic is untouched by the brownout check.
 func TestBrownoutShedsLint(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: -1, Workers: 1})
+	s, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: -1})
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	s.testHook = func(*flight) {

@@ -2,8 +2,8 @@
 // one shared pool of core.RTLFixer instances, so the compile cache and
 // retrieval index built for one request serve every later request.
 //
-// The serving spine borrows the admission-control / event-batching /
-// continuous-monitoring shape of the DAQ systems in PAPERS.md:
+// The serving spine borrows the admission-control / continuous-monitoring
+// shape of the DAQ systems in PAPERS.md:
 //
 //   - Bounded admission — at most MaxInFlight running plus QueueDepth
 //     waiting requests are admitted; everything beyond that is refused
@@ -11,10 +11,9 @@
 //   - Single-flight coalescing — identical (configuration, filename,
 //     source-hash, seed) requests arriving together share one agent run:
 //     a thundering herd costs one run, and every waiter gets the result.
-//   - Batched dispatch — admitted requests are collected into small
-//     batches (bounded size and linger) and fanned out through
-//     internal/pipeline workers, the same pool the offline benchmarks
-//     use; each request is answered the moment its own job completes.
+//   - Runners — MaxInFlight long-lived goroutines take admitted
+//     requests off a FIFO queue one at a time; each request is answered
+//     the moment its own run completes.
 //   - Per-request deadlines — every request carries a deadline
 //     (timeout_ms, clamped to server bounds); expiry answers 504 while
 //     the non-preemptible agent run finishes in the background and still
@@ -69,15 +68,6 @@ type Config struct {
 	// QueueDepth bounds admitted-but-waiting fix requests beyond
 	// MaxInFlight; < 0 means 0, 0 means the default 64.
 	QueueDepth int
-	// MaxBatch bounds how many queued requests one dispatch batch may
-	// carry; <= 0 means MaxInFlight.
-	MaxBatch int
-	// BatchLinger is how long the dispatcher waits to fill a batch after
-	// its first request arrives; <= 0 means 2ms.
-	BatchLinger time.Duration
-	// Workers sizes the pipeline pool each batch fans out over; <= 0
-	// means NumCPU.
-	Workers int
 	// DefaultTimeout applies when a request carries no timeout_ms;
 	// <= 0 means 30s.
 	DefaultTimeout time.Duration
@@ -150,15 +140,6 @@ func (c Config) withDefaults() Config {
 	case c.QueueDepth == 0:
 		c.QueueDepth = 64
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = c.MaxInFlight
-	}
-	if c.BatchLinger <= 0 {
-		c.BatchLinger = 2 * time.Millisecond
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
@@ -214,12 +195,11 @@ type Server struct {
 	fixers   map[fixerKey]*core.RTLFixer
 
 	// Admission + dispatch state lives in dispatch.go.
-	admitMu  sync.RWMutex // guards draining and sends into queue
-	draining bool
-	queue    chan *flight
-	admitted chan struct{} // capacity = MaxInFlight + QueueDepth
-	runSlots chan struct{} // capacity = MaxInFlight: bounds executing runs
-	batchWG  sync.WaitGroup
+	admitMu   sync.RWMutex // guards draining and sends into queue
+	draining  bool
+	queue     chan *flight
+	admitted  chan struct{} // capacity = MaxInFlight + QueueDepth
+	runnersWG sync.WaitGroup
 
 	flightsMu sync.Mutex
 	flights   map[flightKey]*flight
@@ -228,7 +208,6 @@ type Server struct {
 	stop           chan struct{} // closed by Close: cancels queued work
 	stopOnce       sync.Once
 	queueCloseOnce sync.Once
-	dispatcherDone chan struct{}
 
 	// testHook, when non-nil, runs at the start of every agent run (test
 	// seam for blocking runs; set before serving traffic).
@@ -257,21 +236,19 @@ type Server struct {
 	reqSeq atomic.Uint64
 }
 
-// New builds and starts a server (its dispatcher goroutine runs until
-// Close or Drain).
+// New builds and starts a server (its MaxInFlight runner goroutines run
+// until Close or Drain).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:            cfg,
-		start:          time.Now(),
-		fixers:         map[fixerKey]*core.RTLFixer{},
-		queue:          make(chan *flight, cfg.MaxInFlight+cfg.QueueDepth),
-		admitted:       make(chan struct{}, cfg.MaxInFlight+cfg.QueueDepth),
-		runSlots:       make(chan struct{}, cfg.MaxInFlight),
-		flights:        map[flightKey]*flight{},
-		stop:           make(chan struct{}),
-		dispatcherDone: make(chan struct{}),
-		breakers:       map[fixerKey]*resilience.Breaker{},
+		cfg:      cfg,
+		start:    time.Now(),
+		fixers:   map[fixerKey]*core.RTLFixer{},
+		queue:    make(chan *flight, cfg.MaxInFlight+cfg.QueueDepth),
+		admitted: make(chan struct{}, cfg.MaxInFlight+cfg.QueueDepth),
+		flights:  map[flightKey]*flight{},
+		stop:     make(chan struct{}),
+		breakers: map[fixerKey]*resilience.Breaker{},
 	}
 	s.brownoutAt = int(cfg.BrownoutThreshold * float64(cfg.MaxInFlight+cfg.QueueDepth))
 	if s.brownoutAt < 1 {
@@ -303,7 +280,10 @@ func New(cfg Config) *Server {
 	} else {
 		s.prewarmed.Store(true)
 	}
-	go s.dispatch()
+	s.runnersWG.Add(cfg.MaxInFlight)
+	for i := 0; i < cfg.MaxInFlight; i++ {
+		go s.runner()
+	}
 	return s
 }
 
@@ -750,7 +730,7 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "run canceled: %v", f.err)
 	case f.tr == nil:
 		// The leader's deadline expired before the run started, so the
-		// batch skipped it; this waiter raced the same fate.
+		// runner skipped it; this waiter raced the same fate.
 		root.SetStr("outcome", "expired_before_run")
 		s.m.deadlineExpired.Inc()
 		writeError(w, http.StatusGatewayTimeout, "coalesced run expired before starting")

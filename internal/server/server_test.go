@@ -182,7 +182,7 @@ func TestBadRequests(t *testing.T) {
 // requests cost one agent run, and every caller gets the same answer.
 func TestCoalescing(t *testing.T) {
 	const n = 8
-	s, ts := newTestServer(t, Config{MaxInFlight: 2, Workers: 2})
+	s, ts := newTestServer(t, Config{MaxInFlight: 2})
 	release := make(chan struct{})
 	s.testHook = func(*flight) { <-release }
 
@@ -236,7 +236,7 @@ func TestCoalescing(t *testing.T) {
 // refused immediately with 429.
 func TestAdmissionOverflow(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		MaxInFlight: 1, QueueDepth: -1, MaxBatch: 1, Workers: 1,
+		MaxInFlight: 1, QueueDepth: -1,
 		DisableCoalesce: true,
 	})
 	entered := make(chan struct{}, 4)
@@ -269,7 +269,7 @@ func TestAdmissionOverflow(t *testing.T) {
 // TestDeadlineExpiry: a request whose deadline passes mid-run gets a
 // clean 504 while the non-preemptible run finishes in the background.
 func TestDeadlineExpiry(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 1, Workers: 1})
+	s, ts := newTestServer(t, Config{MaxInFlight: 1})
 	release := make(chan struct{})
 	s.testHook = func(*flight) { <-release }
 
@@ -298,7 +298,7 @@ func TestDeadlineExpiry(t *testing.T) {
 // rtlfixerd), new work is refused with 503 but admitted requests run to
 // completion, and Drain returns once they have.
 func TestGracefulDrain(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 2, Workers: 1})
+	s, ts := newTestServer(t, Config{MaxInFlight: 2})
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	s.testHook = func(*flight) {
@@ -354,31 +354,62 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestBatchedDispatch: requests arriving together are dispatched as one
-// pipeline batch, not one batch each.
-func TestBatchedDispatch(t *testing.T) {
-	const n = 6
-	s, ts := newTestServer(t, Config{
-		MaxInFlight: n, MaxBatch: n, Workers: n,
-		BatchLinger:     200 * time.Millisecond,
-		DisableCoalesce: true, // distinct flights so the batch carries n jobs
-	})
+// TestRunsBoundedByMaxInFlight: MaxInFlight runners bound the runs
+// executing at once; admitted flights beyond them wait on the queue and
+// start in admission order as runners free up.
+func TestRunsBoundedByMaxInFlight(t *testing.T) {
+	const n = 5
+	s, ts := newTestServer(t, Config{MaxInFlight: 2, DisableCoalesce: true})
+	entered := make(chan string, n)
+	release := make(chan struct{})
+	s.testHook = func(f *flight) {
+		entered <- f.filename
+		<-release
+	}
 	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(release)
+
+	// Admit one request at a time so the admission order is known: the
+	// first two start runs, the rest wait on the queue.
+	var started []string
 	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("r%d.v", i)
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if st, out := postFix(t, ts.URL, map[string]any{"source": brokenSource, "seed": i + 1}); st != http.StatusOK {
-				t.Errorf("request %d: %d (%v)", i, st, out)
+			if st, out := postFix(t, ts.URL, map[string]any{"source": cleanSource, "filename": name}); st != http.StatusOK {
+				t.Errorf("%s: %d (%v)", name, st, out)
 			}
-		}(i)
+		}()
+		if i < 2 {
+			started = append(started, <-entered)
+			continue
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for stat(t, s, "queue.depth") != float64(i-1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("request %d was never queued", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	wg.Wait()
-	if got := stat(t, s, "dispatch.batched_jobs"); got != n {
-		t.Fatalf("batched jobs = %v, want %d", got, n)
+	select {
+	case name := <-entered:
+		t.Fatalf("%s started a third concurrent run with MaxInFlight 2", name)
+	case <-time.After(50 * time.Millisecond):
 	}
-	if got := stat(t, s, "dispatch.max_batch"); got < 2 {
-		t.Fatalf("max batch = %v; concurrent requests were never batched", got)
+	if got := stat(t, s, "queue.depth"); got != n-2 {
+		t.Fatalf("queue.depth = %v, want %d", got, n-2)
+	}
+	for i := 2; i < n; i++ {
+		release <- struct{}{} // finish one run; its runner takes the next flight
+		started = append(started, <-entered)
+	}
+	for i, name := range started {
+		if want := fmt.Sprintf("r%d.v", i); name != want {
+			t.Fatalf("runs started in order %v, want admission order", started)
+		}
 	}
 }
 
@@ -428,7 +459,7 @@ func TestFixerPoolSharesConfigurations(t *testing.T) {
 }
 
 func TestCloseAnswersQueuedWaiters(t *testing.T) {
-	s := New(Config{MaxInFlight: 4, Workers: 1, Seed: 1})
+	s := New(Config{MaxInFlight: 4, Seed: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	release := make(chan struct{})
@@ -476,7 +507,7 @@ func TestRequestSizeLimit(t *testing.T) {
 // answer even after the leader's deadline expired before the run
 // started.
 func TestFollowerSurvivesLeaderTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 1, Workers: 2, MaxBatch: 1})
+	s, ts := newTestServer(t, Config{MaxInFlight: 1})
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4)
 	s.testHook = func(f *flight) {
@@ -486,7 +517,7 @@ func TestFollowerSurvivesLeaderTimeout(t *testing.T) {
 		}
 	}
 
-	// Occupy the single run slot so the leader's flight stays queued
+	// Occupy the single runner so the leader's flight stays queued
 	// past its deadline.
 	occupier := make(chan int, 1)
 	go func() {
@@ -538,11 +569,10 @@ func TestFollowerSurvivesLeaderTimeout(t *testing.T) {
 	}
 }
 
-// TestNoHeadOfLineBlockingAcrossBatches: a fast request dispatched after
-// a slow one (in a different batch) must complete while the slow run is
-// still executing.
-func TestNoHeadOfLineBlockingAcrossBatches(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 2, Workers: 2, MaxBatch: 1, DisableCoalesce: true})
+// TestNoHeadOfLineBlocking: a fast request dispatched after a slow one
+// must complete while the slow run is still executing.
+func TestNoHeadOfLineBlocking(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInFlight: 2, DisableCoalesce: true})
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4)
 	s.testHook = func(f *flight) {
@@ -558,15 +588,15 @@ func TestNoHeadOfLineBlockingAcrossBatches(t *testing.T) {
 		st, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource, "filename": "slow.v"})
 		slow <- st
 	}()
-	<-entered // the slow run occupies its batch
+	<-entered // the slow run occupies one runner
 
 	start := time.Now()
 	st, out := postFix(t, ts.URL, map[string]any{"source": cleanSource, "filename": "fast.v"})
 	if st != http.StatusOK {
-		t.Fatalf("fast request behind a slow batch = %d (%v), want 200", st, out)
+		t.Fatalf("fast request behind a slow run = %d (%v), want 200", st, out)
 	}
 	if waited := time.Since(start); waited > 10*time.Second {
-		t.Fatalf("fast request waited %v behind the slow batch", waited)
+		t.Fatalf("fast request waited %v behind the slow run", waited)
 	}
 	select {
 	case <-slow:

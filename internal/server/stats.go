@@ -32,9 +32,8 @@ type liveMetrics struct {
 	fixOK, fixFailed, coalesced, agentRuns                                 *metrics.Counter
 	expiredBeforeRun, deadlineExpired, rejectedQueueFull, rejectedDraining *metrics.Counter
 
-	batches, batchedJobs           *metrics.Counter
-	maxBatch, queueDepth, inFlight *metrics.Gauge
-	fixLatency, lintLatency        *metrics.Histogram
+	queueDepth, inFlight    *metrics.Gauge
+	fixLatency, lintLatency *metrics.Histogram
 
 	// findings counts analyzer findings served through /v1/lint by rule
 	// code; the key set is the static rule registry, so the counters are
@@ -97,16 +96,6 @@ func (s *Server) declareMetrics() {
 	m.expiredBeforeRun, m.deadlineExpired = outcome("expired_before_run"), outcome("deadline_expired")
 	m.rejectedQueueFull, m.rejectedDraining = outcome("rejected_queue_full"), outcome("rejected_draining")
 	m.agentRuns = r.Counter("rtlfixer_agent_runs_total", "Agent debugging loops executed.", "fix.agent_runs")
-
-	m.batches = r.Counter("rtlfixer_dispatch_batches_total", "Dispatch batches formed.", "dispatch.batches")
-	m.batchedJobs = r.Counter("rtlfixer_dispatch_batched_jobs_total", "Jobs carried by dispatch batches.", "dispatch.batched_jobs")
-	m.maxBatch = r.Gauge("rtlfixer_dispatch_max_batch", "Largest batch dispatched so far.", "dispatch.max_batch")
-	r.Derived("dispatch.mean_batch", func() float64 {
-		if b := m.batches.Value(); b > 0 {
-			return float64(m.batchedJobs.Value()) / float64(b)
-		}
-		return 0
-	})
 
 	m.queueDepth = r.Gauge("rtlfixer_queue_depth", "Admitted fix requests not yet running.", "queue.depth")
 	m.inFlight = r.Gauge("rtlfixer_in_flight", "Agent runs executing now.", "queue.in_flight")

@@ -35,7 +35,7 @@ import (
 )
 
 // Attr is one span attribute. Val is a string, int64, bool, or float64 —
-// small scalar facts (cache_hit, iteration number, batch size), never
+// small scalar facts (cache_hit, iteration number, outcome), never
 // payloads.
 type Attr struct {
 	Key string
