@@ -223,13 +223,17 @@ func main() {
 }
 
 // printCacheDeltas writes one stderr line per memo layer (compile cache,
-// sim cache, retrieval index) that one experiment touched.
+// sim cache, reference traces, retrieval index) that one experiment
+// touched.
 func printCacheDeltas(exp string, before, after memo.KindTotals) {
 	if d := after.Compile.Sub(before.Compile); d != (memo.Stats{}) {
 		fmt.Fprintf(os.Stderr, "[%s compile cache: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)
 	}
 	if d := after.Sim.Sub(before.Sim); d != (memo.Stats{}) {
 		fmt.Fprintf(os.Stderr, "[%s sim cache: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)
+	}
+	if d := after.Trace.Sub(before.Trace); d != (memo.Stats{}) {
+		fmt.Fprintf(os.Stderr, "[%s reference traces: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)
 	}
 	if d := after.Retrieval.Sub(before.Retrieval); d != (memo.Stats{}) {
 		fmt.Fprintf(os.Stderr, "[%s retrieval index: %d lookups]\n", exp, d.Lookups)

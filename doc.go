@@ -15,10 +15,11 @@
 // for any worker count and with the cache on or off.
 //
 // The functional oracle behind pass@k is the problem's reference RTL:
-// as in VerilogEval, a candidate is simulated in lockstep with the
-// reference on the same vectors and must match every reference output
-// after every cycle, so each problem has one specification of its
-// correct output. Both run on a compiled cycle simulator: internal/sim
+// as in VerilogEval, a candidate is driven with the reference's
+// stimulus and must match every reference output after every cycle, so
+// each problem has one specification of its correct output. The
+// reference's response to a stimulus is recorded once and shared by
+// every sample scored under it. Both run on a compiled cycle simulator: internal/sim
 // lowers each elaborated design once into a slot-indexed instruction
 // program (topologically scheduled combinational logic, bounded fixpoint
 // only for genuine feedback) and runs steady-state cycles with zero heap

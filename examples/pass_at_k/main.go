@@ -70,9 +70,9 @@ func main() {
 	fmt.Printf("pass@5: %.3f -> %.3f\n", o5, f5)
 }
 
-// passes compiles a candidate and simulates it in lockstep with the
-// problem's reference RTL, the oracle: every reference output must match
-// after every vector.
+// passes compiles a candidate and scores it against the problem's
+// reference RTL, the oracle: every reference output must match after
+// every vector.
 func passes(p *dataset.Problem, code string, vecSeed int64) bool {
 	clean := fixer.Fix(code).Code
 	if _, design, _ := compiler.Frontend(clean); design == nil {

@@ -77,6 +77,19 @@ func ParseBinary(width int, s string) (Vec, error) {
 	return out, nil
 }
 
+// FromWords builds a vector of the given width from little-endian words
+// (words[0] holds bits 0..63), truncated to the width; words beyond the
+// slice read as zero.
+func FromWords(width int, words []uint64) Vec {
+	out := New(width)
+	copy(out.words, words)
+	out.mask()
+	return out
+}
+
+// WordsFor returns how many 64-bit words hold a value of the given width.
+func WordsFor(width int) int { return wordsFor(width) }
+
 func wordsFor(width int) int { return (width + wordBits - 1) / wordBits }
 
 // mask clears any bits above the width in the top word.
@@ -133,6 +146,15 @@ func (v Vec) Resize(width int) Vec {
 	copy(out.words, v.words[:n])
 	out.mask()
 	return out
+}
+
+// PutWords copies v into dst as little-endian words, zero-filling the
+// words of dst beyond v and dropping the words of v beyond dst.
+func (v Vec) PutWords(dst []uint64) {
+	n := copy(dst, v.words)
+	for i := n; i < len(dst); i++ {
+		dst[i] = 0
+	}
 }
 
 // Uint64 returns the low 64 bits of the vector.

@@ -71,6 +71,39 @@ func (v *Vec) CopyResize(o Vec) {
 	v.mask()
 }
 
+// SetWords sets v to the value held in little-endian words, truncated or
+// zero-extended to v's width: CopyResize from raw words.
+func (v *Vec) SetWords(words []uint64) {
+	n := copy(v.words, words)
+	for i := n; i < len(v.words); i++ {
+		v.words[i] = 0
+	}
+	v.mask()
+}
+
+// EqWords reports whether v equals the value held in little-endian
+// words after zero-extension to the wider of the two: Eq against raw
+// words.
+func (v Vec) EqWords(words []uint64) bool {
+	n := len(v.words)
+	if len(words) > n {
+		n = len(words)
+	}
+	for i := 0; i < n; i++ {
+		var a, b uint64
+		if i < len(v.words) {
+			a = v.words[i]
+		}
+		if i < len(words) {
+			b = words[i]
+		}
+		if a != b {
+			return false
+		}
+	}
+	return true
+}
+
 // SetBitInPlace sets bit i to b. Out-of-range indices are ignored,
 // matching Vec.SetBit.
 func (v *Vec) SetBitInPlace(i int, b bool) {

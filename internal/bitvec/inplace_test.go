@@ -133,6 +133,7 @@ func TestInPlaceZeroAllocs(t *testing.T) {
 	wideA.SetUint64(5)
 	wideB.SetUint64(9)
 	dst, wdst := New(64), New(255)
+	words := make([]uint64, 4)
 	allocs := testing.AllocsPerRun(100, func() {
 		dst.AddOf(a, b)
 		dst.AndOf(a, b)
@@ -142,8 +143,46 @@ func TestInPlaceZeroAllocs(t *testing.T) {
 		wdst.XorOf(wideA, wideB)
 		wdst.ShrOf(wideA, 100)
 		wdst.CopyResize(a)
+		wdst.SetWords(words)
+		dst.SetWords(words)
+		_ = wdst.EqWords(words)
+		wideA.PutWords(words)
 	})
 	if allocs != 0 {
 		t.Fatalf("in-place ops allocated %.1f/op", allocs)
+	}
+}
+
+// TestWordsRoundTrip: FromWords, SetWords, PutWords and EqWords agree
+// with FromUint64, CopyResize and Eq, truncating and zero-extending the
+// same way.
+func TestWordsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, w := range []int{1, 7, 64, 65, 130, 255} {
+		v := randVec(rng, w)
+		words := make([]uint64, WordsFor(w))
+		v.PutWords(words)
+		if got := FromWords(w, words); got.Width() != w || !got.Eq(v) {
+			t.Fatalf("width %d: FromWords(PutWords(v)) = %s, want %s", w, got.Hex(), v.Hex())
+		}
+		if !v.EqWords(words) || !v.EqWords(append(words, 0)) {
+			t.Fatalf("width %d: EqWords rejects v's own words", w)
+		}
+		if v.EqWords(append(append([]uint64(nil), words...), 1)) {
+			t.Fatalf("width %d: EqWords ignores a set bit beyond v", w)
+		}
+		for _, dw := range []int{1, 63, 64, 100, 300} {
+			want, got := New(dw), New(dw)
+			want.CopyResize(v)
+			got.SetWords(words)
+			if !got.Eq(want) {
+				t.Fatalf("width %d into %d: SetWords = %s, CopyResize = %s", w, dw, got.Hex(), want.Hex())
+			}
+			short := make([]uint64, 1)
+			v.PutWords(short)
+			if short[0] != v.Uint64() {
+				t.Fatalf("width %d: PutWords into one word = %x, want %x", w, short[0], v.Uint64())
+			}
+		}
 	}
 }

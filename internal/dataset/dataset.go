@@ -4,8 +4,10 @@
 // high-level, matching the two VerilogEval tracks) with a reference
 // Verilog implementation. The reference is the only specification of a
 // problem's correct output: as in VerilogEval's harness, the pass@k
-// oracle simulates a candidate beside the reference on the same vectors
-// and compares every output after every cycle.
+// oracle drives a candidate with the reference's stimulus and compares
+// every reference output after every cycle. The reference's response to
+// a stimulus is recorded once (the trace cache) and replayed against
+// every candidate scored under it.
 //
 // The suite sizes mirror the paper: Human has 156 problems split 71 easy /
 // 85 hard (the paper's split at pass-rate 0.1), Machine has 143, and the
@@ -16,8 +18,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
-	"repro/internal/bitvec"
 	"repro/internal/memo"
 	"repro/internal/sema"
 	"repro/internal/sim"
@@ -30,6 +32,14 @@ import (
 // per-Check reference recompilation are served from cache. The cache is
 // transparent: results are byte-identical with or without it.
 var oracle = memo.NewSimCache(0)
+
+// traces holds each reference's recorded response per stimulus. Every
+// sample of a problem in a Table 2 or perfbench pass shares one stimulus,
+// so a pass records each reference once; a trace of an earlier pass
+// never hits again, hence room for about two per problem.
+var traces = memo.NewTraceCache(traceCapacity)
+
+const traceCapacity = 640
 
 // OracleCacheStats snapshots the package oracle's memoization counters.
 func OracleCacheStats() memo.Stats { return oracle.Stats() }
@@ -70,47 +80,96 @@ type Problem struct {
 	Clock string
 	// Cycles is the number of testbench vectors to run (0 = 64).
 	Cycles int
+
+	// resolved is the reference prepared for checking, on first use.
+	resolved struct {
+		once sync.Once
+		ref  *reference
+		err  error
+	}
 }
 
-// Vectors generates the problem's stimulus: random values on every
-// non-clock input, with reset-style inputs held high for the first two
-// cycles so reference and candidate leave reset together.
-func (p *Problem) Vectors(rng *rand.Rand) ([]sim.Vector, error) {
-	_, design, diags := oracle.Frontend(p.RefSource)
-	if design == nil {
-		return nil, fmt.Errorf("problem %s: reference does not compile: %s", p.ID, diags.Summary())
-	}
-	n := p.Cycles
-	if n == 0 {
-		n = 64
-	}
-	inputs := design.Inputs()
-	var vectors []sim.Vector
-	for c := 0; c < n; c++ {
-		v := sim.Vector{Inputs: map[string]bitvec.Vec{}}
-		for _, in := range inputs {
-			if in.Name == p.Clock {
-				continue
-			}
-			if isResetName(in.Name) {
-				if c < 2 {
-					v.Inputs[in.Name] = bitvec.FromUint64(in.Width(), 1)
-				} else {
-					// occasional mid-run reset pulses exercise the reset
-					// path beyond the preamble
-					val := uint64(0)
-					if rng.Intn(16) == 0 {
-						val = 1
-					}
-					v.Inputs[in.Name] = bitvec.FromUint64(in.Width(), val)
+// reference is a problem's oracle, resolved on first use: the reference
+// design's cached program, the testbench layout over its ports, and the
+// identity its traces are cached under.
+type reference struct {
+	prog   *sim.Program
+	design *sema.Design
+	layout *sim.Layout
+	cycles int
+	// reset marks the layout's reset-style inputs (isResetName).
+	reset []bool
+	key   memo.TraceRef
+}
+
+// reference resolves the problem's oracle once. Problems are immutable
+// once registered.
+func (p *Problem) reference() (*reference, error) {
+	p.resolved.once.Do(func() {
+		prog, design, diags := oracle.Program(p.RefSource)
+		if design == nil {
+			p.resolved.err = fmt.Errorf("problem %s: reference does not compile: %s", p.ID, diags.Summary())
+			return
+		}
+		r := &reference{prog: prog, design: design, layout: sim.NewLayout(design, p.Clock), cycles: p.Cycles}
+		if r.cycles == 0 {
+			r.cycles = 64
+		}
+		for _, in := range r.layout.Inputs {
+			r.reset = append(r.reset, isResetName(in.Name))
+		}
+		r.key = memo.NewTraceRef(fmt.Sprintf("%s\n%d\n%s", p.Clock, r.cycles, p.RefSource))
+		p.resolved.ref = r
+	})
+	return p.resolved.ref, p.resolved.err
+}
+
+// stimulus draws the problem's input rows from rng: random values on
+// every non-clock input, with reset-style inputs held high for the first
+// two cycles so reference and candidate leave reset together. Values are
+// drawn input by input in header order, cycle by cycle: one rng.Intn(16)
+// per reset from cycle 2 on, one rng.Uint64 per 64-bit chunk of any
+// other input, masked to its width.
+func (r *reference) stimulus(rng *rand.Rand) []uint64 {
+	l := r.layout
+	in := make([]uint64, r.cycles*l.InWords)
+	for c := 0; c < r.cycles; c++ {
+		row := in[c*l.InWords : (c+1)*l.InWords]
+		for i, port := range l.Inputs {
+			words := port.Words(row)
+			if r.reset[i] {
+				// occasional mid-run reset pulses exercise the reset
+				// path beyond the preamble
+				if c < 2 || rng.Intn(16) == 0 {
+					words[0] = 1
 				}
 				continue
 			}
-			v.Inputs[in.Name] = randomVec(rng, in.Width())
+			for k := range words {
+				words[k] = rng.Uint64()
+			}
+			if rem := port.Width % 64; rem != 0 {
+				words[len(words)-1] &= 1<<rem - 1
+			}
 		}
-		vectors = append(vectors, v)
 	}
-	return vectors, nil
+	return in
+}
+
+// newGolden instantiates the reference design.
+func (r *reference) newGolden() *sim.Simulator {
+	s, _ := instantiate(r.prog, r.design) // nil fails the recording, which says so
+	return s
+}
+
+// Vectors generates the problem's stimulus as testbench vectors: the
+// values Check drives, drawn from rng in the same order.
+func (p *Problem) Vectors(rng *rand.Rand) ([]sim.Vector, error) {
+	r, err := p.reference()
+	if err != nil {
+		return nil, err
+	}
+	return r.layout.Vectors(r.stimulus(rng), r.cycles), nil
 }
 
 func isResetName(name string) bool {
@@ -121,30 +180,16 @@ func isResetName(name string) bool {
 	return false
 }
 
-func randomVec(rng *rand.Rand, width int) bitvec.Vec {
-	v := bitvec.New(width)
-	for i := 0; i < width; i += 64 {
-		chunk := rng.Uint64()
-		for b := 0; b < 64 && i+b < width; b++ {
-			if chunk>>b&1 == 1 {
-				v.SetBitInPlace(i+b, true)
-			}
-		}
-	}
-	return v
-}
-
 // NewGolden returns a fresh simulator over the reference design, the
-// golden model a candidate runs beside in sim.RunTestbenchSim. It shares
-// the oracle cache's compiled program with every other check of the
-// problem, and is nil only when the reference does not simulate.
+// golden model sim.RunTestbenchSim records. It shares the oracle cache's
+// compiled program with every other check of the problem, and is nil
+// only when the reference does not simulate.
 func (p *Problem) NewGolden() *sim.Simulator {
-	prog, design, _ := oracle.Program(p.RefSource)
-	if design == nil {
+	r, err := p.reference()
+	if err != nil {
 		return nil
 	}
-	s, _ := instantiate(prog, design) // nil fails the testbench run, which says so
-	return s
+	return r.newGolden()
 }
 
 // instantiate runs a cached program on the compiled engine, or the design
@@ -159,11 +204,13 @@ func instantiate(prog *sim.Program, design *sema.Design) (*sim.Simulator, error)
 }
 
 // Check runs the problem's testbench against a candidate design: the
-// candidate and the reference step through the same vectors and must
-// agree on every reference output after every cycle. The candidate must
-// already be elaborated (compile first). Compilation — frontend and
-// engine lowering — is amortized through the package cache, so rechecking
-// a seen candidate costs only the simulation itself.
+// candidate replays the reference's recorded response to the stimulus
+// drawn from rng and must agree on every reference output after every
+// cycle. The candidate must already be elaborated (compile first).
+// Compilation — frontend and engine lowering — is amortized through the
+// package cache, and the reference is simulated once per stimulus (the
+// trace cache), so rechecking a seen candidate costs only its own
+// simulation. rng advances exactly as Vectors would advance it.
 func (p *Problem) Check(candidate string, rng *rand.Rand) (sim.TBResult, error) {
 	return p.CheckObserved(candidate, rng, sim.TBObserve{})
 }
@@ -177,15 +224,19 @@ func (p *Problem) CheckObserved(candidate string, rng *rand.Rand, obs sim.TBObse
 	if design == nil {
 		return sim.TBResult{}, fmt.Errorf("candidate does not compile: %s", diags.Summary())
 	}
-	vectors, err := p.Vectors(rng)
+	r, err := p.reference()
 	if err != nil {
 		return sim.TBResult{}, err
 	}
+	in := r.stimulus(rng)
 	s, err := instantiate(prog, design)
 	if err != nil {
 		return sim.TBResult{}, err
 	}
-	return sim.RunTestbenchObserved(s, p.Clock, vectors, p.NewGolden(), obs)
+	t := traces.Trace(r.key, in, func() *sim.Trace {
+		return sim.Record(r.newGolden(), r.layout, in, r.cycles)
+	})
+	return sim.Replay(s, t, obs)
 }
 
 // ---------- suite access ----------

@@ -17,38 +17,49 @@ type shardKey interface {
 	shardHash() uint64
 }
 
-// entry retains the source alongside the value so an FNV-64 collision
+// source is what a cached value was computed from. The cache keeps it
+// beside the value and compares it on every hit, so an FNV-64 collision
 // degrades to a miss instead of serving a wrong value.
-type entry[V any] struct {
-	src string
+type source[S any] interface {
+	same(S) bool
+}
+
+// text is the source of the compile and sim caches: Verilog source.
+type text string
+
+func (a text) same(b text) bool { return a == b }
+
+// entry retains the source alongside the value.
+type entry[S, V any] struct {
+	src S
 	val V
 }
 
 // shard is one lock domain of a cache: a bounded map with FIFO
 // displacement (deterministic, no clock reads), plus the computations in
 // flight for keys that missed.
-type shard[K comparable, V any] struct {
+type shard[K comparable, S, V any] struct {
 	mu       sync.Mutex
-	entries  map[K]entry[V]
+	entries  map[K]entry[S, V]
 	order    []K
-	inflight map[K]*flight[V]
+	inflight map[K]*flight[S, V]
 }
 
 // flight is one computation that concurrent misses on its key wait for.
 // val and ok are written before done is released and read only after.
-type flight[V any] struct {
-	src  string
+type flight[S, V any] struct {
+	src  S
 	done sync.WaitGroup
 	val  V
 	ok   bool // false when the computation panicked
 }
 
-// cache is the one content-addressed cache core under CompileCache and
-// SimCache: a sharded map, FIFO displacement at capacity, the
-// source-compare collision guard, and hit/miss/eviction counters
+// cache is the one content-addressed cache core under CompileCache,
+// SimCache and TraceCache: a sharded map, FIFO displacement at capacity,
+// the source-compare collision guard, and hit/miss/eviction counters
 // mirrored into the process-wide totals of the cache's layer.
-type cache[K shardKey, V any] struct {
-	shards      []shard[K, V]
+type cache[K shardKey, S source[S], V any] struct {
+	shards      []shard[K, S, V]
 	capPerShard int
 	c           counters
 	global      *counters
@@ -59,7 +70,7 @@ type cache[K shardKey, V any] struct {
 // rounded up to shard granularity (shards × ceil(capacity / shards),
 // never more than 2x the request), so a caller bounding memory never
 // gets avoidable evictions below its requested capacity.
-func (c *cache[K, V]) init(capacity int, global *counters) {
+func (c *cache[K, S, V]) init(capacity int, global *counters) {
 	if capacity <= 0 {
 		capacity = defaultCapacity
 	}
@@ -67,20 +78,20 @@ func (c *cache[K, V]) init(capacity int, global *counters) {
 	if capacity < shards {
 		shards = capacity // one entry per shard: the bound is exact
 	}
-	c.shards = make([]shard[K, V], shards)
+	c.shards = make([]shard[K, S, V], shards)
 	c.capPerShard = (capacity + shards - 1) / shards
 	c.global = global
 	for i := range c.shards {
-		c.shards[i].entries = make(map[K]entry[V])
-		c.shards[i].inflight = make(map[K]*flight[V])
+		c.shards[i].entries = make(map[K]entry[S, V])
+		c.shards[i].inflight = make(map[K]*flight[S, V])
 	}
 }
 
 // Stats snapshots this cache's counters.
-func (c *cache[K, V]) Stats() Stats { return c.c.snapshot() }
+func (c *cache[K, S, V]) Stats() Stats { return c.c.snapshot() }
 
 // Len returns the number of cached values (for tests and sizing checks).
-func (c *cache[K, V]) Len() int {
+func (c *cache[K, S, V]) Len() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -91,7 +102,7 @@ func (c *cache[K, V]) Len() int {
 	return n
 }
 
-func (c *cache[K, V]) shardFor(k K) *shard[K, V] {
+func (c *cache[K, S, V]) shardFor(k K) *shard[K, S, V] {
 	return &c.shards[k.shardHash()%uint64(len(c.shards))]
 }
 
@@ -106,11 +117,11 @@ func (c *cache[K, V]) shardFor(k K) *shard[K, V] {
 // A caller whose source collides with the one in flight waits for that
 // flight, then computes its own. compute runs without the shard lock
 // held and must not look up k in this cache.
-func (c *cache[K, V]) getOrCompute(k K, src string, compute func() V) (V, bool) {
+func (c *cache[K, S, V]) getOrCompute(k K, src S, compute func() V) (V, bool) {
 	s := c.shardFor(k)
 	for {
 		s.mu.Lock()
-		if e, ok := s.entries[k]; ok && e.src == src {
+		if e, ok := s.entries[k]; ok && e.src.same(src) {
 			s.mu.Unlock()
 			c.hit()
 			return e.val, true
@@ -118,7 +129,7 @@ func (c *cache[K, V]) getOrCompute(k K, src string, compute func() V) (V, bool) 
 		if f, busy := s.inflight[k]; busy {
 			s.mu.Unlock()
 			f.done.Wait()
-			if f.ok && f.src == src {
+			if f.ok && f.src.same(src) {
 				c.hit()
 				return f.val, true
 			}
@@ -126,7 +137,7 @@ func (c *cache[K, V]) getOrCompute(k K, src string, compute func() V) (V, bool) 
 			// k (an FNV collision): look again.
 			continue
 		}
-		f := &flight[V]{src: src}
+		f := &flight[S, V]{src: src}
 		f.done.Add(1)
 		s.inflight[k] = f
 		s.mu.Unlock()
@@ -137,7 +148,7 @@ func (c *cache[K, V]) getOrCompute(k K, src string, compute func() V) (V, bool) 
 
 // lead runs the computation for flight f, stores its value, and then —
 // on every path, a panic included — retires f and releases its waiters.
-func (c *cache[K, V]) lead(s *shard[K, V], k K, f *flight[V], compute func() V) V {
+func (c *cache[K, S, V]) lead(s *shard[K, S, V], k K, f *flight[S, V], compute func() V) V {
 	defer func() {
 		s.mu.Lock()
 		delete(s.inflight, k)
@@ -149,12 +160,12 @@ func (c *cache[K, V]) lead(s *shard[K, V], k K, f *flight[V], compute func() V) 
 	return f.val
 }
 
-func (c *cache[K, V]) hit() {
+func (c *cache[K, S, V]) hit() {
 	c.c.hits.Add(1)
 	c.global.hits.Add(1)
 }
 
-func (c *cache[K, V]) miss() {
+func (c *cache[K, S, V]) miss() {
 	c.c.misses.Add(1)
 	c.global.misses.Add(1)
 }
@@ -165,16 +176,16 @@ func (c *cache[K, V]) miss() {
 // collision) is overwritten and counted as an eviction; a full shard
 // displaces its oldest entry (FIFO: deterministic and cheap, a displaced
 // entry is simply recomputed on its next miss).
-func (c *cache[K, V]) put(k K, src string, v V) V {
+func (c *cache[K, S, V]) put(k K, src S, v V) V {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.entries[k]; ok {
-		if old.src == src {
+		if old.src.same(src) {
 			return old.val
 		}
 		c.evicted()
-		s.entries[k] = entry[V]{src: src, val: v}
+		s.entries[k] = entry[S, V]{src: src, val: v}
 		return v
 	}
 	for len(s.entries) >= c.capPerShard && len(s.order) > 0 {
@@ -185,12 +196,12 @@ func (c *cache[K, V]) put(k K, src string, v V) V {
 			c.evicted()
 		}
 	}
-	s.entries[k] = entry[V]{src: src, val: v}
+	s.entries[k] = entry[S, V]{src: src, val: v}
 	s.order = append(s.order, k)
 	return v
 }
 
-func (c *cache[K, V]) evicted() {
+func (c *cache[K, S, V]) evicted() {
 	c.c.evictions.Add(1)
 	c.global.evictions.Add(1)
 }

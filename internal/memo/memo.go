@@ -10,7 +10,7 @@
 // structures are precomputed once and sharded by key hash, so the worker
 // pool never repeats work and never serializes on a single lock.
 //
-// Three components:
+// Four components:
 //
 //   - CompileCache — a concurrency-safe, content-addressed cache of
 //     compiler.Result keyed by (persona, filename, FNV-64a of source),
@@ -23,10 +23,14 @@
 //     simulation oracle's pipeline: parse + elaborate + sim.Compile,
 //     shared by every dataset.Problem.Check so the pass@k loop pays one
 //     engine compile per distinct source.
+//   - TraceCache (tracecache.go) — each problem reference's recorded
+//     outputs under one stimulus, keyed by (reference, stimulus words),
+//     so the pass@k loop simulates a reference once per stimulus and
+//     every candidate replays against the recording.
 //
-// CompileCache and SimCache share one cache core (cache.go): a sharded
-// map with FIFO displacement, a source-compare collision guard, and
-// per-cache counters mirrored into per-layer process totals
+// CompileCache, SimCache and TraceCache share one cache core (cache.go):
+// a sharded map with FIFO displacement, a source-compare collision
+// guard, and per-cache counters mirrored into per-layer process totals
 // (TotalsByKind). Every cache lives as long as its process.
 //
 // Correctness contract: every component is transparent. A cached compile
@@ -98,16 +102,17 @@ func (c *counters) snapshot() Stats {
 var (
 	globalCompile   counters
 	globalSim       counters
+	globalTrace     counters
 	globalRetrieval counters
 )
 
 // Totals returns the process-wide aggregate counters over every
-// CompileCache, SimCache, and RetrievalIndex ever created. Misses are
+// CompileCache, SimCache, TraceCache and RetrievalIndex ever created. Misses are
 // single-flight, so the hit/miss split matches a serial run's as long as
 // no entry is displaced.
 func Totals() Stats {
 	t := TotalsByKind()
-	return t.Compile.Add(t.Sim).Add(t.Retrieval)
+	return t.Compile.Add(t.Sim).Add(t.Trace).Add(t.Retrieval)
 }
 
 // KindTotals breaks the process-wide counters out per cache layer.
@@ -117,6 +122,9 @@ type KindTotals struct {
 	// Sim covers every SimCache (the simulation oracle's frontend +
 	// engine-compile pipeline).
 	Sim Stats
+	// Trace covers every TraceCache (the simulation oracle's recorded
+	// reference responses).
+	Trace Stats
 	// Retrieval covers every RetrievalIndex (lookups served from the
 	// precompiled index).
 	Retrieval Stats
@@ -127,6 +135,7 @@ func TotalsByKind() KindTotals {
 	return KindTotals{
 		Compile:   globalCompile.snapshot(),
 		Sim:       globalSim.snapshot(),
+		Trace:     globalTrace.snapshot(),
 		Retrieval: globalRetrieval.snapshot(),
 	}
 }
@@ -143,7 +152,7 @@ func (k compileKey) shardHash() uint64 { return k.srcHash }
 // CompileCache is a concurrency-safe, sharded, content-addressed cache of
 // compilation results.
 type CompileCache struct {
-	cache[compileKey, compiler.Result]
+	cache[compileKey, text, compiler.Result]
 }
 
 // NewCompileCache builds a cache holding at least capacity results
@@ -197,7 +206,7 @@ func (c *cachedCompiler) InfoScore() float64 { return c.inner.InfoScore() }
 // widening compiler.Compiler.
 func (c *cachedCompiler) CompileReportingHit(filename, src string) (compiler.Result, bool) {
 	key := compileKey{persona: c.inner.Name(), filename: filename, srcHash: HashSource(src)}
-	return c.cache.getOrCompute(key, src, func() compiler.Result {
+	return c.cache.getOrCompute(key, text(src), func() compiler.Result {
 		return c.inner.Compile(filename, src)
 	})
 }

@@ -4,10 +4,9 @@ package memo
 // oracle's compile pipeline: parse + elaborate + sim.Compile, keyed by
 // FNV-64a of the source on the same cache core (and collision guard) as
 // the compile cache. The functional check is the innermost loop of every
-// pass@k experiment — each candidate is re-frontended for scoring, each
-// problem's reference is re-frontended for vector generation on every
-// Check, and rtlfixerd re-serves the same hot problems — so one shared
-// SimCache turns all of that into a single compile per distinct source.
+// pass@k experiment — each candidate is re-frontended for scoring, and
+// rtlfixerd re-serves the same hot problems — so one shared SimCache
+// turns all of that into a single compile per distinct source.
 //
 // Cached entries are immutable by contract: sim.Program is read-only and
 // instantiated per run via sim.NewFromProgram; the design and diagnostics
@@ -40,7 +39,7 @@ type simEntry struct {
 // SimCache is a concurrency-safe, sharded, content-addressed cache of
 // elaborated designs and their compiled simulation programs.
 type SimCache struct {
-	cache[simKey, simEntry]
+	cache[simKey, text, simEntry]
 }
 
 // NewSimCache builds a cache holding at least capacity entries across all
@@ -68,7 +67,7 @@ func (sc *SimCache) Program(src string) (*sim.Program, *sema.Design, diag.List) 
 }
 
 func (sc *SimCache) lookup(src string) simEntry {
-	e, _ := sc.getOrCompute(simKey(HashSource(src)), src, func() simEntry {
+	e, _ := sc.getOrCompute(simKey(HashSource(src)), text(src), func() simEntry {
 		return compileSimEntry(src)
 	})
 	return e

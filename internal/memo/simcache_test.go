@@ -123,7 +123,7 @@ func TestSimCacheCollisionGuard(t *testing.T) {
 
 	// Plant a foreign entry (compiled from a different source) at
 	// simCacheGood's slot.
-	foreign := entry[simEntry]{src: simCacheFallback, val: compileSimEntry(simCacheFallback)}
+	foreign := entry[text, simEntry]{src: simCacheFallback, val: compileSimEntry(simCacheFallback)}
 	shard.mu.Lock()
 	shard.entries[key] = foreign
 	shard.order = append(shard.order, key)
@@ -186,7 +186,7 @@ func TestSimCacheChurnConcurrent(t *testing.T) {
 					shard := sc.shardFor(key)
 					shard.mu.Lock()
 					if _, ok := shard.entries[key]; ok {
-						shard.entries[key] = entry[simEntry]{src: srcs[i%distinct]}
+						shard.entries[key] = entry[text, simEntry]{src: text(srcs[i%distinct])}
 					}
 					shard.mu.Unlock()
 				}
@@ -213,7 +213,7 @@ func TestSimCacheChurnConcurrent(t *testing.T) {
 		s := &sc.shards[i]
 		s.mu.Lock()
 		for key, e := range s.entries {
-			if e.val.design != nil && simKey(HashSource(e.src)) != key {
+			if e.val.design != nil && simKey(HashSource(string(e.src))) != key {
 				s.mu.Unlock()
 				t.Fatalf("entry stored under wrong key: %q", e.src)
 			}

@@ -176,11 +176,11 @@ func declareCacheMetrics(r *metrics.Registry) {
 		return float64([]uint64{s.Hits, s.Misses, s.Evictions, s.Lookups}[event])
 	}
 	vec := r.CounterVec("rtlfixer_cache_events_total", "Memoization events by cache layer.", "layer", "event")
-	for layer, name := range []string{"compile", "sim", "retrieval"} {
+	for layer, name := range []string{"compile", "sim", "trace", "retrieval"} {
 		for event, e := range events {
 			vec.Func("cache."+name+"."+e[1], func() float64 {
 				t := memo.TotalsByKind()
-				return count([]memo.Stats{t.Compile, t.Sim, t.Retrieval}[layer], event)
+				return count([]memo.Stats{t.Compile, t.Sim, t.Trace, t.Retrieval}[layer], event)
 			}, name, e[0])
 		}
 	}

@@ -195,6 +195,19 @@ func (e *engine) SetInputUint(name string, v uint64) error {
 	return e.afterDrive(slot, old)
 }
 
+// port is the signal's slot. Every signal of the design has one, and
+// callers resolve only those.
+func (e *engine) port(name string) int32 { return e.p.slotOf[name] }
+
+func (e *engine) value(slot int32) bitvec.Vec { return e.regs[slot] }
+
+// drive sets a slot from raw words without allocating.
+func (e *engine) drive(slot int32, words []uint64) error {
+	old := e.regs[slot].Bit(0)
+	e.regs[slot].SetWords(words)
+	return e.afterDrive(slot, old)
+}
+
 func (e *engine) afterDrive(slot int32, oldBit bool) error {
 	newBit := e.regs[slot].Bit(0)
 	if oldBit == newBit {

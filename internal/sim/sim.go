@@ -85,6 +85,12 @@ type backend interface {
 	SetInput(name string, v bitvec.Vec) error
 	SetInputUint(name string, v uint64) error
 	Settle() error
+	// port resolves a signal of the design to a handle for value and
+	// drive; the testbench resolves its ports once per run.
+	port(name string) int32
+	value(port int32) bitvec.Vec
+	// drive is SetInput from raw little-endian words.
+	drive(port int32, words []uint64) error
 }
 
 // Simulator is one design instance. It delegates to whichever backend New

@@ -1,5 +1,6 @@
-// Direct unit tests for testbench.go: lockstep stepping against a
-// reference design, cycle accounting, and mismatch reporting. (sim_test.go
+// Direct unit tests for testbench.go: recording a reference design,
+// replaying candidates against the trace, cycle accounting, error order
+// and mismatch reporting. (sim_test.go
 // covers the runner end-to-end on counters; these tests pin down the
 // testbench contract itself.)
 package sim
@@ -183,5 +184,86 @@ endmodule`, "", aVectors(0))
 	wantSuffix := fmt.Sprintf("expected %s", bitvec.FromUint64(8, 0x12).Resize(4).Hex())
 	if !strings.HasSuffix(res.FirstMismatch, wantSuffix) {
 		t.Fatalf("FirstMismatch = %q, want suffix %q", res.FirstMismatch, wantSuffix)
+	}
+}
+
+// loopSrc oscillates (a combinational loop that never settles) once en
+// goes high.
+const loopSrc = `
+module osc(input en, output y);
+	assign y = en ? ~y : 1'b0;
+endmodule`
+
+func enVectors(vals ...uint64) []Vector {
+	vectors := make([]Vector, len(vals))
+	for i, v := range vals {
+		vectors[i] = Vector{Inputs: map[string]bitvec.Vec{"en": bitvec.FromUint64(1, v)}}
+	}
+	return vectors
+}
+
+// TestTestbenchRuntimeErrorOrder: a reference runtime error in cycle c
+// fails the run after c good cycles; a candidate error in the same
+// cycle is reported instead of the reference's.
+func TestTestbenchRuntimeErrorOrder(t *testing.T) {
+	quiet := `
+module osc(input en, output y);
+	assign y = 1'b0;
+endmodule`
+	vectors := enVectors(0, 0, 1, 0)
+	res, err := runAgainst(t, quiet, loopSrc, "", vectors)
+	if err == nil || !strings.HasPrefix(err.Error(), "reference: ") || res.Cycles != 2 {
+		t.Fatalf("reference loop in cycle 2: %+v, %v", res, err)
+	}
+	res, err = runAgainst(t, loopSrc, loopSrc, "", vectors)
+	if err == nil || strings.HasPrefix(err.Error(), "reference: ") || res.Cycles != 2 {
+		t.Fatalf("candidate loop in the reference's failing cycle: %+v, %v", res, err)
+	}
+}
+
+// TestTestbenchDrivesInHeaderOrder: a candidate lacking several inputs
+// is always told about the reference's first, and every run agrees.
+func TestTestbenchDrivesInHeaderOrder(t *testing.T) {
+	ref := `
+module m(input [3:0] b, input [3:0] a, input [3:0] c, output [3:0] y);
+	assign y = a ^ b ^ c;
+endmodule`
+	cand := `
+module m(output [3:0] y);
+	assign y = 4'd0;
+endmodule`
+	vec := Vector{Inputs: map[string]bitvec.Vec{"a": vec4(1), "b": vec4(2), "c": vec4(3)}}
+	for i := 0; i < 20; i++ {
+		_, err := runAgainst(t, cand, ref, "", []Vector{vec})
+		if want := `testbench drives unknown input "b"`; fmt.Sprint(err) != want {
+			t.Fatalf("run %d: error %v, want %s", i, err, want)
+		}
+	}
+}
+
+// TestRecordedTraceServesManyCandidates: one trace scores any number of
+// candidates, each from reset.
+func TestRecordedTraceServesManyCandidates(t *testing.T) {
+	ref := newSim(t, constSrc)
+	l := NewLayout(ref.Design(), "")
+	vectors := aVectors(0, 5, 1, 0)
+	in, err := l.Stimulus(vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := Record(ref, l, in, len(vectors))
+	if tr.Err != nil || tr.Done != len(vectors) || len(tr.Out) != len(vectors)*l.OutWords {
+		t.Fatalf("recording: %+v", tr)
+	}
+	wires := newSim(t, wireSrc)
+	want := TBResult{Cycles: 4, Mismatches: 4,
+		FirstMismatch: fmt.Sprintf("cycle 1: output y = %s, expected %s", vec4(5).Hex(), vec4(0).Hex())}
+	for run := 0; run < 2; run++ {
+		if got, err := Replay(wires, tr, TBObserve{}); err != nil || got != want {
+			t.Fatalf("run %d: wires = %+v, %v; want %+v", run, got, err, want)
+		}
+		if got, err := Replay(newSim(t, constSrc), tr, TBObserve{}); err != nil || !got.Passed() || got.Cycles != 4 {
+			t.Fatalf("run %d: the reference itself = %+v, %v", run, got, err)
+		}
 	}
 }

@@ -36,6 +36,9 @@ type walkerSim struct {
 	// actCounts, nil unless enabled via the facade, counts per-process
 	// executions: assigns, then comb always, then seq always blocks.
 	actCounts []uint64
+
+	// ports names the signals port has resolved, by handle.
+	ports []string
 }
 
 func (s *walkerSim) setWatchdog(wd *resilience.Watchdog) { s.wd = wd }
@@ -182,6 +185,23 @@ func (s *walkerSim) SetInputUint(name string, v uint64) error {
 		return fmt.Errorf("sim: no signal %q", name)
 	}
 	return s.SetInput(name, bitvec.FromUint64(sig.Width(), v))
+}
+
+// port returns the signal's index in ports, adding it on first use.
+func (s *walkerSim) port(name string) int32 {
+	for i, n := range s.ports {
+		if n == name {
+			return int32(i)
+		}
+	}
+	s.ports = append(s.ports, name)
+	return int32(len(s.ports) - 1)
+}
+
+func (s *walkerSim) value(port int32) bitvec.Vec { return s.Get(s.ports[port]) }
+
+func (s *walkerSim) drive(port int32, words []uint64) error {
+	return s.SetInput(s.ports[port], bitvec.FromWords(len(words)*64, words))
 }
 
 // fireEdge runs every clocked always block sensitive to the given edge of
