@@ -126,6 +126,7 @@ func TestAnalyzerPanicIsolated(t *testing.T) {
 func TestEmptyProfileTranscriptsIdentical(t *testing.T) {
 	base := RunReAct(quartusCfg(7, true), brokenClk)
 	fault.Install(fault.MustParse("", 7))
+	t.Cleanup(fault.Uninstall)
 	injected := RunReAct(quartusCfg(7, true), brokenClk)
 	fault.Uninstall()
 	if base.Render() != injected.Render() {

@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -16,19 +17,52 @@ const Noise = -1
 // Shingles tokenizes src and returns the set of k-token shingles. Shingle
 // sets are the standard representation for Jaccard similarity over code.
 func Shingles(src string, k int) map[string]struct{} {
-	toks := tokenize(src)
 	out := map[string]struct{}{}
+	eachShingle(src, k, func(s string) { out[s] = struct{}{} })
+	return out
+}
+
+// eachShingle calls fn with every k-token shingle of src, repeats
+// included. Input shorter than k tokens is one shingle of all its tokens;
+// empty input has none.
+func eachShingle(src string, k int, fn func(string)) {
+	toks := tokenize(src)
 	if k <= 0 {
 		k = 1
 	}
 	if len(toks) < k {
 		if len(toks) > 0 {
-			out[strings.Join(toks, " ")] = struct{}{}
+			fn(strings.Join(toks, " "))
 		}
-		return out
+		return
 	}
 	for i := 0; i+k <= len(toks); i++ {
-		out[strings.Join(toks[i:i+k], " ")] = struct{}{}
+		fn(strings.Join(toks[i:i+k], " "))
+	}
+}
+
+// ShingleSet is a document's shingle set as ascending, duplicate-free
+// ids. Ids are only comparable between sets interned together.
+type ShingleSet []int32
+
+// InternShingles returns the k-token shingle set of every document, with
+// each distinct shingle across the corpus mapped to one int32 id. Two
+// sets' Jaccard then counts equal ids instead of hashing strings.
+func InternShingles(docs []string, k int) []ShingleSet {
+	ids := map[string]int32{}
+	out := make([]ShingleSet, len(docs))
+	for d, src := range docs {
+		var set ShingleSet
+		eachShingle(src, k, func(s string) {
+			id, ok := ids[s]
+			if !ok {
+				id = int32(len(ids))
+				ids[s] = id
+			}
+			set = append(set, id)
+		})
+		slices.Sort(set)
+		out[d] = slices.Compact(set)
 	}
 	return out
 }
@@ -62,7 +96,8 @@ func tokenize(src string) []string {
 }
 
 // Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of two sets.
-// Two empty sets are defined as identical (similarity 1).
+// Two empty sets are defined as identical (similarity 1). Retrieval ranks
+// guidance by it; it is also the reference SetJaccard is tested against.
 func Jaccard(a, b map[string]struct{}) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -80,13 +115,42 @@ func Jaccard(a, b map[string]struct{}) float64 {
 	return float64(inter) / float64(union)
 }
 
-// JaccardDistance returns 1 - Jaccard similarity.
-func JaccardDistance(a, b map[string]struct{}) float64 { return 1 - Jaccard(a, b) }
+// SetJaccard is Jaccard over interned sets: it counts the intersection by
+// merging the two ascending id lists. The intersection and union are the
+// integers Jaccard counts over the same shingles, so the result is
+// bit-identical.
+func SetJaccard(a, b ShingleSet) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	inter := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			inter++
+			i++
+			j++
+		}
+	}
+	union := len(a) + len(b) - inter
+	return float64(inter) / float64(union)
+}
+
+// SetJaccardDistance returns 1 - SetJaccard similarity: DBSCAN's distance
+// in curation.
+func SetJaccardDistance(a, b ShingleSet) float64 { return 1 - SetJaccard(a, b) }
 
 // DBSCAN clusters n points given a pairwise distance function. eps is the
 // neighbourhood radius and minPts the core-point density threshold
 // (including the point itself). The result assigns each point a cluster
 // id starting at 0, or Noise.
+//
+// dist must be symmetric: it is called once per unordered pair i<j, and
+// never for i == j (a point is always its own neighbour).
 func DBSCAN(n int, dist func(i, j int) float64, eps float64, minPts int) []int {
 	labels := make([]int, n)
 	for i := range labels {
@@ -94,14 +158,17 @@ func DBSCAN(n int, dist func(i, j int) float64, eps float64, minPts int) []int {
 	}
 	visited := make([]bool, n)
 
-	neighbours := func(p int) []int {
-		var out []int
-		for q := 0; q < n; q++ {
-			if dist(p, q) <= eps {
-				out = append(out, q)
+	// Every point's eps-neighbours, ascending and including itself: by
+	// row i, the neighbours below i were appended by earlier rows.
+	neighbours := make([][]int, n)
+	for i := 0; i < n; i++ {
+		neighbours[i] = append(neighbours[i], i)
+		for j := i + 1; j < n; j++ {
+			if dist(i, j) <= eps {
+				neighbours[i] = append(neighbours[i], j)
+				neighbours[j] = append(neighbours[j], i)
 			}
 		}
-		return out
 	}
 
 	cluster := 0
@@ -110,7 +177,7 @@ func DBSCAN(n int, dist func(i, j int) float64, eps float64, minPts int) []int {
 			continue
 		}
 		visited[p] = true
-		nb := neighbours(p)
+		nb := neighbours[p]
 		if len(nb) < minPts {
 			continue // stays noise unless absorbed later
 		}
@@ -128,7 +195,7 @@ func DBSCAN(n int, dist func(i, j int) float64, eps float64, minPts int) []int {
 			}
 			visited[q] = true
 			labels[q] = cluster
-			qnb := neighbours(q)
+			qnb := neighbours[q]
 			if len(qnb) >= minPts {
 				queue = append(queue, qnb...)
 			}

@@ -48,7 +48,7 @@ func TestJaccardSymmetric(t *testing.T) {
 		if Jaccard(a, b) != Jaccard(b, a) {
 			t.Fatal("Jaccard must be symmetric")
 		}
-		d := JaccardDistance(a, b)
+		d := 1 - Jaccard(a, b)
 		if d < 0 || d > 1 {
 			t.Fatalf("distance %f out of [0,1]", d)
 		}
@@ -182,11 +182,8 @@ func TestSimilarCodeClusters(t *testing.T) {
 		"module c(input clk, input rst, output reg [7:0] q); always @(posedge clk) q <= rst ? 0 : q + 1; endmodule",
 		"module c(input clk, input rst, output reg [7:0] q); always @(posedge clk) q <= rst ? 8'h00 : q + 1; endmodule",
 	}
-	sets := make([]map[string]struct{}, len(variants))
-	for i, v := range variants {
-		sets[i] = Shingles(v, 3)
-	}
-	dist := func(i, j int) float64 { return JaccardDistance(sets[i], sets[j]) }
+	sets := InternShingles(variants, 3)
+	dist := func(i, j int) float64 { return SetJaccardDistance(sets[i], sets[j]) }
 	labels := DBSCAN(len(variants), dist, 0.4, 2)
 	if labels[0] != labels[1] || labels[1] != labels[2] {
 		t.Errorf("near-duplicates split: %v", labels)

@@ -139,11 +139,12 @@ func Build(opts Options) ([]Entry, Stats) {
 
 	// --- clustering: DBSCAN over Jaccard distance on token shingles,
 	// then keep cluster representatives plus noise points.
-	shingles := make([]map[string]struct{}, len(filtered))
+	codes := make([]string, len(filtered))
 	for i, e := range filtered {
-		shingles[i] = cluster.Shingles(e.Code, 4)
+		codes[i] = e.Code
 	}
-	dist := func(i, j int) float64 { return cluster.JaccardDistance(shingles[i], shingles[j]) }
+	shingles := cluster.InternShingles(codes, 4)
+	dist := func(i, j int) float64 { return cluster.SetJaccardDistance(shingles[i], shingles[j]) }
 	labels := cluster.DBSCAN(len(filtered), dist, opts.Eps, opts.MinPts)
 	maxLabel := -1
 	for _, l := range labels {

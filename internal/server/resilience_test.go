@@ -151,6 +151,7 @@ func TestLLMRetryRecoveredSurfaces(t *testing.T) {
 func TestBreakerOpensAndRecloses(t *testing.T) {
 	_, ts := newTestServer(t, Config{BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond})
 	fault.Install(fault.MustParse("llm.persistent:1", 1))
+	t.Cleanup(fault.Uninstall)
 
 	for i := 0; i < 2; i++ {
 		if status, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource, "seed": i + 1}); status != http.StatusBadGateway {
