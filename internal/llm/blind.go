@@ -1,7 +1,6 @@
 package llm
 
 import (
-	"regexp"
 	"strings"
 
 	"repro/internal/diag"
@@ -23,8 +22,6 @@ func BlindHypotheses(code string) []Hypothesis {
 	sawEndmodule := false
 	declaredRanges := map[string]int{}
 
-	// Each per-line pattern runs only on lines holding a literal that
-	// every match of it must contain.
 	for i, raw := range lines {
 		t := strings.TrimSpace(raw)
 		lineNo := i + 1
@@ -40,18 +37,20 @@ func BlindHypotheses(code string) []Hypothesis {
 		if strings.HasPrefix(t, "begin") {
 			beginDepth++
 		}
-		if strings.Contains(t, ":0]") {
-			for _, m := range declRe.FindAllStringSubmatch(t, -1) {
-				var msb int
-				if _, err := sscanInt(m[1], &msb); err == nil {
-					declaredRanges[m[2]] = msb
-				}
+		for j := 0; ; {
+			digits, name, end := nextDeclRange(t, j)
+			if end < 0 {
+				break
 			}
+			var msb int
+			if _, err := sscanInt(digits, &msb); err == nil {
+				declaredRanges[name] = msb
+			}
+			j = end
 		}
 
 		// C idioms are the most visually obvious defects.
-		if strings.Contains(t, "++") || strings.Contains(t, "--") ||
-			hasOpAssign(t) && compoundAssignRe.MatchString(t) {
+		if strings.Contains(t, "++") || strings.Contains(t, "--") || hasCompoundAssign(t) {
 			out = append(out, Hypothesis{
 				Line: lineNo, Category: diag.CatCStyleSyntax,
 				Confidence: 0.72, Excerpt: t,
@@ -88,34 +87,37 @@ func BlindHypotheses(code string) []Hypothesis {
 			})
 		}
 		// Bad digits in literals.
-		if strings.Contains(t, "'") && badLiteralRe.MatchString(t) {
+		if hasBadLiteral(t) {
 			out = append(out, Hypothesis{
 				Line: lineNo, Category: diag.CatMalformedLiteral,
 				Confidence: 0.55, Excerpt: t,
 			})
 		}
 		// Reserved word declared as a signal.
-		if (strings.HasPrefix(t, "wire") || strings.HasPrefix(t, "reg")) && keywordDeclRe.MatchString(t) {
+		if isKeywordDecl(t) {
 			out = append(out, Hypothesis{
 				Line: lineNo, Category: diag.CatKeywordAsIdent,
 				Confidence: 0.5, Excerpt: t,
 			})
 		}
 		// Constant index beyond a [N:0] declaration seen earlier.
-		if len(declaredRanges) > 0 && strings.Contains(t, "[") {
-			for _, m := range idxRe.FindAllStringSubmatch(t, -1) {
-				msb, ok := declaredRanges[m[1]]
-				if !ok {
-					continue
-				}
-				var v int
-				if _, err := sscanInt(m[2], &v); err == nil && v > msb {
-					out = append(out, Hypothesis{
-						Line: lineNo, Category: diag.CatIndexOutOfRange,
-						Symbol: m[1], Confidence: 0.35,
-						Excerpt: t + " // index " + m[2] + " vs [" + itoa(msb) + ":0]",
-					})
-				}
+		for j := 0; len(declaredRanges) > 0; {
+			name, index, end := nextConstIndex(t, j)
+			if end < 0 {
+				break
+			}
+			j = end
+			msb, ok := declaredRanges[name]
+			if !ok {
+				continue
+			}
+			var v int
+			if _, err := sscanInt(index, &v); err == nil && v > msb {
+				out = append(out, Hypothesis{
+					Line: lineNo, Category: diag.CatIndexOutOfRange,
+					Symbol: name, Confidence: 0.35,
+					Excerpt: t + " // index " + index + " vs [" + itoa(msb) + ":0]",
+				})
 			}
 		}
 	}
@@ -136,42 +138,9 @@ func BlindHypotheses(code string) []Hypothesis {
 
 	// Signals driven in always blocks but not declared reg: needs
 	// cross-referencing, so lower confidence.
-	out = append(out, blindLValueScan(lines)...)
+	out = blindLValueScan(out, lines)
 	// posedge of a signal that is not in any declaration.
-	out = append(out, blindUndeclaredScan(lines)...)
-	return out
-}
-
-var (
-	declRe           = regexp.MustCompile(`\[(\d+):0\]\s*([A-Za-z_][A-Za-z0-9_]*)`)
-	idxRe            = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]`)
-	regLineRe        = regexp.MustCompile(`\breg\b[^;]*?\b([A-Za-z_][A-Za-z0-9_]*)`)
-	rangeRe          = regexp.MustCompile(`\[[^\]]*\]`)
-	compoundAssignRe = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*\s*[+\-*/&|^]=[^=]`)
-	badLiteralRe     = regexp.MustCompile(`\d+'b[01_]*[2-9a-fA-F]|\d+'h[0-9a-fA-F_]*[g-zG-Z]`)
-	keywordDeclRe    = regexp.MustCompile(`^\s*(wire|reg)\s+(case|begin|end|wire|reg|module)\s*;`)
-	edgeUseRe        = regexp.MustCompile(`(posedge|negedge)\s+([A-Za-z_][A-Za-z0-9_]*)`)
-	alwaysTargetRe   = regexp.MustCompile(`^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(\[[^\]]*\]\s*)?<?=[^=]`)
-)
-
-// hasOpAssign reports whether t holds a compound-assignment operator
-// ("+=", "-=", "*=", "/=", "&=", "|=", "^="), which every match of
-// compoundAssignRe and compoundRe contains.
-func hasOpAssign(t string) bool {
-	for i := 1; i < len(t); i++ {
-		if t[i] == '=' && strings.IndexByte("+-*/&|^", t[i-1]) >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// stripRanges deletes every [...] range from a line.
-func stripRanges(t string) string {
-	if !strings.Contains(t, "[") {
-		return t
-	}
-	return rangeRe.ReplaceAllString(t, "")
+	return blindUndeclaredScan(out, lines)
 }
 
 func looksUnterminated(t string, lines []string, i int) bool {
@@ -200,19 +169,19 @@ func looksUnterminated(t string, lines []string, i int) bool {
 	return false
 }
 
-func blindLValueScan(lines []string) []Hypothesis {
-	var out []Hypothesis
+func blindLValueScan(out []Hypothesis, lines []string) []Hypothesis {
 	regDecl := map[string]bool{}
 	outPlain := map[string]int{} // output (non-reg) name -> decl line
 	for i, raw := range lines {
 		t := strings.TrimSpace(raw)
 		if strings.Contains(t, "reg") {
-			if m := regLineRe.FindStringSubmatch(t); m != nil {
-				regDecl[m[1]] = true
+			if name, ok := regDeclName(t); ok {
+				regDecl[name] = true
 			}
 		} else if strings.Contains(t, "output") {
-			for _, w := range anyIdentRe.FindAllString(stripRanges(t), -1) {
-				if w != "output" && w != "wire" && w != "signed" && w != "input" {
+			t = stripRanges(t)
+			for a, e := nextIdent(t, 0); a >= 0; a, e = nextIdent(t, e) {
+				if w := t[a:e]; w != "output" && w != "wire" && w != "signed" && w != "input" {
 					outPlain[w] = i + 1
 				}
 			}
@@ -227,9 +196,9 @@ func blindLValueScan(lines []string) []Hypothesis {
 		if strings.HasPrefix(t, "assign") {
 			inAlways = false
 			// assign driving a reg?
-			if m := alwaysTargetRe.FindStringSubmatch(strings.TrimPrefix(t, "assign ")); m != nil && regDecl[m[1]] {
+			if name, ok := assignTarget(strings.TrimPrefix(t, "assign ")); ok && regDecl[name] {
 				out = append(out, Hypothesis{
-					Category: diag.CatAssignToReg, Symbol: m[1],
+					Category: diag.CatAssignToReg, Symbol: name,
 					Confidence: 0.35, Excerpt: t,
 				})
 			}
@@ -238,10 +207,10 @@ func blindLValueScan(lines []string) []Hypothesis {
 		if !inAlways {
 			continue
 		}
-		if m := alwaysTargetRe.FindStringSubmatch(t); m != nil {
-			if declLine, isPlainOut := outPlain[m[1]]; isPlainOut && !regDecl[m[1]] {
+		if name, ok := assignTarget(t); ok {
+			if declLine, isPlainOut := outPlain[name]; isPlainOut && !regDecl[name] {
 				out = append(out, Hypothesis{
-					Line: declLine, Category: diag.CatInvalidLValue, Symbol: m[1],
+					Line: declLine, Category: diag.CatInvalidLValue, Symbol: name,
 					Confidence: 0.38, Excerpt: t,
 				})
 			}
@@ -250,23 +219,24 @@ func blindLValueScan(lines []string) []Hypothesis {
 	return out
 }
 
-func blindUndeclaredScan(lines []string) []Hypothesis {
+func blindUndeclaredScan(out []Hypothesis, lines []string) []Hypothesis {
 	var declared map[string]bool // built on the first edge use
-	var out []Hypothesis
 	for i, raw := range lines {
-		if !strings.Contains(raw, "edge") {
-			continue
-		}
-		for _, m := range edgeUseRe.FindAllStringSubmatch(raw, -1) {
+		for j := 0; ; {
+			name, end := nextEdgeUse(raw, j)
+			if end < 0 {
+				break
+			}
+			j = end
 			if declared == nil {
 				declared = map[string]bool{}
 				for _, n := range declaredNames(lines) {
 					declared[n] = true
 				}
 			}
-			if !declared[m[2]] {
+			if !declared[name] {
 				out = append(out, Hypothesis{
-					Line: i + 1, Category: diag.CatUndeclaredIdent, Symbol: m[2],
+					Line: i + 1, Category: diag.CatUndeclaredIdent, Symbol: name,
 					Confidence: 0.4, Excerpt: strings.TrimSpace(raw),
 				})
 			}

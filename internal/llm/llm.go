@@ -2,9 +2,9 @@ package llm
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -179,12 +179,30 @@ func NewModelRand(p Persona, rng *rand.Rand) *Model {
 
 // aptitude returns the stable per-(sample, category) uniform draw in
 // [0,1): the model's intrinsic ability on this instance. Deterministic so
-// ReAct retries of an identical repair stay failed.
+// ReAct retries of an identical repair stay failed. It hashes, with
+// FNV-64a, the bytes fmt's "%d|%d|%s" prints for (seed, cat, persona
+// name); TestAptitudeMatchesFmt holds it to that form.
 func (m *Model) aptitude(seed int64, cat diag.Category) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%s", seed, cat, m.Persona.Name)
-	return float64(h.Sum64()%1_000_000) / 1_000_000
+	var buf [48]byte
+	b := strconv.AppendInt(buf[:0], seed, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(cat), 10)
+	b = append(b, '|')
+	h := uint64(fnvOffset64)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	for i := 0; i < len(m.Persona.Name); i++ {
+		h = (h ^ uint64(m.Persona.Name[i])) * fnvPrime64
+	}
+	return float64(h%1_000_000) / 1_000_000
 }
+
+// The FNV-64a parameters (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 func clamp01(v float64) float64 {
 	if v < 0 {

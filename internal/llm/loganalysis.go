@@ -20,7 +20,6 @@
 package llm
 
 import (
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -59,12 +58,6 @@ var quartusCodeToCategory = map[int]diag.Category{
 	10125: diag.CatBadConcat,
 }
 
-var (
-	quartusErrRe  = regexp.MustCompile(`Error \((\d+)\): Verilog HDL error at [^(]*\((\d+)\): ([^.]+)`)
-	quotedNameRe  = regexp.MustCompile(`["'` + "`" + `]([A-Za-z_][A-Za-z0-9_]*)["'` + "`" + `]`)
-	iverilogLocRe = regexp.MustCompile(`^([^:\s]+):(\d+): (?:error: )?(.*)$`)
-)
-
 // AnalyzeLog parses a persona's compiler log into hypotheses. The quality
 // difference between personas is intrinsic: Quartus logs carry error codes
 // and symbols (high confidence), iverilog logs carry line numbers and
@@ -73,35 +66,32 @@ var (
 func AnalyzeLog(log string) []Hypothesis {
 	var out []Hypothesis
 	if strings.Contains(log, "Error (") {
-		out = append(out, analyzeQuartus(log)...)
+		out = analyzeQuartus(out, log)
 	}
-	out = append(out, analyzeIVerilog(log)...)
-	return out
+	return analyzeIVerilog(out, log)
 }
 
-func analyzeQuartus(log string) []Hypothesis {
-	var out []Hypothesis
-	for _, line := range strings.Split(log, "\n") {
-		m := quartusErrRe.FindStringSubmatch(line)
-		if m == nil {
+func analyzeQuartus(out []Hypothesis, log string) []Hypothesis {
+	for rest := log; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		codeDigits, lineDigits, msg, ok := quartusError(line)
+		if !ok {
 			continue
 		}
-		code, _ := strconv.Atoi(m[1])
-		lineNo, _ := strconv.Atoi(m[2])
+		code, _ := strconv.Atoi(codeDigits)
+		lineNo, _ := strconv.Atoi(lineDigits)
 		cat, ok := quartusCodeToCategory[code]
 		if !ok {
 			cat = diag.CatUnexpectedToken
 		}
-		h := Hypothesis{
+		out = append(out, Hypothesis{
 			Line:       lineNo,
-			Category:   refineSyntaxCategory(cat, m[3]),
+			Category:   refineSyntaxCategory(cat, msg),
+			Symbol:     quotedName(msg),
 			Confidence: 0.96,
 			Excerpt:    strings.TrimSpace(line),
-		}
-		if sym := quotedNameRe.FindStringSubmatch(m[3]); sym != nil {
-			h.Symbol = sym[1]
-		}
-		out = append(out, h)
+		})
 	}
 	return out
 }
@@ -129,36 +119,36 @@ func refineSyntaxCategory(cat diag.Category, msg string) diag.Category {
 	return cat
 }
 
-func analyzeIVerilog(log string) []Hypothesis {
+func analyzeIVerilog(out []Hypothesis, log string) []Hypothesis {
 	if strings.Contains(log, "I give up.") {
 		// The degradation case: the log admits defeat; at most the first
 		// flagged line is usable, with low confidence and no category.
-		var out []Hypothesis
-		for _, line := range strings.Split(log, "\n") {
-			m := iverilogLocRe.FindStringSubmatch(line)
-			if m == nil {
+		for rest := log; rest != ""; {
+			var line string
+			line, rest, _ = strings.Cut(rest, "\n")
+			lineDigits, _, ok := iverilogLocation(line)
+			if !ok {
 				continue
 			}
-			n, _ := strconv.Atoi(m[2])
-			out = append(out, Hypothesis{
+			n, _ := strconv.Atoi(lineDigits)
+			return append(out, Hypothesis{
 				Line: n, Category: diag.CatUnexpectedToken,
 				Confidence: 0.25, Excerpt: strings.TrimSpace(line),
 			})
-			break
 		}
 		return out
 	}
-	var out []Hypothesis
-	for _, line := range strings.Split(log, "\n") {
+	for rest := log; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		if strings.Contains(line, "Error (") {
 			continue // quartus line, handled elsewhere
 		}
-		m := iverilogLocRe.FindStringSubmatch(line)
-		if m == nil {
+		lineDigits, msg, ok := iverilogLocation(line)
+		if !ok {
 			continue
 		}
-		n, _ := strconv.Atoi(m[2])
-		msg := m[3]
+		n, _ := strconv.Atoi(lineDigits)
 		h := Hypothesis{Line: n, Excerpt: strings.TrimSpace(line)}
 		switch {
 		case strings.Contains(msg, "Unable to bind"):
@@ -209,9 +199,7 @@ func analyzeIVerilog(log string) []Hypothesis {
 			continue
 		}
 		if h.Symbol == "" {
-			if sym := quotedNameRe.FindStringSubmatch(msg); sym != nil {
-				h.Symbol = sym[1]
-			}
+			h.Symbol = quotedName(msg)
 		}
 		out = append(out, h)
 	}

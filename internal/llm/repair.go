@@ -92,8 +92,6 @@ func lineAt(lines []string, diagLine int) int {
 	return i
 }
 
-var anyIdentRe = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
-
 // declaredNames extracts the declared signal names, textually, from the
 // source's lines.
 func declaredNames(lines []string) []string {
@@ -109,7 +107,9 @@ func declaredNames(lines []string) []string {
 		}
 		// Strip the range, then every identifier that is not a keyword is
 		// a declared name.
-		for _, w := range anyIdentRe.FindAllString(stripRanges(t), -1) {
+		t = stripRanges(t)
+		for a, e := nextIdent(t, 0); a >= 0; a, e = nextIdent(t, e) {
+			w := t[a:e]
 			switch w {
 			case "input", "output", "inout", "wire", "reg", "logic",
 				"integer", "signed":
@@ -174,16 +174,14 @@ func repairUndeclared(code string, h Hypothesis) Outcome {
 		}
 	}
 	if best != "" {
-		re := regexp.MustCompile(`\b` + regexp.QuoteMeta(h.Symbol) + `\b`)
-		out := re.ReplaceAllString(code, best)
+		out := replaceWord(code, h.Symbol, best)
 		return Outcome{
 			Code: out, Applied: true, StructDifficulty: 0.2,
 			Note: fmt.Sprintf("renamed '%s' to the declared signal '%s'", h.Symbol, best),
 		}
 	}
 	// 2) Control signal used in an event control: restore the port.
-	if regexp.MustCompile(`(posedge|negedge)\s+`+regexp.QuoteMeta(h.Symbol)+`\b`).MatchString(code) ||
-		isControlName(h.Symbol) {
+	if hasEdgeUse(code, h.Symbol) || isControlName(h.Symbol) {
 		out, ok := addInputPort(code, h.Symbol)
 		if ok {
 			return Outcome{
@@ -195,8 +193,7 @@ func repairUndeclared(code string, h Hypothesis) Outcome {
 	// 3) Fallback: declare an internal wire or reg depending on how the
 	// symbol is written.
 	kind := "wire"
-	if regexp.MustCompile(regexp.QuoteMeta(h.Symbol)+`\s*(<=|=)[^=]`).MatchString(code) &&
-		strings.Contains(code, "always") {
+	if hasAssignTo(code, h.Symbol) && strings.Contains(code, "always") {
 		kind = "reg"
 	}
 	out, ok := insertAfterHeader(code, fmt.Sprintf("\t%s %s;", kind, h.Symbol))
@@ -276,9 +273,8 @@ func repairIndex(code string, h Hypothesis) Outcome {
 	// Literal index beyond the range: clamp to the MSB.
 	if m := indexMsgRe.FindStringSubmatch(h.Excerpt); m != nil && msb >= 0 {
 		bad := m[1]
-		pat := regexp.MustCompile(`\[` + regexp.QuoteMeta(bad) + `\]`)
-		if pat.MatchString(line) {
-			lines[li] = pat.ReplaceAllString(line, fmt.Sprintf("[%d]", msb))
+		if pat := "[" + bad + "]"; strings.Contains(line, pat) {
+			lines[li] = strings.ReplaceAll(line, pat, fmt.Sprintf("[%d]", msb))
 			return Outcome{
 				Code: strings.Join(lines, "\n"), Applied: true, StructDifficulty: 0.2,
 				Note: fmt.Sprintf("clamped index %s to the declared bound %d", bad, msb),
@@ -291,9 +287,8 @@ func repairIndex(code string, h Hypothesis) Outcome {
 		lo, _ := strconv.Atoi(m[2])
 		delta := hi - msb
 		if delta > 0 && lo-delta >= 0 {
-			pat := regexp.MustCompile(`\[` + regexp.QuoteMeta(m[1]) + `:` + regexp.QuoteMeta(m[2]) + `\]`)
-			if pat.MatchString(line) {
-				lines[li] = pat.ReplaceAllString(line, fmt.Sprintf("[%d:%d]", hi-delta, lo-delta))
+			if pat := "[" + m[1] + ":" + m[2] + "]"; strings.Contains(line, pat) {
+				lines[li] = strings.ReplaceAll(line, pat, fmt.Sprintf("[%d:%d]", hi-delta, lo-delta))
 				return Outcome{
 					Code: strings.Join(lines, "\n"), Applied: true, StructDifficulty: 0.45,
 					Note: "slid the part-select window back inside the declared range",
@@ -321,20 +316,16 @@ func repairInvalidLValue(code string, h Hypothesis) Outcome {
 	if h.Symbol == "" {
 		return failed(code, "log did not name the invalid l-value")
 	}
-	sym := regexp.QuoteMeta(h.Symbol)
 	// output S / output [..] S  ->  output reg ...
-	outRe := regexp.MustCompile(`output(\s+(?:\[[^\]]+\]\s*)?)` + sym + `\b`)
-	if loc := outRe.FindStringSubmatchIndex(code); loc != nil && !strings.Contains(code[loc[0]:loc[1]], "reg") {
-		out := code[:loc[0]] + "output reg" + code[loc[2]:loc[3]] + h.Symbol + code[loc[1]:]
+	if start, at, end := outputDecl(code, h.Symbol); start >= 0 && !strings.Contains(code[start:end], "reg") {
+		out := code[:start] + "output reg" + code[start+len("output"):at] + h.Symbol + code[end:]
 		return Outcome{
 			Code: out, Applied: true, StructDifficulty: 0.15,
 			Note: fmt.Sprintf("declared output '%s' as reg so the always block may drive it", h.Symbol),
 		}
 	}
 	// wire S; -> reg S;
-	wireRe := regexp.MustCompile(`\bwire(\s+(?:\[[^\]]+\]\s*)?` + sym + `\s*;)`)
-	if wireRe.MatchString(code) {
-		out := wireRe.ReplaceAllString(code, "reg$1")
+	if out, ok := retypeDecl(code, "wire", "reg", h.Symbol); ok {
 		return Outcome{
 			Code: out, Applied: true, StructDifficulty: 0.15,
 			Note: fmt.Sprintf("changed '%s' from wire to reg", h.Symbol),
@@ -347,18 +338,13 @@ func repairAssignToReg(code string, h Hypothesis) Outcome {
 	if h.Symbol == "" {
 		return failed(code, "log did not name the assigned variable")
 	}
-	sym := regexp.QuoteMeta(h.Symbol)
-	regOutRe := regexp.MustCompile(`output\s+reg(\s+(?:\[[^\]]+\]\s*)?` + sym + `\b)`)
-	if regOutRe.MatchString(code) {
-		out := regOutRe.ReplaceAllString(code, "output$1")
+	if out, ok := dropOutputReg(code, h.Symbol); ok {
 		return Outcome{
 			Code: out, Applied: true, StructDifficulty: 0.15,
 			Note: fmt.Sprintf("removed 'reg' from output '%s' so assign may drive it", h.Symbol),
 		}
 	}
-	regDeclRe := regexp.MustCompile(`\breg(\s+(?:\[[^\]]+\]\s*)?` + sym + `\s*;)`)
-	if regDeclRe.MatchString(code) {
-		out := regDeclRe.ReplaceAllString(code, "wire$1")
+	if out, ok := retypeDecl(code, "reg", "wire", h.Symbol); ok {
 		return Outcome{
 			Code: out, Applied: true, StructDifficulty: 0.15,
 			Note: fmt.Sprintf("changed '%s' from reg to wire", h.Symbol),
@@ -466,6 +452,18 @@ var (
 	decRe      = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)\s*--`)
 	compoundRe = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)\s*([+\-*/&|^])=\s*`)
 )
+
+// hasOpAssign reports whether t holds a compound-assignment operator
+// ("+=", "-=", "*=", "/=", "&=", "|=", "^="), which every match of
+// compoundRe contains.
+func hasOpAssign(t string) bool {
+	for i := 1; i < len(t); i++ {
+		if t[i] == '=' && strings.IndexByte("+-*/&|^", t[i-1]) >= 0 {
+			return true
+		}
+	}
+	return false
+}
 
 func repairCStyle(code string, _ Hypothesis) Outcome {
 	lines := splitLines(code)
