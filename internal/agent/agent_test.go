@@ -161,3 +161,37 @@ func TestDeterministicTranscripts(t *testing.T) {
 		t.Fatal("same seed must reproduce the same transcript")
 	}
 }
+
+// splitFirstLogLine is firstLogLine's former strings.Split form, the
+// reference for TestFirstLogLineMatchesSplit.
+func splitFirstLogLine(log string) string {
+	for _, line := range strings.Split(log, "\n") {
+		if strings.TrimSpace(line) != "" {
+			return strings.TrimSpace(line)
+		}
+	}
+	return log
+}
+
+// TestFirstLogLineMatchesSplit: the strings.Cut walk returns what the
+// Split form did, including the whole log when no line has text.
+func TestFirstLogLineMatchesSplit(t *testing.T) {
+	cases := []string{
+		"",
+		"\n",
+		" \t\n  \n\t",
+		"\r\n\r\n",
+		"Error (10161): object \"clk\" is not declared\r\nError: stop\r\n",
+		"\n\n  \n  Error: first  \nError: second\n",
+		"main.v:6: error: Unable to bind wire/reg/memory `clk'",
+		"   only line, no newline   ",
+		"\n\n\nlast line only",
+		"\v\f\n x",
+		"a\n\nb",
+	}
+	for _, log := range cases {
+		if got, want := firstLogLine(log), splitFirstLogLine(log); got != want {
+			t.Errorf("firstLogLine(%q) = %q, want %q", log, got, want)
+		}
+	}
+}

@@ -160,10 +160,11 @@ func (f *RTLFixer) Lint(filename, code string) compiler.Result {
 }
 
 // rngPool recycles the simulated model's random generators across fixes:
-// a math/rand source is about 5 KB, and every fix needs one. A run's
-// generator returns to the pool when FixTraced returns; the transcript
-// keeps no reference to the model.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// an llm.NewSource is about 5 KB (607 state words and a 10-word touched
+// set), and every fix needs one. Reseeding it is O(1), and its stream is
+// a fresh rand.NewSource's. A run's generator returns to the pool when
+// FixTraced returns; the transcript keeps no reference to the model.
+var rngPool = sync.Pool{New: func() any { return rand.New(llm.NewSource(0)) }}
 
 // Database returns the retrieval database, nil when RAG is off.
 func (f *RTLFixer) Database() *rag.Database { return f.db }

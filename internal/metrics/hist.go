@@ -40,17 +40,6 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Set forces the level.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Max raises the level to n when n exceeds it — a lock-free running
-// maximum (dispatch batch-size high-water marks, store flush-lag peaks).
-func (g *Gauge) Max(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
