@@ -222,10 +222,13 @@ func main() {
 	}
 }
 
-// printCacheDeltas writes one stderr line per memo layer (compile cache,
-// sim cache, reference traces, retrieval index) that one experiment
-// touched.
+// printCacheDeltas writes one stderr line per memo layer (frontend
+// artifacts, compile cache, sim cache, reference traces, retrieval
+// index) that one experiment touched.
 func printCacheDeltas(exp string, before, after memo.KindTotals) {
+	if d := after.Frontend.Sub(before.Frontend); d != (memo.Stats{}) {
+		fmt.Fprintf(os.Stderr, "[%s frontend artifacts: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)
+	}
 	if d := after.Compile.Sub(before.Compile); d != (memo.Stats{}) {
 		fmt.Fprintf(os.Stderr, "[%s compile cache: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)
 	}

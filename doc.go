@@ -27,7 +27,9 @@
 // legacy tree-walker, which survives as the bit-identical differential
 // oracle and automatic fallback. Compiled programs are content-addressed
 // in memo.SimCache beside the compile cache, so repeated checks of one
-// source, the reference's included, pay one compile.
+// source, the reference's included, pay one compile; both caches build
+// on one process-wide frontend artifact per source, so the personas and
+// the oracle parse a source once between them.
 //
 // The fix loop also runs as a long-lived service: internal/server (daemon:
 // cmd/rtlfixerd, traffic generator: cmd/loadgen) serves POST /v1/fix with

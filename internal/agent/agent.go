@@ -133,8 +133,8 @@ type Config struct {
 	// value keeps it on.
 	DisableAnalyzer bool
 	// Span, when non-nil, is the parent trace span under which the loop
-	// records its stage children (iteration, compile, rag, llm). Nil
-	// disables tracing: the no-op span chain keeps the loop
+	// records its stage children (iteration, compile, analyze, rag,
+	// llm). Nil disables tracing: the no-op span chain keeps the loop
 	// allocation-free, and transcripts are identical either way.
 	Span *trace.Span
 	// Retry tunes the backoff around transient LLM backend failures; the
@@ -227,21 +227,23 @@ func preclean(code string, t *Transcript) string {
 
 // observe builds the observation/feedback text for one compile: the
 // persona log, plus (analyzer on) the semantic-lint findings for the
-// candidate. The findings come from the compile result, which lints the
-// design its own frontend pass elaborated: nothing is re-parsed, and a
-// result from the compile cache carries findings already computed. The
-// lint lines ride along in the prompt without being
-// mistaken for compile errors — their format deliberately matches none
-// of the compiler-log dialects the model's log analysis parses, so the
-// error taxonomy, retrieval, and repair strategy selection are
-// byte-identical with the analyzer on or off.
-func observe(cfg Config, res compiler.Result, t *Transcript) string {
+// candidate, read under an "analyze" child span of parent. The findings
+// come from the compile result, which lints the design its own frontend
+// pass elaborated: nothing is re-parsed, and a result from the compile
+// cache carries findings already computed. The lint lines ride along in
+// the prompt without being mistaken for compile errors — their format
+// deliberately matches none of the compiler-log dialects the model's log
+// analysis parses, so the error taxonomy, retrieval, and repair strategy
+// selection are byte-identical with the analyzer on or off.
+func observe(cfg Config, parent *trace.Span, res compiler.Result, t *Transcript) string {
 	if cfg.DisableAnalyzer {
 		return res.Log
 	}
 	// Analyzer failure is never fatal (degradation ladder): a panicking
 	// rule just means this observation carries no lint lines.
+	as := parent.Child("analyze")
 	findings, err := analyze.Safe(res.Findings)
+	as.End()
 	if err != nil || len(findings) == 0 {
 		return res.Log
 	}
@@ -326,7 +328,7 @@ func RunOneShot(cfg Config, code string) *Transcript {
 		t.add(StepAction, "Finish", "the code already compiles")
 		return t
 	}
-	obs := observe(cfg, res, t)
+	obs := observe(cfg, cfg.Span, res, t)
 	t.add(StepObservation, "", obs)
 
 	var guidance []rag.Entry
@@ -380,7 +382,7 @@ func RunReAct(cfg Config, code string) *Transcript {
 		t.add(StepAction, "Finish", "the code already compiles")
 		return t
 	}
-	obs := observe(cfg, res, t)
+	obs := observe(cfg, cfg.Span, res, t)
 	t.add(StepObservation, "", obs)
 
 	pol := cfg.retryPolicy() // one retry budget across all iterations
@@ -427,7 +429,7 @@ func RunReAct(cfg Config, code string) *Transcript {
 			it.End()
 			return t
 		}
-		obs = observe(cfg, res, t)
+		obs = observe(cfg, it, res, t)
 		t.add(StepObservation, "", obs)
 		it.End()
 	}

@@ -9,8 +9,8 @@
 //   - Quartus  — verbose commercial-style logs with error numbers,
 //     explanations and fix suggestions (§4.3.1, Fig. 5 bottom)
 //
-// All personas share one frontend; only the log rendering and the
-// information content differ. InfoScore quantifies that difference for the
+// All personas share one frontend (FrontendResult); only the log
+// rendering (each persona's Render) and the information content differ. InfoScore quantifies that difference for the
 // simulated LLM's localization model.
 package compiler
 
@@ -87,11 +87,15 @@ func (s *lintSlot) findings() diag.List {
 	return s.list
 }
 
-// frontend is the one parse + elaborate pass behind every persona. It
-// fills the persona-independent part of a Result: the diagnostics, the
-// AST, the design under Frontend's masking rule, and the analyzer's
-// input, whose design survives elaboration errors.
-func frontend(src string) Result {
+// FrontendResult is the one parse + elaborate pass behind every persona.
+// It fills the persona-independent part of a Result: the diagnostics,
+// the AST, the design under Frontend's masking rule, and the analyzer's
+// input, whose design survives elaboration errors. The log is empty; a
+// persona's Render adds it, so Compile(filename, src) is
+// Render(filename, FrontendResult(src)). Every Result rendered from one
+// FrontendResult shares its AST, design, diagnostics and findings, so
+// callers must treat them as read-only.
+func FrontendResult(src string) Result {
 	file, design, diags := sema.ParseAndElaborate(src)
 	res := Result{Diags: diags, File: file}
 	if design == nil {
@@ -120,11 +124,35 @@ type Compiler interface {
 	InfoScore() float64
 }
 
+// RenderStep returns c's Render step when c is one of the built-in
+// personas, whose Compile(filename, src) is exactly
+// Render(filename, FrontendResult(src)); a caller holding a
+// FrontendResult can then skip the parse. Any other Compiler — a wrapper
+// that embeds a persona included — keeps its own Compile, and the step
+// is nil.
+func RenderStep(c Compiler) func(filename string, fe Result) Result {
+	switch p := c.(type) {
+	case Simple:
+		return p.Render
+	case IVerilog:
+		return p.Render
+	case Quartus:
+		return p.Render
+	}
+	return nil
+}
+
 // Frontend runs parse + elaborate with the real-compiler masking rule:
 // semantic analysis only runs when parsing succeeded, so parse errors hide
 // the elaboration errors behind them (the cascade that makes iterative
 // fixing necessary). The design is nil unless the source compiles with no
 // errors.
+//
+// Frontend is the uncached reference: every call parses src afresh and
+// touches no cache, so checks that must stay independent of the
+// memoization layer (the benchmark's verification, curation's
+// elaboration filter, vlint, the bench tables' candidate gates) call it
+// rather than a cached path.
 func Frontend(src string) (*verilog.SourceFile, *sema.Design, diag.List) {
 	file, design, diags := sema.ParseAndElaborate(src)
 	if diags.HasErrors() {
@@ -146,8 +174,13 @@ func (Simple) Name() string { return "Simple" }
 func (Simple) InfoScore() float64 { return 0.0 }
 
 // Compile implements Compiler.
-func (Simple) Compile(filename, src string) Result {
-	res := frontend(src)
+func (p Simple) Compile(filename, src string) Result {
+	return p.Render(filename, FrontendResult(src))
+}
+
+// Render returns the frontend result res with the persona's log for
+// filename added.
+func (Simple) Render(filename string, res Result) Result {
 	if res.Ok {
 		res.Log = "Compilation successful."
 	} else {
@@ -172,8 +205,13 @@ func (IVerilog) InfoScore() float64 { return 0.55 }
 const giveUpThreshold = 4
 
 // Compile implements Compiler.
-func (IVerilog) Compile(filename, src string) Result {
-	res := frontend(src)
+func (p IVerilog) Compile(filename, src string) Result {
+	return p.Render(filename, FrontendResult(src))
+}
+
+// Render returns the frontend result res with the persona's log for
+// filename added.
+func (IVerilog) Render(filename string, res Result) Result {
 	if res.Ok {
 		// Real iverilog is silent on success, but an empty log would leave
 		// the agent with an empty Observation step; echo the filename the
@@ -328,8 +366,13 @@ func quartusCode(c diag.Category) int {
 }
 
 // Compile implements Compiler.
-func (Quartus) Compile(filename, src string) Result {
-	res := frontend(src)
+func (p Quartus) Compile(filename, src string) Result {
+	return p.Render(filename, FrontendResult(src))
+}
+
+// Render returns the frontend result res with the persona's log for
+// filename added.
+func (Quartus) Render(filename string, res Result) Result {
 	var b strings.Builder
 	warnings := res.Diags.Warnings()
 	errs := res.Diags.Errors()

@@ -179,9 +179,9 @@ func (f *RTLFixer) Fix(filename, code string, sampleSeed int64) *agent.Transcrip
 }
 
 // FixTraced is Fix with a parent trace span: the loop's stage children
-// (iteration, compile, rag, llm) attach under sp. A nil sp is exactly
-// Fix — the no-op span chain adds no allocations — and the transcript
-// is byte-identical either way.
+// (iteration, compile, analyze, rag, llm) attach under sp. A nil sp is
+// exactly Fix — the no-op span chain adds no allocations — and the
+// transcript is byte-identical either way.
 func (f *RTLFixer) FixTraced(filename, code string, sampleSeed int64, sp *trace.Span) *agent.Transcript {
 	rng := rngPool.Get().(*rand.Rand)
 	defer rngPool.Put(rng)

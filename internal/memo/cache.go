@@ -24,10 +24,17 @@ type source[S any] interface {
 	same(S) bool
 }
 
-// text is the source of the compile and sim caches: Verilog source.
+// text is the source of the artifact, compile and sim caches: Verilog
+// source.
 type text string
 
 func (a text) same(b text) bool { return a == b }
+
+// srcKey is the content address of one Verilog source, the FNV-64a of
+// its text: the key of the frontend artifact and sim caches.
+type srcKey uint64
+
+func (k srcKey) shardHash() uint64 { return uint64(k) }
 
 // entry retains the source alongside the value.
 type entry[S, V any] struct {

@@ -10,17 +10,23 @@
 // structures are precomputed once and sharded by key hash, so the worker
 // pool never repeats work and never serializes on a single lock.
 //
-// Four components:
+// Five components:
 //
+//   - The frontend artifact cache (frontend.go) — one process-wide,
+//     bounded cache of compiler.FrontendResult per distinct source: the
+//     AST, masked design, diagnostics and analyzer findings every
+//     persona and the simulation oracle share, so a source is parsed and
+//     elaborated once per process.
 //   - CompileCache — a concurrency-safe, content-addressed cache of
 //     compiler.Result keyed by (persona, filename, FNV-64a of source),
-//     fronting any compiler.Compiler via Cached.
+//     fronting any compiler.Compiler via Cached. A built-in persona's
+//     miss renders only its log over the shared frontend artifact.
 //   - RetrievalIndex — a precompiled index over one rag.Database: an
 //     inverted pattern→entry index serving ExactTag and Keyword, and
 //     precomputed shingle sets serving Fuzzy. Wrap adapts it to the
 //     rag.Retriever interface.
 //   - SimCache (simcache.go) — the same content addressing over the
-//     simulation oracle's pipeline: parse + elaborate + sim.Compile,
+//     simulation oracle's pipeline: the frontend artifact + sim.Compile,
 //     shared by every dataset.Problem.Check so the pass@k loop pays one
 //     engine compile per distinct source.
 //   - TraceCache (tracecache.go) — each problem reference's recorded
@@ -28,10 +34,10 @@
 //     so the pass@k loop simulates a reference once per stimulus and
 //     every candidate replays against the recording.
 //
-// CompileCache, SimCache and TraceCache share one cache core (cache.go):
-// a sharded map with FIFO displacement, a source-compare collision
-// guard, and per-cache counters mirrored into per-layer process totals
-// (TotalsByKind). Every cache lives as long as its process.
+// The artifact cache, CompileCache, SimCache and TraceCache share one
+// cache core (cache.go): a sharded map with FIFO displacement, a
+// source-compare collision guard, and per-cache counters mirrored into
+// per-layer process totals (TotalsByKind). Every cache lives as long as its process.
 //
 // Correctness contract: every component is transparent. A cached compile
 // returns the same Result the wrapped persona would produce (results are
@@ -97,26 +103,31 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// The process-wide totals are kept per cache layer (compile vs sim vs
-// retrieval), then summed for the aggregate view.
+// The process-wide totals are kept per cache layer (frontend vs compile
+// vs sim vs trace vs retrieval), then summed for the aggregate view.
 var (
+	globalFrontend  counters
 	globalCompile   counters
 	globalSim       counters
 	globalTrace     counters
 	globalRetrieval counters
 )
 
-// Totals returns the process-wide aggregate counters over every
-// CompileCache, SimCache, TraceCache and RetrievalIndex ever created. Misses are
-// single-flight, so the hit/miss split matches a serial run's as long as
-// no entry is displaced.
+// Totals returns the process-wide aggregate counters over the frontend
+// artifact cache and every CompileCache, SimCache, TraceCache and
+// RetrievalIndex ever created. Misses are single-flight, so the hit/miss
+// split matches a serial run's as long as no entry is displaced.
 func Totals() Stats {
 	t := TotalsByKind()
-	return t.Compile.Add(t.Sim).Add(t.Trace).Add(t.Retrieval)
+	return t.Frontend.Add(t.Compile).Add(t.Sim).Add(t.Trace).Add(t.Retrieval)
 }
 
 // KindTotals breaks the process-wide counters out per cache layer.
 type KindTotals struct {
+	// Frontend covers the process-wide frontend artifact cache (one
+	// parse + elaborate per distinct source, shared by every persona
+	// and the simulation oracle).
+	Frontend Stats
 	// Compile covers every CompileCache (persona compile results).
 	Compile Stats
 	// Sim covers every SimCache (the simulation oracle's frontend +
@@ -133,6 +144,7 @@ type KindTotals struct {
 // TotalsByKind returns the per-layer process-wide counters.
 func TotalsByKind() KindTotals {
 	return KindTotals{
+		Frontend:  globalFrontend.snapshot(),
 		Compile:   globalCompile.snapshot(),
 		Sim:       globalSim.snapshot(),
 		Trace:     globalTrace.snapshot(),
@@ -176,15 +188,20 @@ func HashSource(src string) uint64 {
 // cachedCompiler fronts a compiler.Compiler with a CompileCache.
 type cachedCompiler struct {
 	inner compiler.Compiler
-	cache *CompileCache
+	// render is the built-in persona's Render step (compiler.RenderStep);
+	// nil for any other Compiler, whose misses call its own Compile.
+	render func(filename string, fe compiler.Result) compiler.Result
+	cache  *CompileCache
 }
 
 // Cached wraps a persona so repeated compilations of identical
-// (filename, source) pairs are served from cc. The wrapper delegates
-// Name and InfoScore, so it is indistinguishable from the wrapped persona
-// everywhere but in speed.
+// (filename, source) pairs are served from cc. A miss of a built-in
+// persona renders its log over the process-wide frontend artifact, so
+// the source is parsed at most once across every persona and cache. The
+// wrapper delegates Name and InfoScore, so it is indistinguishable from
+// the wrapped persona everywhere but in speed.
 func (cc *CompileCache) Cached(c compiler.Compiler) compiler.Compiler {
-	return &cachedCompiler{inner: c, cache: cc}
+	return &cachedCompiler{inner: c, render: compiler.RenderStep(c), cache: cc}
 }
 
 // Cached wraps a persona with a fresh default-sized cache — the
@@ -207,7 +224,10 @@ func (c *cachedCompiler) InfoScore() float64 { return c.inner.InfoScore() }
 func (c *cachedCompiler) CompileReportingHit(filename, src string) (compiler.Result, bool) {
 	key := compileKey{persona: c.inner.Name(), filename: filename, srcHash: HashSource(src)}
 	return c.cache.getOrCompute(key, text(src), func() compiler.Result {
-		return c.inner.Compile(filename, src)
+		if c.render == nil {
+			return c.inner.Compile(filename, src)
+		}
+		return c.render(filename, frontends.artifact(key.srcHash, src))
 	})
 }
 

@@ -1,32 +1,26 @@
 package memo
 
 // SimCache is the content-addressed cache in front of the simulation
-// oracle's compile pipeline: parse + elaborate + sim.Compile, keyed by
-// FNV-64a of the source on the same cache core (and collision guard) as
-// the compile cache. The functional check is the innermost loop of every
+// oracle's compile pipeline: the frontend artifact (frontend.go) +
+// sim.Compile, keyed by FNV-64a of the source on the same cache core
+// (and collision guard) as the compile cache. The functional check is the innermost loop of every
 // pass@k experiment — each candidate is re-frontended for scoring, and
 // rtlfixerd re-serves the same hot problems — so one shared SimCache
 // turns all of that into a single compile per distinct source.
 //
 // Cached entries are immutable by contract: sim.Program is read-only and
-// instantiated per run via sim.NewFromProgram; the design and diagnostics
-// are shared exactly as the compile cache shares compiler.Result. A
-// source whose design the simulator compiler rejects caches a nil Program
-// (callers fall back to the walker through sim.New) so the rejection is
-// not recomputed either.
+// instantiated per run via sim.NewFromProgram; the AST, design and
+// diagnostics are the frontend artifact's, shared with every persona
+// compile of the same source. A source whose design the simulator
+// compiler rejects caches a nil Program (callers fall back to the walker
+// through sim.New) so the rejection is not recomputed either.
 
 import (
-	"repro/internal/compiler"
 	"repro/internal/diag"
 	"repro/internal/sema"
 	"repro/internal/sim"
 	"repro/internal/verilog"
 )
-
-// simKey is the content address of one simulated source.
-type simKey uint64
-
-func (k simKey) shardHash() uint64 { return uint64(k) }
 
 // simEntry is one cached frontend+compile outcome.
 type simEntry struct {
@@ -39,7 +33,7 @@ type simEntry struct {
 // SimCache is a concurrency-safe, sharded, content-addressed cache of
 // elaborated designs and their compiled simulation programs.
 type SimCache struct {
-	cache[simKey, text, simEntry]
+	cache[srcKey, text, simEntry]
 }
 
 // NewSimCache builds a cache holding at least capacity entries across all
@@ -51,7 +45,7 @@ func NewSimCache(capacity int) *SimCache {
 }
 
 // Frontend is compiler.Frontend through the cache: same results,
-// amortized parse+sema.
+// amortized parse+sema, shared with the persona compiles of src.
 func (sc *SimCache) Frontend(src string) (*verilog.SourceFile, *sema.Design, diag.List) {
 	e := sc.lookup(src)
 	return e.file, e.design, e.diags
@@ -67,16 +61,19 @@ func (sc *SimCache) Program(src string) (*sim.Program, *sema.Design, diag.List) 
 }
 
 func (sc *SimCache) lookup(src string) simEntry {
-	e, _ := sc.getOrCompute(simKey(HashSource(src)), text(src), func() simEntry {
-		return compileSimEntry(src)
+	h := HashSource(src)
+	e, _ := sc.getOrCompute(srcKey(h), text(src), func() simEntry {
+		return compileSimEntry(h, src)
 	})
 	return e
 }
 
-// compileSimEntry runs the full oracle compile pipeline for one source.
-func compileSimEntry(src string) simEntry {
-	var e simEntry
-	e.file, e.design, e.diags = compiler.Frontend(src)
+// compileSimEntry runs the oracle compile pipeline for one source, whose
+// FNV-64a is h, over its frontend artifact: the source's Design is nil
+// unless it compiles with no errors, exactly compiler.Frontend's masking.
+func compileSimEntry(h uint64, src string) simEntry {
+	fe := frontends.artifact(h, src)
+	e := simEntry{file: fe.File, design: fe.Design, diags: fe.Diags}
 	if e.design != nil {
 		if prog, err := sim.Compile(e.design); err == nil {
 			e.prog = prog

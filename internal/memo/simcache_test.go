@@ -118,12 +118,12 @@ func TestSimCacheCapacityBound(t *testing.T) {
 // then displaces the collided slot (counted as an eviction).
 func TestSimCacheCollisionGuard(t *testing.T) {
 	sc := NewSimCache(0)
-	key := simKey(HashSource(simCacheGood))
+	key := srcKey(HashSource(simCacheGood))
 	shard := sc.shardFor(key)
 
 	// Plant a foreign entry (compiled from a different source) at
 	// simCacheGood's slot.
-	foreign := entry[text, simEntry]{src: simCacheFallback, val: compileSimEntry(simCacheFallback)}
+	foreign := entry[text, simEntry]{src: simCacheFallback, val: compileSimEntry(HashSource(simCacheFallback), simCacheFallback)}
 	shard.mu.Lock()
 	shard.entries[key] = foreign
 	shard.order = append(shard.order, key)
@@ -182,7 +182,7 @@ func TestSimCacheChurnConcurrent(t *testing.T) {
 				// with an entry for a different source, as a hash
 				// collision would.
 				if i%17 == 0 {
-					key := simKey(HashSource(srcs[(i+1)%distinct]))
+					key := srcKey(HashSource(srcs[(i+1)%distinct]))
 					shard := sc.shardFor(key)
 					shard.mu.Lock()
 					if _, ok := shard.entries[key]; ok {
@@ -213,7 +213,7 @@ func TestSimCacheChurnConcurrent(t *testing.T) {
 		s := &sc.shards[i]
 		s.mu.Lock()
 		for key, e := range s.entries {
-			if e.val.design != nil && simKey(HashSource(string(e.src))) != key {
+			if e.val.design != nil && srcKey(HashSource(string(e.src))) != key {
 				s.mu.Unlock()
 				t.Fatalf("entry stored under wrong key: %q", e.src)
 			}

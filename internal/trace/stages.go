@@ -104,7 +104,7 @@ func (o OrderedStages) MarshalJSON() ([]byte, error) {
 // makes the attribution readable top to bottom.
 var stageOrder = []string{
 	"fix", "lint", "job", "admission", "queue", "wait", "run",
-	"agent", "iteration", "compile", "rag", "llm", "sim",
+	"agent", "iteration", "compile", "analyze", "rag", "llm", "sim",
 }
 
 func stageRank(name string) int {
