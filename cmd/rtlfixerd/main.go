@@ -22,10 +22,10 @@
 // Resilience: /v1/readyz answers 503 until the default fixer is
 // prewarmed (-prewarm, on by default) and again while draining;
 // /v1/healthz is pure liveness. Panicking
-// runs and handlers are isolated into typed 500s, per-configuration
-// circuit breakers fail fast after repeated backend aborts, and
-// -fault-profile installs a deterministic fault-injection schedule
-// (internal/fault) for chaos testing — see scripts/chaos_smoke.sh.
+// runs and handlers are isolated into typed 500s, a runaway sim check
+// is stopped by its watchdog, and -fault-profile installs a
+// deterministic fault-injection schedule (internal/fault) for chaos
+// testing — see scripts/chaos_smoke.sh.
 //
 // The daemon prints exactly one line to stdout — "rtlfixerd: listening on
 // HOST:PORT" — so scripts can discover a randomly assigned port; all

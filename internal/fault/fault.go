@@ -1,9 +1,8 @@
 // Package fault is a deterministic, seedable fault-injection registry
 // for the serving spine. Production code is threaded with named
-// injection points (transient and persistent LLM backend failures,
-// garbage LLM output, compile/sim stalls, worker and handler panics);
-// each point consults the globally installed registry, which decides
-// per the configured probability whether the fault fires.
+// injection points (compile/sim stalls, worker, handler and analyzer
+// panics); each point consults the globally installed registry, which
+// decides per the configured probability whether the fault fires.
 //
 // Decisions are deterministic: the nth decision at point p under seed s
 // is a pure function of (s, p, n), so the same seed replays the same
@@ -21,11 +20,10 @@
 //	point:rate            fire with probability rate in [0, 1]
 //	point:rate:duration   stall points: sleep duration when fired
 //
-// e.g. "llm.transient:0.2;worker.panic:0.05;sim.stall:0.1:5ms".
+// e.g. "worker.panic:0.05;analyze.panic:0.2;sim.stall:0.1:5ms".
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -38,20 +36,17 @@ import (
 
 // The catalog of injection points. Parse rejects names outside it, so a
 // typo in a -fault-profile fails at startup instead of silently never
-// firing.
+// firing. The simulated LLM is an in-process function that cannot
+// fail, so no point stands for a failing backend.
 const (
-	LLMTransient  = "llm.transient"  // LLM backend fails once; a retry may succeed
-	LLMPersistent = "llm.persistent" // LLM backend fails every attempt
-	LLMGarbage    = "llm.garbage"    // LLM returns garbled, uncompilable output
-	CompileStall  = "compile.stall"  // compiler front-end stalls (duration)
-	SimStall      = "sim.stall"      // simulator settle loop stalls (duration)
-	WorkerPanic   = "worker.panic"   // pipeline worker panics mid-run
-	HandlerPanic  = "handler.panic"  // HTTP handler panics before admission
-	AnalyzePanic  = "analyze.panic"  // semantic analyzer panics on a source
+	CompileStall = "compile.stall" // compiler front-end stalls (duration)
+	SimStall     = "sim.stall"     // simulator settle loop stalls (duration)
+	WorkerPanic  = "worker.panic"  // pipeline worker panics mid-run
+	HandlerPanic = "handler.panic" // HTTP handler panics before admission
+	AnalyzePanic = "analyze.panic" // semantic analyzer panics on a source
 )
 
 var known = map[string]bool{
-	LLMTransient: true, LLMPersistent: true, LLMGarbage: true,
 	CompileStall: true, SimStall: true,
 	WorkerPanic: true, HandlerPanic: true, AnalyzePanic: true,
 }
@@ -64,21 +59,6 @@ func Points() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Error is the typed error returned by fired error-injection points, so
-// resilience layers and tests can tell an injected fault from a real
-// one (errors.As / IsInjected).
-type Error struct {
-	Point string
-}
-
-func (e *Error) Error() string { return "fault: injected failure at " + e.Point }
-
-// IsInjected reports whether any error in err's chain is an injected fault.
-func IsInjected(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe)
 }
 
 // point is one configured injection point. decisions counts every
@@ -108,7 +88,7 @@ func New(seed int64) *Registry {
 
 // Set configures (or reconfigures) one injection point. rate is the
 // per-decision fire probability in [0, 1]; delay is the stall duration
-// for Delay points (ignored by Hit/Err points).
+// for Delay points (ignored by Hit points).
 func (r *Registry) Set(name string, rate float64, delay time.Duration) error {
 	if !known[name] {
 		return fmt.Errorf("fault: unknown injection point %q (known: %s)", name, strings.Join(Points(), ", "))
@@ -126,7 +106,7 @@ func (r *Registry) Set(name string, rate float64, delay time.Duration) error {
 }
 
 // SetLimit caps how many times a configured point fires; after limit
-// fires it goes quiet. Used by tests to script "fail twice, then
+// fires it goes quiet. Used by tests to script "panic n times, then
 // recover" schedules. The point must already be Set.
 func (r *Registry) SetLimit(name string, limit uint64) error {
 	r.mu.Lock()
@@ -257,11 +237,6 @@ func Install(r *Registry) { active.Store(r) }
 // Uninstall removes the global registry; all points go quiet.
 func Uninstall() { active.Store(nil) }
 
-// Enabled reports whether a registry is installed. Call sites with
-// non-trivial fault setup (e.g. building a retry closure) may use it to
-// keep the production path allocation-free.
-func Enabled() bool { return active.Load() != nil }
-
 // Hit reports whether the named point fires on this decision.
 func Hit(name string) bool {
 	r := active.Load()
@@ -270,18 +245,6 @@ func Hit(name string) bool {
 	}
 	fire, _ := r.decide(name)
 	return fire
-}
-
-// Err returns an injected *Error when the named point fires, else nil.
-func Err(name string) error {
-	r := active.Load()
-	if r == nil {
-		return nil
-	}
-	if fire, _ := r.decide(name); fire {
-		return &Error{Point: name}
-	}
-	return nil
 }
 
 // Delay sleeps the point's configured duration when the named point

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -10,13 +9,13 @@ import (
 // TestParse: the profile grammar round-trips valid entries and rejects
 // unknown points, bad rates, and malformed entries with useful errors.
 func TestParse(t *testing.T) {
-	r, err := Parse("llm.garbage:0.25; llm.transient:1.0 ; sim.stall:0.5:7ms", 42)
+	r, err := Parse("analyze.panic:0.25; worker.panic:1.0 ; sim.stall:0.5:7ms", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := r.Snapshot()
-	if got := snap[LLMGarbage].Rate; got != 0.25 {
-		t.Fatalf("llm.garbage rate = %v, want 0.25", got)
+	if got := snap[AnalyzePanic].Rate; got != 0.25 {
+		t.Fatalf("analyze.panic rate = %v, want 0.25", got)
 	}
 	if got := snap[SimStall].DelayMS; got != 7 {
 		t.Fatalf("sim.stall delay = %vms, want 7", got)
@@ -27,19 +26,20 @@ func TestParse(t *testing.T) {
 
 	for _, bad := range []string{
 		"no.such.point:0.5",
-		"llm.garbage:1.5",
-		"llm.garbage:-0.1",
-		"llm.garbage",
-		"llm.garbage:0.5:not-a-duration",
-		"llm.garbage:0.5:1ms:extra",
+		"analyze.panic:1.5",
+		"analyze.panic:-0.1",
+		"analyze.panic",
+		"analyze.panic:0.5:not-a-duration",
+		"analyze.panic:0.5:1ms:extra",
 	} {
 		if _, err := Parse(bad, 1); err == nil {
 			t.Errorf("Parse(%q) accepted, want error", bad)
 		}
 	}
-	// A point that left the catalog (the durable store's, here) fails
-	// at Parse like any typo, so a stale profile cannot silently no-op.
-	for _, unknown := range []string{"no.such.point:0.5", "store.write.error:0.5"} {
+	// A point that left the catalog (the durable store's and the LLM
+	// backend's, here) fails at Parse like any typo, so a stale profile
+	// cannot silently no-op.
+	for _, unknown := range []string{"no.such.point:0.5", "store.write.error:0.5", "llm.transient:0.5"} {
 		if _, err := Parse(unknown, 1); err == nil || !strings.Contains(err.Error(), "known:") {
 			t.Fatalf("Parse(%q): unknown-point error should list the catalog, got %v", unknown, err)
 		}
@@ -55,10 +55,10 @@ func TestParse(t *testing.T) {
 // schedule; a different seed diverges.
 func TestDeterministicSchedule(t *testing.T) {
 	run := func(seed int64) []bool {
-		r := MustParse("llm.transient:0.3", seed)
+		r := MustParse("worker.panic:0.3", seed)
 		out := make([]bool, 200)
 		for i := range out {
-			out[i], _ = r.decide(LLMTransient)
+			out[i], _ = r.decide(WorkerPanic)
 		}
 		return out
 	}
@@ -83,16 +83,16 @@ func TestDeterministicSchedule(t *testing.T) {
 // TestRateAccuracy: over many decisions the fire fraction tracks the
 // configured rate, and the 0/1 extremes are exact.
 func TestRateAccuracy(t *testing.T) {
-	r := MustParse("llm.garbage:0.2;llm.persistent:0;llm.transient:1", 3)
+	r := MustParse("analyze.panic:0.2;handler.panic:0;worker.panic:1", 3)
 	fired := 0
 	for i := 0; i < 5000; i++ {
-		if f, _ := r.decide(LLMGarbage); f {
+		if f, _ := r.decide(AnalyzePanic); f {
 			fired++
 		}
-		if f, _ := r.decide(LLMPersistent); f {
+		if f, _ := r.decide(HandlerPanic); f {
 			t.Fatal("rate-0 point fired")
 		}
-		if f, _ := r.decide(LLMTransient); !f {
+		if f, _ := r.decide(WorkerPanic); !f {
 			t.Fatal("rate-1 point did not fire")
 		}
 	}
@@ -101,27 +101,27 @@ func TestRateAccuracy(t *testing.T) {
 		t.Fatalf("rate-0.2 point fired %.3f of the time", frac)
 	}
 	snap := r.Snapshot()
-	if snap[LLMGarbage].Decisions != 5000 || snap[LLMGarbage].Fired != uint64(fired) {
-		t.Fatalf("snapshot tallies off: %+v vs fired=%d", snap[LLMGarbage], fired)
+	if snap[AnalyzePanic].Decisions != 5000 || snap[AnalyzePanic].Fired != uint64(fired) {
+		t.Fatalf("snapshot tallies off: %+v vs fired=%d", snap[AnalyzePanic], fired)
 	}
 }
 
 // TestLimit: SetLimit caps fires — "fail twice then recover" schedules.
 func TestLimit(t *testing.T) {
-	r := MustParse("llm.transient:1", 1)
-	if err := r.SetLimit(LLMTransient, 2); err != nil {
+	r := MustParse("worker.panic:1", 1)
+	if err := r.SetLimit(WorkerPanic, 2); err != nil {
 		t.Fatal(err)
 	}
 	fires := 0
 	for i := 0; i < 10; i++ {
-		if f, _ := r.decide(LLMTransient); f {
+		if f, _ := r.decide(WorkerPanic); f {
 			fires++
 		}
 	}
 	if fires != 2 {
 		t.Fatalf("limited point fired %d times, want 2", fires)
 	}
-	if err := r.SetLimit("llm.persistent", 1); err == nil {
+	if err := r.SetLimit("handler.panic", 1); err == nil {
 		t.Fatal("SetLimit on unconfigured point accepted")
 	}
 }
@@ -130,23 +130,18 @@ func TestLimit(t *testing.T) {
 // helpers fire per the profile and Snapshot reflects it.
 func TestGlobalHelpers(t *testing.T) {
 	Uninstall()
-	if Enabled() || Hit(WorkerPanic) || Err(LLMPersistent) != nil || Snapshot() != nil {
+	if Hit(WorkerPanic) || Hit(HandlerPanic) || Snapshot() != nil {
 		t.Fatal("uninstalled registry not inert")
 	}
 	Delay(SimStall) // must not sleep or panic
 
-	Install(MustParse("llm.persistent:1;worker.panic:0", 9))
+	Install(MustParse("handler.panic:1;worker.panic:0", 9))
 	defer Uninstall()
-	if !Enabled() {
-		t.Fatal("Enabled() false after Install")
+	if Snapshot() == nil {
+		t.Fatal("Snapshot() nil after Install")
 	}
-	err := Err(LLMPersistent)
-	if err == nil || !IsInjected(err) {
-		t.Fatalf("rate-1 Err = %v", err)
-	}
-	var fe *Error
-	if !errors.As(err, &fe) || fe.Point != LLMPersistent {
-		t.Fatalf("typed error wrong: %v", err)
+	if !Hit(HandlerPanic) {
+		t.Fatal("rate-1 point did not fire")
 	}
 	if Hit(WorkerPanic) {
 		t.Fatal("rate-0 point fired")
@@ -154,7 +149,7 @@ func TestGlobalHelpers(t *testing.T) {
 	if Hit("not.configured") {
 		t.Fatal("unconfigured point fired")
 	}
-	if snap := Snapshot(); snap[LLMPersistent].Fired != 1 {
+	if snap := Snapshot(); snap[HandlerPanic].Fired != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 }
@@ -167,19 +162,5 @@ func TestDelaySleeps(t *testing.T) {
 	Delay(CompileStall)
 	if el := time.Since(start); el < 25*time.Millisecond {
 		t.Fatalf("Delay slept only %v", el)
-	}
-}
-
-// TestIsInjectedWrapped: IsInjected sees through wrapping.
-func TestIsInjectedWrapped(t *testing.T) {
-	inner := &Error{Point: LLMTransient}
-	if !IsInjected(inner) {
-		t.Fatal("bare")
-	}
-	if !IsInjected(errors.Join(errors.New("outer"), inner)) {
-		t.Fatal("wrapped")
-	}
-	if IsInjected(errors.New("plain")) {
-		t.Fatal("plain error reported as injected")
 	}
 }

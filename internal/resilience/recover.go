@@ -1,3 +1,14 @@
+// Package resilience holds the failure-survival primitives for the
+// serving spine: panic capture that converts a panicking worker, handler
+// or best-effort feature into a typed error (recover.go), and
+// wall-clock/step watchdogs that cancel runaway simulations
+// (watchdog.go).
+//
+// The package is deliberately leaf-level (stdlib only) so every layer —
+// agent, sim, pipeline, server — can depend on it without cycles.
+// *Where* faults appear is internal/fault's business, and *what
+// degrades* is each layer's (see DESIGN.md §13 for the degradation
+// ladder).
 package resilience
 
 import (

@@ -7,157 +7,6 @@ import (
 	"time"
 )
 
-// TestRetryRecovers: transient failures are retried with backoff and
-// the stats record the recovery.
-func TestRetryRecovers(t *testing.T) {
-	var slept []time.Duration
-	p := RetryPolicy{
-		MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-		Rand:  func() float64 { return 1.0 },
-	}
-	calls := 0
-	st, err := p.Do(func() error {
-		calls++
-		if calls < 3 {
-			return MarkTransient(errors.New("flaky"))
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-	if st.Attempts != 3 || st.Retries != 2 || !st.Recovered {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Full jitter with Rand()=1: exactly the exponential ceilings.
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	for i, d := range slept {
-		if d != want[i] {
-			t.Fatalf("sleep %d = %v, want %v", i, d, want[i])
-		}
-	}
-}
-
-// TestRetryPermanentFailsFast: non-transient errors are never retried.
-func TestRetryPermanentFailsFast(t *testing.T) {
-	calls := 0
-	st, err := RetryPolicy{Sleep: func(time.Duration) {}}.Do(func() error {
-		calls++
-		return errors.New("permanent")
-	})
-	if err == nil || calls != 1 || st.Retries != 0 {
-		t.Fatalf("err=%v calls=%d stats=%+v", err, calls, st)
-	}
-}
-
-// TestRetryExhaustsAttempts: a persistently transient error fails after
-// MaxAttempts with the last error.
-func TestRetryExhaustsAttempts(t *testing.T) {
-	calls := 0
-	st, err := RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}.Do(func() error {
-		calls++
-		return MarkTransient(errors.New("always down"))
-	})
-	if err == nil || calls != 3 || st.Attempts != 3 || st.Recovered {
-		t.Fatalf("err=%v calls=%d stats=%+v", err, calls, st)
-	}
-	if !IsTransient(err) {
-		t.Fatal("final error lost its transient mark")
-	}
-}
-
-// TestRetryBudget: a shared budget stops retries across calls even when
-// per-call attempts remain.
-func TestRetryBudget(t *testing.T) {
-	b := NewBudget(3)
-	p := RetryPolicy{MaxAttempts: 10, Budget: b, Sleep: func(time.Duration) {}}
-	fail := func() error { return MarkTransient(errors.New("down")) }
-
-	_, err := p.Do(fail) // burns all 3 budget retries, then stops
-	if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
-		t.Fatalf("err = %v", err)
-	}
-	if b.Remaining() != 0 {
-		t.Fatalf("remaining = %d", b.Remaining())
-	}
-	st, err := p.Do(fail) // budget empty: one attempt, no retry
-	if err == nil || st.Attempts != 1 || st.Retries != 0 {
-		t.Fatalf("post-budget: err=%v stats=%+v", err, st)
-	}
-	// nil budget is unlimited.
-	var nb *Budget
-	if !nb.Take() || nb.Remaining() == 0 {
-		t.Fatal("nil budget should be unlimited")
-	}
-}
-
-// TestBreakerLifecycle: closed → open at the threshold → rejects during
-// cooldown → half-open probe → success recloses.
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{
-		FailureThreshold: 3, Cooldown: time.Minute, HalfOpenProbes: 1,
-		Now: func() time.Time { return now },
-	})
-	for i := 0; i < 2; i++ {
-		if !b.Allow() {
-			t.Fatal("closed breaker rejected")
-		}
-		b.Failure()
-	}
-	if b.State() != StateClosed {
-		t.Fatalf("state after 2 failures = %v", b.State())
-	}
-	b.Failure() // third consecutive: opens
-	if b.State() != StateOpen || b.Allow() {
-		t.Fatal("breaker should be open and rejecting")
-	}
-	now = now.Add(30 * time.Second)
-	if b.Allow() {
-		t.Fatal("mid-cooldown call allowed")
-	}
-	now = now.Add(31 * time.Second) // cooldown elapsed → half-open
-	if b.State() != StateHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
-	}
-	if !b.Allow() {
-		t.Fatal("half-open probe rejected")
-	}
-	if b.Allow() {
-		t.Fatal("second concurrent probe allowed with HalfOpenProbes=1")
-	}
-	b.Success()
-	if b.State() != StateClosed || !b.Allow() {
-		t.Fatal("probe success did not reclose")
-	}
-	snap := b.Snapshot()
-	if snap.Opens != 1 || snap.Rejected != 3 || snap.State != "closed" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
-// TestBreakerProbeFailureReopens: a failed half-open probe restarts the
-// cooldown immediately.
-func TestBreakerProbeFailureReopens(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute,
-		Now: func() time.Time { return now }})
-	b.Failure()
-	now = now.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("probe rejected")
-	}
-	b.Failure()
-	if b.State() != StateOpen || b.Allow() {
-		t.Fatal("failed probe should reopen")
-	}
-	now = now.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("second probe window rejected")
-	}
-}
-
 // TestSafeCapturesPanic: Safe converts a panic into a *PanicError with
 // site and stack; a clean fn returns nil.
 func TestSafeCapturesPanic(t *testing.T) {
@@ -195,6 +44,28 @@ func TestWatchdogSteps(t *testing.T) {
 	}
 }
 
+// TestWatchdogTrip: loop trips are checked every tripsPerCheck-th
+// trip, never count as steps, and are free on a nil watchdog.
+func TestWatchdogTrip(t *testing.T) {
+	now := time.Unix(0, 0)
+	w := &Watchdog{start: now, wall: time.Second, maxSteps: 1, now: func() time.Time { return now }}
+	now = now.Add(2 * time.Second)
+	for i := 1; i < tripsPerCheck; i++ {
+		if err := w.Trip(); err != nil {
+			t.Fatalf("trip %d checked early: %v", i, err)
+		}
+	}
+	err := w.Trip()
+	var we *WatchdogError
+	if !errors.As(err, &we) || !we.Wall || we.Steps != 0 {
+		t.Fatalf("trip %d: %#v, want a wall trip with no steps", tripsPerCheck, err)
+	}
+	var nw *Watchdog
+	if nw.Trip() != nil {
+		t.Fatal("nil watchdog must be free")
+	}
+}
+
 // TestWatchdogWall: the wall-clock budget trips once elapsed.
 func TestWatchdogWall(t *testing.T) {
 	now := time.Unix(0, 0)
@@ -210,17 +81,5 @@ func TestWatchdogWall(t *testing.T) {
 	var we *WatchdogError
 	if !errors.As(err, &we) || !we.Wall {
 		t.Fatalf("wrong trip kind: %#v", err)
-	}
-}
-
-// TestTransientMarking: MarkTransient wraps, unwraps, and nil-passes.
-func TestTransientMarking(t *testing.T) {
-	base := errors.New("io")
-	m := MarkTransient(base)
-	if !IsTransient(m) || !errors.Is(m, base) {
-		t.Fatal("mark lost")
-	}
-	if IsTransient(base) || MarkTransient(nil) != nil {
-		t.Fatal("unmarked/nil mishandled")
 	}
 }

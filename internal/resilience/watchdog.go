@@ -35,6 +35,7 @@ type Watchdog struct {
 	wall     time.Duration // 0 = no wall limit
 	maxSteps int64         // 0 = no step limit
 	steps    int64
+	trips    int64            // procedural loop trips charged by Trip
 	now      func() time.Time // test seam; nil means time.Now
 }
 
@@ -59,10 +60,33 @@ func (w *Watchdog) Step(n int64) error {
 	return w.Check()
 }
 
+// tripsPerCheck is how many loop trips Trip charges between budget
+// checks. A trip is a handful of instructions, so one clock read per
+// 4096 trips costs next to nothing, while a loop nest of any depth is
+// stopped within 4096 trips of its budget running out.
+const tripsPerCheck = 4096
+
+// Trip charges one iteration of a procedural for loop and checks the
+// budgets on every tripsPerCheck-th. Trips are not steps: a design may
+// legally run thousands of them inside one clock edge, and each loop's
+// own trip limit is per entry, so nested loops (60000 × 60000 trips in
+// one always block) would otherwise hold the simulating goroutine long
+// past the wall budget. Nil receiver: no-op.
+func (w *Watchdog) Trip() error {
+	if w == nil {
+		return nil
+	}
+	w.trips++
+	if w.trips%tripsPerCheck != 0 {
+		return nil
+	}
+	return w.Check()
+}
+
 // Check reports a budget violation without consuming steps. Nil
-// receiver: no-op. It is called inside the engine's settle loop, so a
-// simulation stalled mid-settle is canceled there, not merely at the
-// next cycle boundary.
+// receiver: no-op. It is called inside the engine's settle loop (and
+// through Trip inside procedural loops), so a simulation stalled
+// mid-settle is canceled there, not merely at the next cycle boundary.
 func (w *Watchdog) Check() error {
 	if w == nil {
 		return nil

@@ -211,17 +211,6 @@ func (s *Server) runAgent(f *flight) (tr *agent.Transcript, err error) {
 	if tr != nil {
 		ag.SetBool("success", tr.Success)
 		ag.SetInt("iterations", int64(tr.Iterations))
-		// Per-run resilience accounting (per run, not per waiter —
-		// coalesced followers share one transcript).
-		if tr.LLMRetries > 0 {
-			s.m.llmRetriedRuns.Inc()
-			if tr.Aborted == "" {
-				s.m.llmRetryRecovered.Inc()
-			}
-		}
-		if tr.Aborted != "" {
-			s.m.llmAborted.Inc()
-		}
 	}
 	ag.End()
 	s.simCheck(tr, run)

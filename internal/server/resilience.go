@@ -1,88 +1,27 @@
-// The serving spine's resilience plane: per-fixer-configuration circuit
-// breakers, the /v1/readyz readiness gate, background prewarm, and the
-// overload brownout that sheds best-effort surfaces before fix traffic.
+// The serving spine's resilience plane: the /v1/readyz readiness gate,
+// background prewarm, and the overload brownout that sheds best-effort
+// surfaces before fix traffic.
 //
 // The degradation ladder, top rung first:
 //
 //   - Handler or worker panic → recovered into a typed 500 + counter;
 //     the daemon keeps serving (server.go / dispatch.go).
-//   - LLM backend outage → retried inside the agent (internal/agent);
-//     past the budget the run aborts into a typed 502, and consecutive
-//     aborts against one configuration open its breaker here.
 //   - Overload → once admission fill crosses BrownoutThreshold, lint
 //     answers 503 and new request traces are shed; fix traffic keeps
 //     the capacity.
 //   - Sim-check or analyzer failure → the feature is skipped and
-//     counted, never request-fatal (simcheck.go, internal/analyze).
+//     counted, never request-fatal (simcheck.go, internal/analyze). A
+//     runaway simulation is stopped by its watchdog, which also counts
+//     the trips of every loop in the design.
 package server
 
 import (
-	"fmt"
 	"net/http"
 
 	"repro/internal/agent"
 	"repro/internal/core"
-	"repro/internal/resilience"
 	"repro/internal/trace"
 )
-
-// breakerFor returns the circuit breaker guarding one fixer
-// configuration, building it on first use. Breakers are per
-// configuration because failure is per configuration: one persona
-// pinned against a dead backend must not black-hole requests for the
-// others.
-func (s *Server) breakerFor(key fixerKey) *resilience.Breaker {
-	s.breakersMu.Lock()
-	defer s.breakersMu.Unlock()
-	if b, ok := s.breakers[key]; ok {
-		return b
-	}
-	b := resilience.NewBreaker(resilience.BreakerConfig{
-		FailureThreshold: s.cfg.BreakerThreshold,
-		Cooldown:         s.cfg.BreakerCooldown,
-	})
-	s.breakers[key] = b
-	return b
-}
-
-// recordBreaker folds one finished flight into its configuration's
-// breaker. Failures are the run-level faults a breaker can meaningfully
-// shield — a panicked run or an LLM-abort; an unsuccessful-but-completed
-// fix is the agent doing its job, and cancellations/expiries say nothing
-// about the configuration's health.
-func (s *Server) recordBreaker(br *resilience.Breaker, f *flight) {
-	switch {
-	case resilience.IsPanic(f.err):
-		br.Failure()
-	case f.tr != nil && f.tr.Aborted != "":
-		br.Failure()
-	case f.tr != nil:
-		br.Success()
-	}
-}
-
-// breakerSnapshots renders every pooled breaker for /v1/stats, keyed
-// "compiler/persona/mode"; distinct configurations sharing that triple
-// get a "#n" suffix so none are silently merged.
-func (s *Server) breakerSnapshots() map[string]resilience.BreakerSnapshot {
-	s.breakersMu.Lock()
-	defer s.breakersMu.Unlock()
-	if len(s.breakers) == 0 {
-		return nil
-	}
-	out := make(map[string]resilience.BreakerSnapshot, len(s.breakers))
-	for key, b := range s.breakers {
-		name := fmt.Sprintf("%s/%s/%s", key.compiler, key.persona, key.mode)
-		for n := 2; ; n++ {
-			if _, taken := out[name]; !taken {
-				break
-			}
-			name = fmt.Sprintf("%s/%s/%s#%d", key.compiler, key.persona, key.mode, n)
-		}
-		out[name] = b.Snapshot()
-	}
-	return out
-}
 
 // brownedOut reports whether admission fill has crossed the brownout
 // mark: len(admitted) counts every outstanding admission charge, so the

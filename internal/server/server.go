@@ -22,9 +22,8 @@
 //     admitted requests run to completion; Drain waits for them.
 //
 // The resilience plane (resilience.go) hardens that spine: handler and
-// worker panics are recovered into typed 500s, per-fixer-configuration
-// circuit breakers fail fast after consecutive bad runs, overload browns
-// out best-effort surfaces (lint, tracing) before fix traffic, and
+// worker panics are recovered into typed 500s, overload browns out
+// best-effort surfaces (lint, tracing) before fix traffic, and
 // /v1/readyz separates routability (drain, warm-up) from /v1/healthz
 // liveness.
 //
@@ -115,14 +114,6 @@ type Config struct {
 	// will not pay index construction. Off by default (tests and
 	// single-shot tools want a synchronously-ready server).
 	Prewarm bool
-	// BreakerThreshold is how many consecutive failed agent runs against
-	// one fixer configuration open its circuit breaker (new requests for
-	// that configuration get an immediate 503 until the cooldown's
-	// half-open probe succeeds). <= 0 means 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before letting a
-	// half-open probe through; <= 0 means 5s.
-	BreakerCooldown time.Duration
 	// BrownoutThreshold is the admission-fill fraction past which the
 	// server browns out best-effort surfaces (lint answers 503, new
 	// request traces are shed) to keep capacity for fix traffic; <= 0
@@ -148,12 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = 1 << 20
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
 	}
 	if c.BrownoutThreshold <= 0 {
 		c.BrownoutThreshold = 0.9
@@ -213,11 +198,9 @@ type Server struct {
 	// seam for blocking runs; set before serving traffic).
 	testHook func(f *flight)
 
-	// Resilience plane (resilience.go): per-fixer-configuration circuit
-	// breakers, the prewarm latch readiness gates on, and the
-	// admission-fill mark past which best-effort surfaces brown out.
-	breakersMu sync.Mutex
-	breakers   map[fixerKey]*resilience.Breaker
+	// Resilience plane (resilience.go): the prewarm latch readiness
+	// gates on, and the admission-fill mark past which best-effort
+	// surfaces brown out.
 	prewarmed  atomic.Bool
 	brownoutAt int
 
@@ -248,7 +231,6 @@ func New(cfg Config) *Server {
 		admitted: make(chan struct{}, cfg.MaxInFlight+cfg.QueueDepth),
 		flights:  map[flightKey]*flight{},
 		stop:     make(chan struct{}),
-		breakers: map[fixerKey]*resilience.Breaker{},
 	}
 	s.brownoutAt = int(cfg.BrownoutThreshold * float64(cfg.MaxInFlight+cfg.QueueDepth))
 	if s.brownoutAt < 1 {
@@ -656,16 +638,6 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 		writeFixerError(w, err)
 		return
 	}
-	br := s.breakerFor(req.key())
-	if !br.Allow() {
-		adm.SetStr("outcome", "breaker_open")
-		adm.End()
-		s.m.breakerRejected.Inc()
-		writeError(w, http.StatusServiceUnavailable,
-			"circuit breaker open for this fixer configuration; retry after cooldown")
-		return
-	}
-
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req))
 	defer cancel()
 
@@ -712,12 +684,6 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.m.fixLatency.Observe(msSince(started))
-	// Only the leader of a non-coalesced flight records the run's outcome
-	// on the breaker, so one bad run counts once no matter how many
-	// waiters shared it.
-	if !coalesced {
-		s.recordBreaker(br, f)
-	}
 	switch {
 	case f.err != nil:
 		if _, isPanic := resilience.AsPanic(f.err); isPanic {
@@ -734,11 +700,6 @@ func (s *Server) handleFix(w http.ResponseWriter, r *http.Request) {
 		root.SetStr("outcome", "expired_before_run")
 		s.m.deadlineExpired.Inc()
 		writeError(w, http.StatusGatewayTimeout, "coalesced run expired before starting")
-	case f.tr.Aborted != "":
-		// The (simulated) LLM backend stayed down past the retry budget:
-		// the upstream dependency failed, not the request — 502.
-		root.SetStr("outcome", "llm_aborted")
-		writeError(w, http.StatusBadGateway, "llm backend failed: %s", f.tr.Aborted)
 	default:
 		resp := fixResponse{
 			Success:    f.tr.Success,

@@ -45,11 +45,10 @@ type liveMetrics struct {
 	// counts exactly one, so attempted checks are their sum.
 	simPassed, simFailed, simSkipped, simWatchdog *metrics.Counter
 
-	// Resilience plane: recovered panics by bulkhead, circuit-breaker
-	// fast-fails, the in-agent LLM retry ledger, and brownout shedding.
-	panicsHTTP, panicsWorker, breakerRejected     *metrics.Counter
-	llmRetriedRuns, llmRetryRecovered, llmAborted *metrics.Counter
-	brownoutLintShed, brownoutTracesShed          *metrics.Counter
+	// Resilience plane: recovered panics by bulkhead and brownout
+	// shedding.
+	panicsHTTP, panicsWorker             *metrics.Counter
+	brownoutLintShed, brownoutTracesShed *metrics.Counter
 }
 
 func (m *liveMetrics) countStatus(code int) {
@@ -131,11 +130,6 @@ func (s *Server) declareMetrics() {
 
 	panics := r.CounterVec("rtlfixer_panics_recovered_total", "Panics recovered by bulkhead site.", "site")
 	m.panicsHTTP, m.panicsWorker = panics.Counter("resilience.panics_http", "http"), panics.Counter("resilience.panics_worker", "worker")
-	m.breakerRejected = r.Counter("rtlfixer_breaker_rejected_total", "Fix requests fast-failed by an open circuit breaker.", "resilience.breaker_rejected")
-	llm := r.CounterVec("rtlfixer_llm_runs_total", "Agent runs by LLM-backend resilience event.", "event")
-	m.llmRetriedRuns = llm.Counter("resilience.llm_retried_runs", "retried")
-	m.llmRetryRecovered = llm.Counter("resilience.llm_retry_recovered", "recovered")
-	m.llmAborted = llm.Counter("resilience.llm_aborted", "aborted")
 	shed := r.CounterVec("rtlfixer_brownout_shed_total", "Best-effort work shed under overload, by surface.", "surface")
 	m.brownoutLintShed = shed.Counter("resilience.brownout_lint_shed", "lint")
 	m.brownoutTracesShed = shed.Counter("resilience.brownout_traces_shed", "trace")
@@ -191,16 +185,12 @@ func declareCacheMetrics(r *metrics.Registry) {
 
 // Stats renders the GET /v1/stats document: every registry family at its
 // path, plus the sections that are documents rather than metric
-// families — the queue configuration, per-configuration breakers, fault
-// injection counters, the sim-layer aggregate, the per-stage latency
+// families — the queue configuration, fault injection counters, the sim-layer aggregate, the per-stage latency
 // breakdown, and trace occupancy.
 func (s *Server) Stats() map[string]any {
 	doc := s.reg.JSON()
 	metrics.SetPath(doc, "queue.max_in_flight", s.cfg.MaxInFlight)
 	metrics.SetPath(doc, "queue.queue_depth", s.cfg.QueueDepth)
-	if b := s.breakerSnapshots(); len(b) > 0 {
-		metrics.SetPath(doc, "resilience.breakers", b)
-	}
 	if f := fault.Snapshot(); len(f) > 0 {
 		doc["faults"] = f
 	}

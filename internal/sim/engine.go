@@ -36,7 +36,8 @@ type engine struct {
 	trackStores bool
 	shadow      []bitvec.Vec
 	// wd, when armed via Simulator.SetWatchdog, is checked inside the
-	// settle fixpoint so a runaway group is canceled mid-settle.
+	// settle fixpoint and charged every loop trip, so a runaway group
+	// or loop nest is canceled mid-settle.
 	wd *resilience.Watchdog
 	// Profiling counters, nil unless enabled via the facade. Every hot-path
 	// touch is behind a nil check so the disabled engine stays at zero
@@ -499,6 +500,11 @@ func (e *engine) exec(code []instr) error {
 					e.p.loops[in.imm].line, loopLimit)
 			}
 			e.trips[in.imm]++
+			if e.wd != nil {
+				if err := e.wd.Trip(); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil

@@ -30,7 +30,8 @@ type walkerSim struct {
 	seqAlways  []*verilog.AlwaysBlock
 
 	// wd, when armed via Simulator.SetWatchdog, is checked inside the
-	// settle fixpoint so a runaway settle is canceled mid-iteration.
+	// settle fixpoint and charged every loop trip, so a runaway settle
+	// or loop nest is canceled mid-iteration.
 	wd *resilience.Watchdog
 
 	// actCounts, nil unless enabled via the facade, counts per-process
@@ -483,6 +484,9 @@ func (e *env) exec(s verilog.Stmt) error {
 		for trip := 0; ; trip++ {
 			if trip >= loopLimit {
 				return fmt.Errorf("sim: for loop at line %d exceeded %d iterations", st.Pos().Line, loopLimit)
+			}
+			if err := e.sim.wd.Trip(); err != nil {
+				return err
 			}
 			c, err := e.eval(st.Cond)
 			if err != nil {

@@ -68,3 +68,40 @@ func TestWatchdogWallClockUnderStall(t *testing.T) {
 		t.Fatalf("stalled sim not canceled: %v", err)
 	}
 }
+
+// TestWatchdogStopsLoopNest: a clock edge running 60000 × 60000 loop
+// trips stays under each loop's own trip limit; the trips charged to an
+// armed wall-clock watchdog cancel it on both backends.
+func TestWatchdogStopsLoopNest(t *testing.T) {
+	const src = `module top_module(input clk, output reg [31:0] q);
+  integer i, j;
+  always @(posedge clk)
+    for (i = 0; i < 60000; i = i + 1)
+      for (j = 0; j < 60000; j = j + 1)
+        q = q + 1;
+endmodule
+`
+	mod, diags := verilog.Parse(src)
+	if mod == nil {
+		t.Fatalf("parse: %v", diags)
+	}
+	d, derr := sema.Elaborate(mod)
+	if d == nil {
+		t.Fatalf("elaborate: %v", derr)
+	}
+	for _, eng := range []Engine{EngineCompiled, EngineWalker} {
+		sm, err := NewWith(d, eng)
+		if err != nil {
+			t.Fatalf("engine %v: %v", eng, err)
+		}
+		sm.SetWatchdog(resilience.NewWatchdog(20*time.Millisecond, 0))
+		start := time.Now()
+		err = sm.ClockPulse("clk")
+		if err == nil || !resilience.IsWatchdog(err) {
+			t.Fatalf("engine %v: loop nest err = %v, want a watchdog trip", eng, err)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Fatalf("engine %v: loop nest stopped after %v, budget 20ms", eng, el)
+		}
+	}
+}
