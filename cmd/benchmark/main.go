@@ -9,7 +9,7 @@
 //	benchmark -exp all               # everything (the default)
 //	benchmark -exp table1 -repeats 3 # quicker, noisier
 //	benchmark -workers 8             # size the evaluation pool
-//	benchmark -cache=false           # disable the memoization layer
+//	benchmark -cache=false           # disable the per-fixer memoization layer
 //	benchmark -exp table1 -json      # machine-readable results on stdout
 //	benchmark -exp table1 -stages    # stage latency table on stderr
 //
@@ -47,7 +47,7 @@ func main() {
 	repeats := flag.Int("repeats", 10, "table 1 repeats per sample (paper: 10)")
 	samples := flag.Int("samples", 20, "table 2/3 samples per problem (paper: 20)")
 	workers := flag.Int("workers", runtime.NumCPU(), "evaluation pool size (output is identical for any value)")
-	cache := flag.Bool("cache", true, "enable the sharded memoization layer (output is identical either way)")
+	cache := flag.Bool("cache", true, "enable the per-fixer memoization layer: compile cache and retrieval index (output is identical either way; the process-wide caches of the model's blind inspection and the sim oracle stay on)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON on stdout (tables move to stderr)")
 	stages := flag.Bool("stages", false, "trace every agent job and print a per-stage latency table to stderr at exit")
 	coverage := flag.Bool("coverage", false, "print a per-problem reference-design toggle-coverage table to stderr at exit")
@@ -224,7 +224,7 @@ func main() {
 
 // printCacheDeltas writes one stderr line per memo layer (frontend
 // artifacts, compile cache, sim cache, reference traces, retrieval
-// index) that one experiment touched.
+// index, text reads) that one experiment touched.
 func printCacheDeltas(exp string, before, after memo.KindTotals) {
 	if d := after.Frontend.Sub(before.Frontend); d != (memo.Stats{}) {
 		fmt.Fprintf(os.Stderr, "[%s frontend artifacts: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)
@@ -240,5 +240,8 @@ func printCacheDeltas(exp string, before, after memo.KindTotals) {
 	}
 	if d := after.Retrieval.Sub(before.Retrieval); d != (memo.Stats{}) {
 		fmt.Fprintf(os.Stderr, "[%s retrieval index: %d lookups]\n", exp, d.Lookups)
+	}
+	if d := after.Reads.Sub(before.Reads); d != (memo.Stats{}) {
+		fmt.Fprintf(os.Stderr, "[%s text reads: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -120,7 +121,10 @@ func main() {
 			failed = true
 		}
 		if (*coverage || *vcdOut != "") && design != nil {
-			observeRun(name, src, design, *coverage, vcdPath(*vcdOut, i, flag.NArg()))
+			if err := observeRun(os.Stderr, name, src, design, *coverage, vcdPath(*vcdOut, i, flag.NArg())); err != nil {
+				fmt.Fprintf(os.Stderr, "vlint: %v\n", err)
+				os.Exit(1)
+			}
 		}
 
 		if *asJSON {
@@ -182,9 +186,11 @@ func main() {
 
 // observeRun is the -coverage/-vcd dynamic pass: simulate the design
 // for a few cycles through the differential path with wave observers
-// attached. Best-effort — designs the sim frontend rejects are reported
-// and skipped, never failing the lint.
-func observeRun(name, src string, design *sema.Design, wantCov bool, vcdFile string) {
+// attached, under the path's fixed watchdog budget (sim.CheckWall).
+// Best-effort — designs the sim frontend rejects, and runs the watchdog
+// stops, are reported to w and skipped, never failing the lint. The
+// error is a failed -vcd write.
+func observeRun(w io.Writer, name, src string, design *sema.Design, wantCov bool, vcdFile string) error {
 	var cov *wave.Coverage
 	var rec *wave.Recorder
 	if wantCov {
@@ -200,18 +206,16 @@ func observeRun(name, src string, design *sema.Design, wantCov bool, vcdFile str
 		Coverage: cov,
 		Recorder: rec,
 	}); err != nil {
-		fmt.Fprintf(os.Stderr, "vlint: %s: simulation skipped: %v\n", name, err)
-		return
+		fmt.Fprintf(w, "vlint: %s: simulation skipped: %v\n", name, err)
+		return nil
 	}
 	if cov != nil {
-		fmt.Fprintf(os.Stderr, "vlint: %s: %s\n", name, cov.Stats())
+		fmt.Fprintf(w, "vlint: %s: %s\n", name, cov.Stats())
 	}
 	if rec != nil {
-		if err := os.WriteFile(vcdFile, []byte(rec.VCD()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "vlint: %v\n", err)
-			os.Exit(1)
-		}
+		return os.WriteFile(vcdFile, []byte(rec.VCD()), 0o644)
 	}
+	return nil
 }
 
 // clockInput finds the design's clock-looking input port, if any.

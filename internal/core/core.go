@@ -50,9 +50,11 @@ type Options struct {
 	Seed int64
 	// Cache enables the sharded memoization layer (internal/memo): a
 	// content-addressed compile cache in front of the persona and, with
-	// RAG on, a precompiled retrieval index over the guidance database.
-	// Transparent: transcripts and table output are byte-identical with
-	// the cache on or off.
+	// RAG on, a precompiled retrieval index over the guidance database,
+	// which caches its exact-tag results. Transparent: transcripts and
+	// table output are byte-identical with the cache on or off. The
+	// process-wide caches stay on with Cache off: the model's blind
+	// inspection (llm.BlindHypotheses) and the sim oracle's caches.
 	Cache bool
 	// CacheCapacity bounds the compile cache (entries); 0 = default.
 	CacheCapacity int

@@ -6,4 +6,5 @@ var (
 	DropDuplicateEndmodule = dropDuplicateEndmodule
 	NormalizeSmartQuotes   = normalizeSmartQuotes
 	HoistTimescale         = hoistTimescale
+	StripChatProse         = stripChatProse
 )

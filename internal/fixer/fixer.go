@@ -6,7 +6,10 @@
 // quotes — so the agent spends its iterations on real syntax errors.
 package fixer
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Result reports what the fixer did.
 type Result struct {
@@ -24,22 +27,25 @@ type Rule struct {
 	Apply func(src string) (string, bool)
 }
 
-// Rules returns the standard rule set, in application order.
-func Rules() []Rule {
-	return []Rule{
-		{Name: "extract-markdown-block", Apply: extractMarkdownBlock},
-		{Name: "strip-chat-prose", Apply: stripChatProse},
-		{Name: "normalize-smart-quotes", Apply: normalizeSmartQuotes},
-		{Name: "hoist-timescale", Apply: hoistTimescale},
-		{Name: "drop-duplicate-endmodule", Apply: dropDuplicateEndmodule},
-		{Name: "trim-trailing-garbage", Apply: trimTrailingGarbage},
-	}
+// rules is the standard rule set, in application order. Fix ranges over
+// it; Rules hands out copies.
+var rules = []Rule{
+	{Name: "extract-markdown-block", Apply: extractMarkdownBlock},
+	{Name: "strip-chat-prose", Apply: stripChatProse},
+	{Name: "normalize-smart-quotes", Apply: normalizeSmartQuotes},
+	{Name: "hoist-timescale", Apply: hoistTimescale},
+	{Name: "drop-duplicate-endmodule", Apply: dropDuplicateEndmodule},
+	{Name: "trim-trailing-garbage", Apply: trimTrailingGarbage},
 }
 
-// Fix applies every rule once, in order.
+// Rules returns the standard rule set, in application order.
+func Rules() []Rule { return slices.Clone(rules) }
+
+// Fix applies every rule once, in order. A source no rule changes costs
+// no allocation.
 func Fix(src string) Result {
 	res := Result{Code: src}
-	for _, r := range Rules() {
+	for _, r := range rules {
 		next, changed := r.Apply(res.Code)
 		if changed {
 			res.Code = next
@@ -89,33 +95,34 @@ func extractMarkdownBlock(src string) (string, bool) {
 
 // stripChatProse deletes leading lines before the first structural Verilog
 // line (module/directive/comment), which removes "Sure! Here is the
-// corrected code:" style prefixes.
+// corrected code:" style prefixes. The kept lines are a suffix of src,
+// so the rule slices instead of splitting and never allocates.
 func stripChatProse(src string) (string, bool) {
-	lines := strings.Split(src, "\n")
-	start := 0
 	sawProse := false
-	for i, line := range lines {
-		t := strings.TrimSpace(line)
-		if t == "" {
-			continue
+	for off := 0; off <= len(src); {
+		n := strings.IndexByte(src[off:], '\n')
+		if n < 0 {
+			n = len(src) - off
 		}
-		if looksLikeVerilogStart(t) {
-			start = i
-			break
+		if t := strings.TrimSpace(src[off : off+n]); t != "" {
+			if looksLikeVerilogStart(t) {
+				// Only blank lines before the first code line are not
+				// prose; reporting a change here would log the rule in
+				// Transcript.FixerRules for inputs it did not clean.
+				if !sawProse {
+					return src, false
+				}
+				return src[off:], true
+			}
+			// A non-code line before any code: candidate prose. Keep
+			// scanning; if code follows, everything before it goes.
+			sawProse = true
 		}
-		// A non-code line before any code: candidate prose. Keep
-		// scanning; if code follows, everything before it goes.
-		sawProse = true
-		start = -1
+		off += n + 1
 	}
-	// start == -1: no code found at all — leave untouched and let the
-	// compiler complain. !sawProse: only blank lines precede the first
-	// code line, which is not prose; reporting a change here would log the
-	// rule in Transcript.FixerRules for inputs it did not clean.
-	if start <= 0 || !sawProse {
-		return src, false
-	}
-	return strings.Join(lines[start:], "\n"), true
+	// No code found at all: leave untouched and let the compiler
+	// complain.
+	return src, false
 }
 
 func looksLikeVerilogStart(t string) bool {
@@ -132,42 +139,63 @@ var smartQuotes = strings.NewReplacer(
 )
 
 // normalizeSmartQuotes replaces typographic quotes that chat output
-// sometimes carries into string or literal positions.
+// sometimes carries into string or literal positions. Every smart quote's
+// UTF-8 form starts with 0xE2, so a source without that byte is returned
+// as is, without running the replacer.
 func normalizeSmartQuotes(src string) (string, bool) {
+	if strings.IndexByte(src, 0xE2) < 0 {
+		return src, false
+	}
 	replaced := smartQuotes.Replace(src)
 	return replaced, replaced != src
 }
 
 // hoistTimescale moves `timescale directives that appear inside a module
 // body to the top of the file. A misplaced timescale is the paper's
-// example of what the rule-based fixer handles.
+// example of what the rule-based fixer handles. A source whose
+// directives are all outside module bodies is returned as is, without
+// allocating.
 func hoistTimescale(src string) (string, bool) {
 	if !strings.Contains(src, "`timescale") {
 		return src, false
 	}
-	lines := strings.Split(src, "\n")
+	misplaced := false
+	scanTimescale(src, func(_ string, hoist bool) { misplaced = misplaced || hoist })
+	if !misplaced {
+		return src, false
+	}
 	var directives, rest []string
+	scanTimescale(src, func(line string, hoist bool) {
+		if hoist {
+			directives = append(directives, line)
+		} else {
+			rest = append(rest, line)
+		}
+	})
+	return strings.Join(append(directives, rest...), "\n"), true
+}
+
+// scanTimescale calls visit on every line of src, in order, with whether
+// the line is a `timescale directive inside a module body.
+func scanTimescale(src string, visit func(line string, hoist bool)) {
 	inModule := false
-	changed := false
-	for _, line := range lines {
+	for off := 0; off <= len(src); {
+		n := strings.IndexByte(src[off:], '\n')
+		if n < 0 {
+			n = len(src) - off
+		}
+		line := src[off : off+n]
 		t := strings.TrimSpace(line)
 		if strings.HasPrefix(t, "module") {
 			inModule = true
 		}
-		if strings.HasPrefix(t, "`timescale") && inModule {
-			directives = append(directives, line)
-			changed = true
-			continue
-		}
-		rest = append(rest, line)
-		if strings.HasPrefix(t, "endmodule") {
+		hoist := inModule && strings.HasPrefix(t, "`timescale")
+		visit(line, hoist)
+		if !hoist && strings.HasPrefix(t, "endmodule") {
 			inModule = false
 		}
+		off += n + 1
 	}
-	if !changed {
-		return src, false
-	}
-	return strings.Join(append(directives, rest...), "\n"), true
 }
 
 // dropDuplicateEndmodule removes endmodule keywords beyond the balance

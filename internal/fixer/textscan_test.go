@@ -3,8 +3,9 @@ package fixer_test
 // Differential oracle for the pre-fixer's text rules. The naive*
 // functions are the earlier implementations, kept verbatim: whole-source
 // regex counts in dropDuplicateEndmodule, a replacer built per call in
-// normalizeSmartQuotes, and hoistTimescale without its early return. The
-// package's versions must agree with them on every input.
+// normalizeSmartQuotes, hoistTimescale without its early return, and
+// stripChatProse splitting every source into lines. The package's
+// versions must agree with them on every input.
 
 import (
 	"math/rand"
@@ -96,6 +97,29 @@ func naiveHoistTimescale(src string) (string, bool) {
 	return strings.Join(append(directives, rest...), "\n"), true
 }
 
+func naiveStripChatProse(src string) (string, bool) {
+	lines := strings.Split(src, "\n")
+	start := 0
+	sawProse := false
+	for i, line := range lines {
+		t := strings.TrimSpace(line)
+		if t == "" {
+			continue
+		}
+		if strings.HasPrefix(t, "module") || strings.HasPrefix(t, "`") ||
+			strings.HasPrefix(t, "//") || strings.HasPrefix(t, "/*") {
+			start = i
+			break
+		}
+		sawProse = true
+		start = -1
+	}
+	if start <= 0 || !sawProse {
+		return src, false
+	}
+	return strings.Join(lines[start:], "\n"), true
+}
+
 var fixerEdgeCases = []string{
 	"",
 	"module top_module(input a, output y);\n\tassign y = a;\nendmodule\nendmodule\n",
@@ -110,6 +134,13 @@ var fixerEdgeCases = []string{
 	"module m();\n`timescale 1ns/1ps\n\t`timescale 1ps/1ps\nendmodule\n`timescale 1ns/1ns\nmodule n();\r\n`timescale 1ns/1ps\r\nendmodule",
 	"`timescale 1ns/1ps\nmodule m(); endmodule",
 	"module m();\n`timescale\t1ns/1ps\nendmodule",
+	"Sure! Here is the code:\n\nmodule m(); endmodule\n",
+	"\n\n  \nmodule m(); endmodule",
+	"prose only\nand more prose\n",
+	"prose\n",
+	"\n",
+	"prose\n// comment\nmodule m(); endmodule",
+	"prose\n\t/* block */\nmodule m(); endmodule",
 }
 
 // fixerInputs returns every dataset reference, llm.Generate samples of
@@ -148,6 +179,7 @@ func TestFixerRulesDifferential(t *testing.T) {
 		{"drop-duplicate-endmodule", fixer.DropDuplicateEndmodule, naiveDropDuplicateEndmodule},
 		{"normalize-smart-quotes", fixer.NormalizeSmartQuotes, naiveNormalizeSmartQuotes},
 		{"hoist-timescale", fixer.HoistTimescale, naiveHoistTimescale},
+		{"strip-chat-prose", fixer.StripChatProse, naiveStripChatProse},
 	}
 	fired := map[string]int{}
 	for _, src := range inputs {

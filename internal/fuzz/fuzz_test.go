@@ -254,3 +254,26 @@ func TestCoverageGuided(t *testing.T) {
 		t.Fatal("unguided Stats.String must not mention corpus")
 	}
 }
+
+// TestLongCampaignNotCutShort: the differential path's watchdog budget
+// grows with the cycles driven, so at a long run length every module the
+// frontend accepts is checked and none is skipped by the watchdog.
+func TestLongCampaignNotCutShort(t *testing.T) {
+	const count, cycles = 12, 4096
+	rejected := 0
+	for seed := int64(1); seed < 1+count; seed++ {
+		file, diags := verilog.Parse(Generate(seed))
+		if diags.HasErrors() {
+			rejected++
+			continue
+		}
+		if _, diags := sema.Elaborate(file); diags.HasErrors() {
+			rejected++
+		}
+	}
+	stats, _ := Run(Options{Seed: 1, Count: count, Cycles: cycles})
+	if stats.Skipped != rejected || stats.Checked != count-rejected {
+		t.Fatalf("%d cycles: checked %d, skipped %d; want %d checked, %d skipped (frontend rejections only)",
+			cycles, stats.Checked, stats.Skipped, count-rejected, rejected)
+	}
+}

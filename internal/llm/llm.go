@@ -234,7 +234,7 @@ func (m *Model) Repair(req RepairRequest) RepairResult {
 	if req.Thought {
 		thoughtBoost = p.ThoughtBonus
 	}
-	for _, h := range BlindHypotheses(req.Code) {
+	for _, h := range blind.Get(req.Code) {
 		h.Confidence = clamp01(h.Confidence*p.BlindSkill + p.BlindAcuity*(1-h.Confidence) + thoughtBoost*0.5)
 		hyps = append(hyps, h)
 	}

@@ -24,14 +24,14 @@ type source[S any] interface {
 	same(S) bool
 }
 
-// text is the source of the artifact, compile and sim caches: Verilog
-// source.
+// text is the source of the artifact, compile and sim caches (Verilog
+// source) and of Reads (any text).
 type text string
 
 func (a text) same(b text) bool { return a == b }
 
 // srcKey is the content address of one Verilog source, the FNV-64a of
-// its text: the key of the frontend artifact and sim caches.
+// its text: the key of the frontend artifact, sim and Reads caches.
 type srcKey uint64
 
 func (k srcKey) shardHash() uint64 { return uint64(k) }
@@ -61,8 +61,9 @@ type flight[S, V any] struct {
 	ok   bool // false when the computation panicked
 }
 
-// cache is the one content-addressed cache core under CompileCache,
-// SimCache and TraceCache: a sharded map, FIFO displacement at capacity,
+// cache is the one content-addressed cache core under the frontend
+// artifacts, CompileCache, SimCache, TraceCache, Reads and the exact-tag
+// results: a sharded map, FIFO displacement at capacity,
 // the source-compare collision guard, and hit/miss/eviction counters
 // mirrored into the process-wide totals of the cache's layer.
 type cache[K shardKey, S source[S], V any] struct {
@@ -85,13 +86,12 @@ func (c *cache[K, S, V]) init(capacity int, global *counters) {
 	if capacity < shards {
 		shards = capacity // one entry per shard: the bound is exact
 	}
+	// A shard makes its maps on its first write (reading a nil map is
+	// a miss), so an empty cache costs one allocation: every fixer and
+	// retrieval index builds caches at set-up.
 	c.shards = make([]shard[K, S, V], shards)
 	c.capPerShard = (capacity + shards - 1) / shards
 	c.global = global
-	for i := range c.shards {
-		c.shards[i].entries = make(map[K]entry[S, V])
-		c.shards[i].inflight = make(map[K]*flight[S, V])
-	}
 }
 
 // Stats snapshots this cache's counters.
@@ -146,6 +146,9 @@ func (c *cache[K, S, V]) getOrCompute(k K, src S, compute func() V) (V, bool) {
 		}
 		f := &flight[S, V]{src: src}
 		f.done.Add(1)
+		if s.inflight == nil {
+			s.inflight = make(map[K]*flight[S, V])
+		}
 		s.inflight[k] = f
 		s.mu.Unlock()
 		c.miss()
@@ -194,6 +197,9 @@ func (c *cache[K, S, V]) put(k K, src S, v V) V {
 		c.evicted()
 		s.entries[k] = entry[S, V]{src: src, val: v}
 		return v
+	}
+	if s.entries == nil {
+		s.entries = make(map[K]entry[S, V])
 	}
 	for len(s.entries) >= c.capPerShard && len(s.order) > 0 {
 		oldest := s.order[0]

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,8 +37,39 @@ type RetrievalIndex struct {
 	mu       sync.RWMutex
 	shingles map[int][]map[string]struct{}
 
+	// tags holds exactTag's results per (log, k): the agent retrieves on
+	// every compile log, and Table 1's repeats and a server's corpus
+	// produce the same logs again and again.
+	tags cache[tagKey, tagQuery, []rag.Entry]
+
 	c counters
 }
+
+// tagCapacity bounds an index's exact-tag results. Measured on perfbench
+// (seed 41, --seconds 8, whole process, 2-vCPU Xeon): serve-mix's pooled
+// indexes see 914 distinct (log, k) queries in 93,705 retrievals, which
+// 1024 entries per index hold with no eviction, while 256 displace 9,360
+// and miss 10,186 times; repair-sweep's fresh per-configuration indexes
+// need 3,048 misses in all at either bound.
+const tagCapacity = 1024
+
+// tagKey is the content address of one exact-tag query: the FNV-64a of
+// the log and the result count.
+type tagKey struct {
+	log uint64
+	k   int
+}
+
+func (k tagKey) shardHash() uint64 { return k.log }
+
+// tagQuery is what an exact-tag result was computed from, compared on
+// every hit: a key collision with a different log is a miss.
+type tagQuery struct {
+	log string
+	k   int
+}
+
+func (a tagQuery) same(b tagQuery) bool { return a == b }
 
 // patternPosting maps one distinct non-empty pattern string to the
 // entries whose Patterns contain it.
@@ -111,6 +143,7 @@ func NewRetrievalIndex(db *rag.Database) *RetrievalIndex {
 
 	defaultK, _ := rag.Fuzzy{}.Params()
 	idx.shingles[defaultK] = shingleEntries(entries, defaultK)
+	idx.tags.init(tagCapacity, &globalReads)
 	return idx
 }
 
@@ -145,6 +178,16 @@ func (idx *RetrievalIndex) entryShingles(k int) []map[string]struct{} {
 	sets = shingleEntries(idx.entries, k)
 	idx.shingles[k] = sets
 	return sets
+}
+
+// cachedExactTag is exactTag through the index's result cache. The
+// result is shared by every caller with the same query; its capacity is
+// clipped, so an append copies it.
+func (idx *RetrievalIndex) cachedExactTag(log string, k int) []rag.Entry {
+	hits, _ := idx.tags.getOrCompute(tagKey{log: HashSource(log), k: k}, tagQuery{log: log, k: k}, func() []rag.Entry {
+		return slices.Clip(idx.exactTag(log, k))
+	})
+	return hits
 }
 
 // exactTag serves rag.ExactTag's semantics from the inverted index: each
@@ -275,7 +318,7 @@ func (r *indexedRetriever) Retrieve(db *rag.Database, log string, k int) []rag.E
 	globalRetrieval.lookups.Add(1)
 	switch in := r.inner.(type) {
 	case rag.ExactTag:
-		return r.idx.exactTag(log, k)
+		return r.idx.cachedExactTag(log, k)
 	case rag.Keyword:
 		return r.idx.keyword(log, k)
 	case rag.Fuzzy:

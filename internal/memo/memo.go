@@ -10,7 +10,7 @@
 // structures are precomputed once and sharded by key hash, so the worker
 // pool never repeats work and never serializes on a single lock.
 //
-// Five components:
+// Six components:
 //
 //   - The frontend artifact cache (frontend.go) — one process-wide,
 //     bounded cache of compiler.FrontendResult per distinct source: the
@@ -33,18 +33,28 @@
 //     outputs under one stimulus, keyed by (reference, stimulus words),
 //     so the pass@k loop simulates a reference once per stimulus and
 //     every candidate replays against the recording.
+//   - Reads (reads.go) — a bounded cache of one pure function of a text,
+//     so a text the agent loop reads again is read once per process: the
+//     model's blind inspection (llm.BlindHypotheses) is a process-wide
+//     instance, and every RetrievalIndex keeps its exact-tag results per
+//     (log, k) on the same core.
 //
-// The artifact cache, CompileCache, SimCache and TraceCache share one
-// cache core (cache.go): a sharded map with FIFO displacement, a
-// source-compare collision guard, and per-cache counters mirrored into
-// per-layer process totals (TotalsByKind). Every cache lives as long as its process.
+// The artifact cache, CompileCache, SimCache, TraceCache, Reads and the
+// exact-tag results share one cache core (cache.go): a sharded map with
+// FIFO displacement, a source-compare collision guard, and per-cache
+// counters mirrored into per-layer process totals (TotalsByKind). Every
+// cache lives as long as its process.
 //
 // Correctness contract: every component is transparent. A cached compile
-// returns the same Result the wrapped persona would produce (results are
-// shared, so callers must treat them as read-only — which every consumer
-// already does); an indexed retrieval returns the same entries in the
-// same order as the naive scan. Table output is therefore byte-identical
-// with the layer on or off, at any worker count.
+// returns the same Result the wrapped persona would produce; a cached
+// read returns the same value its uncached function
+// (llm.BlindHypotheses, the exact-tag scan) computes for the text; an
+// indexed retrieval returns the same entries in the same order as the
+// naive scan. Cached values are shared, so callers must treat them as
+// read-only — which every consumer already does — and a cached slice
+// has clipped capacity, so a caller's append copies it. Table output is
+// therefore byte-identical with the layer on or off, at any worker
+// count.
 package memo
 
 import (
@@ -104,22 +114,25 @@ func (c *counters) snapshot() Stats {
 }
 
 // The process-wide totals are kept per cache layer (frontend vs compile
-// vs sim vs trace vs retrieval), then summed for the aggregate view.
+// vs sim vs trace vs retrieval vs reads), then summed for the aggregate
+// view.
 var (
 	globalFrontend  counters
 	globalCompile   counters
 	globalSim       counters
 	globalTrace     counters
 	globalRetrieval counters
+	globalReads     counters
 )
 
 // Totals returns the process-wide aggregate counters over the frontend
-// artifact cache and every CompileCache, SimCache, TraceCache and
-// RetrievalIndex ever created. Misses are single-flight, so the hit/miss
-// split matches a serial run's as long as no entry is displaced.
+// artifact cache and every CompileCache, SimCache, TraceCache,
+// RetrievalIndex and Reads ever created. Misses are single-flight, so
+// the hit/miss split matches a serial run's as long as no entry is
+// displaced.
 func Totals() Stats {
 	t := TotalsByKind()
-	return t.Frontend.Add(t.Compile).Add(t.Sim).Add(t.Trace).Add(t.Retrieval)
+	return t.Frontend.Add(t.Compile).Add(t.Sim).Add(t.Trace).Add(t.Retrieval).Add(t.Reads)
 }
 
 // KindTotals breaks the process-wide counters out per cache layer.
@@ -139,6 +152,9 @@ type KindTotals struct {
 	// Retrieval covers every RetrievalIndex (lookups served from the
 	// precompiled index).
 	Retrieval Stats
+	// Reads covers the per-text read caches: every Reads (the model's
+	// blind inspection) and every RetrievalIndex's exact-tag results.
+	Reads Stats
 }
 
 // TotalsByKind returns the per-layer process-wide counters.
@@ -149,6 +165,7 @@ func TotalsByKind() KindTotals {
 		Sim:       globalSim.snapshot(),
 		Trace:     globalTrace.snapshot(),
 		Retrieval: globalRetrieval.snapshot(),
+		Reads:     globalReads.snapshot(),
 	}
 }
 

@@ -119,15 +119,11 @@ func TestSimCacheCapacityBound(t *testing.T) {
 func TestSimCacheCollisionGuard(t *testing.T) {
 	sc := NewSimCache(0)
 	key := srcKey(HashSource(simCacheGood))
-	shard := sc.shardFor(key)
 
 	// Plant a foreign entry (compiled from a different source) at
 	// simCacheGood's slot.
 	foreign := entry[text, simEntry]{src: simCacheFallback, val: compileSimEntry(HashSource(simCacheFallback), simCacheFallback)}
-	shard.mu.Lock()
-	shard.entries[key] = foreign
-	shard.order = append(shard.order, key)
-	shard.mu.Unlock()
+	sc.put(key, foreign.src, foreign.val)
 
 	prog, design, _ := sc.Program(simCacheGood)
 	if design == nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 // getJSON fetches url and decodes the JSON body.
@@ -117,13 +118,13 @@ func TestLoopNestDoesNotCaptureRunner(t *testing.T) {
 	start := time.Now()
 	status, out := postFix(t, ts.URL, map[string]any{
 		"source":     runnerCapture,
-		"timeout_ms": (simCheckWall + slack).Milliseconds(),
+		"timeout_ms": (sim.CheckWall + slack).Milliseconds(),
 	})
 	if status != http.StatusOK || out["success"] != true {
 		t.Fatalf("loop nest = %d %v, want 200 success", status, out)
 	}
-	if el := time.Since(start); el > simCheckWall+slack {
-		t.Fatalf("loop nest answered after %v, budget %v", el, simCheckWall)
+	if el := time.Since(start); el > sim.CheckWall+slack {
+		t.Fatalf("loop nest answered after %v, budget %v", el, sim.CheckWall)
 	}
 	if got := stat(t, s, "sim_check.watchdog"); got != 1 {
 		t.Fatalf("sim_check.watchdog = %v, want 1 (%v)", got, s.Stats()["sim_check"])

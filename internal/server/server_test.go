@@ -750,7 +750,7 @@ func TestStatsReportsPerCacheLayers(t *testing.T) {
 		t.Fatalf("fix status = %d", status)
 	}
 	doc := s.Stats()
-	sum := num(t, doc, "cache.frontend.hits") + num(t, doc, "cache.compile.hits") + num(t, doc, "cache.sim.hits") + num(t, doc, "cache.trace.hits") + num(t, doc, "cache.retrieval.hits")
+	sum := num(t, doc, "cache.frontend.hits") + num(t, doc, "cache.compile.hits") + num(t, doc, "cache.sim.hits") + num(t, doc, "cache.trace.hits") + num(t, doc, "cache.retrieval.hits") + num(t, doc, "cache.reads.hits")
 	if hits := num(t, doc, "cache.hits"); hits != sum {
 		t.Fatalf("aggregate hits %v != per-layer sum %v", hits, sum)
 	}

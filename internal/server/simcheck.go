@@ -11,7 +11,6 @@ package server
 
 import (
 	"strings"
-	"time"
 
 	"repro/internal/agent"
 	"repro/internal/resilience"
@@ -19,14 +18,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wave"
-)
-
-// Watchdog budgets for one smoke check: the settle-plus-one-pulse run is
-// microseconds on healthy designs, so these bounds only ever trip on a
-// runaway (or fault-injected) simulation.
-const (
-	simCheckWall  = 2 * time.Second
-	simCheckSteps = 64
 )
 
 // simCheck runs the smoke check behind a panic guard and counts its
@@ -89,7 +80,10 @@ func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) (result s
 		return "not_elaborable"
 	}
 
-	sm.SetWatchdog(resilience.NewWatchdog(simCheckWall, simCheckSteps))
+	// The settle-plus-one-pulse run is microseconds on healthy designs,
+	// so the budget only ever trips on a runaway (or fault-injected)
+	// simulation.
+	sm.SetWatchdog(resilience.NewWatchdog(sim.CheckWall, sim.CheckSteps))
 	if s.simObs != nil {
 		// Observe the check regardless of outcome: coverage on both
 		// backends, the execution profile on the compiled engine. The

@@ -169,13 +169,23 @@ func declareCacheMetrics(r *metrics.Registry) {
 	count := func(s memo.Stats, event int) float64 {
 		return float64([]uint64{s.Hits, s.Misses, s.Evictions, s.Lookups}[event])
 	}
+	layers := []struct {
+		name  string
+		stats func(memo.KindTotals) memo.Stats
+	}{
+		{"frontend", func(t memo.KindTotals) memo.Stats { return t.Frontend }},
+		{"compile", func(t memo.KindTotals) memo.Stats { return t.Compile }},
+		{"sim", func(t memo.KindTotals) memo.Stats { return t.Sim }},
+		{"trace", func(t memo.KindTotals) memo.Stats { return t.Trace }},
+		{"retrieval", func(t memo.KindTotals) memo.Stats { return t.Retrieval }},
+		{"reads", func(t memo.KindTotals) memo.Stats { return t.Reads }},
+	}
 	vec := r.CounterVec("rtlfixer_cache_events_total", "Memoization events by cache layer.", "layer", "event")
-	for layer, name := range []string{"frontend", "compile", "sim", "trace", "retrieval"} {
+	for _, l := range layers {
 		for event, e := range events {
-			vec.Func("cache."+name+"."+e[1], func() float64 {
-				t := memo.TotalsByKind()
-				return count([]memo.Stats{t.Frontend, t.Compile, t.Sim, t.Trace, t.Retrieval}[layer], event)
-			}, name, e[0])
+			vec.Func("cache."+l.name+"."+e[1], func() float64 {
+				return count(l.stats(memo.TotalsByKind()), event)
+			}, l.name, e[0])
 		}
 	}
 	for event, e := range events {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"time"
 
 	"repro/internal/bitvec"
+	"repro/internal/resilience"
 	"repro/internal/sema"
 	"repro/internal/verilog"
 	"repro/internal/wave"
@@ -77,9 +79,41 @@ func (r *DiffReport) First() Mismatch {
 	return r.Mismatches[0]
 }
 
-// DiffSource parses, elaborates, and differentially runs src. Frontend
-// or compile rejection returns an error (callers treat that as "skip",
-// not as a divergence).
+// CheckWall and CheckSteps are the fixed watchdog budget of a short
+// simulation of untrusted source: the server's post-fix smoke check
+// (one settle and one clock pulse), and each wallCycles-cycle slice of a
+// DiffSource run. A healthy design finishes such a run in microseconds,
+// so the budget only ever trips on a runaway: a loop nest in one edge or
+// a settle that does not converge.
+const (
+	CheckWall  = 2 * time.Second
+	CheckSteps = 64
+)
+
+// wallCycles is how many driven cycles one CheckWall covers in a
+// DiffSource run. Up to that many (vlint drives 8, a fuzz campaign 12 by
+// default) the run has the smoke check's 2 s; a longer run gets one more
+// CheckWall per further wallCycles, so a healthy design is never cut
+// short by its length, whatever -cycles asks for.
+const wallCycles = 64
+
+// diffWall is the wall budget of a DiffSource run of cycles cycles.
+func diffWall(cycles int) time.Duration {
+	return CheckWall * time.Duration((cycles+wallCycles-1)/wallCycles)
+}
+
+// DiffSource parses, elaborates, and differentially runs src through the
+// compiled engine and the tree-walker, driving Cycles random input
+// vectors from Seed, comparing every signal after each settle/clock step
+// and the full state at the end. Frontend or compile rejection returns
+// an error (callers treat that as "skip", not as a divergence), as does
+// a disagreement about halting; divergences are reported via the
+// DiffReport, not the error.
+//
+// The whole run, both backends together, is under one watchdog of
+// CheckSteps per driven cycle and diffWall(Cycles); a trip returns the
+// watchdog error (resilience.IsWatchdog), so untrusted source cannot
+// hold the caller past the budget.
 func DiffSource(src string, cfg DiffConfig) (*DiffReport, error) {
 	file, diags := verilog.Parse(src)
 	if diags.HasErrors() {
@@ -89,16 +123,6 @@ func DiffSource(src string, cfg DiffConfig) (*DiffReport, error) {
 	if diags.HasErrors() {
 		return nil, fmt.Errorf("elaborate: %s", diags.Summary())
 	}
-	return DiffDesign(design, cfg)
-}
-
-// DiffDesign runs design through the compiled engine and the
-// tree-walker, driving Cycles random input vectors from Seed, comparing
-// every signal after each settle/clock step and the full state at the
-// end. A non-nil error means the design could not be built or the
-// backends disagreed about halting; divergences are reported via the
-// DiffReport, not the error.
-func DiffDesign(design *sema.Design, cfg DiffConfig) (*DiffReport, error) {
 	if cfg.Cycles <= 0 {
 		cfg.Cycles = 16
 	}
@@ -114,6 +138,9 @@ func DiffDesign(design *sema.Design, cfg DiffConfig) (*DiffReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("walker: %w", err)
 	}
+	wd := resilience.NewWatchdog(diffWall(cfg.Cycles), CheckSteps*int64(cfg.Cycles))
+	eng.SetWatchdog(wd)
+	wlk.SetWatchdog(wd)
 	var parts []wave.Observer
 	if cfg.Recorder != nil {
 		parts = append(parts, cfg.Recorder)
@@ -159,6 +186,9 @@ func DiffDesign(design *sema.Design, cfg DiffConfig) (*DiffReport, error) {
 			}
 		}
 		errE, errW := eng.Settle(), wlk.Settle()
+		if err := watchdogTrip(errE, errW); err != nil {
+			return rep, err
+		}
 		if (errE == nil) != (errW == nil) {
 			return rep, fmt.Errorf("cycle %d: settle disagreement: engine=%v walker=%v", cyc, errE, errW)
 		}
@@ -168,7 +198,11 @@ func DiffDesign(design *sema.Design, cfg DiffConfig) (*DiffReport, error) {
 			return rep, nil
 		}
 		if cfg.Clock != "" {
-			if errE, errW = eng.ClockPulse(cfg.Clock), wlk.ClockPulse(cfg.Clock); (errE == nil) != (errW == nil) {
+			errE, errW = eng.ClockPulse(cfg.Clock), wlk.ClockPulse(cfg.Clock)
+			if err := watchdogTrip(errE, errW); err != nil {
+				return rep, err
+			}
+			if (errE == nil) != (errW == nil) {
 				return rep, fmt.Errorf("cycle %d: clock disagreement: engine=%v walker=%v", cyc, errE, errW)
 			}
 			if errE != nil {
@@ -212,4 +246,16 @@ func DiffDesign(design *sema.Design, cfg DiffConfig) (*DiffReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// watchdogTrip returns whichever of the two backends' errors is a
+// watchdog trip, or nil.
+func watchdogTrip(errE, errW error) error {
+	if resilience.IsWatchdog(errE) {
+		return errE
+	}
+	if resilience.IsWatchdog(errW) {
+		return errW
+	}
+	return nil
 }

@@ -23,7 +23,7 @@
 //     and as the automatic fallback for the rare construct the compiler
 //     rejects.
 //
-// DiffSource and DiffDesign are the shared differential path holding the
+// DiffSource is the shared differential path holding the
 // two backends to agreement: both instantiated on one design, driven
 // with identical seeded random inputs, every signal compared every cycle
 // plus the full state at the end. The unit tests, the permanent

@@ -105,3 +105,47 @@ endmodule
 		}
 	}
 }
+
+// TestDiffSourceWatchdog: DiffSource runs untrusted source under the
+// CheckWall/CheckSteps budget, so the loop nest ends as a watchdog
+// error within about CheckWall for both backends together, and a
+// healthy design's run is not cut short, however many cycles it drives:
+// the wall budget grows by one CheckWall per wallCycles cycles.
+func TestDiffSourceWatchdog(t *testing.T) {
+	const nest = `module top_module(input clk, output reg [31:0] q);
+  integer i, j;
+  always @(posedge clk)
+    for (i = 0; i < 60000; i = i + 1)
+      for (j = 0; j < 60000; j = j + 1)
+        q = q + 1;
+endmodule
+`
+	start := time.Now()
+	_, err := DiffSource(nest, DiffConfig{Clock: "clk", Cycles: 8, Seed: 1})
+	if !resilience.IsWatchdog(err) {
+		t.Fatalf("loop nest err = %v, want a watchdog trip", err)
+	}
+	if el := time.Since(start); el > CheckWall+3*time.Second {
+		t.Fatalf("loop nest stopped after %v, budget %v", el, CheckWall)
+	}
+
+	const healthy = "module top_module(input clk, input [3:0] d, output reg [3:0] q);\n  always @(posedge clk) q <= d;\nendmodule\n"
+	rep, err := DiffSource(healthy, DiffConfig{Clock: "clk", Cycles: 64, Seed: 1})
+	if err != nil || rep.Cycles != 64 || rep.Halted || rep.Diverged() {
+		t.Fatalf("healthy design: report %+v, err %v; want 64 clean cycles", rep, err)
+	}
+	const long = 100 * wallCycles
+	rep, err = DiffSource(healthy, DiffConfig{Clock: "clk", Cycles: long, Seed: 1})
+	if err != nil || rep.Cycles != long || rep.Halted || rep.Diverged() {
+		t.Fatalf("healthy design, %d cycles: report %+v, err %v; want clean cycles", long, rep, err)
+	}
+
+	for _, c := range []struct {
+		cycles int
+		want   time.Duration
+	}{{1, CheckWall}, {wallCycles, CheckWall}, {wallCycles + 1, 2 * CheckWall}, {long, 100 * CheckWall}} {
+		if got := diffWall(c.cycles); got != c.want {
+			t.Errorf("diffWall(%d) = %v, want %v", c.cycles, got, c.want)
+		}
+	}
+}
