@@ -113,9 +113,7 @@ func main() {
 			experiments[name] = v
 		}
 		fmt.Fprintf(human, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-		if *cache {
-			printCacheDeltas(name, before, memo.TotalsByKind())
-		}
+		printCacheDeltas(name, before, memo.TotalsByKind())
 	}
 
 	var t1 *bench.Table1Result
@@ -224,7 +222,8 @@ func main() {
 
 // printCacheDeltas writes one stderr line per memo layer (frontend
 // artifacts, compile cache, sim cache, reference traces, retrieval
-// index, text reads) that one experiment touched.
+// index, text reads) that one experiment touched. It runs with -cache
+// on or off: the process-wide layers stay on either way.
 func printCacheDeltas(exp string, before, after memo.KindTotals) {
 	if d := after.Frontend.Sub(before.Frontend); d != (memo.Stats{}) {
 		fmt.Fprintf(os.Stderr, "[%s frontend artifacts: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)

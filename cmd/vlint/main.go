@@ -13,7 +13,7 @@
 //	vlint -rules L001,alias-hazard f.v  # run only the named rules
 //	vlint -severity all=error f.v     # escalate findings (affects exit code)
 //	vlint -json file.v                # machine-readable report
-//	vlint -print file.v               # pretty-print the parsed AST back
+//	vlint -print file.v               # print the parsed AST back as Verilog
 //	vlint -coverage file.v            # also simulate; toggle coverage to stderr
 //	vlint -vcd out.vcd file.v         # also simulate; write the waveform dump
 //
@@ -108,7 +108,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "vlint: %s has parse errors; printing best-effort AST\n", name)
 				failed = true
 			}
-			fmt.Print(verilog.Print(file))
+			fmt.Print(verilog.Format(file))
 			continue
 		}
 

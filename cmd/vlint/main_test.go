@@ -2,13 +2,74 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/sim"
+	"repro/internal/verilog"
 )
+
+// TestMain runs vlint itself when VLINT_MAIN is set, so a test can run
+// the command line by re-executing the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("VLINT_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runVlint runs vlint with args and returns its stdout.
+func runVlint(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "VLINT_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("vlint %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return string(out)
+}
+
+// TestPrintReparses: -print writes source that parses cleanly again and
+// keeps what the design says: a unary of a unary, and a block-local
+// declaration's signedness and initializer.
+func TestPrintReparses(t *testing.T) {
+	const src = `module m(input clk, input [3:0] a, input [3:0] d, output [3:0] y, output reg [3:0] q);
+	assign y = - -a;
+	always @(posedge clk) begin : blk
+		reg signed [3:0] t;
+		integer k = 2;
+		t = d;
+		q <= t + k;
+	end
+endmodule
+`
+	path := filepath.Join(t.TempDir(), "m.v")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	printed := runVlint(t, "-print", path)
+	file, diags := verilog.Parse(printed)
+	if diags.HasErrors() {
+		t.Fatalf("printed source does not re-parse: %s\n%s", diags.Summary(), printed)
+	}
+	items := file.Modules[0].Items
+	if rhs := verilog.FormatExpr(items[0].(*verilog.AssignItem).RHS); rhs != "-(-(a))" {
+		t.Fatalf("- -a was printed back as %s:\n%s", rhs, printed)
+	}
+	decls := items[1].(*verilog.AlwaysBlock).Body.(*verilog.BlockStmt).Decls
+	if len(decls) != 2 || !decls[0].Signed || decls[1].Names[0].Init == nil {
+		t.Fatalf("the block-local declarations lost signed or the initializer:\n%s", printed)
+	}
+}
 
 // loopNest runs 60000 × 60000 loop trips in every clock edge.
 const loopNest = `module top_module(input clk, output reg [31:0] q);

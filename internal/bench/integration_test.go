@@ -88,7 +88,7 @@ func TestPrinterRoundTripOverCorpus(t *testing.T) {
 			if diags.HasErrors() {
 				t.Fatalf("%s: reference parse failed", p.ID)
 			}
-			printed := verilog.Print(file)
+			printed := verilog.Format(file)
 			_, design, diags2 := compiler.Frontend(printed)
 			if design == nil {
 				t.Errorf("%s: printed form does not compile: %s\n%s", p.ID, diags2.Summary(), printed)
@@ -113,7 +113,7 @@ func TestPrintedCorpusBehavesIdentically(t *testing.T) {
 			continue
 		}
 		file, _ := verilog.Parse(p.RefSource)
-		printed := verilog.Print(file)
+		printed := verilog.Format(file)
 		res, err := p.Check(printed, rand.New(rand.NewSource(3)))
 		if err != nil {
 			t.Errorf("%s: printed form fails testbench: %v", p.ID, err)

@@ -56,8 +56,6 @@ type Options struct {
 	// process-wide caches stay on with Cache off: the model's blind
 	// inspection (llm.BlindHypotheses) and the sim oracle's caches.
 	Cache bool
-	// CacheCapacity bounds the compile cache (entries); 0 = default.
-	CacheCapacity int
 	// DisableAnalyzer turns off the semantic lint engine
 	// (internal/analyze). With the analyzer on — the default — Lint
 	// appends its findings to the persona diagnostics and the agent's
@@ -101,7 +99,7 @@ func New(opts Options) (*RTLFixer, error) {
 	}
 	f := &RTLFixer{opts: opts, compiler: comp, persona: persona, retriever: opts.Retriever}
 	if opts.Cache {
-		f.compileCache = memo.NewCompileCache(opts.CacheCapacity)
+		f.compileCache = memo.NewCompileCache(0)
 		f.compiler = f.compileCache.Cached(comp)
 	}
 	if opts.RAG {

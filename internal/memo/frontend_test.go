@@ -66,7 +66,7 @@ func printAST(f *verilog.SourceFile) string {
 	if f == nil {
 		return "<nil>"
 	}
-	return verilog.Print(f)
+	return verilog.Format(f)
 }
 
 // sameCompile reports how got differs from want in what a consumer of

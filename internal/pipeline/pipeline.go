@@ -11,10 +11,6 @@
 // core.RTLFixer's per-call state — the simulated model's RNG — is derived
 // from Job.SampleSeed), which is also what makes it safe to call from
 // many goroutines at once.
-//
-// The shape mirrors the sharded worker-pool / central-aggregator pipelines
-// of high-throughput DAQ systems (see PAPERS.md): shard the suite, run
-// shards on independent pools, merge summaries at the end.
 package pipeline
 
 import (
@@ -233,32 +229,4 @@ func invoke(ctx context.Context, j Job, fn FixFunc) (tr *agent.Transcript, err e
 		}
 	}()
 	return fn(ctx, j), nil
-}
-
-// Shard splits a batch into n contiguous, near-equal chunks (the last
-// chunks are one shorter when the division is uneven). Shards preserve job
-// order, so running shards on separate pools and concatenating their
-// result slices reproduces a single Run over the whole batch.
-func Shard(jobs []Job, n int) [][]Job {
-	if n <= 0 {
-		n = 1
-	}
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	if n == 0 {
-		return nil
-	}
-	shards := make([][]Job, 0, n)
-	base, extra := len(jobs)/n, len(jobs)%n
-	at := 0
-	for s := 0; s < n; s++ {
-		size := base
-		if s < extra {
-			size++
-		}
-		shards = append(shards, jobs[at:at+size])
-		at += size
-	}
-	return shards
 }

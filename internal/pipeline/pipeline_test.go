@@ -202,54 +202,6 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
-// TestShardAndMerge verifies sharded execution plus Merge reproduces the
-// single-pool summary.
-func TestShardAndMerge(t *testing.T) {
-	jobs := makeJobs(47, 9)
-	whole, err := Run(context.Background(), Config{Workers: 3}, jobs, synthFix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Summarize(whole)
-
-	shards := Shard(jobs, 5)
-	if len(shards) != 5 {
-		t.Fatalf("got %d shards, want 5", len(shards))
-	}
-	n := 0
-	var parts []*Summary
-	for _, sh := range shards {
-		n += len(sh)
-		res, err := Run(context.Background(), Config{Workers: 2}, sh, synthFix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, Summarize(res))
-	}
-	if n != len(jobs) {
-		t.Fatalf("shards cover %d jobs, want %d", n, len(jobs))
-	}
-	got := Merge(parts...)
-	got.TotalWork = want.TotalWork
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("merged summary differs:\nwant %+v\ngot  %+v", want, got)
-	}
-}
-
-// TestShardEdgeCases pins the chunking behaviour.
-func TestShardEdgeCases(t *testing.T) {
-	if got := Shard(nil, 4); len(got) != 0 {
-		t.Fatalf("Shard(nil) = %v", got)
-	}
-	jobs := makeJobs(3, 1)
-	if got := Shard(jobs, 10); len(got) != 3 {
-		t.Fatalf("Shard over-splits: %d shards for 3 jobs", len(got))
-	}
-	if got := Shard(jobs, 0); len(got) != 1 || len(got[0]) != 3 {
-		t.Fatalf("Shard(_, 0) = %v", got)
-	}
-}
-
 // TestEmptyBatch must not deadlock or panic.
 func TestEmptyBatch(t *testing.T) {
 	results, err := Run(context.Background(), Config{}, nil, synthFix)
@@ -294,52 +246,16 @@ func TestCanceledSlotsCarryCtxErr(t *testing.T) {
 	}
 }
 
-// TestShardEmptyAndOversplit pins the remaining Shard edge cases: an
-// empty (non-nil) batch, a shard count exceeding the batch, and exact
-// coverage with order preserved.
-func TestShardEmptyAndOversplit(t *testing.T) {
-	if got := Shard([]Job{}, 3); len(got) != 0 {
-		t.Fatalf("Shard(empty) = %v, want no shards", got)
-	}
-	jobs := makeJobs(4, 2)
-	shards := Shard(jobs, 9)
-	if len(shards) != 4 {
-		t.Fatalf("n > len(jobs) must clamp to len(jobs): got %d shards", len(shards))
-	}
-	seen := 0
-	for si, sh := range shards {
-		if len(sh) != 1 {
-			t.Fatalf("oversplit shard %d has %d jobs, want 1", si, len(sh))
-		}
-		if sh[0].SampleSeed != jobs[seen].SampleSeed {
-			t.Fatalf("shard %d out of order", si)
-		}
-		seen++
-	}
-	if seen != len(jobs) {
-		t.Fatalf("shards cover %d jobs, want %d", seen, len(jobs))
-	}
-}
-
 // TestSummaryCarriesCacheStats: Summarize leaves Cache zero (it cannot
-// know the fixer's counters); callers attach them, and Merge sums.
+// know the fixer's counters); callers attach them.
 func TestSummaryCarriesCacheStats(t *testing.T) {
 	jobs := makeJobs(6, 2)
 	results, err := Run(context.Background(), Config{Workers: 2}, jobs, synthFix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Summarize(results)
-	if a.Cache != (memo.Stats{}) {
-		t.Fatalf("Summarize must not invent cache stats: %+v", a.Cache)
-	}
-	a.Cache = memo.Stats{Hits: 10, Misses: 2, Lookups: 5}
-	b := Summarize(results)
-	b.Cache = memo.Stats{Hits: 1, Misses: 1, Evictions: 3}
-	m := Merge(a, b)
-	want := memo.Stats{Hits: 11, Misses: 3, Evictions: 3, Lookups: 5}
-	if m.Cache != want {
-		t.Fatalf("Merge cache stats = %+v, want %+v", m.Cache, want)
+	if s := Summarize(results); s.Cache != (memo.Stats{}) {
+		t.Fatalf("Summarize must not invent cache stats: %+v", s.Cache)
 	}
 }
 

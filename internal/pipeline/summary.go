@@ -94,47 +94,3 @@ func Summarize(results []Result) *Summary {
 	}
 	return s
 }
-
-// Merge combines shard summaries (as produced by Summarize over each
-// shard's results) into one, re-deriving the fix rate from the merged
-// group tallies. Groups are merged by index, so shards must use a shared
-// group numbering.
-func Merge(parts ...*Summary) *Summary {
-	m := &Summary{FixRate: math.NaN()}
-	maxGroups := 0
-	for _, p := range parts {
-		if len(p.GroupTotal) > maxGroups {
-			maxGroups = len(p.GroupTotal)
-		}
-	}
-	m.GroupTotal = make([]int, maxGroups)
-	m.GroupFixed = make([]int, maxGroups)
-	for _, p := range parts {
-		m.Jobs += p.Jobs
-		m.Completed += p.Completed
-		m.Succeeded += p.Succeeded
-		m.Failed += p.Failed
-		m.Errored += p.Errored
-		m.LintFindings += p.LintFindings
-		m.TotalWork += p.TotalWork
-		m.Cache = m.Cache.Add(p.Cache)
-		for g := range p.GroupTotal {
-			m.GroupTotal[g] += p.GroupTotal[g]
-			m.GroupFixed[g] += p.GroupFixed[g]
-		}
-		for i := range p.IterationHist {
-			m.IterationHist[i] += p.IterationHist[i]
-		}
-	}
-	var fixed, total []int
-	for g := range m.GroupTotal {
-		if m.GroupTotal[g] > 0 {
-			fixed = append(fixed, m.GroupFixed[g])
-			total = append(total, m.GroupTotal[g])
-		}
-	}
-	if rate, err := metrics.FixRate(fixed, total); err == nil {
-		m.FixRate = rate
-	}
-	return m
-}

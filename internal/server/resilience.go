@@ -6,7 +6,7 @@
 //
 //   - Handler or worker panic → recovered into a typed 500 + counter;
 //     the daemon keeps serving (server.go / dispatch.go).
-//   - Overload → once admission fill crosses BrownoutThreshold, lint
+//   - Overload → once admission fill crosses brownoutFill, lint
 //     answers 503 and new request traces are shed; fix traffic keeps
 //     the capacity.
 //   - Sim-check or analyzer failure → the feature is skipped and
@@ -22,6 +22,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/trace"
 )
+
+// brownoutFill is the admission-fill fraction past which the server
+// browns out best-effort surfaces (lint answers 503, new request traces
+// are shed) to keep capacity for fix traffic.
+const brownoutFill = 0.9
 
 // brownedOut reports whether admission fill has crossed the brownout
 // mark: len(admitted) counts every outstanding admission charge, so the

@@ -114,11 +114,6 @@ type Config struct {
 	// will not pay index construction. Off by default (tests and
 	// single-shot tools want a synchronously-ready server).
 	Prewarm bool
-	// BrownoutThreshold is the admission-fill fraction past which the
-	// server browns out best-effort surfaces (lint answers 503, new
-	// request traces are shed) to keep capacity for fix traffic; <= 0
-	// means 0.9, >= 1 effectively disables brownout.
-	BrownoutThreshold float64
 }
 
 func (c Config) withDefaults() Config {
@@ -139,9 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = 1 << 20
-	}
-	if c.BrownoutThreshold <= 0 {
-		c.BrownoutThreshold = 0.9
 	}
 	return c
 }
@@ -232,7 +224,7 @@ func New(cfg Config) *Server {
 		flights:  map[flightKey]*flight{},
 		stop:     make(chan struct{}),
 	}
-	s.brownoutAt = int(cfg.BrownoutThreshold * float64(cfg.MaxInFlight+cfg.QueueDepth))
+	s.brownoutAt = int(brownoutFill * float64(cfg.MaxInFlight+cfg.QueueDepth))
 	if s.brownoutAt < 1 {
 		s.brownoutAt = 1
 	}

@@ -5,11 +5,15 @@ import (
 	"strings"
 )
 
-// This printer turns an AST back into parseable source. The fuzz
-// minimizer depends on the round-trip: it mutates a cloned AST, prints
-// it, and re-runs the full frontend, so the output must stay inside the
-// grammar the parser accepts. Formatting is canonical (tabs, one
-// statement per line), not source-preserving.
+// This is the package's one printer: it turns an AST back into
+// parseable source. Two tools depend on the round-trip. `vlint -print`
+// prints the parsed (or best-effort) AST of a file, and the fuzz
+// minimizer mutates a cloned AST, prints it, and re-runs the full
+// frontend. So the output must stay inside the grammar the parser
+// accepts: Format(Parse(Format(f))) is Format(f), and a clean parse
+// prints to source that parses cleanly (TestFormatRoundTrip,
+// FuzzFormatRoundTrip). Formatting is canonical (tabs, one statement
+// per line, every sub-expression parenthesized), not source-preserving.
 
 // Format prints a whole source file.
 func Format(f *SourceFile) string {
@@ -155,13 +159,6 @@ func writeDecl(b *strings.Builder, d *Decl) {
 			b.WriteString(FormatExpr(n.Init))
 		}
 	}
-}
-
-// FormatStmt prints one statement at the given indent depth.
-func FormatStmt(s Stmt) string {
-	var b strings.Builder
-	writeStmt(&b, s, 0)
-	return b.String()
 }
 
 func writeStmt(b *strings.Builder, s Stmt, depth int) {
