@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/diag"
 	"repro/internal/sim"
 	"repro/internal/verilog"
 )
@@ -114,5 +117,41 @@ func TestCoverageHealthyDesignReports(t *testing.T) {
 	}
 	if got := out.String(); !strings.HasPrefix(got, "vlint: ok.v: ") || strings.Contains(got, "skipped") {
 		t.Fatalf("stderr = %q, want a coverage line", got)
+	}
+}
+
+// TestDesignBitsLimitCoverage: the 969 KB request of 120000 registers of
+// 2^16 bits each (about a gigabyte of state) has no design behind the
+// frontend, so -coverage reports the resource-limit diagnostic instead of
+// simulating. vlint used to die of a fatal out-of-memory here.
+func TestDesignBitsLimitCoverage(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("module top_module(input clk, output y);\n\treg [65535:0] s0")
+	for i := 1; i < 120000; i++ {
+		fmt.Fprintf(&b, ", s%d", i)
+	}
+	b.WriteString(";\n\tassign y = clk;\nendmodule\n")
+	src := b.String()
+
+	_, design, diags := compiler.Frontend(src)
+	if design != nil || !diags.HasErrors() || diags[0].Category != diag.CatResourceLimit {
+		t.Fatalf("frontend: design %v, diagnostics %s; want a resource-limit error and no design", design != nil, diags.Summary())
+	}
+
+	path := filepath.Join(t.TempDir(), "many.v")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-style", "raw", "-coverage", path)
+	cmd.Env = append(os.Environ(), "VLINT_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code != 1 {
+		t.Fatalf("vlint exit %d (%v), want 1:\n%.2000s", code, err, out)
+	}
+	if !strings.Contains(string(out), "error[resource-limit] module 'top_module' declares") {
+		t.Fatalf("no design-bits diagnostic in:\n%.2000s", out)
+	}
+	if ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage); ok && ru.Maxrss > 512<<10 {
+		t.Fatalf("vlint peaked at %d MB resident", ru.Maxrss>>10)
 	}
 }

@@ -24,8 +24,8 @@
 // program (topologically scheduled combinational logic, bounded fixpoint
 // only for genuine feedback) and runs steady-state cycles with zero heap
 // allocations via internal/bitvec's in-place operations — 6-11x over the
-// legacy tree-walker, which survives as the bit-identical differential
-// oracle and automatic fallback. Compiled programs are content-addressed
+// legacy tree-walker, which survives only as the bit-identical
+// differential oracle. Compiled programs are content-addressed
 // in memo.SimCache beside the compile cache, so repeated checks of one
 // source, the reference's included, pay one compile; both caches build
 // on one process-wide frontend artifact per source, so the personas and

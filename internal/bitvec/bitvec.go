@@ -44,17 +44,6 @@ func FromUint64(width int, v uint64) Vec {
 	return out
 }
 
-// FromBits builds a vector from a slice of booleans, bit 0 first.
-func FromBits(bits []bool) Vec {
-	out := New(len(bits))
-	for i, b := range bits {
-		if b {
-			out.words[i/wordBits] |= 1 << (i % wordBits)
-		}
-	}
-	return out
-}
-
 // ParseBinary builds a vector of the given width from a binary string
 // (most-significant bit first). Underscores are ignored, as in Verilog
 // literals.

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"repro/internal/memo"
-	"repro/internal/sema"
 	"repro/internal/sim"
 )
 
@@ -40,9 +39,6 @@ var oracle = memo.NewSimCache(0)
 var traces = memo.NewTraceCache(traceCapacity)
 
 const traceCapacity = 640
-
-// OracleCacheStats snapshots the package oracle's memoization counters.
-func OracleCacheStats() memo.Stats { return oracle.Stats() }
 
 // Suite identifies a benchmark track.
 type Suite string
@@ -94,7 +90,6 @@ type Problem struct {
 // identity its traces are cached under.
 type reference struct {
 	prog   *sim.Program
-	design *sema.Design
 	layout *sim.Layout
 	cycles int
 	// reset marks the layout's reset-style inputs (isResetName).
@@ -111,7 +106,11 @@ func (p *Problem) reference() (*reference, error) {
 			p.resolved.err = fmt.Errorf("problem %s: reference does not compile: %s", p.ID, diags.Summary())
 			return
 		}
-		r := &reference{prog: prog, design: design, layout: sim.NewLayout(design, p.Clock), cycles: p.Cycles}
+		if prog == nil {
+			p.resolved.err = fmt.Errorf("problem %s: reference does not simulate", p.ID)
+			return
+		}
+		r := &reference{prog: prog, layout: sim.NewLayout(design, p.Clock), cycles: p.Cycles}
 		if r.cycles == 0 {
 			r.cycles = 64
 		}
@@ -156,12 +155,6 @@ func (r *reference) stimulus(rng *rand.Rand) []uint64 {
 	return in
 }
 
-// newGolden instantiates the reference design.
-func (r *reference) newGolden() *sim.Simulator {
-	s, _ := instantiate(r.prog, r.design) // nil fails the recording, which says so
-	return s
-}
-
 // Vectors generates the problem's stimulus as testbench vectors: the
 // values Check drives, drawn from rng in the same order.
 func (p *Problem) Vectors(rng *rand.Rand) ([]sim.Vector, error) {
@@ -183,24 +176,13 @@ func isResetName(name string) bool {
 // NewGolden returns a fresh simulator over the reference design, the
 // golden model sim.RunTestbenchSim records. It shares the oracle cache's
 // compiled program with every other check of the problem, and is nil
-// only when the reference does not simulate.
+// only when the reference does not compile or does not simulate.
 func (p *Problem) NewGolden() *sim.Simulator {
 	r, err := p.reference()
 	if err != nil {
 		return nil
 	}
-	return r.newGolden()
-}
-
-// instantiate runs a cached program on the compiled engine, or the design
-// on the walker when the engine rejected it: the cache already recorded
-// the rejection, so this goes straight to the walker rather than
-// re-attempting compilation through EngineAuto.
-func instantiate(prog *sim.Program, design *sema.Design) (*sim.Simulator, error) {
-	if prog != nil {
-		return sim.NewFromProgram(prog), nil
-	}
-	return sim.NewWith(design, sim.EngineWalker)
+	return sim.NewFromProgram(r.prog)
 }
 
 // Check runs the problem's testbench against a candidate design: the
@@ -224,17 +206,17 @@ func (p *Problem) CheckObserved(candidate string, rng *rand.Rand, obs sim.TBObse
 	if design == nil {
 		return sim.TBResult{}, fmt.Errorf("candidate does not compile: %s", diags.Summary())
 	}
+	if prog == nil {
+		return sim.TBResult{}, fmt.Errorf("candidate does not simulate")
+	}
 	r, err := p.reference()
 	if err != nil {
 		return sim.TBResult{}, err
 	}
 	in := r.stimulus(rng)
-	s, err := instantiate(prog, design)
-	if err != nil {
-		return sim.TBResult{}, err
-	}
+	s := sim.NewFromProgram(prog)
 	t := traces.Trace(r.key, in, func() *sim.Trace {
-		return sim.Record(r.newGolden(), r.layout, in, r.cycles)
+		return sim.Record(sim.NewFromProgram(r.prog), r.layout, in, r.cycles)
 	})
 	return sim.Replay(s, t, obs)
 }

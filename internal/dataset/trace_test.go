@@ -72,14 +72,14 @@ func lockstepCheck(p *Problem, candidate string, rng *rand.Rand) (sim.TBResult, 
 	if design == nil {
 		return res, fmt.Errorf("candidate does not compile: %s", diags.Summary())
 	}
+	if prog == nil {
+		return res, fmt.Errorf("candidate does not simulate")
+	}
 	vectors, err := legacyVectors(p, rng)
 	if err != nil {
 		return res, err
 	}
-	s, err := instantiate(prog, design)
-	if err != nil {
-		return res, err
-	}
+	s := sim.NewFromProgram(prog)
 	ref := p.NewGolden()
 	var outNames []string
 	for _, o := range ref.Design().Outputs() {

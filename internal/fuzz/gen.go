@@ -330,32 +330,6 @@ func (g *generator) pickReadable() signal {
 	return pool[g.rng.Intn(len(pool))]
 }
 
-// ternaryBranches emits two expressions the engine sees as the same
-// width. Branch widths are context-sensitive (idents widen to the
-// surrounding expression, part-selects keep their own width), so both
-// branches must be the same syntactic class: two w-bit slices when any
-// signal is wide enough, else two sized literals.
-func (g *generator) ternaryBranches(w int) (string, string) {
-	var wide []signal
-	for _, s := range g.readable() {
-		if s.width >= w {
-			wide = append(wide, s)
-		}
-	}
-	if len(wide) > 0 {
-		slice := func() string {
-			s := wide[g.rng.Intn(len(wide))]
-			lo := g.rng.Intn(s.width - w + 1)
-			return fmt.Sprintf("%s[%d:%d]", s.name, lo+w-1, lo)
-		}
-		return slice(), slice()
-	}
-	lit := func() string {
-		return fmt.Sprintf("%d'h%x", w, g.rng.Intn(1<<uint(min(w, 16))))
-	}
-	return lit(), lit()
-}
-
 // expr emits a random expression with the given depth budget.
 func (g *generator) expr(depth int) string {
 	if depth <= 0 || g.rng.Intn(4) == 0 {
@@ -389,13 +363,9 @@ func (g *generator) expr(depth int) string {
 	case 2:
 		return fmt.Sprintf("{%s, %s}", g.expr(depth-1), g.expr(depth-1))
 	case 3:
-		// The compiled engine rejects ternaries whose branches have
-		// different widths (walker-fallback territory, which a
-		// differential campaign wants to avoid), so pin both branches
-		// to one width.
-		w := 2 + g.rng.Intn(8)
-		a, b := g.ternaryBranches(w)
-		return fmt.Sprintf("(%s ? %s : %s)", g.expr(0), a, b)
+		// Independent branches: mixed widths exercise the §5.4.1
+		// sizing both backends share.
+		return fmt.Sprintf("(%s ? %s : %s)", g.expr(0), g.expr(depth-1), g.expr(depth-1))
 	default:
 		ops := []string{"+", "-", "&", "|", "^", ">>", "<<"}
 		op := ops[g.rng.Intn(len(ops))]

@@ -12,8 +12,8 @@ package memo
 // instantiated per run via sim.NewFromProgram; the AST, design and
 // diagnostics are the frontend artifact's, shared with every persona
 // compile of the same source. A source whose design the simulator
-// compiler rejects caches a nil Program (callers fall back to the walker
-// through sim.New) so the rejection is not recomputed either.
+// compiler rejects caches a nil Program, so the rejection is not
+// recomputed either: such a design does not simulate.
 
 import (
 	"repro/internal/diag"
@@ -27,7 +27,7 @@ type simEntry struct {
 	file   *verilog.SourceFile
 	design *sema.Design
 	diags  diag.List
-	prog   *sim.Program // nil when design is nil or the engine fell back
+	prog   *sim.Program // nil when design is nil or the engine rejected it
 }
 
 // SimCache is a concurrency-safe, sharded, content-addressed cache of
@@ -53,8 +53,8 @@ func (sc *SimCache) Frontend(src string) (*verilog.SourceFile, *sema.Design, dia
 
 // Program returns the compiled simulation program for src alongside the
 // elaborated design and diagnostics. The program is nil when the source
-// does not elaborate or uses a construct the compiled engine rejects; in
-// the latter case the design is still usable with the walker.
+// does not elaborate, or when the compiled engine rejects its design
+// (non-nil design, nil program): that design does not simulate.
 func (sc *SimCache) Program(src string) (*sim.Program, *sema.Design, diag.List) {
 	e := sc.lookup(src)
 	return e.prog, e.design, e.diags

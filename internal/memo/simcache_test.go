@@ -15,9 +15,9 @@ module top_module(input clk, input [7:0] d, output reg [7:0] q);
 endmodule
 `
 
-// simCacheFallback elaborates but uses a dynamic replication count, which
+// simCacheRejected elaborates but uses a dynamic replication count, which
 // the compiled engine rejects — the cache must remember the nil program.
-const simCacheFallback = `
+const simCacheRejected = `
 module top_module(input [3:0] n, output [7:0] y);
 	assign y = {n{1'b1}};
 endmodule
@@ -31,7 +31,7 @@ endmodule
 
 func TestSimCacheTransparent(t *testing.T) {
 	sc := NewSimCache(0)
-	for _, src := range []string{simCacheGood, simCacheFallback, simCacheBroken} {
+	for _, src := range []string{simCacheGood, simCacheRejected, simCacheBroken} {
 		_, wantDesign, wantDiags := compiler.Frontend(src)
 		prog, design, diags := sc.Program(src)
 		if (design == nil) != (wantDesign == nil) {
@@ -73,14 +73,14 @@ func TestSimCacheHitsAndReuse(t *testing.T) {
 	if a.Get("q").Uint64() != 2 || b.Get("q").Uint64() != 0 {
 		t.Fatal("cached program leaked state between instances")
 	}
-	// fallback sources cache their nil program (no recompilation storm)
-	if prog, design, _ := sc.Program(simCacheFallback); prog != nil || design == nil {
-		t.Fatal("fallback source must cache design with nil program")
+	// rejected sources cache their nil program (no recompilation storm)
+	if prog, design, _ := sc.Program(simCacheRejected); prog != nil || design == nil {
+		t.Fatal("rejected source must cache design with nil program")
 	}
 	before := sc.Stats().Misses
-	sc.Program(simCacheFallback)
+	sc.Program(simCacheRejected)
 	if sc.Stats().Misses != before {
-		t.Fatal("fallback outcome was not cached")
+		t.Fatal("rejection was not cached")
 	}
 }
 
@@ -122,7 +122,7 @@ func TestSimCacheCollisionGuard(t *testing.T) {
 
 	// Plant a foreign entry (compiled from a different source) at
 	// simCacheGood's slot.
-	foreign := entry[text, simEntry]{src: simCacheFallback, val: compileSimEntry(HashSource(simCacheFallback), simCacheFallback)}
+	foreign := entry[text, simEntry]{src: simCacheRejected, val: compileSimEntry(HashSource(simCacheRejected), simCacheRejected)}
 	sc.put(key, foreign.src, foreign.val)
 
 	prog, design, _ := sc.Program(simCacheGood)

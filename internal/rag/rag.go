@@ -60,16 +60,6 @@ func (db *Database) Add(e Entry) { db.entries = append(db.entries, e) }
 // Len returns the number of entries.
 func (db *Database) Len() int { return len(db.entries) }
 
-// CategoryCount returns the number of distinct diagnostic categories
-// covered.
-func (db *Database) CategoryCount() int {
-	seen := map[diag.Category]bool{}
-	for _, e := range db.entries {
-		seen[e.Category] = true
-	}
-	return len(seen)
-}
-
 // GroupCount returns the number of curated error groups — the paper's
 // "common error categories" counted by compiler error-number family (7 for
 // iverilog, 11 for Quartus). Groups are encoded as the entry-ID prefix

@@ -44,12 +44,6 @@ func AsPanic(err error) (*PanicError, bool) {
 	return pe, ok
 }
 
-// IsPanic reports whether err's chain carries a recovered panic.
-func IsPanic(err error) bool {
-	_, ok := AsPanic(err)
-	return ok
-}
-
 // Safe runs fn, converting a panic into a returned *PanicError. It is
 // the guard for best-effort features (analyzer, sim check) that must
 // never be request-fatal: on panic the feature's output is simply

@@ -97,6 +97,13 @@ func (d *Design) portsByDir(dir verilog.PortDir) []*Signal {
 // diag.CatResourceLimit error.
 const MaxSignalBits = 1 << 16
 
+// MaxDesignBits bounds the state one design may declare: the sum of its
+// module-level signal widths. MaxSignalBits alone lets 2^16-bit
+// declarations add up to about a gigabyte inside one 1 MiB request;
+// 2^20 bits (128 KiB) is over 3000 times the widest benchmark reference
+// (301 bits). A larger sum is a diag.CatResourceLimit error.
+const MaxDesignBits = 1 << 20
+
 // ParseAndElaborate is the one frontend pass behind the compiler
 // personas and the semantic analyzer. It parses src and, only when the
 // parse is clean, elaborates it: parse errors mask the elaboration errors
@@ -179,6 +186,7 @@ func (e *elaborator) run() {
 	m := e.design.Module
 	e.collectParams(m)
 	e.collectSignals(m)
+	e.checkDesignBits(m)
 	e.checkPorts(m)
 	e.checkDrivers(m)
 	for _, item := range m.Items {
@@ -332,6 +340,24 @@ func (e *elaborator) collectSignals(m *verilog.Module) {
 				})
 			}
 		}
+	}
+}
+
+// checkDesignBits reports a design whose signals together declare more
+// than MaxDesignBits of state, at the module header. A signal over
+// MaxSignalBits is already refused on its own and is not counted again.
+func (e *elaborator) checkDesignBits(m *verilog.Module) {
+	total := 0
+	for _, s := range e.design.Signals {
+		if w := s.Width(); w <= MaxSignalBits {
+			total += w
+		}
+	}
+	if total > MaxDesignBits {
+		e.errorf(diag.CatResourceLimit, m.Pos(), m.Name,
+			fmt.Sprintf("Declare at most %d bits of signals per module.", MaxDesignBits),
+			"module '%s' declares %d bits of signal state, over the limit of %d bits per design",
+			m.Name, total, MaxDesignBits)
 	}
 }
 

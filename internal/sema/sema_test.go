@@ -1,6 +1,7 @@
 package sema
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -578,5 +579,42 @@ endmodule`, diag.CatInvalidLValue)
 		if d.Category == diag.CatUndeclaredIdent {
 			t.Fatalf("use of an unknown-valued parameter reported undeclared: %s", diags.Summary())
 		}
+	}
+}
+
+// manySignals is the 969 KB hostile request: n registers of 2^16 bits
+// each, every one within MaxSignalBits, plus whatever extra declares.
+func manySignals(n int, extra string) string {
+	var b strings.Builder
+	b.WriteString("module top_module(input clk, output y);\n\treg [65535:0] s0")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, ", s%d", i)
+	}
+	b.WriteString(";\n" + extra + "\tassign y = clk;\nendmodule\n")
+	return b.String()
+}
+
+// TestDesignBitsLimit: signals that each fit MaxSignalBits but together
+// declare more than MaxDesignBits of state are one typed resource-limit
+// error at the module header. 120000 registers of 2^16 bits (about a
+// gigabyte of state in under 1 MiB of source) are refused; exactly
+// MaxDesignBits is accepted.
+func TestDesignBitsLimit(t *testing.T) {
+	// 2 + 15×65536 + 65534 = 2^20 bits
+	wantClean(t, manySignals(15, "\treg [65533:0] t;\n"))
+
+	src := manySignals(120000, "")
+	if len(src) < 900<<10 || len(src) > 1<<20 {
+		t.Fatalf("hostile source is %d bytes, want the ~969 KB request", len(src))
+	}
+	var limits diag.List
+	for _, d := range wantCategory(t, src, diag.CatResourceLimit) {
+		if d.Category == diag.CatResourceLimit {
+			limits = append(limits, d)
+		}
+	}
+	if len(limits) != 1 || limits[0].Pos.Line != 1 ||
+		!strings.Contains(limits[0].Message, "7864320002 bits of signal state, over the limit of 1048576 bits per design") {
+		t.Fatalf("want one design-bits error at the header, got %s", limits.Summary())
 	}
 }

@@ -295,6 +295,35 @@ func TestBrownoutShedsLint(t *testing.T) {
 	}
 }
 
+// TestHostileExpressionsDoNotKillServer: designs whose declarations are
+// small but whose expressions are not. Nested replication made the
+// post-fix sim check's engine instance allocate 8 GiB, and a 2e9-bit
+// literal made constant interning allocate gigabytes; both killed the
+// process. The compiler's register-state bound and the literal-size
+// bound refuse them, so each request is answered, allocates little, and
+// the process stays healthy.
+func TestHostileExpressionsDoNotKillServer(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, src := range []string{
+		"module top_module(input a, output y); wire [7:0] w = {4096{{4096{{4096{a}}}}}}; assign y = w[0]; endmodule",
+		"module top_module(input a, output y); assign y = a ^ 2000000000'd0; endmodule",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		status, out := postFix(t, ts.URL, map[string]any{"source": src})
+		runtime.ReadMemStats(&after)
+		if status != http.StatusOK || out["success"] == nil {
+			t.Fatalf("status %d, body %v: want a 200 fix response", status, out)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Fatalf("%q: the request allocated %d MB", src, grew>>20)
+		}
+		if code, health := getJSON(t, ts.URL+"/v1/healthz"); code != http.StatusOK {
+			t.Fatalf("healthz after %q: %d %v", src, code, health)
+		}
+	}
+}
+
 // TestOversizedRegisterDoesNotKillServer: one /v1/fix of a design with a
 // 2e9-bit register used to reach the post-fix sim check, whose coverage
 // observer allocated the register's full width and killed the process.

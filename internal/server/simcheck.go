@@ -49,10 +49,10 @@ func (s *Server) simCheck(tr *agent.Transcript, parent *trace.Span) {
 // runSimCheck is the smoke check for one finished agent run. It returns
 // the result label it records on a "sim" child of parent, or "" when no
 // check applies. Sources that do not elaborate (the personas accept code
-// the stricter sim frontend rejects) are skipped, not failed; a
-// simulation that blows its watchdog budget is canceled, never
-// request-fatal. The shared SimCache means a coalesced-or-repeated source
-// pays frontend+compile once.
+// the stricter sim frontend rejects) or whose design the compiled engine
+// rejects are skipped, not failed; a simulation that blows its watchdog
+// budget is canceled, never request-fatal. The shared SimCache means a
+// coalesced-or-repeated source pays frontend+compile once.
 func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) (result string) {
 	if s.simCache == nil || tr == nil || !tr.Success {
 		return ""
@@ -64,43 +64,28 @@ func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) (result s
 	}()
 
 	prog, design, _ := s.simCache.Program(tr.FinalCode)
-	var sm *sim.Simulator
 	switch {
-	case prog != nil:
-		sm = sim.NewFromProgram(prog)
-	case design != nil:
-		// The compiled engine fell back; the walker is the reference
-		// interpreter and accepts a superset of designs.
-		var err error
-		sm, err = sim.NewWith(design, sim.EngineWalker)
-		if err != nil {
-			return "not_simulable"
-		}
-	default:
+	case design == nil:
 		return "not_elaborable"
+	case prog == nil:
+		return "not_simulable" // the compiled engine rejected the design
 	}
+	sm := sim.NewFromProgram(prog)
 
 	// The settle-plus-one-pulse run is microseconds on healthy designs,
 	// so the budget only ever trips on a runaway (or fault-injected)
 	// simulation.
 	sm.SetWatchdog(resilience.NewWatchdog(sim.CheckWall, sim.CheckSteps))
 	if s.simObs != nil {
-		// Observe the check regardless of outcome: coverage on both
-		// backends, the execution profile on the compiled engine. The
-		// fold runs deferred so watchdog/settle exits still report.
+		// Observe the check regardless of outcome: coverage and the
+		// engine's execution profile. The fold runs deferred so
+		// watchdog/settle exits still report.
 		cov := wave.NewCoverage()
 		sm.Observe(cov)
-		profiled := sm.EnableProfile()
-		if !profiled {
-			sm.EnableActivations()
-		}
+		sm.EnableProfile()
 		defer func() {
 			cov.AddActivations(sm.Activations())
-			var prof *wave.EngineProfile
-			if profiled {
-				prof = sm.Profile()
-			}
-			s.simObs.fold(cov, prof)
+			s.simObs.fold(cov, sm.Profile())
 			sp.SetStr("coverage", cov.Stats().String())
 		}()
 	}

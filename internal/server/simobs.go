@@ -1,6 +1,6 @@
 // Simulation-layer observability for the serving spine: every post-fix
-// smoke check (simcheck.go) runs with a wave coverage observer and, on
-// the compiled backend, the engine profiler attached. The per-run
+// smoke check (simcheck.go) runs on the compiled engine with a wave
+// coverage observer and the engine profiler attached. The per-run
 // results fold into one process-wide aggregate served under the "sim"
 // key of /v1/stats and as the rtlfixer_sim_* families on /metrics.
 // Attachment costs nothing on the response path — the check itself is
@@ -41,8 +41,8 @@ func newSimObs() *simObs {
 	return &simObs{ops: map[string]uint64{}}
 }
 
-// fold merges one observed check into the aggregate. cov must be
-// non-nil; prof may be nil (walker fallback).
+// fold merges one observed check into the aggregate. cov and prof must
+// be non-nil.
 func (o *simObs) fold(cov *wave.Coverage, prof *wave.EngineProfile) {
 	st := cov.Stats()
 	o.mu.Lock()
@@ -56,9 +56,6 @@ func (o *simObs) fold(cov *wave.Coverage, prof *wave.EngineProfile) {
 	o.lastProcsAct = st.ProcessesActive
 	if f := st.Fraction(); f > o.bestFraction {
 		o.bestFraction = f
-	}
-	if prof == nil {
-		return
 	}
 	o.instructions += prof.Instructions
 	o.settles += prof.Settles
@@ -86,8 +83,7 @@ type SimObsSnapshot struct {
 	LastFraction      float64 `json:"last_fraction"`
 	BestFraction      float64 `json:"best_fraction"`
 
-	// Engine-profile aggregate (zero when every check fell back to the
-	// walker, which cannot profile).
+	// Engine-profile aggregate, summed across checks.
 	Instructions  uint64            `json:"instructions"`
 	Settles       uint64            `json:"settles"`
 	FixpointIters uint64            `json:"fixpoint_iters"`

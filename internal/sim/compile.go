@@ -26,10 +26,14 @@ package sim
 //     to a bounded fixpoint in original program order, preserving the
 //     walker's oscillation detection.
 //
-// Constructs with dynamically-sized results (non-constant replication
-// counts, mismatched ternary branch widths, non-constant part-select
-// bounds) cannot be assigned a static register width; Compile rejects them
-// with an error and NewWith(EngineAuto) falls back to the walker.
+// Every register width is static. The conditional operator is sized by
+// IEEE 1364-2005 §5.4.1 (max of its branch widths, raised to the context
+// width; see exprWidth), so its result width never depends on a value.
+// The only constructs left without a static width are illegal Verilog:
+// non-constant replication counts and non-constant part-select bounds or
+// widths. Compile rejects them with an error, and such a design does not
+// simulate (New returns the error). So is a program whose registers need
+// more than maxProgramBits of state.
 
 import (
 	"fmt"
@@ -201,15 +205,13 @@ type Program struct {
 // Design returns the elaborated design the program was compiled from.
 func (p *Program) Design() *sema.Design { return p.design }
 
-// Slots returns the number of interned signals (for tests and stats).
-func (p *Program) Slots() int { return len(p.slots) }
-
 // compileBail carries a compilation rejection up to Compile's recover.
 type compileBail struct{ err error }
 
 // Compile lowers the design. A non-nil error means the design uses a
-// construct the compiler cannot express with static register widths; the
-// walker remains available for those.
+// construct the compiler cannot express with static register widths
+// (illegal Verilog; see the file comment), and such a design does not
+// simulate.
 func Compile(design *sema.Design) (*Program, error) {
 	if design == nil {
 		return nil, fmt.Errorf("sim: nil design")
@@ -244,7 +246,16 @@ type compiler struct {
 	constIdx map[string]int32
 	code     []instr          // current emission buffer
 	locals   map[string]int32 // flat per-process scope, as the walker's env
+	bits     int              // register bits so far, at most maxProgramBits
 }
+
+// maxProgramBits bounds the register state of one program: signals,
+// temporaries and constants together, which every instance allocates.
+// sema.MaxDesignBits bounds only the declared signals; without this,
+// 100 bytes of `{4096{{4096{{4096{a}}}}}}` ask each instance for 8 GiB,
+// a fatal out-of-memory. The largest program of the benchmark's
+// references and candidates holds 511 bits.
+const maxProgramBits = 4 * sema.MaxDesignBits
 
 func (c *compiler) failf(format string, args ...any) {
 	panic(compileBail{fmt.Errorf("sim: compile: "+format, args...)})
@@ -255,6 +266,10 @@ func (c *compiler) failf(format string, args ...any) {
 func (c *compiler) newTemp(width int) int32 {
 	if width < 0 {
 		c.failf("negative register width %d", width)
+	}
+	c.bits += width
+	if c.bits > maxProgramBits {
+		c.failf("registers need over %d bits of state", maxProgramBits)
 	}
 	r := int32(len(c.prog.regWidth))
 	c.prog.regWidth = append(c.prog.regWidth, width)
@@ -389,7 +404,7 @@ func (c *compiler) run() {
 
 	for _, a := range assigns {
 		c.locals = map[string]int32{}
-		v := c.compileAssignRHS(a.RHS, c.lvalueWidth(a.LHS))
+		v := c.compileExprCtx(a.RHS, c.lvalueWidth(a.LHS))
 		c.compileAssignTo(a.LHS, v)
 		p.nodes = append(p.nodes, c.take())
 		p.tracked = append(p.tracked, nil)
@@ -662,7 +677,7 @@ func (c *compiler) compileStmt(s verilog.Stmt) {
 			c.compileStmt(sub)
 		}
 	case *verilog.AssignStmt:
-		v := c.compileAssignRHS(st.RHS, c.lvalueWidth(st.LHS))
+		v := c.compileExprCtx(st.RHS, c.lvalueWidth(st.LHS))
 		if st.Blocking {
 			c.compileAssignTo(st.LHS, v)
 		} else {
@@ -972,9 +987,8 @@ func constInt(v bitvec.Vec) int {
 
 // constEval folds expressions whose leaves are literals and parameters,
 // mirroring the walker's runtime evaluation of the same nodes. The false
-// return means "not a compile-time constant", not an error; malformed
-// literals the walker would fault on at runtime abort compilation so the
-// walker can reproduce the fault.
+// return means "not a compile-time constant", not an error; a malformed
+// literal, which the walker faults on at run time, aborts compilation.
 func (c *compiler) constEval(x verilog.Expr) (bitvec.Vec, bool) {
 	switch n := x.(type) {
 	case *verilog.Number:
@@ -1088,70 +1102,63 @@ func (c *compiler) compileExprCtx(x verilog.Expr, width int) int32 {
 	}
 }
 
-// compileAssignRHS compiles the right-hand side of an assignment in its
-// l-value context. It differs from compileExprCtx in one way: a ternary
-// here feeds a store that resizes the result, so branches of different
-// widths may be safely unified by zero-extension to the wider width (the
-// walker's per-branch result, resized by the store, is bit-identical to
-// the widened value resized by the store). Nested ternaries inside other
-// operators keep the strict width check, where widening would be
-// observable through width-sensitive operators.
-func (c *compiler) compileAssignRHS(x verilog.Expr, width int) int32 {
-	if n, ok := x.(*verilog.Ternary); ok {
-		return c.compileTernaryWiden(n, width)
-	}
-	return c.compileExprCtx(x, width)
-}
-
-func (c *compiler) compileTernaryWiden(n *verilog.Ternary, ctxWidth int) int32 {
-	return c.lowerTernary(n, ctxWidth, true)
-}
-
-// compileTernary lowers cond ? a : b with both branches writing one
-// destination register. ctxWidth < 0 means self-determined. The walker's
-// result width is whichever branch was taken; outside assignment
-// contexts a static register cannot express branches of different
-// widths, so those designs fall back.
+// compileTernary lowers cond ? j : k with both branches writing one
+// destination register, sized as the walker's evalTernary: max(L(j),
+// L(k)) bits raised to ctxWidth (0 where self-determined), both branches
+// compiled at that width.
 func (c *compiler) compileTernary(n *verilog.Ternary, ctxWidth int) int32 {
-	return c.lowerTernary(n, ctxWidth, false)
-}
-
-func (c *compiler) lowerTernary(n *verilog.Ternary, ctxWidth int, widen bool) int32 {
-	branch := func(x verilog.Expr) int32 {
-		if widen {
-			if t, ok := x.(*verilog.Ternary); ok {
-				// a chained ternary in branch position is consumed by
-				// the same resizing store, so widening stays safe
-				return c.compileTernaryWiden(t, ctxWidth)
-			}
-		}
-		if ctxWidth >= 0 {
-			return c.compileExprCtx(x, ctxWidth)
-		}
-		return c.compileExpr(x)
+	w, err := exprWidth(c, n)
+	if err != nil {
+		panic(compileBail{err})
 	}
+	w = max(w, ctxWidth)
+	dst := c.newTemp(w)
 	cond := c.compileExpr(n.Cond)
 	jz := c.emit(instr{op: opJumpIfZ, a: cond})
-	rt := branch(n.Then)
-	dst := c.newTemp(c.regW(rt))
-	c.emit(instr{op: opCopy, dst: dst, a: rt})
+	c.emit(instr{op: opCopy, dst: dst, a: c.compileExprCtx(n.Then, w)})
 	jmp := c.emit(instr{op: opJump})
 	c.code[jz].imm = int32(len(c.code))
-	re := branch(n.Else)
-	if c.regW(re) != c.regW(dst) {
-		if !widen {
-			c.failf("ternary branches have different widths (%d vs %d) at line %d — result width is value-dependent",
-				c.regW(dst), c.regW(re), n.Pos().Line)
-		}
-		// dst is fresh and unread: retroactively widen it so both copies
-		// zero-extend into the common width.
-		if c.regW(re) > c.regW(dst) {
-			c.prog.regWidth[dst] = c.regW(re)
-		}
-	}
-	c.emit(instr{op: opCopy, dst: dst, a: re})
+	c.emit(instr{op: opCopy, dst: dst, a: c.compileExprCtx(n.Else, w)})
 	c.code[jmp].imm = int32(len(c.code))
 	return dst
+}
+
+// nameWidth, sliceWidth and replCount make the compiler exprWidth's
+// sizer: each answers from the value the lowering itself uses.
+func (c *compiler) nameWidth(n *verilog.Ident) (int, error) {
+	return c.regW(c.resolveRead(n)), nil
+}
+
+// sliceWidth is the width compileSliceRead gives n; it fails the compile
+// where that width is not a constant.
+func (c *compiler) sliceWidth(n *verilog.Slice) (int, error) {
+	if n.Kind == verilog.SelectConst {
+		if _, w, ok := c.staticSliceBounds(identName(n.X), n); ok {
+			return w, nil
+		}
+		c.failf("non-constant part-select bounds at line %d", n.Pos().Line)
+	}
+	wv, ok := c.constEval(n.Lo)
+	if !ok {
+		c.failf("non-constant part-select width at line %d", n.Pos().Line)
+	}
+	w := constInt(wv)
+	if w <= 0 {
+		c.failf("unresolvable part-select at line %d", n.Pos().Line)
+	}
+	return w, nil
+}
+
+func (c *compiler) replCount(n *verilog.Repl) (int, error) {
+	cv, ok := c.constEval(n.Count)
+	if !ok {
+		c.failf("non-constant replication count at line %d", n.Pos().Line)
+	}
+	cnt := int(cv.Uint64())
+	if cnt < 0 || cnt > 4096 {
+		c.failf("replication count %d out of bounds at line %d", cnt, n.Pos().Line)
+	}
+	return cnt, nil
 }
 
 // compileExpr compiles x self-determined (the walker's eval).
@@ -1172,7 +1179,7 @@ func (c *compiler) compileExpr(x verilog.Expr) int32 {
 		b := c.compileExpr(n.Y)
 		return c.emitBinary(n.Op, a, b)
 	case *verilog.Ternary:
-		return c.compileTernary(n, -1)
+		return c.compileTernary(n, 0)
 	case *verilog.Concat:
 		var cur int32 = -1
 		for _, el := range n.Elems {
@@ -1190,25 +1197,14 @@ func (c *compiler) compileExpr(x verilog.Expr) int32 {
 		}
 		return cur
 	case *verilog.Repl:
-		cv, ok := c.constEval(n.Count)
-		if !ok {
-			c.failf("non-constant replication count at line %d", n.Pos().Line)
-		}
-		cnt := int(cv.Uint64())
-		if cnt < 0 || cnt > 4096 {
-			c.failf("replication count %d out of bounds at line %d", cnt, n.Pos().Line)
-		}
+		cnt, _ := c.replCount(n)
 		v := c.compileExpr(n.Value)
 		dst := c.newTemp(cnt * c.regW(v))
 		c.emit(instr{op: opRepeatC, dst: dst, a: v, imm: int32(cnt)})
 		return dst
 	case *verilog.Index:
 		base := c.compileExpr(n.X)
-		var mode uint8
-		var lsb int32
-		if id, ok := n.X.(*verilog.Ident); ok {
-			mode, lsb = c.sigNorm(id.Name)
-		}
+		mode, lsb := c.sigNorm(identName(n.X))
 		if iv, ok := c.constEval(n.Idx); ok {
 			idx := normConst(mode, lsb, constInt(iv))
 			if idx < 0 || idx >= c.regW(base) {
@@ -1272,10 +1268,7 @@ func (c *compiler) staticSliceBounds(name string, sl *verilog.Slice) (lo, width 
 
 func (c *compiler) compileSliceRead(n *verilog.Slice) int32 {
 	base := c.compileExpr(n.X)
-	name := ""
-	if id, ok := n.X.(*verilog.Ident); ok {
-		name = id.Name
-	}
+	name := identName(n.X)
 	mode, lsb := c.sigNorm(name)
 	if lo, w, ok := c.staticSliceBounds(name, n); ok {
 		if lo < 0 {
@@ -1285,18 +1278,7 @@ func (c *compiler) compileSliceRead(n *verilog.Slice) int32 {
 		c.emit(instr{op: opSliceC, dst: dst, a: base, imm: int32(lo)})
 		return dst
 	}
-	// dynamic base: width must still be static
-	if n.Kind == verilog.SelectConst {
-		c.failf("non-constant part-select bounds at line %d", n.Pos().Line)
-	}
-	wv, ok := c.constEval(n.Lo)
-	if !ok {
-		c.failf("non-constant part-select width at line %d", n.Pos().Line)
-	}
-	w := constInt(wv)
-	if w <= 0 {
-		c.failf("unresolvable part-select at line %d", n.Pos().Line)
-	}
+	w, _ := c.sliceWidth(n) // dynamic base: the width must still be static
 	m := mode
 	if n.Kind == verilog.SelectMinus {
 		m |= minusFlag

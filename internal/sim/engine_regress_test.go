@@ -91,10 +91,99 @@ module m(input [7:0] d, input [2:0] pos, output reg [15:0] w);
 	end
 endmodule`,
 		},
+		{
+			// IEEE 1364-2005 §5.4.1 sizes c ? j : k as max(L(j),
+			// L(k)). The engine rejected every ternary below whose
+			// branch widths differ (value-dependent width) and the
+			// walker took the chosen branch's width. Both backends
+			// size it by the standard now (values pinned in
+			// TestTernarySizingIEEE).
+			name: "ternary_in_concat", clock: "", cycles: 32, seed: 17,
+			src: `
+module m(input c, input [3:0] a, input [7:0] b, output [8:0] y);
+	assign y = {1'b1, (c ? a : b)};
+endmodule`,
+		},
+		{
+			// the narrow branch is evaluated at the ternary's width,
+			// so a + a keeps its carry
+			name: "ternary_branch_at_ternary_width", clock: "", cycles: 32, seed: 19,
+			src: `
+module m(input c, input [3:0] a, input [7:0] b, output [8:0] y);
+	assign y = {1'b0, (c ? a + a : b)};
+endmodule`,
+		},
+		{
+			// the unsized 1 makes the ternary 32 bits wide, so ~ and
+			// >> act on 32 bits before the store truncates
+			name: "ternary_under_not_and_shift", clock: "", cycles: 32, seed: 23,
+			src: `
+module m(input c, input [7:0] a, output [7:0] y);
+	assign y = (~(c ? (a - 1) : a)) >> 1;
+endmodule`,
+		},
+		{
+			// a Table 2 candidate, the one design of a full
+			// benchmark run the engine used to reject
+			name: "ternary_candidate_twos_complement", clock: "", cycles: 32, seed: 29,
+			src: `
+module top_module(input [7:0] in, output [7:0] out);
+	assign out = ~((in[7] ? (in - 1) : in));
+endmodule`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			diffBoth(t, tc.src, tc.clock, tc.cycles, tc.seed)
 		})
+	}
+}
+
+// TestTernarySizingIEEE pins the values IEEE 1364-2005 §5.4.1 gives
+// mixed-width conditionals, on both backends. diffBoth only checks that
+// the backends agree, and they once agreed on a wrong value (the chosen
+// branch's own width).
+func TestTernarySizingIEEE(t *testing.T) {
+	cases := []struct {
+		name, src string
+		in        map[string]uint64
+		want      uint64
+	}{
+		{"concat", `
+module m(input c, input [3:0] a, input [7:0] b, output [8:0] y);
+	assign y = {1'b1, (c ? a : b)};
+endmodule`, map[string]uint64{"c": 1, "a": 5}, 261},
+		{"branch_at_ternary_width", `
+module m(input c, input [3:0] a, input [7:0] b, output [8:0] y);
+	assign y = {1'b0, (c ? a + a : b)};
+endmodule`, map[string]uint64{"c": 1, "a": 15}, 0x1e},
+		{"not_and_shift", `
+module m(input c, input [7:0] a, output [7:0] y);
+	assign y = (~(c ? (a - 1) : a)) >> 1;
+endmodule`, map[string]uint64{"c": 0, "a": 0x5a}, 0xd2},
+		{"procedural_self_determined", `
+module m(input c, input [3:0] a, input [7:0] b, output reg [8:0] y);
+	always @(*) y = {1'b1, (c ? a : b)} + 9'd0;
+endmodule`, map[string]uint64{"c": 1, "a": 5}, 261},
+	}
+	for _, tc := range cases {
+		design := buildDesign(t, tc.src)
+		for _, eng := range []Engine{EngineCompiled, EngineWalker} {
+			s, err := NewWith(design, eng)
+			if err != nil {
+				t.Fatalf("%s engine %d: %v", tc.name, eng, err)
+			}
+			for name, v := range tc.in {
+				if err := s.SetInputUint(name, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Settle(); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Get("y").Uint64(); got != tc.want {
+				t.Errorf("%s engine %d: y = %#x, want %#x", tc.name, eng, got, tc.want)
+			}
+		}
 	}
 }

@@ -227,11 +227,28 @@ endmodule`)
 	}
 }
 
-// TestEngineFallback: constructs the compiler rejects still simulate
-// through the walker under EngineAuto, and EngineCompiled reports the
-// error.
-func TestEngineFallback(t *testing.T) {
-	// dynamic replication count: result width is value-dependent
+// TestCompileBoundsProgramState: designs whose expressions need more
+// register state than maxProgramBits are rejected at compile time, before
+// any instance allocates it: nested replication (8 GiB in 100 bytes) and
+// a concatenation chain whose partial results grow quadratically.
+func TestCompileBoundsProgramState(t *testing.T) {
+	chain := "s" + strings.Repeat(", s", 99)
+	for _, src := range []string{
+		"module m(input a, output y);\n\twire [7:0] w = {4096{{4096{{4096{a}}}}}};\n\tassign y = w[0];\nendmodule",
+		"module m(input [65535:0] s, output y);\n\twire [7:0] w = {" + chain + "};\n\tassign y = w[0];\nendmodule",
+	} {
+		_, err := Compile(buildDesign(t, src))
+		if err == nil || !strings.Contains(err.Error(), "registers need over 4194304 bits of state") {
+			t.Errorf("Compile error = %v, want the register-state bound", err)
+		}
+	}
+}
+
+// TestNewRejectsDynamicReplication: a design the compiler rejects does
+// not simulate. New returns the compile error rather than running the
+// design on the walker; only an explicit EngineWalker reaches it.
+func TestNewRejectsDynamicReplication(t *testing.T) {
+	// dynamic replication count: illegal Verilog, no static width
 	src := `
 module dr(input [3:0] n, output [7:0] y);
 	wire [3:0] w;
@@ -239,25 +256,16 @@ module dr(input [3:0] n, output [7:0] y);
 	assign y = {w{1'b1}};
 endmodule`
 	design := buildDesign(t, src)
-	if _, err := Compile(design); err == nil {
+	_, cerr := Compile(design)
+	if cerr == nil {
 		t.Fatal("dynamic replication must be rejected by the compiler")
 	}
-	if _, err := NewWith(design, EngineCompiled); err == nil {
-		t.Fatal("EngineCompiled must surface the compile error")
+	s, err := New(design)
+	if err == nil || s != nil {
+		t.Fatalf("New = %v, %v; want the compile error", s, err)
 	}
-	s, err := New(design) // EngineAuto
-	if err != nil {
-		t.Fatalf("auto fallback failed: %v", err)
-	}
-	if s.Compiled() {
-		t.Fatal("fallback simulator must report Compiled() == false")
-	}
-	s.SetInputUint("n", 3)
-	if err := s.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Get("y").Uint64(); got != 0b111 {
-		t.Fatalf("walker fallback y = %#x, want 0x7", got)
+	if err.Error() != cerr.Error() {
+		t.Fatalf("New error %q, want the compile error %q", err, cerr)
 	}
 }
 
@@ -416,7 +424,7 @@ endmodule`)
 	if av, bv := a.Get("q").Uint64(), b.Get("q").Uint64(); av != 5 || bv != 1 {
 		t.Fatalf("engines share state: a=%d b=%d", av, bv)
 	}
-	if prog.Slots() == 0 {
+	if len(prog.slots) == 0 {
 		t.Fatal("program must report interned slots")
 	}
 }

@@ -2,10 +2,11 @@ package sim
 
 // This file is the facade's observability surface: attaching a
 // wave.Observer samples every signal after each successful Settle, and
-// the profiling/activation hooks expose the backends' nil-guarded
-// counters. Everything here is strictly opt-in — with nothing attached
-// the hot path pays one nil check per settle and allocates nothing,
-// which the engine's steady-state AllocsPerRun tests pin.
+// the profiling/activation hooks expose the compiled engine's
+// nil-guarded counters. Everything here is strictly opt-in — with
+// nothing attached the hot path pays one nil check per settle and
+// allocates nothing, which the engine's steady-state AllocsPerRun tests
+// pin.
 
 import (
 	"sort"
@@ -13,20 +14,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/wave"
 )
-
-// profiler is implemented by backends with full execution profiling
-// (the compiled engine).
-type profiler interface {
-	enableProfile()
-	profileSnapshot() *wave.EngineProfile
-}
-
-// activationCountable is implemented by backends that can count
-// per-process executions (both backends).
-type activationCountable interface {
-	enableActivations()
-	activationCounts() []uint64
-}
 
 // Observe attaches an observer (nil detaches). The observer's Init is
 // called immediately with the design's signals in sorted-name order;
@@ -66,21 +53,20 @@ func (s *Simulator) sample() {
 }
 
 // EnableActivations (re)arms per-process activation counting on the
-// backend; counters start at zero. Supported by both backends.
+// backend; counters start at zero. Only the compiled engine counts.
 func (s *Simulator) EnableActivations() {
-	if ac, ok := s.b.(activationCountable); ok {
-		ac.enableActivations()
+	if e, ok := s.b.(*engine); ok {
+		e.enableActivations()
 	}
 }
 
 // Activations returns the per-process activation counts accumulated
 // since EnableActivations, or nil when counting is off. Process order is
 // the compiled program's: continuous assigns, then combinational always
-// blocks, then clocked always blocks (the walker counts in the same
-// order).
+// blocks, then clocked always blocks.
 func (s *Simulator) Activations() []uint64 {
-	if ac, ok := s.b.(activationCountable); ok {
-		return ac.activationCounts()
+	if e, ok := s.b.(*engine); ok {
+		return e.activationCounts()
 	}
 	return nil
 }
@@ -89,8 +75,8 @@ func (s *Simulator) Activations() []uint64 {
 // fixpoint iteration counts, per-process activations — and reports
 // whether the backend supports it (only the compiled engine does).
 func (s *Simulator) EnableProfile() bool {
-	if p, ok := s.b.(profiler); ok {
-		p.enableProfile()
+	if e, ok := s.b.(*engine); ok {
+		e.enableProfile()
 		return true
 	}
 	return false
@@ -99,8 +85,8 @@ func (s *Simulator) EnableProfile() bool {
 // Profile snapshots the execution profile accumulated since
 // EnableProfile, or nil when profiling is off or unsupported.
 func (s *Simulator) Profile() *wave.EngineProfile {
-	if p, ok := s.b.(profiler); ok {
-		return p.profileSnapshot()
+	if e, ok := s.b.(*engine); ok {
+		return e.profileSnapshot()
 	}
 	return nil
 }

@@ -10,18 +10,24 @@
 //
 // Two execution backends share one public API:
 //
-//   - The compiled engine (the default): Compile lowers the elaborated
-//     design once — every signal interned into a dense slot index, every
-//     assign and always block flattened into an instruction sequence over
-//     those slots, combinational processes scheduled in dependency
-//     (topological) order with bounded fixpoint iteration reserved for
-//     genuine cycles. Steady-state cycles run with zero heap allocations
-//     on designs up to 64 bits wide. Compiled Programs are immutable and
-//     shareable; NewFromProgram makes the per-run instantiation cheap.
-//   - The legacy tree-walker: the original AST interpreter, kept as the
-//     reference oracle (differential tests assert bit-identical outputs)
-//     and as the automatic fallback for the rare construct the compiler
-//     rejects.
+//   - The compiled engine judges every design: Compile lowers the
+//     elaborated design once — every signal interned into a dense slot
+//     index, every assign and always block flattened into an instruction
+//     sequence over those slots, combinational processes scheduled in
+//     dependency (topological) order with bounded fixpoint iteration
+//     reserved for genuine cycles. Steady-state cycles run with zero heap
+//     allocations on designs up to 64 bits wide. Compiled Programs are
+//     immutable and shareable; NewFromProgram makes the per-run
+//     instantiation cheap. A design the compiler rejects does not
+//     simulate.
+//   - The legacy tree-walker: the original AST interpreter, kept only as
+//     the reference oracle that differential tests hold the engine to,
+//     bit for bit. It is reached only through NewWith(design,
+//     EngineWalker).
+//
+// Both size expressions by one rule (exprWidth), which for the
+// conditional operator is IEEE 1364-2005 §5.4.1: c ? j : k is
+// max(L(j), L(k)) bits wide, raised to the context width.
 //
 // DiffSource is the shared differential path holding the
 // two backends to agreement: both instantiated on one design, driven
@@ -65,12 +71,9 @@ type Engine int
 
 // Backend choices.
 const (
-	// EngineAuto compiles the design and falls back to the walker when
-	// compilation rejects a construct. This is the default.
-	EngineAuto Engine = iota
-	// EngineCompiled requires the compiled backend; New fails when the
-	// design cannot be compiled.
-	EngineCompiled
+	// EngineCompiled is the compiled backend, the default: New fails
+	// when the design cannot be compiled.
+	EngineCompiled Engine = iota
 	// EngineWalker forces the legacy tree-walking interpreter — the
 	// reference oracle for differential testing.
 	EngineWalker
@@ -91,15 +94,18 @@ type backend interface {
 	value(port int32) bitvec.Vec
 	// drive is SetInput from raw little-endian words.
 	drive(port int32, words []uint64) error
+	// setWatchdog arms the budget both backends check inside their
+	// settle fixpoint loops, so a runaway settle is canceled
+	// mid-iteration, not merely at the next cycle boundary.
+	setWatchdog(*resilience.Watchdog)
 }
 
 // Simulator is one design instance. It delegates to whichever backend New
 // selected; the API and observable behaviour are identical either way.
 type Simulator struct {
-	design   *sema.Design
-	b        backend
-	compiled bool
-	wd       *resilience.Watchdog
+	design *sema.Design
+	b      backend
+	wd     *resilience.Watchdog
 
 	// Observation state (observe.go). obs is nil unless an observer is
 	// attached; obsNames/obsVals are the preallocated snapshot carriers
@@ -110,29 +116,21 @@ type Simulator struct {
 	obsTime  uint64
 }
 
-// watchdogSettable is implemented by backends that check the watchdog
-// inside their settle fixpoint loops, so a runaway settle is canceled
-// mid-iteration, not merely at the next cycle boundary.
-type watchdogSettable interface {
-	setWatchdog(*resilience.Watchdog)
-}
-
 // SetWatchdog arms (or, with nil, disarms) a wall-clock/cycle budget on
 // this simulator. Every Settle — including the three inside ClockPulse —
 // consumes one watchdog step, and both backends check the budget inside
 // their fixpoint loops. A nil watchdog costs nothing on the hot path.
 func (s *Simulator) SetWatchdog(wd *resilience.Watchdog) {
 	s.wd = wd
-	if ws, ok := s.b.(watchdogSettable); ok {
-		ws.setWatchdog(wd)
-	}
+	s.b.setWatchdog(wd)
 }
 
-// New builds a simulator over an elaborated design using the default
-// backend policy (EngineAuto). It fails when the design is nil or uses
-// constructs neither backend supports.
+// New builds a simulator over an elaborated design on the compiled
+// engine. It fails when the design is nil or the compiler rejects it: a
+// non-constant replication count, non-constant part-select bounds or
+// width, or more register state than one program may hold.
 func New(design *sema.Design) (*Simulator, error) {
-	return NewWith(design, EngineAuto)
+	return NewWith(design, EngineCompiled)
 }
 
 // NewWith builds a simulator with an explicit backend choice.
@@ -140,20 +138,18 @@ func NewWith(design *sema.Design, eng Engine) (*Simulator, error) {
 	if design == nil {
 		return nil, fmt.Errorf("sim: nil design")
 	}
-	if eng != EngineWalker {
-		prog, err := Compile(design)
-		if err == nil {
-			return &Simulator{design: design, b: newEngine(prog), compiled: true}, nil
-		}
-		if eng == EngineCompiled {
+	if eng == EngineWalker {
+		w, err := newWalkerSim(design)
+		if err != nil {
 			return nil, err
 		}
+		return &Simulator{design: design, b: w}, nil
 	}
-	w, err := newWalkerSim(design)
+	prog, err := Compile(design)
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{design: design, b: w}, nil
+	return NewFromProgram(prog), nil
 }
 
 // NewFromProgram instantiates a simulator over an already-compiled
@@ -161,11 +157,14 @@ func NewWith(design *sema.Design, eng Engine) (*Simulator, error) {
 // each call returns independent mutable state, so a cached Program turns
 // the per-testbench-run cost into a single allocation pass.
 func NewFromProgram(p *Program) *Simulator {
-	return &Simulator{design: p.design, b: newEngine(p), compiled: true}
+	return &Simulator{design: p.design, b: newEngine(p)}
 }
 
 // Compiled reports whether the compiled engine backs this simulator.
-func (s *Simulator) Compiled() bool { return s.compiled }
+func (s *Simulator) Compiled() bool {
+	_, ok := s.b.(*engine)
+	return ok
+}
 
 // Design returns the elaborated design the simulator runs.
 func (s *Simulator) Design() *sema.Design { return s.design }

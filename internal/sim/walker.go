@@ -2,11 +2,10 @@ package sim
 
 // This file is the legacy tree-walking evaluator: a direct interpreter
 // over the AST with map-keyed signal storage and immutable bitvec
-// operations. It is retained verbatim as the reference oracle — the
+// operations. It is retained as the reference oracle — the
 // compiled engine (compile.go / engine.go) must produce bit-identical
-// outputs, which the differential corpus tests assert — and as the
-// automatic fallback for designs the compiler cannot lower. Select it
-// explicitly with NewWith(design, EngineWalker).
+// outputs, which the differential corpus tests assert. It judges no
+// design; select it with NewWith(design, EngineWalker).
 
 import (
 	"fmt"
@@ -34,30 +33,11 @@ type walkerSim struct {
 	// or loop nest is canceled mid-iteration.
 	wd *resilience.Watchdog
 
-	// actCounts, nil unless enabled via the facade, counts per-process
-	// executions: assigns, then comb always, then seq always blocks.
-	actCounts []uint64
-
 	// ports names the signals port has resolved, by handle.
 	ports []string
 }
 
 func (s *walkerSim) setWatchdog(wd *resilience.Watchdog) { s.wd = wd }
-
-// enableActivations (re)arms per-process activation counting; counters
-// are zeroed so each run reads as its own delta.
-func (s *walkerSim) enableActivations() {
-	n := len(s.assigns) + len(s.combAlways) + len(s.seqAlways)
-	if len(s.actCounts) != n {
-		s.actCounts = make([]uint64, n)
-		return
-	}
-	for i := range s.actCounts {
-		s.actCounts[i] = 0
-	}
-}
-
-func (s *walkerSim) activationCounts() []uint64 { return s.actCounts }
 
 // New builds a simulator over an elaborated design. It fails when the
 // design uses constructs the simulator does not support.
@@ -209,7 +189,7 @@ func (s *walkerSim) drive(port int32, words []uint64) error {
 // the given signal, with non-blocking semantics across blocks.
 func (s *walkerSim) fireEdge(name string, edge verilog.EventEdge) error {
 	var fired []*verilog.AlwaysBlock
-	for bi, blk := range s.seqAlways {
+	for _, blk := range s.seqAlways {
 		for _, ev := range blk.Events {
 			id, ok := ev.Signal.(*verilog.Ident)
 			if !ok || id.Name != name {
@@ -217,9 +197,6 @@ func (s *walkerSim) fireEdge(name string, edge verilog.EventEdge) error {
 			}
 			if ev.Edge == edge {
 				fired = append(fired, blk)
-				if s.actCounts != nil {
-					s.actCounts[len(s.assigns)+len(s.combAlways)+bi]++
-				}
 				break
 			}
 		}
@@ -256,10 +233,7 @@ func (s *walkerSim) Settle() error {
 			return err
 		}
 		changed := false
-		for ai, a := range s.assigns {
-			if s.actCounts != nil {
-				s.actCounts[ai]++
-			}
+		for _, a := range s.assigns {
 			env := newEnv(s)
 			v, err := env.evalCtx(a.RHS, env.lvalueWidth(a.LHS))
 			if err != nil {
@@ -269,10 +243,7 @@ func (s *walkerSim) Settle() error {
 				changed = true
 			}
 		}
-		for bi, blk := range s.combAlways {
-			if s.actCounts != nil {
-				s.actCounts[len(s.assigns)+bi]++
-			}
+		for _, blk := range s.combAlways {
 			env := newEnv(s)
 			before := snapshotTargets(s, blk)
 			if err := env.exec(blk.Body); err != nil {
@@ -737,17 +708,35 @@ func (e *env) evalCtx(x verilog.Expr, width int) (bitvec.Vec, error) {
 		}
 		return e.eval(x)
 	case *verilog.Ternary:
-		c, err := e.eval(n.Cond)
-		if err != nil {
-			return bitvec.Vec{}, err
-		}
-		if c.Bool() {
-			return e.evalCtx(n.Then, width)
-		}
-		return e.evalCtx(n.Else, width)
+		return e.evalTernary(n, width)
 	default:
 		return e.eval(x)
 	}
+}
+
+// evalTernary sizes c ? j : k per IEEE 1364-2005 §5.4.1: the result is
+// max(L(j), L(k)) bits wide, raised to the context width (0 where the
+// context is self-determined), and the chosen branch is evaluated at
+// that width.
+func (e *env) evalTernary(n *verilog.Ternary, width int) (bitvec.Vec, error) {
+	c, err := e.eval(n.Cond)
+	if err != nil {
+		return bitvec.Vec{}, err
+	}
+	w, err := exprWidth(e, n)
+	if err != nil {
+		return bitvec.Vec{}, err
+	}
+	w = max(w, width)
+	x := n.Else
+	if c.Bool() {
+		x = n.Then
+	}
+	v, err := e.evalCtx(x, w)
+	if err != nil || v.Width() == w {
+		return v, err
+	}
+	return v.Resize(w), nil
 }
 
 func (e *env) eval(x verilog.Expr) (bitvec.Vec, error) {
@@ -761,7 +750,7 @@ func (e *env) eval(x verilog.Expr) (bitvec.Vec, error) {
 	case *verilog.Ident:
 		v, ok := e.read(n.Name)
 		if !ok {
-			return bitvec.Vec{}, fmt.Errorf("sim: read of unknown signal %q at line %d", n.Name, n.Pos().Line)
+			return bitvec.Vec{}, unknownSignal(n)
 		}
 		return v, nil
 	case *verilog.Unary:
@@ -781,14 +770,7 @@ func (e *env) eval(x verilog.Expr) (bitvec.Vec, error) {
 		}
 		return evalBinary(n.Op, a, b)
 	case *verilog.Ternary:
-		c, err := e.eval(n.Cond)
-		if err != nil {
-			return bitvec.Vec{}, err
-		}
-		if c.Bool() {
-			return e.eval(n.Then)
-		}
-		return e.eval(n.Else)
+		return e.evalTernary(n, 0)
 	case *verilog.Concat:
 		out := bitvec.New(0)
 		for _, el := range n.Elems {
@@ -800,17 +782,13 @@ func (e *env) eval(x verilog.Expr) (bitvec.Vec, error) {
 		}
 		return out, nil
 	case *verilog.Repl:
-		cnt, err := e.eval(n.Count)
+		c, err := e.replCount(n)
 		if err != nil {
 			return bitvec.Vec{}, err
 		}
 		v, err := e.eval(n.Value)
 		if err != nil {
 			return bitvec.Vec{}, err
-		}
-		c := int(cnt.Uint64())
-		if c < 0 || c > 4096 {
-			return bitvec.Vec{}, fmt.Errorf("sim: replication count %d out of bounds at line %d", c, n.Pos().Line)
 		}
 		return v.Repeat(c), nil
 	case *verilog.Index:
@@ -822,10 +800,7 @@ func (e *env) eval(x verilog.Expr) (bitvec.Vec, error) {
 		if err != nil {
 			return bitvec.Vec{}, err
 		}
-		idx := int(int32(uint32(idxV.Uint64())))
-		if id, ok := n.X.(*verilog.Ident); ok {
-			idx = e.normalizeIndex(id.Name, idx)
-		}
+		idx := e.normalizeIndex(identName(n.X), int(int32(uint32(idxV.Uint64()))))
 		if idx < 0 || idx >= base.Width() {
 			return bitvec.FromUint64(1, 0), nil // out-of-range read: 0
 		}
@@ -834,18 +809,13 @@ func (e *env) eval(x verilog.Expr) (bitvec.Vec, error) {
 		}
 		return bitvec.FromUint64(1, 0), nil
 	case *verilog.Slice:
-		id, isIdent := n.X.(*verilog.Ident)
 		base, err := e.eval(n.X)
 		if err != nil {
 			return bitvec.Vec{}, err
 		}
-		name := ""
-		if isIdent {
-			name = id.Name
-		}
-		lo, w, ok := e.sliceBounds(name, n)
+		lo, w, ok := e.sliceBounds(identName(n.X), n)
 		if !ok {
-			return bitvec.Vec{}, fmt.Errorf("sim: unresolvable part-select at line %d", n.Pos().Line)
+			return bitvec.Vec{}, unresolvableSlice(n)
 		}
 		if lo < 0 {
 			return bitvec.New(w), nil
@@ -855,6 +825,124 @@ func (e *env) eval(x verilog.Expr) (bitvec.Vec, error) {
 		return e.evalCall(n)
 	}
 	return bitvec.Vec{}, fmt.Errorf("sim: unsupported expression at line %d", x.Pos().Line)
+}
+
+// sizer answers the three questions exprWidth cannot read off the tree:
+// the width of a name, the width of a part-select and a replication
+// count. The walker answers at run time; the compiler answers from
+// constants and fails the compile where it cannot.
+type sizer interface {
+	nameWidth(n *verilog.Ident) (int, error)
+	sliceWidth(n *verilog.Slice) (int, error)
+	replCount(n *verilog.Repl) (int, error)
+}
+
+// exprWidth returns L(x), the width of x evaluated self-determined (eval
+// here, compileExpr in the engine), without evaluating it.
+func exprWidth(s sizer, x verilog.Expr) (int, error) {
+	switch n := x.(type) {
+	case *verilog.Number:
+		v, err := n.Value()
+		return v.Width(), err
+	case *verilog.Ident:
+		return s.nameWidth(n)
+	case *verilog.Unary:
+		switch n.Op {
+		case "~", "-", "+":
+			return exprWidth(s, n.X)
+		}
+		return 1, nil
+	case *verilog.Binary:
+		switch n.Op {
+		case "+", "-", "*", "&", "|", "^", "~^", "^~":
+			return maxWidth(s, n.X, n.Y)
+		case "/", "%", "<<", "<<<", ">>", ">>>":
+			return exprWidth(s, n.X)
+		}
+		return 1, nil
+	case *verilog.Ternary:
+		return maxWidth(s, n.Then, n.Else)
+	case *verilog.Concat:
+		total := 0
+		for _, el := range n.Elems {
+			w, err := exprWidth(s, el)
+			if err != nil {
+				return 0, err
+			}
+			total += w
+		}
+		return total, nil
+	case *verilog.Repl:
+		c, err := s.replCount(n)
+		if err != nil {
+			return 0, err
+		}
+		w, err := exprWidth(s, n.Value)
+		return c * w, err
+	case *verilog.Index:
+		return 1, nil
+	case *verilog.Slice:
+		return s.sliceWidth(n)
+	case *verilog.Call:
+		if (n.Name == "$signed" || n.Name == "$unsigned") && len(n.Args) == 1 {
+			return exprWidth(s, n.Args[0])
+		}
+		return 32, nil
+	}
+	return 0, fmt.Errorf("sim: unsupported expression at line %d", x.Pos().Line)
+}
+
+func maxWidth(s sizer, a, b verilog.Expr) (int, error) {
+	wa, err := exprWidth(s, a)
+	if err != nil {
+		return 0, err
+	}
+	wb, err := exprWidth(s, b)
+	return max(wa, wb), err
+}
+
+func (e *env) nameWidth(n *verilog.Ident) (int, error) {
+	v, ok := e.read(n.Name)
+	if !ok {
+		return 0, unknownSignal(n)
+	}
+	return v.Width(), nil
+}
+
+func (e *env) sliceWidth(n *verilog.Slice) (int, error) {
+	_, w, ok := e.sliceBounds(identName(n.X), n)
+	if !ok {
+		return 0, unresolvableSlice(n)
+	}
+	return w, nil
+}
+
+func (e *env) replCount(n *verilog.Repl) (int, error) {
+	cnt, err := e.eval(n.Count)
+	if err != nil {
+		return 0, err
+	}
+	c := int(cnt.Uint64())
+	if c < 0 || c > 4096 {
+		return 0, fmt.Errorf("sim: replication count %d out of bounds at line %d", c, n.Pos().Line)
+	}
+	return c, nil
+}
+
+// identName is x's name when x is a plain identifier, else "".
+func identName(x verilog.Expr) string {
+	if id, ok := x.(*verilog.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+func unknownSignal(n *verilog.Ident) error {
+	return fmt.Errorf("sim: read of unknown signal %q at line %d", n.Name, n.Pos().Line)
+}
+
+func unresolvableSlice(n *verilog.Slice) error {
+	return fmt.Errorf("sim: unresolvable part-select at line %d", n.Pos().Line)
 }
 
 func (e *env) evalCall(n *verilog.Call) (bitvec.Vec, error) {

@@ -58,7 +58,7 @@ func TestWatchdogStepBudget(t *testing.T) {
 func TestWatchdogWallClockUnderStall(t *testing.T) {
 	fault.Install(fault.MustParse("sim.stall:1:20ms", 1))
 	defer fault.Uninstall()
-	sm := buildSim(t, EngineAuto)
+	sm := buildSim(t, EngineCompiled)
 	sm.SetWatchdog(resilience.NewWatchdog(5*time.Millisecond, 0))
 	var err error
 	for i := 0; i < 3 && err == nil; i++ {

@@ -408,6 +408,11 @@ func (n *Number) expr() {}
 // Pos returns the literal's position.
 func (n *Number) Pos() diag.Pos { return n.NumPos }
 
+// MaxLiteralBits bounds a sized literal's width as sema.MaxSignalBits
+// bounds a declaration's: `2000000000'd0` is an error, not a 250 MB
+// vector that every evaluation of it allocates again.
+const MaxLiteralBits = 1 << 16
+
 // Value decodes the literal into a bit vector. Unsized literals get width
 // 32, per the Verilog LRM's minimum integer width. x/z/? digits decode as 0
 // in this two-state evaluator.
@@ -426,6 +431,9 @@ func (n *Number) Value() (bitvec.Vec, error) {
 		w, err := strconv.Atoi(text[:tick])
 		if err != nil || w <= 0 {
 			return bitvec.Vec{}, fmt.Errorf("bad literal size in %q", n.Text)
+		}
+		if w > MaxLiteralBits {
+			return bitvec.Vec{}, fmt.Errorf("literal size %d is over the limit of %d bits", w, MaxLiteralBits)
 		}
 		width = w
 	}

@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -519,6 +520,7 @@ func TestNumberValues(t *testing.T) {
 		{"4'b10_10", 4, 10},
 		{"2'b11", 2, 3},
 		{"8'bxxxxxxxx", 8, 0}, // x decodes as 0 in two-state
+		{"65536'h1", MaxLiteralBits, 1},
 	}
 	for _, c := range cases {
 		n := &Number{Text: c.text}
@@ -530,6 +532,12 @@ func TestNumberValues(t *testing.T) {
 		if v.Width() != c.width || v.Uint64() != c.val {
 			t.Errorf("Value(%q) = width %d val %d, want width %d val %d",
 				c.text, v.Width(), v.Uint64(), c.width, c.val)
+		}
+	}
+	// wider than MaxLiteralBits: an error, allocating nothing
+	for _, text := range []string{"65537'h0", "2000000000'd0"} {
+		if _, err := (&Number{Text: text}).Value(); err == nil || !strings.Contains(err.Error(), "over the limit of 65536 bits") {
+			t.Errorf("Value(%q) error = %v, want the size limit", text, err)
 		}
 	}
 }
