@@ -1,16 +1,12 @@
 // Command loadgen replays curated dataset problems against a running
 // rtlfixerd at a target rate and reports throughput and latency
-// percentiles — the synthetic-traffic half of the serving story, and the
-// harness behind the coalescing/cache A-B comparison:
+// percentiles — the synthetic-traffic half of the serving story:
 //
-//	rtlfixerd -addr 127.0.0.1:0 &              # full service
-//	loadgen -addr http://127.0.0.1:PORT -n 200 -distinct 1
-//	rtlfixerd -coalesce=false -cache=false &   # stripped baseline
+//	rtlfixerd -addr 127.0.0.1:0 &
 //	loadgen -addr http://127.0.0.1:PORT -n 200 -distinct 1
 //
 // With -distinct 1 every request carries the same source (a thundering
-// herd); the coalescing + caching service should clear several times the
-// baseline's request rate.
+// herd), which the daemon's request coalescing and shared caches absorb.
 //
 // -duration runs for a wall-clock window instead of a fixed count, and
 // the report always splits out the first -split-first requests — on a

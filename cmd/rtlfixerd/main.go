@@ -3,14 +3,14 @@
 // compile cache and retrieval index are shared across requests, with
 // bounded admission, request coalescing, a fixed set of -max-inflight
 // runners (no batching), per-request deadlines, live /v1/stats metrics,
-// and graceful drain on SIGTERM.
+// and graceful drain on SIGTERM. Coalescing, the memo caches and the
+// observed post-fix sim check always run; none has a flag.
 //
 // Usage:
 //
 //	rtlfixerd                            # serve on 127.0.0.1:8080
 //	rtlfixerd -addr 127.0.0.1:0          # serve on a random free port
 //	rtlfixerd -max-inflight 8 -queue 32  # size admission control
-//	rtlfixerd -coalesce=false -cache=false   # A/B baseline for loadgen
 //	rtlfixerd -pprof -log-requests       # profiler + structured access log
 //	rtlfixerd -trace=false               # disable request tracing
 //
@@ -64,16 +64,12 @@ func main() {
 	queueDepth := flag.Int("queue", 64, "admitted-but-waiting requests beyond -max-inflight (0 = none)")
 	defaultTimeout := flag.Duration("default-timeout", 30*time.Second, "deadline for requests without timeout_ms")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "upper clamp on request deadlines")
-	coalesce := flag.Bool("coalesce", true, "coalesce identical concurrent requests into one run")
-	cache := flag.Bool("cache", true, "enable the sharded memoization layer")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a signal-triggered drain may take")
 	tracing := flag.Bool("trace", true, "collect per-request span traces (GET /v1/trace)")
 	traceRing := flag.Int("trace-ring", 0, "recent traces retained for /v1/trace (0 = default 256)")
 	traceSlow := flag.Duration("trace-slow", 0, "retain traces slower than this past ring eviction (0 = default 500ms)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	logRequests := flag.Bool("log-requests", false, "write one structured access-log line per request to stderr")
-	simCheck := flag.Bool("sim-check", true, "simulate each fixed design for one clock cycle (stats + traces only)")
-	simObserve := flag.Bool("sim-observe", true, "attach toggle-coverage and engine-profile observers to sim checks (stats 'sim' section, rtlfixer_sim_* metrics)")
 	prewarm := flag.Bool("prewarm", true, "build the default fixer configuration before /v1/readyz turns ready")
 	faultProfile := flag.String("fault-profile", "", `chaos testing: inject faults per "point:rate[:duration];..." (see internal/fault)`)
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
@@ -105,19 +101,15 @@ func main() {
 		accessLog = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
 	srv := server.New(server.Config{
-		Seed:              *seed,
-		MaxInFlight:       *maxInFlight,
-		QueueDepth:        qd,
-		DefaultTimeout:    *defaultTimeout,
-		MaxTimeout:        *maxTimeout,
-		DisableCoalesce:   !*coalesce,
-		DisableCache:      !*cache,
-		DisableSimCheck:   !*simCheck,
-		DisableSimObserve: !*simObserve,
-		Logf:              logger.Printf,
-		Tracing:           tracer,
-		AccessLog:         accessLog,
-		Prewarm:           *prewarm,
+		Seed:           *seed,
+		MaxInFlight:    *maxInFlight,
+		QueueDepth:     qd,
+		DefaultTimeout: *defaultTimeout,
+		MaxTimeout:     *maxTimeout,
+		Logf:           logger.Printf,
+		Tracing:        tracer,
+		AccessLog:      accessLog,
+		Prewarm:        *prewarm,
 	})
 
 	// The served handler is the server itself unless pprof is on, in
@@ -141,8 +133,8 @@ func main() {
 	}
 	// The one stdout line: scripts parse the resolved port from it.
 	fmt.Printf("rtlfixerd: listening on %s\n", ln.Addr())
-	logger.Printf("serving (inflight=%d queue=%d coalesce=%v cache=%v trace=%v pprof=%v)",
-		*maxInFlight, *queueDepth, *coalesce, *cache, *tracing, *pprofOn)
+	logger.Printf("serving (inflight=%d queue=%d trace=%v pprof=%v)",
+		*maxInFlight, *queueDepth, *tracing, *pprofOn)
 
 	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)

@@ -175,9 +175,7 @@ func runFixRateJobs(f *core.RTLFixer, entries []curate.Entry, repeats, workers i
 	if err != nil {
 		panic(err) // background context: cannot be canceled
 	}
-	sum := pipeline.Summarize(results)
-	sum.Cache = f.CacheStats()
-	return sum
+	return pipeline.Summarize(results)
 }
 
 // Render formats the grid in the paper's Table 1 layout.

@@ -44,28 +44,6 @@ func FromUint64(width int, v uint64) Vec {
 	return out
 }
 
-// ParseBinary builds a vector of the given width from a binary string
-// (most-significant bit first). Underscores are ignored, as in Verilog
-// literals.
-func ParseBinary(width int, s string) (Vec, error) {
-	out := New(width)
-	clean := strings.ReplaceAll(s, "_", "")
-	n := len(clean)
-	for i := 0; i < n; i++ {
-		c := clean[n-1-i]
-		switch c {
-		case '0':
-		case '1':
-			if i < width {
-				out.words[i/wordBits] |= 1 << (i % wordBits)
-			}
-		default:
-			return Vec{}, fmt.Errorf("bitvec: bad binary digit %q", c)
-		}
-	}
-	return out, nil
-}
-
 // FromWords builds a vector of the given width from little-endian words
 // (words[0] holds bits 0..63), truncated to the width; words beyond the
 // slice read as zero.

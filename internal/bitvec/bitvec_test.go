@@ -120,16 +120,6 @@ func TestUltComparesWide(t *testing.T) {
 	}
 }
 
-func TestParseBinary(t *testing.T) {
-	v, err := ParseBinary(8, "1010_0101")
-	if err != nil || v.Uint64() != 0xA5 {
-		t.Fatalf("ParseBinary = %v, %v", v, err)
-	}
-	if _, err := ParseBinary(4, "10a1"); err == nil {
-		t.Fatal("bad digit must error")
-	}
-}
-
 func TestStringFormats(t *testing.T) {
 	v := FromUint64(4, 5)
 	if v.String() != "4'b0101" {

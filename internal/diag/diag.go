@@ -203,26 +203,12 @@ func Categories() []Category {
 	return out
 }
 
-// CategoryByName resolves a kebab-case tag back to its Category. The second
-// return is false for unknown tags.
-func CategoryByName(name string) (Category, bool) {
-	for c, s := range categoryNames {
-		if s == name {
-			return c, true
-		}
-	}
-	return CatNone, false
-}
-
 // Pos is a position in a source file, 1-based like every compiler the paper
 // quotes ("main.v:5: error: ...").
 type Pos struct {
 	Line int
 	Col  int
 }
-
-// IsValid reports whether the position has been set.
-func (p Pos) IsValid() bool { return p.Line > 0 }
 
 // String formats the position as "line:col" (or "line" when the column is
 // unknown).

@@ -29,16 +29,6 @@ func Hazards() []Mutator {
 	}
 }
 
-// HazardByName returns the named hazard mutator.
-func HazardByName(name string) (Mutator, bool) {
-	for _, m := range Hazards() {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Mutator{}, false
-}
-
 // procAssignRe matches a whole-reg blocking assignment line inside a
 // process body: "name = expr;" (not ==, <=, >=, assign, for, decl).
 var procAssignRe = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)\s*=[^=]`)

@@ -120,20 +120,11 @@ func (h *Histogram) bucketFor(v float64) int {
 	return lo
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) by walking the
+// quantileLocked estimates the q-quantile (q in [0,1]) by walking the
 // cumulative counts and interpolating linearly inside the crossing
-// bucket. Exact min/max clamp the estimate, so Quantile(0) and
-// Quantile(1) are exact. Returns NaN when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
+// bucket. Exact min/max clamp the estimate, so q 0 and 1 are exact.
+// Callers hold mu and have at least one observation.
 func (h *Histogram) quantileLocked(q float64) float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
 	if q <= 0 {
 		return h.min
 	}

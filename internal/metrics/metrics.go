@@ -5,7 +5,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 )
 
 // FixRate is the expectation over problems of c/n, where c of n attempts
@@ -68,30 +67,4 @@ func MeanPassAtK(samples, passed []int, k int) (float64, error) {
 		sum += PassAtK(samples[i], passed[i], k)
 	}
 	return sum / float64(len(samples)), nil
-}
-
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)-1))
 }

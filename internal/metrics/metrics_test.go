@@ -141,20 +141,3 @@ func TestMeanPassAtK(t *testing.T) {
 		t.Error("length mismatch must error")
 	}
 }
-
-func TestMeanAndStdDev(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if !almost(Mean(xs), 2.5) {
-		t.Errorf("mean = %f", Mean(xs))
-	}
-	want := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if !almost(StdDev(xs), want) {
-		t.Errorf("stddev = %f, want %f", StdDev(xs), want)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("mean of empty must be NaN")
-	}
-	if StdDev([]float64{1}) != 0 {
-		t.Error("stddev of one sample is 0")
-	}
-}

@@ -48,41 +48,28 @@ type Job struct {
 // that is both the thread-safety and the determinism requirement.
 type FixFunc func(ctx context.Context, j Job) *agent.Transcript
 
-// Fixer is the slice of core.RTLFixer the pipeline needs (declared here
-// rather than importing core, which sits above this package).
-type Fixer interface {
-	Fix(filename, code string, sampleSeed int64) *agent.Transcript
-}
-
-// TracedFixer is the optional extension a Fixer can implement to accept
-// a parent trace span (core.RTLFixer does, via FixTraced). FixWith uses
-// it when the job's context carries a span — i.e. when Config.Tracer is
-// set — so the agent's stage children land under the job trace.
+// TracedFixer is the slice of core.RTLFixer the pipeline needs
+// (declared here rather than importing core, which sits above this
+// package).
 type TracedFixer interface {
 	FixTraced(filename, code string, sampleSeed int64, sp *trace.Span) *agent.Transcript
 }
 
-// FixWith adapts a Fixer into a FixFunc — the standard way to submit
-// agent runs to the pool. When the fixer is also a TracedFixer and the
-// context carries a span, the run is recorded under an "agent" child;
-// otherwise the plain Fix path runs, identically to before tracing
-// existed.
-func FixWith(f Fixer) FixFunc {
-	tf, traced := f.(TracedFixer)
+// FixWith adapts a fixer into a FixFunc — the standard way to submit
+// agent runs to the pool. The run is recorded under an "agent" child of
+// the job's span; without a span in the context (Config.Tracer unset)
+// that child is nil, and a nil span is a no-op, so the run is exactly
+// core.RTLFixer.Fix.
+func FixWith(f TracedFixer) FixFunc {
 	return func(ctx context.Context, j Job) *agent.Transcript {
-		if traced {
-			if sp := trace.FromContext(ctx); sp != nil {
-				ag := sp.Child("agent")
-				tr := tf.FixTraced(j.Filename, j.Code, j.SampleSeed, ag)
-				if tr != nil {
-					ag.SetBool("success", tr.Success)
-					ag.SetInt("iterations", int64(tr.Iterations))
-				}
-				ag.End()
-				return tr
-			}
+		ag := trace.FromContext(ctx).Child("agent")
+		tr := f.FixTraced(j.Filename, j.Code, j.SampleSeed, ag)
+		if tr != nil {
+			ag.SetBool("success", tr.Success)
+			ag.SetInt("iterations", int64(tr.Iterations))
 		}
-		return f.Fix(j.Filename, j.Code, j.SampleSeed)
+		ag.End()
+		return tr
 	}
 }
 
@@ -112,10 +99,9 @@ type Config struct {
 	// Tracer, when non-nil, collects one trace per job: runOne opens a
 	// root "job" span, carries it on the worker's context
 	// (trace.NewContext), and ends it when the job finishes or times
-	// out. Fix functions that understand spans (FixWith's TracedFixer
-	// path) hang their stage children off it. Nil costs nothing and
-	// changes nothing — results are byte-identical with tracing on or
-	// off.
+	// out. Fix functions that understand spans (FixWith) hang their
+	// stage children off it. Nil costs nothing and changes nothing —
+	// results are byte-identical with tracing on or off.
 	Tracer *trace.Collector
 }
 

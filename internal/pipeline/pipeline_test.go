@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/core"
-	"repro/internal/memo"
 	"repro/internal/trace"
 )
 
@@ -243,19 +242,6 @@ func TestCanceledSlotsCarryCtxErr(t *testing.T) {
 		if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("slot %d carries %v, want context.Canceled", i, r.Err)
 		}
-	}
-}
-
-// TestSummaryCarriesCacheStats: Summarize leaves Cache zero (it cannot
-// know the fixer's counters); callers attach them.
-func TestSummaryCarriesCacheStats(t *testing.T) {
-	jobs := makeJobs(6, 2)
-	results, err := Run(context.Background(), Config{Workers: 2}, jobs, synthFix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := Summarize(results); s.Cache != (memo.Stats{}) {
-		t.Fatalf("Summarize must not invent cache stats: %+v", s.Cache)
 	}
 }
 

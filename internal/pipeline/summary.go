@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/agent"
-	"repro/internal/memo"
 	"repro/internal/metrics"
 )
 
@@ -40,12 +39,6 @@ type Summary struct {
 	// TotalWork sums per-job elapsed time: the serial cost the pool
 	// amortized.
 	TotalWork time.Duration
-	// Cache holds the memoization-layer counters for the run when the
-	// caller attaches them (bench does, via core.RTLFixer.CacheStats);
-	// zero when caching is off. Under concurrency the hit/miss split is
-	// approximate — racing workers may both miss one key — so it is
-	// reported alongside, never inside, the deterministic table output.
-	Cache memo.Stats
 }
 
 // Summarize folds an index-ordered result slice into a Summary.

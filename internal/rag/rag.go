@@ -60,22 +60,6 @@ func (db *Database) Add(e Entry) { db.entries = append(db.entries, e) }
 // Len returns the number of entries.
 func (db *Database) Len() int { return len(db.entries) }
 
-// GroupCount returns the number of curated error groups — the paper's
-// "common error categories" counted by compiler error-number family (7 for
-// iverilog, 11 for Quartus). Groups are encoded as the entry-ID prefix
-// before the trailing index ("q-undecl-3" → "q-undecl").
-func (db *Database) GroupCount() int {
-	seen := map[string]bool{}
-	for _, e := range db.entries {
-		id := e.ID
-		if i := strings.LastIndex(id, "-"); i > 0 {
-			id = id[:i]
-		}
-		seen[id] = true
-	}
-	return len(seen)
-}
-
 // Retriever selects guidance entries for a compiler log.
 type Retriever interface {
 	// Name identifies the retrieval strategy.

@@ -88,7 +88,7 @@ func (s *Server) joinOrLead(ctx context.Context, req *fixRequest, fixer *core.RT
 	s.flightsMu.Lock()
 	defer s.flightsMu.Unlock()
 	existing, exists := s.flights[key]
-	if !s.cfg.DisableCoalesce && exists && existing.source == req.Source {
+	if exists && existing.source == req.Source {
 		existing.waiters = append(existing.waiters, ctx)
 		return existing, true, nil
 	}
@@ -108,7 +108,7 @@ func (s *Server) joinOrLead(ctx context.Context, req *fixRequest, fixer *core.RT
 	// Register for coalescing unless the slot is taken by an FNV
 	// collision (same key, different source) — that flight runs
 	// unregistered and cannot be joined.
-	if !s.cfg.DisableCoalesce && !exists {
+	if !exists {
 		s.flights[key] = f
 	}
 	return f, false, nil

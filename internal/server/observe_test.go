@@ -273,21 +273,10 @@ func TestStatsCarriesStagesAndSimCheck(t *testing.T) {
 	}
 }
 
-// TestSimCheckDisabled: the flag removes the check entirely.
-func TestSimCheckDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{DisableSimCheck: true})
-	if status, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource}); status != http.StatusOK {
-		t.Fatal("fix failed")
-	}
-	if got := stat(t, s, "sim_check.checked"); got != 0 {
-		t.Fatalf("disabled sim check ran: %v", s.Stats()["sim_check"])
-	}
-}
-
-// TestStatsSimObservability: with the sim check and observation on
-// (both defaults), a successful fix leaves nonzero toggle coverage in
-// the /v1/stats "sim" section and the rtlfixer_sim_* families on
-// /metrics — the serving half of the wave-layer acceptance gate.
+// TestStatsSimObservability: a successful fix leaves nonzero toggle
+// coverage in the /v1/stats "sim" section and the rtlfixer_sim_*
+// families on /metrics — the serving half of the wave-layer acceptance
+// gate.
 func TestStatsSimObservability(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	if status, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource}); status != http.StatusOK {
@@ -349,29 +338,6 @@ func TestStatsSimObservability(t *testing.T) {
 		return
 	}
 	t.Fatal("rtlfixer_sim_toggle_coverage sample line absent")
-}
-
-// TestSimObserveDisabled: DisableSimObserve keeps the smoke check but
-// drops the observability plane — stats omit "sim" entirely.
-func TestSimObserveDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{DisableSimObserve: true})
-	if status, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource}); status != http.StatusOK {
-		t.Fatal("fix failed")
-	}
-	if got := stat(t, s, "sim_check.checked"); got != 1 {
-		t.Fatalf("sim check should still run: %v", s.Stats()["sim_check"])
-	}
-	if sim, ok := s.Stats()["sim"]; ok {
-		t.Fatalf("disabled observation still reported: %+v", sim)
-	}
-	var wire map[string]json.RawMessage
-	_, raw := get(t, ts.URL+"/v1/stats")
-	if err := json.Unmarshal(raw, &wire); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := wire["sim"]; ok {
-		t.Fatalf("stats JSON carries top-level sim section when disabled:\n%s", raw)
-	}
 }
 
 // TestStagesJSONPipelineOrder: the /v1/stats "stages" object must

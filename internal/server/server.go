@@ -74,11 +74,6 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxSourceBytes bounds request source size; <= 0 means 1 MiB.
 	MaxSourceBytes int
-	// DisableCoalesce turns off single-flight coalescing (for A/B load
-	// tests; every request then runs its own agent loop).
-	DisableCoalesce bool
-	// DisableCache builds the pooled fixers without the memo layer.
-	DisableCache bool
 	// Logf, when non-nil, receives one line per lifecycle event
 	// (start/drain) — never one per request.
 	Logf func(format string, args ...any)
@@ -89,20 +84,6 @@ type Config struct {
 	// Nil disables tracing: the no-op span chain keeps every hot path
 	// allocation-free and responses byte-identical.
 	Tracing *trace.Collector
-	// DisableSimCheck turns off the post-fix simulation smoke check: by
-	// default a successful fix's final code is elaborated and pulsed for
-	// one clock cycle through the shared sim cache — a cheap behavioral
-	// sanity signal (and the serving path's only exercise of the
-	// simulation engine). The response body is unchanged either way;
-	// outcomes surface in /v1/stats and on the request trace.
-	DisableSimCheck bool
-	// DisableSimObserve turns off simulation-layer observability on the
-	// smoke check (waveform-less toggle coverage plus, on the compiled
-	// backend, the engine profile). On by default whenever the sim check
-	// runs; results surface under /v1/stats "sim" and the
-	// rtlfixer_sim_* metrics families. Responses are unchanged either
-	// way.
-	DisableSimObserve bool
 	// AccessLog, when non-nil, receives one structured record per HTTP
 	// request (request id, method, path, status, duration). Request IDs
 	// honor an incoming X-Request-ID header and are echoed back on the
@@ -201,11 +182,11 @@ type Server struct {
 	// for /metrics, /v1/stats, and the loadgen breakdown table.
 	tracer *trace.Collector
 	stages *trace.StageAgg
-	// simCache backs the post-fix simulation smoke check (nil when
-	// disabled); shared across requests like the fixer pool's caches.
+	// simCache backs the post-fix simulation smoke check (simcheck.go),
+	// shared across requests like the fixer pool's caches.
 	simCache *memo.SimCache
 	// simObs aggregates sim-check coverage and engine profiles
-	// (simobs.go); nil when the check or its observability is off.
+	// (simobs.go).
 	simObs *simObs
 	// reqSeq numbers requests that arrive without an X-Request-ID.
 	reqSeq atomic.Uint64
@@ -223,6 +204,8 @@ func New(cfg Config) *Server {
 		admitted: make(chan struct{}, cfg.MaxInFlight+cfg.QueueDepth),
 		flights:  map[flightKey]*flight{},
 		stop:     make(chan struct{}),
+		simCache: memo.NewSimCache(0),
+		simObs:   newSimObs(),
 	}
 	s.brownoutAt = int(brownoutFill * float64(cfg.MaxInFlight+cfg.QueueDepth))
 	if s.brownoutAt < 1 {
@@ -232,12 +215,6 @@ func New(cfg Config) *Server {
 	if s.tracer != nil {
 		s.stages = trace.NewStageAgg()
 		s.tracer.SetOnFinish(s.stages.Observe)
-	}
-	if !cfg.DisableSimCheck {
-		s.simCache = memo.NewSimCache(0)
-		if !cfg.DisableSimObserve {
-			s.simObs = newSimObs()
-		}
 	}
 	s.declareMetrics()
 	s.mux = http.NewServeMux()
@@ -571,7 +548,7 @@ func (s *Server) fixerFor(key fixerKey) (*core.RTLFixer, error) {
 		Mode:            key.mode,
 		MaxIterations:   key.iters,
 		Seed:            s.cfg.Seed,
-		Cache:           !s.cfg.DisableCache,
+		Cache:           true,
 		DisableAnalyzer: !key.analyze,
 	})
 	if err != nil {

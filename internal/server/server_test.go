@@ -235,10 +235,7 @@ func TestCoalescing(t *testing.T) {
 // MaxInFlight + QueueDepth requests are admitted, the next one is
 // refused immediately with 429.
 func TestAdmissionOverflow(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		MaxInFlight: 1, QueueDepth: -1,
-		DisableCoalesce: true,
-	})
+	s, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: -1})
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
 	s.testHook = func(*flight) {
@@ -263,6 +260,16 @@ func TestAdmissionOverflow(t *testing.T) {
 	}
 	if got := stat(t, s, "fix.rejected_queue_full"); got != 1 {
 		t.Fatalf("fix.rejected_queue_full = %v, want 1", got)
+	}
+	release <- struct{}{}
+	<-done
+	// Seeds 1 and 2 are different flight keys: the overflow request was
+	// refused, not coalesced onto the running one.
+	if got := stat(t, s, "fix.coalesced"); got != 0 {
+		t.Fatalf("fix.coalesced = %v, want 0", got)
+	}
+	if got := stat(t, s, "fix.agent_runs"); got != 1 {
+		t.Fatalf("fix.agent_runs = %v, want 1 (the admitted request)", got)
 	}
 }
 
@@ -359,7 +366,7 @@ func TestGracefulDrain(t *testing.T) {
 // start in admission order as runners free up.
 func TestRunsBoundedByMaxInFlight(t *testing.T) {
 	const n = 5
-	s, ts := newTestServer(t, Config{MaxInFlight: 2, DisableCoalesce: true})
+	s, ts := newTestServer(t, Config{MaxInFlight: 2})
 	entered := make(chan string, n)
 	release := make(chan struct{})
 	s.testHook = func(f *flight) {
@@ -410,6 +417,16 @@ func TestRunsBoundedByMaxInFlight(t *testing.T) {
 		if want := fmt.Sprintf("r%d.v", i); name != want {
 			t.Fatalf("runs started in order %v, want admission order", started)
 		}
+	}
+	release <- struct{}{}
+	release <- struct{}{}
+	wg.Wait()
+	// Distinct filenames are distinct flight keys: every request ran.
+	if got := stat(t, s, "fix.coalesced"); got != 0 {
+		t.Fatalf("fix.coalesced = %v, want 0", got)
+	}
+	if got := stat(t, s, "fix.agent_runs"); got != n {
+		t.Fatalf("fix.agent_runs = %v, want %d", got, n)
 	}
 }
 
@@ -572,7 +589,7 @@ func TestFollowerSurvivesLeaderTimeout(t *testing.T) {
 // TestNoHeadOfLineBlocking: a fast request dispatched after a slow one
 // must complete while the slow run is still executing.
 func TestNoHeadOfLineBlocking(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 2, DisableCoalesce: true})
+	s, ts := newTestServer(t, Config{MaxInFlight: 2})
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4)
 	s.testHook = func(f *flight) {
@@ -602,6 +619,17 @@ func TestNoHeadOfLineBlocking(t *testing.T) {
 	case <-slow:
 		t.Fatal("slow request finished before the fast one was measured — test setup broken")
 	default:
+	}
+	release <- struct{}{}
+	if st := <-slow; st != http.StatusOK {
+		t.Fatalf("slow request = %d, want 200", st)
+	}
+	// slow.v and fast.v are distinct flight keys: both ran.
+	if got := stat(t, s, "fix.coalesced"); got != 0 {
+		t.Fatalf("fix.coalesced = %v, want 0", got)
+	}
+	if got := stat(t, s, "fix.agent_runs"); got != 2 {
+		t.Fatalf("fix.agent_runs = %v, want 2", got)
 	}
 }
 

@@ -4,9 +4,8 @@
 // engine — compiler personas are string-rendering frontends — so this is
 // both a cheap behavioral sanity signal ("the fixed design elaborates,
 // settles, and survives a clock edge") and the hook that gives request
-// traces their sim stage. The response body is byte-identical with the
-// check on or off; outcomes surface only in /v1/stats, /metrics, and the
-// request trace.
+// traces their sim stage. The check never alters the response body;
+// outcomes surface only in /v1/stats, /metrics, and the request trace.
 package server
 
 import (
@@ -48,13 +47,15 @@ func (s *Server) simCheck(tr *agent.Transcript, parent *trace.Span) {
 
 // runSimCheck is the smoke check for one finished agent run. It returns
 // the result label it records on a "sim" child of parent, or "" when no
-// check applies. Sources that do not elaborate (the personas accept code
-// the stricter sim frontend rejects) or whose design the compiled engine
-// rejects are skipped, not failed; a simulation that blows its watchdog
-// budget is canceled, never request-fatal. The shared SimCache means a
-// coalesced-or-repeated source pays frontend+compile once.
+// check applies (the run failed). Sources that do not elaborate (the
+// personas accept code the stricter sim frontend rejects) or whose design
+// the compiled engine rejects are skipped, not failed; a simulation that
+// blows its watchdog budget is canceled, never request-fatal. Every
+// simulated check is observed: coverage and the engine profile fold into
+// simObs. The shared SimCache means a coalesced-or-repeated source pays
+// frontend+compile once.
 func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) (result string) {
-	if s.simCache == nil || tr == nil || !tr.Success {
+	if tr == nil || !tr.Success {
 		return ""
 	}
 	sp := parent.Child("sim")
@@ -76,19 +77,17 @@ func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) (result s
 	// so the budget only ever trips on a runaway (or fault-injected)
 	// simulation.
 	sm.SetWatchdog(resilience.NewWatchdog(sim.CheckWall, sim.CheckSteps))
-	if s.simObs != nil {
-		// Observe the check regardless of outcome: coverage and the
-		// engine's execution profile. The fold runs deferred so
-		// watchdog/settle exits still report.
-		cov := wave.NewCoverage()
-		sm.Observe(cov)
-		sm.EnableProfile()
-		defer func() {
-			cov.AddActivations(sm.Activations())
-			s.simObs.fold(cov, sm.Profile())
-			sp.SetStr("coverage", cov.Stats().String())
-		}()
-	}
+	// Observe the check regardless of outcome: coverage and the engine's
+	// execution profile. The fold runs deferred so watchdog/settle exits
+	// still report.
+	cov := wave.NewCoverage()
+	sm.Observe(cov)
+	sm.EnableProfile()
+	defer func() {
+		cov.AddActivations(sm.Activations())
+		s.simObs.fold(cov, sm.Profile())
+		sp.SetStr("coverage", cov.Stats().String())
+	}()
 	if err := sm.Settle(); err != nil {
 		if resilience.IsWatchdog(err) {
 			return "watchdog"

@@ -91,12 +91,8 @@ type SimObsSnapshot struct {
 	Hottest       *wave.ProcessStat `json:"hottest_process,omitempty"`
 }
 
-// snapshot renders the aggregate (nil receiver → nil, for the
-// omitempty stats field).
+// snapshot renders the aggregate.
 func (o *simObs) snapshot() *SimObsSnapshot {
-	if o == nil {
-		return nil
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	snap := &SimObsSnapshot{

@@ -71,9 +71,9 @@ func (m *liveMetrics) countFinding(rule string) {
 
 // declareMetrics declares every family the server exports, in /metrics
 // order. This is the only place a family's name, help, kind, labels and
-// /v1/stats path are written. Families of a feature that is off (sim
-// observation, tracing) are not declared and appear on neither surface;
-// their /v1/stats form is the feature's document section (Stats).
+// /v1/stats path are written. With tracing off its families are not
+// declared and appear on neither surface; their /v1/stats form is the
+// trace document section (Stats).
 func (s *Server) declareMetrics() {
 	r, m := &s.reg, &s.m
 	m.fixRequests = r.Counter("rtlfixer_fix_requests_total", "Fix requests received.", "requests.fix")
@@ -121,12 +121,10 @@ func (s *Server) declareMetrics() {
 	r.CounterFunc("rtlfixer_sim_checks_attempted_total", "Post-fix simulation smoke checks attempted (the sum over results).", "sim_check.checked", func() float64 {
 		return float64(m.simPassed.Value() + m.simFailed.Value() + m.simSkipped.Value() + m.simWatchdog.Value())
 	})
-	if o := s.simObs; o != nil {
-		r.GaugeFunc("rtlfixer_sim_toggle_coverage", "Toggle+activation coverage fraction of the latest observed sim check.", "", o.reader((*simObs).lastFraction))
-		r.CounterFunc("rtlfixer_sim_observed_runs_total", "Sim smoke checks run with coverage observation attached.", "", o.reader(func(o *simObs) float64 { return float64(o.runs) }))
-		r.CounterFunc("rtlfixer_sim_toggles_total", "Signal bit-toggle events across observed sim checks.", "", o.reader(func(o *simObs) float64 { return float64(o.toggles) }))
-		r.CounterFunc("rtlfixer_sim_instructions_total", "Compiled-engine instructions executed across observed sim checks.", "", o.reader(func(o *simObs) float64 { return float64(o.instructions) }))
-	}
+	r.GaugeFunc("rtlfixer_sim_toggle_coverage", "Toggle+activation coverage fraction of the latest observed sim check.", "", s.simObs.reader((*simObs).lastFraction))
+	r.CounterFunc("rtlfixer_sim_observed_runs_total", "Sim smoke checks run with coverage observation attached.", "", s.simObs.reader(func(o *simObs) float64 { return float64(o.runs) }))
+	r.CounterFunc("rtlfixer_sim_toggles_total", "Signal bit-toggle events across observed sim checks.", "", s.simObs.reader(func(o *simObs) float64 { return float64(o.toggles) }))
+	r.CounterFunc("rtlfixer_sim_instructions_total", "Compiled-engine instructions executed across observed sim checks.", "", s.simObs.reader(func(o *simObs) float64 { return float64(o.instructions) }))
 
 	panics := r.CounterVec("rtlfixer_panics_recovered_total", "Panics recovered by bulkhead site.", "site")
 	m.panicsHTTP, m.panicsWorker = panics.Counter("resilience.panics_http", "http"), panics.Counter("resilience.panics_worker", "worker")
@@ -204,9 +202,7 @@ func (s *Server) Stats() map[string]any {
 	if f := fault.Snapshot(); len(f) > 0 {
 		doc["faults"] = f
 	}
-	if s.simObs != nil {
-		doc["sim"] = s.simObs.snapshot()
-	}
+	doc["sim"] = s.simObs.snapshot()
 	if st := s.stages.Snapshot(); len(st) > 0 {
 		// Keys marshal in pipeline order (trace.StageNames), matching the
 		// attribution table loadgen -stages renders from this section.

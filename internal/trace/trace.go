@@ -97,9 +97,6 @@ func (s *Span) SetInt(key string, val int64) { s.set(key, val) }
 // SetBool attaches a boolean attribute.
 func (s *Span) SetBool(key string, val bool) { s.set(key, val) }
 
-// SetFloat attaches a float attribute.
-func (s *Span) SetFloat(key string, val float64) { s.set(key, val) }
-
 func (s *Span) set(key string, val any) {
 	if s == nil {
 		return

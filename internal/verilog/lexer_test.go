@@ -177,7 +177,7 @@ func TestLexRoundTripIdents(t *testing.T) {
 			b.WriteByte(letters[rng.Intn(len(letters))])
 		}
 		name := b.String()
-		if IsKeyword(name) {
+		if keywords[name] {
 			continue
 		}
 		toks := Lex(name)

@@ -82,9 +82,6 @@ var keywords = map[string]bool{
 	"task": true, "endtask": true,
 }
 
-// IsKeyword reports whether s is a reserved word in the supported subset.
-func IsKeyword(s string) bool { return keywords[s] }
-
 // multi-character operators, longest first so the lexer can greedy-match.
 var operators = []string{
 	"<<<", ">>>", "===", "!==",

@@ -233,17 +233,6 @@ func (s *Signature) Union(o *Signature) bool {
 	return grew
 }
 
-// AddsTo reports whether s has at least one bit absent from base,
-// without mutating either.
-func (s *Signature) AddsTo(base *Signature) bool {
-	for i, w := range s.words {
-		if w&^base.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Signature hashes the accumulated coverage into the fixed point space:
 // one point per (signal, bit, direction) seen toggling and one per
 // process that activated.

@@ -144,16 +144,10 @@ func TestSignatureUnion(t *testing.T) {
 	if corpus.Union(sig) {
 		t.Error("repeat union should not grow")
 	}
-	if sig.AddsTo(&corpus) {
-		t.Error("AddsTo should be false once merged")
-	}
 
 	// A fall on the same bit is a distinct point.
 	c.Sample(2, vecs(1))
 	sig2 := c.Signature()
-	if !sig2.AddsTo(&corpus) {
-		t.Error("new direction should add coverage")
-	}
 	if !corpus.Union(sig2) {
 		t.Error("union with new direction should grow")
 	}

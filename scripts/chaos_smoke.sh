@@ -53,8 +53,7 @@ stat_of() { # $1: port, $2: jq path
 }
 
 echo "== chaos run: daemon under fault profile, loadgen -chaos traffic"
-start_daemon chaos -coalesce=false \
-    -fault-profile "$profile" -fault-seed 7
+start_daemon chaos -fault-profile "$profile" -fault-seed 7
 grep -q "fault injection ACTIVE" "$workdir/daemon.chaos.err" || {
     echo "FAIL: daemon did not log the active fault profile" >&2; exit 1; }
 
