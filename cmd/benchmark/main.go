@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/curate"
-	"repro/internal/fault"
 	"repro/internal/memo"
 	"repro/internal/trace"
 )
@@ -47,26 +46,11 @@ func main() {
 	repeats := flag.Int("repeats", 10, "table 1 repeats per sample (paper: 10)")
 	samples := flag.Int("samples", 20, "table 2/3 samples per problem (paper: 20)")
 	workers := flag.Int("workers", runtime.NumCPU(), "evaluation pool size (output is identical for any value)")
-	cache := flag.Bool("cache", true, "enable the per-fixer memoization layer: compile cache and retrieval index (output is identical either way; the process-wide caches of the model's blind inspection and the sim oracle stay on)")
+	cache := flag.Bool("cache", true, "enable the per-fixer memoization layer: compile cache and retrieval result cache (output is identical either way; the process-wide caches of the model's blind inspection and the sim oracle stay on)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON on stdout (tables move to stderr)")
 	stages := flag.Bool("stages", false, "trace every agent job and print a per-stage latency table to stderr at exit")
 	coverage := flag.Bool("coverage", false, "print a per-problem reference-design toggle-coverage table to stderr at exit")
-	faultProfile := flag.String("fault-profile", "", `chaos testing: inject faults per "point:rate[:duration];..." (internal/fault); empty keeps output byte-identical`)
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
 	flag.Parse()
-
-	// Fault injection exercises the resilience plane under the offline
-	// harness: with no profile nothing is installed and every hook is a
-	// nil atomic load, so default output stays byte-identical.
-	if *faultProfile != "" {
-		reg, err := fault.Parse(*faultProfile, *faultSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchmark: fault profile: %v\n", err)
-			os.Exit(2)
-		}
-		fault.Install(reg)
-		fmt.Fprintf(os.Stderr, "benchmark: fault injection ACTIVE (seed %d): %s\n", *faultSeed, *faultProfile)
-	}
 
 	// Stage attribution rides the same trace layer the daemon uses: a
 	// collector on the bench pipeline seam, folded per span name. The
@@ -238,7 +222,7 @@ func printCacheDeltas(exp string, before, after memo.KindTotals) {
 		fmt.Fprintf(os.Stderr, "[%s reference traces: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)
 	}
 	if d := after.Retrieval.Sub(before.Retrieval); d != (memo.Stats{}) {
-		fmt.Fprintf(os.Stderr, "[%s retrieval index: %d lookups]\n", exp, d.Lookups)
+		fmt.Fprintf(os.Stderr, "[%s retrieval index: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)
 	}
 	if d := after.Reads.Sub(before.Reads); d != (memo.Stats{}) {
 		fmt.Fprintf(os.Stderr, "[%s text reads: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)

@@ -166,8 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Cache counters go to stderr so stdout stays byte-deterministic.
 	if s := fixer.CacheStats(); *cache && !*quiet {
-		fmt.Fprintf(stderr, "rtlfixer: cache: %d compile hits, %d misses, %d evictions, %d index lookups\n",
-			s.Hits, s.Misses, s.Evictions, s.Lookups)
+		fmt.Fprintf(stderr, "rtlfixer: cache: %d hits, %d misses, %d evictions\n", s.Hits, s.Misses, s.Evictions)
 	}
 	if failed {
 		return 1

@@ -34,8 +34,8 @@ func runFixRate(f *core.RTLFixer, entries []curate.Entry, repeats, workers int) 
 // configuration (ReAct + RAG + Quartus + gpt-3.5), plus the no-RAG
 // baseline. workers sizes the evaluation pool (<= 0 = runtime.NumCPU());
 // cache enables the memoization layer (output is identical either way —
-// the exact-tag, fuzzy, and keyword strategies are served from the
-// precompiled index, custom strategies fall back to the naive scan).
+// the exact-tag, fuzzy, and keyword strategies' results are cached per
+// log by the retrieval index, custom strategies run uncached).
 func RunRetrieverAblation(seed int64, repeats int, entries []curate.Entry, workers int, cache bool) []AblationResult {
 	if entries == nil {
 		entries, _ = curate.Build(curate.Options{Seed: seed})
@@ -142,10 +142,9 @@ func RunGuidanceSizeAblation(seed int64, repeats int, entries []curate.Entry, wo
 			f, err = core.New(core.Options{
 				CompilerName: "quartus", Mode: core.ModeReAct, Seed: seed, Cache: cache})
 		} else {
-			// The truncating retriever is a custom strategy, so core.New
-			// skips building a retrieval index for it (memo.Indexable is
-			// false) and it runs as a naive scan; the compile cache still
-			// applies.
+			// The truncating retriever is a custom strategy, so the
+			// retrieval index passes it through uncached; the compile
+			// cache still applies.
 			f, err = core.New(core.Options{
 				CompilerName: "quartus",
 				RAG:          true,

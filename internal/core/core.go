@@ -50,8 +50,8 @@ type Options struct {
 	Seed int64
 	// Cache enables the sharded memoization layer (internal/memo): a
 	// content-addressed compile cache in front of the persona and, with
-	// RAG on, a precompiled retrieval index over the guidance database,
-	// which caches its exact-tag results. Transparent: transcripts and
+	// RAG on, a retrieval index that caches the strategy's results per
+	// (log, k) over the guidance database. Transparent: transcripts and
 	// table output are byte-identical with the cache on or off. The
 	// process-wide caches stay on with Cache off: the model's blind
 	// inspection (llm.BlindHypotheses) and the sim oracle's caches.
@@ -104,11 +104,9 @@ func New(opts Options) (*RTLFixer, error) {
 	}
 	if opts.RAG {
 		f.db = rag.ForCompiler(comp.Name())
-		if opts.Cache && memo.Indexable(opts.Retriever) {
-			// Precompile the retrieval index once; every worker then
-			// shares the read-only inverted index and shingle sets.
-			// Custom strategies skip the build — the index could not
-			// serve them, so it would be constructed and never consulted.
+		if opts.Cache {
+			// One result cache per fixer, shared by every worker. Wrap
+			// passes a custom strategy through uncached.
 			f.index = memo.NewRetrievalIndex(f.db)
 			f.retriever = f.index.Wrap(opts.Retriever)
 		}
@@ -116,7 +114,8 @@ func New(opts Options) (*RTLFixer, error) {
 	return f, nil
 }
 
-// CacheStats snapshots the memoization-layer counters (zero when
+// CacheStats snapshots the fixer's own cache counters, the compile
+// cache's plus, with RAG on, the retrieval index's (zero when
 // Options.Cache is off).
 func (f *RTLFixer) CacheStats() memo.Stats {
 	var s memo.Stats

@@ -143,8 +143,11 @@ func TestCacheIsTransparent(t *testing.T) {
 	if s.Hits == 0 {
 		t.Fatalf("repeated sessions produced no compile-cache hits: %+v", s)
 	}
-	if s.Lookups == 0 {
-		t.Fatalf("RAG retrievals were not served by the index: %+v", s)
+	if r := cached.index.Stats(); r.Hits == 0 || r.Misses == 0 {
+		t.Fatalf("RAG retrievals were not served by the index: %+v", r)
+	}
+	if c := cached.compileCache.Stats(); s != c.Add(cached.index.Stats()) {
+		t.Fatalf("CacheStats %+v is not the compile cache %+v plus the index", s, c)
 	}
 	if z := plain.CacheStats(); z != (memo.Stats{}) {
 		t.Fatalf("uncached fixer reports stats: %+v", z)
@@ -160,6 +163,26 @@ func TestCacheStatsZeroWhenOff(t *testing.T) {
 	if s := f.CacheStats(); s != (memo.Stats{}) {
 		t.Fatalf("cache off but stats non-zero: %+v", s)
 	}
+	if f.index != nil || f.compileCache != nil {
+		t.Fatal("cache off but a fixer cache was built")
+	}
+}
+
+// TestNewAllocs pins the set-up cost of a caching RAG fixer: the
+// retrieval index is an empty result cache, so core.New builds no
+// per-entry state (an index that precomputes postings and shingle sets
+// over the Quartus database costs about 3,500 allocations here).
+func TestNewAllocs(t *testing.T) {
+	opts := Options{CompilerName: "quartus", RAG: true, Cache: true}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := New(opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("core.New allocates %.0f times, want at most 32", allocs)
+	}
+	t.Logf("core.New: %.0f allocs", allocs)
 }
 
 func TestLintAndOptions(t *testing.T) {

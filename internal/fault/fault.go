@@ -14,7 +14,7 @@
 //
 // Profiles are activated programmatically in tests
 // (fault.Install(fault.MustParse(...)); defer fault.Uninstall()) or
-// from the CLIs via rtlfixerd/benchmark -fault-profile. The grammar is
+// from the command line via rtlfixerd -fault-profile. The grammar is
 // semicolon-separated entries:
 //
 //	point:rate            fire with probability rate in [0, 1]

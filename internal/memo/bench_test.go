@@ -68,7 +68,7 @@ func TestCompileCacheSpeedup(t *testing.T) {
 		t.Skip("timing-sensitive; skipped under -short")
 	}
 	persona := compiler.Quartus{}
-	cached := Cached(persona)
+	cached := NewCompileCache(0).Cached(persona)
 	cached.Compile("main.v", brokenSrc)
 	uncached := measure(500, func() { persona.Compile("main.v", brokenSrc) })
 	hot := measure(500, func() { cached.Compile("main.v", brokenSrc) })
@@ -77,10 +77,10 @@ func TestCompileCacheSpeedup(t *testing.T) {
 	}
 }
 
-// BenchmarkRetrievalIndex times the three retrieval strategies through
-// the precompiled index; BenchmarkRetrievalNaive is the baseline scan.
-// The fuzzy strategy gains the most: the naive path re-shingles every
-// LogExample in the database per call.
+// BenchmarkRetrievalIndex times each retrieval strategy's scan
+// ("naive") against a hit in the index's result cache ("indexed"). The
+// fuzzy scan is the slowest: it shingles every LogExample in the
+// database per call.
 func BenchmarkRetrievalIndex(b *testing.B) {
 	db := rag.ForCompiler("Quartus")
 	idx := NewRetrievalIndex(db)

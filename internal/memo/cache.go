@@ -62,8 +62,8 @@ type flight[S, V any] struct {
 }
 
 // cache is the one content-addressed cache core under the frontend
-// artifacts, CompileCache, SimCache, TraceCache, Reads and the exact-tag
-// results: a sharded map, FIFO displacement at capacity,
+// artifacts, CompileCache, SimCache, TraceCache, Reads and
+// RetrievalIndex: a sharded map, FIFO displacement at capacity,
 // the source-compare collision guard, and hit/miss/eviction counters
 // mirrored into the process-wide totals of the cache's layer.
 type cache[K shardKey, S source[S], V any] struct {

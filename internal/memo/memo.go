@@ -1,14 +1,13 @@
-// Package memo is the sharded memoization layer in front of the two hot
+// Package memo is the sharded memoization layer in front of the hot
 // paths the evaluation pipeline hammers: compilation (every ReAct
 // iteration recompiles, and repeats of the same curated entry recompile
-// identical sources) and retrieval (the naive retrievers rescan the whole
-// guidance database — rag.Fuzzy even re-shingles every LogExample — per
-// call).
+// identical sources), simulation, and the agent's reads of the texts it
+// sees again (the model's blind inspection, guidance retrieval).
 //
 // The design follows the sharded front-end-buffer / central-aggregator
-// pattern of high-throughput DAQ systems (see PAPERS.md): lookup
-// structures are precomputed once and sharded by key hash, so the worker
-// pool never repeats work and never serializes on a single lock.
+// pattern of high-throughput DAQ systems (see PAPERS.md): results are
+// computed once and sharded by key hash, so the worker pool never
+// repeats work and never serializes on a single lock.
 //
 // Six components:
 //
@@ -21,10 +20,10 @@
 //     compiler.Result keyed by (persona, filename, FNV-64a of source),
 //     fronting any compiler.Compiler via Cached. A built-in persona's
 //     miss renders only its log over the shared frontend artifact.
-//   - RetrievalIndex — a precompiled index over one rag.Database: an
-//     inverted pattern→entry index serving ExactTag and Keyword, and
-//     precomputed shingle sets serving Fuzzy. Wrap adapts it to the
-//     rag.Retriever interface.
+//   - RetrievalIndex (index.go) — a cache of one rag.Database's
+//     retrieval results per (strategy, log, k); a miss runs the
+//     strategy's own rag scan. Wrap adapts it to the rag.Retriever
+//     interface.
 //   - SimCache (simcache.go) — the same content addressing over the
 //     simulation oracle's pipeline: the frontend artifact + sim.Compile,
 //     shared by every dataset.Problem.Check so the pass@k loop pays one
@@ -36,25 +35,22 @@
 //   - Reads (reads.go) — a bounded cache of one pure function of a text,
 //     so a text the agent loop reads again is read once per process: the
 //     model's blind inspection (llm.BlindHypotheses) is a process-wide
-//     instance, and every RetrievalIndex keeps its exact-tag results per
-//     (log, k) on the same core.
+//     instance.
 //
-// The artifact cache, CompileCache, SimCache, TraceCache, Reads and the
-// exact-tag results share one cache core (cache.go): a sharded map with
-// FIFO displacement, a source-compare collision guard, and per-cache
+// All six share one cache core (cache.go): a sharded map with FIFO
+// displacement, a source-compare collision guard, and per-cache
 // counters mirrored into per-layer process totals (TotalsByKind). Every
 // cache lives as long as its process.
 //
 // Correctness contract: every component is transparent. A cached compile
 // returns the same Result the wrapped persona would produce; a cached
 // read returns the same value its uncached function
-// (llm.BlindHypotheses, the exact-tag scan) computes for the text; an
-// indexed retrieval returns the same entries in the same order as the
-// naive scan. Cached values are shared, so callers must treat them as
-// read-only — which every consumer already does — and a cached slice
-// has clipped capacity, so a caller's append copies it. Table output is
-// therefore byte-identical with the layer on or off, at any worker
-// count.
+// (llm.BlindHypotheses) computes for the text; a cached retrieval
+// returns the same entries in the same order as the strategy's scan.
+// Cached values are shared, so callers must treat them as read-only —
+// which every consumer already does — and a cached slice has clipped
+// capacity, so a caller's append copies it. Table output is therefore
+// byte-identical with the layer on or off, at any worker count.
 package memo
 
 import (
@@ -72,8 +68,6 @@ type Stats struct {
 	// Evictions counts cache entries displaced by capacity pressure (or,
 	// rarely, by an FNV collision overwrite).
 	Evictions uint64
-	// Lookups counts retrievals served from a RetrievalIndex.
-	Lookups uint64
 }
 
 // Add returns the component-wise sum of two snapshots.
@@ -82,7 +76,6 @@ func (s Stats) Add(o Stats) Stats {
 		Hits:      s.Hits + o.Hits,
 		Misses:    s.Misses + o.Misses,
 		Evictions: s.Evictions + o.Evictions,
-		Lookups:   s.Lookups + o.Lookups,
 	}
 }
 
@@ -93,7 +86,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Hits:      s.Hits - o.Hits,
 		Misses:    s.Misses - o.Misses,
 		Evictions: s.Evictions - o.Evictions,
-		Lookups:   s.Lookups - o.Lookups,
 	}
 }
 
@@ -101,7 +93,7 @@ func (s Stats) Sub(o Stats) Stats {
 // is mirrored into the package-global totals so CLIs can report aggregate
 // cache behaviour across many fixer instances without threading handles.
 type counters struct {
-	hits, misses, evictions, lookups atomic.Uint64
+	hits, misses, evictions atomic.Uint64
 }
 
 func (c *counters) snapshot() Stats {
@@ -109,7 +101,6 @@ func (c *counters) snapshot() Stats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Lookups:   c.lookups.Load(),
 	}
 }
 
@@ -149,11 +140,10 @@ type KindTotals struct {
 	// Trace covers every TraceCache (the simulation oracle's recorded
 	// reference responses).
 	Trace Stats
-	// Retrieval covers every RetrievalIndex (lookups served from the
-	// precompiled index).
+	// Retrieval covers every RetrievalIndex (guidance retrieval
+	// results).
 	Retrieval Stats
-	// Reads covers the per-text read caches: every Reads (the model's
-	// blind inspection) and every RetrievalIndex's exact-tag results.
+	// Reads covers every Reads (the model's blind inspection).
 	Reads Stats
 }
 
@@ -219,12 +209,6 @@ type cachedCompiler struct {
 // the wrapped persona everywhere but in speed.
 func (cc *CompileCache) Cached(c compiler.Compiler) compiler.Compiler {
 	return &cachedCompiler{inner: c, render: compiler.RenderStep(c), cache: cc}
-}
-
-// Cached wraps a persona with a fresh default-sized cache — the
-// convenience form for callers that do not need to read the counters.
-func Cached(c compiler.Compiler) compiler.Compiler {
-	return NewCompileCache(0).Cached(c)
 }
 
 // Name implements compiler.Compiler.

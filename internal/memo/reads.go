@@ -3,12 +3,12 @@ package memo
 // Reads holds one pure read of a text — a function of a string and
 // nothing else — once per distinct text. The agent loop reads the same
 // texts over and over: the model inspects every candidate blind
-// (llm.BlindHypotheses), and every compile log is matched against the
-// exact-tag guidance (RetrievalIndex keeps those results on the same
-// core). Table 1's fourteen configurations, ReAct iterations that return
-// the code unchanged, and a server's repeated corpus all feed those
-// reads texts they have already seen, so each read is computed once per
-// text and served from the cache core after that. A read is cached only
+// (llm.BlindHypotheses). Table 1's fourteen configurations, ReAct
+// iterations that return the code unchanged, and a server's repeated
+// corpus all feed that read texts it has already seen, so it is computed
+// once per text and served from the cache core after that. (Guidance
+// retrieval over a compile log has its own cache on the same core,
+// RetrievalIndex, keyed by strategy and result count as well.) A read is cached only
 // when the cache measurably pays: the pre-fixer (fixer.Fix) reads a
 // source no rule changes in about half a microsecond without allocating,
 // and a cache of it measured no gain on any workload (EXPERIMENTS.md,

@@ -53,10 +53,6 @@ func NewDatabase(entries []Entry) *Database {
 // Entries returns all entries.
 func (db *Database) Entries() []Entry { return db.entries }
 
-// Add appends an entry (the paper's "store" arrow: new compiler logs and
-// guidance are stored for future retrieval).
-func (db *Database) Add(e Entry) { db.entries = append(db.entries, e) }
-
 // Len returns the number of entries.
 func (db *Database) Len() int { return len(db.entries) }
 
@@ -80,7 +76,7 @@ func (ExactTag) Name() string { return "exact-tag" }
 
 // Retrieve implements Retriever.
 func (ExactTag) Retrieve(db *Database, log string, k int) []Entry {
-	var hits []ScoredEntry
+	var hits []scoredEntry
 	for _, e := range db.entries {
 		best := 0
 		for _, p := range e.Patterns {
@@ -89,39 +85,35 @@ func (ExactTag) Retrieve(db *Database, log string, k int) []Entry {
 			}
 		}
 		if best > 0 {
-			hits = append(hits, ScoredEntry{e, best})
+			hits = append(hits, scoredEntry{e, best})
 		}
 	}
-	return SelectByScore(hits, k)
+	return selectByScore(hits, k)
 }
 
-// ScoredEntry pairs an entry with its integer retrieval score. Exported so
-// index-backed retrievers (internal/memo) can feed precomputed scores
-// through the exact selection logic the naive scans use.
-type ScoredEntry struct {
-	Entry Entry
-	Score int
+// scoredEntry pairs an entry with its integer retrieval score.
+type scoredEntry struct {
+	entry Entry
+	score int
 }
 
-// SelectByScore ranks hits by score (stable sort, descending — entries tie
+// selectByScore ranks hits by score (stable sort, descending — entries tie
 // in database order) and keeps at most k, capping two per category so
 // multi-error logs still get coverage for every error class present. It is
-// the shared tail of ExactTag and Keyword retrieval; byte-identical
-// results between the naive and indexed paths depend on both going
-// through it.
-func SelectByScore(hits []ScoredEntry, k int) []Entry {
-	sort.SliceStable(hits, func(i, j int) bool { return hits[i].Score > hits[j].Score })
+// the shared tail of ExactTag and Keyword retrieval.
+func selectByScore(hits []scoredEntry, k int) []Entry {
+	sort.SliceStable(hits, func(i, j int) bool { return hits[i].score > hits[j].score })
 	var out []Entry
 	seen := map[diag.Category]int{}
 	for _, h := range hits {
 		if len(out) >= k {
 			break
 		}
-		if seen[h.Entry.Category] >= 2 {
+		if seen[h.entry.Category] >= 2 {
 			continue
 		}
-		seen[h.Entry.Category]++
-		out = append(out, h.Entry)
+		seen[h.entry.Category]++
+		out = append(out, h.entry)
 	}
 	return out
 }
@@ -140,10 +132,9 @@ type Fuzzy struct {
 // Name implements Retriever.
 func (Fuzzy) Name() string { return "fuzzy-jaccard" }
 
-// Params resolves the effective shingle size and similarity floor,
-// applying the zero-value defaults. Index-backed retrieval (internal/memo)
-// uses it so both paths agree on the parameters.
-func (f Fuzzy) Params() (shingleK int, minSim float64) {
+// params resolves the effective shingle size and similarity floor,
+// applying the zero-value defaults.
+func (f Fuzzy) params() (shingleK int, minSim float64) {
 	shingleK = f.ShingleK
 	if shingleK == 0 {
 		shingleK = 3
@@ -157,7 +148,7 @@ func (f Fuzzy) Params() (shingleK int, minSim float64) {
 
 // Retrieve implements Retriever.
 func (f Fuzzy) Retrieve(db *Database, log string, k int) []Entry {
-	shingleK, minSim := f.Params()
+	shingleK, minSim := f.params()
 	logSet := cluster.Shingles(log, shingleK)
 	type scored struct {
 		e   Entry
@@ -193,7 +184,7 @@ func (Keyword) Name() string { return "keyword" }
 // Retrieve implements Retriever.
 func (Keyword) Retrieve(db *Database, log string, k int) []Entry {
 	lower := strings.ToLower(log)
-	var hits []ScoredEntry
+	var hits []scoredEntry
 	for _, e := range db.entries {
 		score := 0
 		for _, p := range e.Patterns {
@@ -204,10 +195,10 @@ func (Keyword) Retrieve(db *Database, log string, k int) []Entry {
 			}
 		}
 		if score > 0 {
-			hits = append(hits, ScoredEntry{e, score})
+			hits = append(hits, scoredEntry{e, score})
 		}
 	}
-	return SelectByScore(hits, k)
+	return selectByScore(hits, k)
 }
 
 // Render formats retrieved entries the way the agent's observation shows

@@ -156,18 +156,6 @@ func TestRenderGuidance(t *testing.T) {
 	}
 }
 
-func TestDatabaseAdd(t *testing.T) {
-	db := NewDatabase(nil)
-	db.Add(Entry{ID: "x-1", Category: diag.CatGiveUp, Patterns: []string{"zzz"}, Guidance: "g"})
-	if db.Len() != 1 {
-		t.Fatal("add failed")
-	}
-	got := ExactTag{}.Retrieve(db, "log with zzz inside", 1)
-	if len(got) != 1 || got[0].ID != "x-1" {
-		t.Fatalf("stored entry not retrievable: %v", got)
-	}
-}
-
 func TestPaperFig3GuidanceExamplesPresent(t *testing.T) {
 	// The two guidance texts the paper quotes in Fig. 3 must exist.
 	var hasClk, hasIndex bool

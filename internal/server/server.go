@@ -525,22 +525,17 @@ var errFixerPoolFull = errors.New("fixer pool full: too many distinct configurat
 // fixerFor returns the pooled fixer for a configuration, building it on
 // first use. The pool is the point of the daemon: every request against
 // the same configuration shares one compile cache and retrieval index.
-// Construction runs outside fixersMu — it builds the retrieval index,
-// and that must never stall every other request behind the pool lock.
-// Racing builders of one configuration both construct; the loser's
-// fixer is discarded.
+// Construction is a few microseconds (both caches start empty), so it
+// runs under fixersMu and each configuration is built once.
 func (s *Server) fixerFor(key fixerKey) (*core.RTLFixer, error) {
 	s.fixersMu.Lock()
+	defer s.fixersMu.Unlock()
 	if f, ok := s.fixers[key]; ok {
-		s.fixersMu.Unlock()
 		return f, nil
 	}
 	if len(s.fixers) >= maxFixerConfigs {
-		s.fixersMu.Unlock()
 		return nil, errFixerPoolFull
 	}
-	s.fixersMu.Unlock()
-
 	f, err := core.New(core.Options{
 		CompilerName:    key.compiler,
 		PersonaName:     key.persona,
@@ -553,15 +548,6 @@ func (s *Server) fixerFor(key fixerKey) (*core.RTLFixer, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-
-	s.fixersMu.Lock()
-	defer s.fixersMu.Unlock()
-	if cur, ok := s.fixers[key]; ok {
-		return cur, nil // a racer registered first; serve its fixer
-	}
-	if len(s.fixers) >= maxFixerConfigs {
-		return nil, errFixerPoolFull
 	}
 	s.fixers[key] = f
 	return f, nil

@@ -770,17 +770,39 @@ func fmtField(v any) string {
 }
 
 // TestStatsReportsPerCacheLayers checks the /v1/stats breakdown: the
-// aggregate cache counters equal the sum of the per-layer ones, and no
-// store section is reported.
+// aggregate cache counters equal the sum of the per-layer ones, the
+// fix's retrievals count in the retrieval layer, every layer reports
+// hits, misses and evictions only, and no store section is reported.
 func TestStatsReportsPerCacheLayers(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
+	retrievals := func(doc map[string]any) float64 {
+		return num(t, doc, "cache.retrieval.hits") + num(t, doc, "cache.retrieval.misses")
+	}
+	before := retrievals(s.Stats())
 	if status, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource}); status != http.StatusOK {
 		t.Fatalf("fix status = %d", status)
 	}
 	doc := s.Stats()
-	sum := num(t, doc, "cache.frontend.hits") + num(t, doc, "cache.compile.hits") + num(t, doc, "cache.sim.hits") + num(t, doc, "cache.trace.hits") + num(t, doc, "cache.retrieval.hits") + num(t, doc, "cache.reads.hits")
-	if hits := num(t, doc, "cache.hits"); hits != sum {
-		t.Fatalf("aggregate hits %v != per-layer sum %v", hits, sum)
+	layers := []string{"frontend", "compile", "sim", "trace", "retrieval", "reads"}
+	for _, event := range []string{"hits", "misses", "evictions"} {
+		sum := 0.0
+		for _, l := range layers {
+			sum += num(t, doc, "cache."+l+"."+event)
+		}
+		if total := num(t, doc, "cache."+event); total != sum {
+			t.Fatalf("aggregate %s %v != per-layer sum %v", event, total, sum)
+		}
+	}
+	if retrievals(doc) == before {
+		t.Fatal("the fix's guidance retrievals did not reach the retrieval layer")
+	}
+	for _, l := range layers {
+		if _, ok := lookup(doc, "cache."+l+".lookups"); ok {
+			t.Fatalf("stats carry cache.%s.lookups", l)
+		}
+	}
+	if _, ok := lookup(doc, "cache.lookups"); ok {
+		t.Fatal("stats carry cache.lookups")
 	}
 	if _, ok := doc["store"]; ok {
 		t.Fatal("stats must not carry a store section")

@@ -163,9 +163,9 @@ func (s *Server) declareMetrics() {
 // each layer's effectiveness is observable on its own; /v1/stats also keeps
 // the all-layer totals under "cache".
 func declareCacheMetrics(r *metrics.Registry) {
-	events := [][2]string{{"hit", "hits"}, {"miss", "misses"}, {"eviction", "evictions"}, {"lookup", "lookups"}}
+	events := [][2]string{{"hit", "hits"}, {"miss", "misses"}, {"eviction", "evictions"}}
 	count := func(s memo.Stats, event int) float64 {
-		return float64([]uint64{s.Hits, s.Misses, s.Evictions, s.Lookups}[event])
+		return float64([]uint64{s.Hits, s.Misses, s.Evictions}[event])
 	}
 	layers := []struct {
 		name  string
