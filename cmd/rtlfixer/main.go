@@ -35,8 +35,9 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/fuzz"
 	"repro/internal/pipeline"
+	"repro/internal/sema"
+	"repro/internal/sim"
 	"repro/internal/wave"
 )
 
@@ -174,33 +175,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// observeFixed runs one fixed design through the differential simulation
-// path with the wave observers on: -coverage summarizes toggle coverage
-// to stderr, -vcd writes a full waveform dump named after the input.
+// observeFixed runs one fixed design once through the differential
+// simulation path with the wave observers on, as vlint -coverage/-vcd
+// does: -coverage summarizes toggle coverage to stderr, -vcd writes a
+// full waveform dump named after the input. The clock is the design's
+// clock input (sim.ClockInput).
 func observeFixed(stderr io.Writer, name, code string, wantCov bool, vcdDir string) {
-	if wantCov {
-		cov := wave.NewCoverage()
-		if _, err := fuzz.CheckSourceCov(code, 8, 1, cov); err != nil {
-			fmt.Fprintf(stderr, "rtlfixer: %s: coverage skipped: %v\n", name, err)
-		} else {
-			fmt.Fprintf(stderr, "rtlfixer: %s: %s\n", name, cov.Stats())
-		}
+	clock := ""
+	if _, design, _ := sema.ParseAndElaborate(code); design != nil {
+		clock = sim.ClockInput(design)
 	}
-	if vcdDir == "" {
+	var cov *wave.Coverage
+	var rec *wave.Recorder
+	if wantCov {
+		cov = wave.NewCoverage()
+	}
+	if vcdDir != "" {
+		rec = wave.NewRecorder(0) // unbounded: dump the whole run
+	}
+	if _, err := sim.DiffSource(code, sim.DiffConfig{
+		Clock:    clock,
+		Cycles:   8,
+		Seed:     1,
+		Coverage: cov,
+		Recorder: rec,
+	}); err != nil {
+		fmt.Fprintf(stderr, "rtlfixer: %s: simulation skipped: %v\n", name, err)
+		return
+	}
+	if cov != nil {
+		fmt.Fprintf(stderr, "rtlfixer: %s: %s\n", name, cov.Stats())
+	}
+	if rec == nil {
 		return
 	}
 	if err := os.MkdirAll(vcdDir, 0o755); err != nil {
 		fmt.Fprintf(stderr, "rtlfixer: %v\n", err)
 		return
 	}
-	vcd, err := fuzz.CaptureVCD(code, 8, 1, 0)
-	if err != nil {
-		fmt.Fprintf(stderr, "rtlfixer: %s: vcd skipped: %v\n", name, err)
-		return
-	}
 	base := strings.TrimSuffix(filepath.Base(name), filepath.Ext(name))
 	out := filepath.Join(vcdDir, base+".vcd")
-	if err := os.WriteFile(out, []byte(vcd), 0o644); err != nil {
+	if err := os.WriteFile(out, []byte(rec.VCD()), 0o644); err != nil {
 		fmt.Fprintf(stderr, "rtlfixer: %v\n", err)
 	}
 }

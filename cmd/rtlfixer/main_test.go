@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,5 +87,57 @@ func TestHelpExitsZero(t *testing.T) {
 	}
 	if code, _, _ := runCLI("--help"); code != 0 {
 		t.Fatal("--help must exit 0")
+	}
+}
+
+// TestCoverageMatchesVlint: rtlfixer -coverage and vlint -coverage find
+// the clock the same way (sim.ClockInput) and print the same summary.
+// An input named clk_en is not a clock, and one named clock is; a text
+// match on "input clk" once got both wrong in rtlfixer alone.
+func TestCoverageMatchesVlint(t *testing.T) {
+	dir := t.TempDir()
+	vlint := filepath.Join(dir, "vlint")
+	if out, err := exec.Command("go", "build", "-o", vlint, "repro/cmd/vlint").CombinedOutput(); err != nil {
+		t.Fatalf("building vlint: %v\n%s", err, out)
+	}
+	designs := map[string]string{
+		"clk_en.v": `module top_module(input clk_en, input [3:0] d, output [3:0] q);
+	assign q = clk_en ? d : 4'd0;
+endmodule
+`,
+		"clock.v": `module top_module(input clock, input [3:0] d, output reg [3:0] q);
+	always @(posedge clock) q <= d;
+endmodule
+`,
+	}
+	for name, src := range designs {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, _, stderr := runCLI("-quiet", "-coverage", path)
+		if code != 0 {
+			t.Fatalf("%s: rtlfixer exit = %d (stderr: %s)", name, code, stderr)
+		}
+		got, ok := strings.CutPrefix(strings.TrimSpace(stderr), "rtlfixer: "+path+": ")
+		if !ok {
+			t.Fatalf("%s: no rtlfixer coverage summary in %q", name, stderr)
+		}
+		out, err := exec.Command(vlint, "-coverage", path).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s: vlint: %v\n%s", name, err, out)
+		}
+		var want string
+		for _, line := range strings.Split(string(out), "\n") {
+			if s, ok := strings.CutPrefix(line, "vlint: "+path+": "); ok {
+				want = s
+			}
+		}
+		if want == "" || got != want {
+			t.Errorf("%s: rtlfixer -coverage = %q, vlint -coverage = %q", name, got, want)
+		}
+		if !strings.HasPrefix(got, "coverage 100.0%: 18/18 toggle points") {
+			t.Errorf("%s: coverage = %q, want all 18 toggle points", name, got)
+		}
 	}
 }

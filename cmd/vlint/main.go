@@ -200,7 +200,7 @@ func observeRun(w io.Writer, name, src string, design *sema.Design, wantCov bool
 		rec = wave.NewRecorder(0) // unbounded: dump the whole run
 	}
 	if _, err := sim.DiffSource(src, sim.DiffConfig{
-		Clock:    clockInput(design),
+		Clock:    sim.ClockInput(design),
 		Cycles:   8,
 		Seed:     1,
 		Coverage: cov,
@@ -216,17 +216,6 @@ func observeRun(w io.Writer, name, src string, design *sema.Design, wantCov bool
 		return os.WriteFile(vcdFile, []byte(rec.VCD()), 0o644)
 	}
 	return nil
-}
-
-// clockInput finds the design's clock-looking input port, if any.
-func clockInput(d *sema.Design) string {
-	for _, in := range d.Inputs() {
-		switch strings.ToLower(in.Name) {
-		case "clk", "clock":
-			return in.Name
-		}
-	}
-	return ""
 }
 
 // vcdPath derives the per-file -vcd output path: the path as given for

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/sema"
 )
 
 // findingsFor runs one rule over a source and returns its findings.
@@ -222,6 +223,22 @@ endmodule`, false)
 	fires(t, "width-trunc", `module m(output [3:0] y);
 	assign y = 8'hF0;
 endmodule`, true)
+	// Slice bounds fold with sema's folder, $clog2 included: the slice
+	// is 8 bits, so the XOR is too.
+	got = fires(t, "width-trunc", `module m #(parameter N = 16) (input [7:0] a, input [7:0] b, output [3:0] y);
+	assign y = a[$clog2(N)+3:0] ^ b;
+endmodule`, true)
+	if want := "expression produces 8 bits but the assignment target is 4 bits wide; the upper 4 bits are silently dropped"; got[0].Message != want {
+		t.Fatalf("message = %q, want %q", got[0].Message, want)
+	}
+	// With both sides shape-sized, sema's own check reports it instead.
+	clogCovered := `module m #(parameter N = 16) (input [7:0] a, output [3:0] y);
+	assign y = a[$clog2(N)+3:0];
+endmodule`
+	fires(t, "width-trunc", clogCovered, false)
+	if _, _, diags := sema.ParseAndElaborate(clogCovered); len(diags) != 1 || diags[0].Category != diag.CatWidthMismatch {
+		t.Fatalf("sema should report the width mismatch once: %s", diags.Summary())
+	}
 }
 
 func TestReadBeforeWrite(t *testing.T) {

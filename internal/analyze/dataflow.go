@@ -37,33 +37,14 @@ func lhsReads(lhs verilog.Expr, dst map[string]diag.Pos) {
 	}
 }
 
-// lhsBases lists the root names an l-value writes, in syntactic order.
-func lhsBases(lhs verilog.Expr) []string {
-	switch x := lhs.(type) {
-	case *verilog.Ident:
-		return []string{x.Name}
-	case *verilog.Index:
-		return lhsBases(x.X)
-	case *verilog.Slice:
-		return lhsBases(x.X)
-	case *verilog.Concat:
-		var out []string
-		for _, el := range x.Elems {
-			out = append(out, lhsBases(el)...)
-		}
-		return out
-	}
-	return nil
-}
-
 // lhsPartialBases lists the root names written through a bit- or
 // part-select (not whole-signal writes).
 func lhsPartialBases(lhs verilog.Expr) []string {
 	switch x := lhs.(type) {
 	case *verilog.Index:
-		return lhsBases(x.X)
+		return verilog.LHSBases(x.X)
 	case *verilog.Slice:
-		return lhsBases(x.X)
+		return verilog.LHSBases(x.X)
 	case *verilog.Concat:
 		var out []string
 		for _, el := range x.Elems {
@@ -105,7 +86,7 @@ func blockWrites(body verilog.Stmt) map[string]diag.Pos {
 		if !ok {
 			return
 		}
-		for _, name := range lhsBases(as.LHS) {
+		for _, name := range verilog.LHSBases(as.LHS) {
 			if _, seen := writes[name]; !seen {
 				writes[name] = as.Pos()
 			}
@@ -161,7 +142,7 @@ func assignSets(s verilog.Stmt) (must, may map[string]bool) {
 	switch x := s.(type) {
 	case nil:
 	case *verilog.AssignStmt:
-		for _, n := range lhsBases(x.LHS) {
+		for _, n := range verilog.LHSBases(x.LHS) {
 			must[n], may[n] = true, true
 		}
 	case *verilog.BlockStmt:
@@ -369,7 +350,7 @@ func (fw *flowWalker) assign(as *verilog.AssignStmt, st *flowState, ctrl map[str
 		var tmp verilog.Expr = &verilog.Ident{Name: name, NamePos: idxReads[name]}
 		union(srcs, fw.exprSources(tmp, st))
 	}
-	bases := lhsBases(as.LHS)
+	bases := verilog.LHSBases(as.LHS)
 	partial := map[string]bool{}
 	for _, n := range lhsPartialBases(as.LHS) {
 		partial[n] = true

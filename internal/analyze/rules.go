@@ -104,7 +104,7 @@ func runNonblockingInComb(p *pass) {
 				return
 			}
 			sym := ""
-			if bases := lhsBases(as.LHS); len(bases) > 0 {
+			if bases := verilog.LHSBases(as.LHS); len(bases) > 0 {
 				sym = bases[0]
 			}
 			p.report(as.Pos(), nil, sym,
@@ -125,7 +125,7 @@ func runBlockingInSeq(p *pass) {
 			if !ok || !as.Blocking {
 				return
 			}
-			for _, name := range lhsBases(as.LHS) {
+			for _, name := range verilog.LHSBases(as.LHS) {
 				if locals[name] {
 					continue
 				}
@@ -155,7 +155,7 @@ func runWriteRace(p *pass) {
 	for _, item := range p.mod.Items {
 		switch it := item.(type) {
 		case *verilog.AssignItem:
-			for _, name := range lhsBases(it.LHS) {
+			for _, name := range verilog.LHSBases(it.LHS) {
 				contSites[name] = append(contSites[name], it.Pos())
 			}
 		case *verilog.Decl:
@@ -218,7 +218,7 @@ func runCombLoop(p *pass) {
 		srcs := map[string]diag.Pos{}
 		addReads(rhs, srcs)
 		lhsReads(lhs, srcs)
-		for _, t := range lhsBases(lhs) {
+		for _, t := range verilog.LHSBases(lhs) {
 			for _, s := range sortedNames(srcs) {
 				addEdge(s, t)
 			}
@@ -299,13 +299,13 @@ func runWidthTrunc(p *pass) {
 		// sema's own width checker handles the cases it can compute;
 		// this rule covers only what sema deliberately leaves unknown
 		// (operator results, sized literals, mixed shapes).
-		if _, semaL := p.semaWidth(lhs); semaL {
-			if _, semaR := p.semaWidth(rhs); semaR {
+		if _, semaL := p.design.StaticWidth(lhs); semaL {
+			if _, semaR := p.design.StaticWidth(rhs); semaR {
 				return
 			}
 		}
 		sym := ""
-		if bases := lhsBases(lhs); len(bases) > 0 {
+		if bases := verilog.LHSBases(lhs); len(bases) > 0 {
 			sym = bases[0]
 		}
 		if rw > lw {
@@ -385,7 +385,7 @@ func runDeadSignal(p *pass) {
 	reads := map[string]diag.Pos{}
 	writes := map[string]diag.Pos{}
 	noteWrites := func(lhs verilog.Expr, pos diag.Pos) {
-		for _, n := range lhsBases(lhs) {
+		for _, n := range verilog.LHSBases(lhs) {
 			if _, ok := writes[n]; !ok {
 				writes[n] = pos
 			}

@@ -6,71 +6,11 @@ import (
 	"repro/internal/verilog"
 )
 
-// constInt folds a constant expression to an int: sized/unsized numeric
-// literals, parameter references, and the arithmetic the corpus uses in
-// range bounds (WIDTH-1 and friends).
-func (p *pass) constInt(e verilog.Expr) (int, bool) {
-	switch n := e.(type) {
-	case *verilog.Number:
-		v, err := n.Value()
-		if err != nil {
-			return 0, false
-		}
-		u := v.Uint64()
-		if v.Width() == 32 && u > 0x7FFFFFFF {
-			return int(int32(uint32(u))), true
-		}
-		if u > 1<<31 {
-			return 0, false
-		}
-		return int(u), true
-	case *verilog.Ident:
-		if p.design.Params != nil {
-			if v, ok := p.design.Params[n.Name]; ok {
-				u := v.Uint64()
-				if v.Width() == 32 && u > 0x7FFFFFFF {
-					return int(int32(uint32(u))), true
-				}
-				if u > 1<<31 {
-					return 0, false
-				}
-				return int(u), true
-			}
-		}
-	case *verilog.Unary:
-		if x, ok := p.constInt(n.X); ok {
-			switch n.Op {
-			case "-":
-				return -x, true
-			case "+":
-				return x, true
-			}
-		}
-	case *verilog.Binary:
-		x, okX := p.constInt(n.X)
-		y, okY := p.constInt(n.Y)
-		if okX && okY {
-			switch n.Op {
-			case "+":
-				return x + y, true
-			case "-":
-				return x - y, true
-			case "*":
-				return x * y, true
-			case "/":
-				if y != 0 {
-					return x / y, true
-				}
-			}
-		}
-	}
-	return 0, false
-}
-
 // widthOf computes a static bit width with full operator support — the
-// superset of sema's deliberately conservative exprWidth. The second
-// return is false when the width is genuinely context-dependent
-// (unsized literals, parameters, unknown names).
+// superset of sema's deliberately conservative Design.StaticWidth.
+// Constant bounds and counts fold with sema's folder (Design.ConstInt).
+// The second return is false when the width is genuinely
+// context-dependent (unsized literals, parameters, unknown names).
 func (p *pass) widthOf(e verilog.Expr) (int, bool) {
 	switch n := e.(type) {
 	case *verilog.Ident:
@@ -88,22 +28,7 @@ func (p *pass) widthOf(e verilog.Expr) (int, bool) {
 	case *verilog.Index:
 		return 1, true
 	case *verilog.Slice:
-		switch n.Kind {
-		case verilog.SelectConst:
-			hi, okH := p.constInt(n.Hi)
-			lo, okL := p.constInt(n.Lo)
-			if okH && okL {
-				d := hi - lo
-				if d < 0 {
-					d = -d
-				}
-				return d + 1, true
-			}
-		case verilog.SelectPlus, verilog.SelectMinus:
-			if w, ok := p.constInt(n.Lo); ok {
-				return w, true
-			}
-		}
+		return p.design.SliceWidth(n)
 	case *verilog.Unary:
 		switch n.Op {
 		case "&", "|", "^", "~&", "~|", "~^", "^~", "!":
@@ -147,7 +72,7 @@ func (p *pass) widthOf(e verilog.Expr) (int, bool) {
 		}
 		return total, true
 	case *verilog.Repl:
-		cnt, okC := p.constInt(n.Count)
+		cnt, okC := p.design.ConstInt(n.Count)
 		w, okW := p.widthOf(n.Value)
 		if okC && okW && cnt >= 0 {
 			return cnt * w, true
@@ -158,59 +83,6 @@ func (p *pass) widthOf(e verilog.Expr) (int, bool) {
 			if len(n.Args) == 1 {
 				return p.widthOf(n.Args[0])
 			}
-		}
-	}
-	return 0, false
-}
-
-// semaWidth mirrors sema's exprWidth shape-for-shape: when it returns
-// true, the frontend's own width checker already had the information to
-// warn, and L007 stays silent to avoid double-reporting.
-func (p *pass) semaWidth(e verilog.Expr) (int, bool) {
-	switch n := e.(type) {
-	case *verilog.Ident:
-		if sig := p.signal(n.Name); sig != nil {
-			return sig.Width(), true
-		}
-		if p.design.Params != nil {
-			if v, ok := p.design.Params[n.Name]; ok {
-				return v.Width(), true
-			}
-		}
-	case *verilog.Index:
-		return 1, true
-	case *verilog.Slice:
-		switch n.Kind {
-		case verilog.SelectConst:
-			hi, okH := p.constInt(n.Hi)
-			lo, okL := p.constInt(n.Lo)
-			if okH && okL {
-				d := hi - lo
-				if d < 0 {
-					d = -d
-				}
-				return d + 1, true
-			}
-		case verilog.SelectPlus, verilog.SelectMinus:
-			if w, ok := p.constInt(n.Lo); ok {
-				return w, true
-			}
-		}
-	case *verilog.Concat:
-		total := 0
-		for _, el := range n.Elems {
-			w, ok := p.semaWidth(el)
-			if !ok {
-				return 0, false
-			}
-			total += w
-		}
-		return total, true
-	case *verilog.Repl:
-		cnt, okC := p.constInt(n.Count)
-		w, okW := p.semaWidth(n.Value)
-		if okC && okW {
-			return cnt * w, true
 		}
 	}
 	return 0, false

@@ -74,7 +74,8 @@ func RunSimFeedback(seed int64, sampleN int) *SimFeedbackResult {
 				tr := rtlfixer.Fix("main.v", sample, rng.Int63())
 				code = tr.FinalCode
 			}
-			syntaxPass := passes(p, code, vecSeed)
+			syntaxOut, _ := evaluate(p, code, vecSeed, sim.TBObserve{})
+			syntaxPass := syntaxOut == outcomePassed
 
 			// Stage 2: simulation-feedback repair for the samples that
 			// compile but fail simulation.
@@ -82,7 +83,8 @@ func RunSimFeedback(seed int64, sampleN int) *SimFeedbackResult {
 			if !syntaxPass {
 				if _, design, _ := compiler.Frontend(code); design != nil {
 					repaired := simRepairLoop(p, code, persona, vecSeed, rng)
-					simPass = passes(p, repaired, vecSeed)
+					simOut, _ := evaluate(p, repaired, vecSeed, sim.TBObserve{})
+					simPass = simOut == outcomePassed
 				}
 			}
 
@@ -120,16 +122,6 @@ func RunSimFeedback(seed int64, sampleN int) *SimFeedbackResult {
 	return res
 }
 
-// passes compiles and simulates a candidate.
-func passes(p *dataset.Problem, code string, vecSeed int64) bool {
-	clean := fixer.Fix(code).Code
-	if _, design, _ := compiler.Frontend(clean); design == nil {
-		return false
-	}
-	r, err := p.Check(clean, rand.New(rand.NewSource(vecSeed)))
-	return err == nil && r.Passed()
-}
-
 // SimFeedbackText renders the paper-style simulation feedback for a
 // failing candidate: the mismatch summary plus a bounded VCD excerpt
 // windowed around the first mismatch — the text an agent iteration sees.
@@ -137,13 +129,8 @@ func passes(p *dataset.Problem, code string, vecSeed int64) bool {
 // seeded experiment consume nothing from their campaign RNG. Empty when
 // the candidate does not compile, errors out, or actually passes.
 func SimFeedbackText(p *dataset.Problem, code string, vecSeed int64) string {
-	clean := fixer.Fix(code).Code
-	if _, design, _ := compiler.Frontend(clean); design == nil {
-		return ""
-	}
-	rec := wave.NewRecorder(8)
-	r, err := p.CheckObserved(clean, rand.New(rand.NewSource(vecSeed)), sim.TBObserve{Recorder: rec})
-	if err != nil || r.Passed() {
+	_, r := evaluate(p, code, vecSeed, sim.TBObserve{Recorder: wave.NewRecorder(8)})
+	if r.Passed() {
 		return ""
 	}
 	var b strings.Builder
@@ -196,7 +183,7 @@ func simRepairLoop(p *dataset.Problem, code string, persona llm.Persona, vecSeed
 		cur = candidate
 		// The only signal the loop acts on is pass/fail of a full
 		// resimulation between iterations.
-		if passes(p, cur, vecSeed) {
+		if out, _ := evaluate(p, cur, vecSeed, sim.TBObserve{}); out == outcomePassed {
 			return cur
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/curate"
-	"repro/internal/llm"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
@@ -230,6 +229,3 @@ func (r *Table1Result) RenderFigure7() string {
 	}
 	return b.String()
 }
-
-// Persona shortcut used across bench files.
-var _ = llm.GPT35

@@ -14,6 +14,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
+	"repro/internal/sim"
 )
 
 // Table2Config parameterizes the pass@k experiment.
@@ -94,17 +95,24 @@ func (o sampleOutcome) String() string {
 	}
 }
 
-// evaluate compiles and simulates one candidate against its problem.
-func evaluate(p *dataset.Problem, code string, vecSeed int64) sampleOutcome {
+// evaluate is the one scorer of a candidate: pre-fix it, require a
+// clean frontend, then check it on the problem's testbench (stimulus
+// drawn from vecSeed) with obs attached. The check result is returned
+// only when the run completed; it is zero, and so reads as passed, when
+// the candidate does not compile or the check errors.
+func evaluate(p *dataset.Problem, code string, vecSeed int64, obs sim.TBObserve) (sampleOutcome, sim.TBResult) {
 	clean := fixer.Fix(code).Code
 	if _, design, _ := compiler.Frontend(clean); design == nil {
-		return outcomeCompileError
+		return outcomeCompileError, sim.TBResult{}
 	}
-	res, err := p.Check(clean, rand.New(rand.NewSource(vecSeed)))
-	if err != nil || !res.Passed() {
-		return outcomeSimError
+	res, err := p.CheckObserved(clean, rand.New(rand.NewSource(vecSeed)), obs)
+	if err != nil {
+		return outcomeSimError, sim.TBResult{}
 	}
-	return outcomePassed
+	if !res.Passed() {
+		return outcomeSimError, res
+	}
+	return outcomePassed, res
 }
 
 // RunTable2 reproduces Table 2 and Figure 4: generate n samples per
@@ -178,7 +186,7 @@ func RunTable2(cfg Table2Config) *Table2Result {
 				totalSamples++
 				tallies[pi].n++
 
-				orig := evaluate(p, sample, vecSeed)
+				orig, _ := evaluate(p, sample, vecSeed, sim.TBObserve{})
 				inner[orig.String()+"-"+string(p.Difficulty)]++
 				rec := sampleRec{pi: pi, vecSeed: vecSeed, orig: orig, fixJob: -1}
 				if orig == outcomePassed {
@@ -213,7 +221,7 @@ func RunTable2(cfg Table2Config) *Table2Result {
 			p := problems[rec.pi]
 			fixed := rec.orig
 			if rec.fixJob >= 0 {
-				fixed = evaluate(p, fixResults[rec.fixJob].Transcript.FinalCode, rec.vecSeed)
+				fixed, _ = evaluate(p, fixResults[rec.fixJob].Transcript.FinalCode, rec.vecSeed, sim.TBObserve{})
 			}
 			outer[fixed.String()+"-"+string(p.Difficulty)]++
 			if fixed == outcomePassed {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
+	"repro/internal/sim"
 )
 
 // Table3Config parameterizes the RTLLM generalization experiment.
@@ -87,7 +88,7 @@ func RunTable3(cfg Table3Config) *Table3Result {
 			total++
 			ns[pi]++
 
-			orig := evaluate(p, sample, vecSeed)
+			orig, _ := evaluate(p, sample, vecSeed, sim.TBObserve{})
 			if orig != outcomeCompileError {
 				origCompiles++
 			}
@@ -117,7 +118,7 @@ func RunTable3(cfg Table3Config) *Table3Result {
 	for _, rec := range recs {
 		fixed := rec.orig
 		if rec.fixJob >= 0 {
-			fixed = evaluate(problems[rec.pi], fixResults[rec.fixJob].Transcript.FinalCode, rec.vecSeed)
+			fixed, _ = evaluate(problems[rec.pi], fixResults[rec.fixJob].Transcript.FinalCode, rec.vecSeed, sim.TBObserve{})
 		}
 		if fixed != outcomeCompileError {
 			fixedCompiles++

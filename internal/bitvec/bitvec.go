@@ -10,6 +10,7 @@ package bitvec
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -130,6 +131,34 @@ func (v Vec) Uint64() uint64 {
 		return 0
 	}
 	return v.words[0]
+}
+
+// ShiftCount reads v as the unsigned count of a shift operator: its
+// value, or math.MaxInt32 when that is larger (a count at or above a
+// vector's width shifts every bit out). A shift operator must not pass
+// int(v.Uint64()) instead: counts of 2^63 and above turn negative, which
+// Shl and Shr take as a shift the other way (2^63 itself recurses
+// without end), and bits above the low 64 are dropped.
+func (v Vec) ShiftCount() int {
+	for i := 1; i < len(v.words); i++ {
+		if v.words[i] != 0 {
+			return math.MaxInt32
+		}
+	}
+	if u := v.Uint64(); u < math.MaxInt32 {
+		return int(u)
+	}
+	return math.MaxInt32
+}
+
+// Clog2 is the ceiling of log2(u), the value of $clog2 on the low 64
+// bits of its argument: 0 for u <= 1, and 64 for every u above 2^63,
+// where a doubling loop would never end (1<<64 is 0 in Go).
+func Clog2(u uint64) int {
+	if u <= 1 {
+		return 0
+	}
+	return bits.Len64(u - 1)
 }
 
 // IsZero reports whether every bit is zero.

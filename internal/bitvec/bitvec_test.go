@@ -250,3 +250,62 @@ func TestPropPopCountAfterXor(t *testing.T) {
 		}
 	}
 }
+
+// TestClog2 pins $clog2 at the edges of the 64-bit range against the
+// doubling loop the backends used, bounded at 64 steps: unbounded, the
+// loop never ends above 2^63 because 1<<64 is 0.
+func TestClog2(t *testing.T) {
+	ref := func(u uint64) int {
+		r := 0
+		for r < 64 && uint64(1)<<r < u {
+			r++
+		}
+		return r
+	}
+	cases := map[uint64]int{
+		0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3,
+		1 << 63: 63, 1<<63 + 1: 64, ^uint64(0): 64,
+	}
+	for u, want := range cases {
+		if got := Clog2(u); got != want || got != ref(u) {
+			t.Errorf("Clog2(%#x) = %d, want %d (reference %d)", u, got, want, ref(u))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		u := rng.Uint64() >> uint(rng.Intn(64))
+		if got := Clog2(u); got != ref(u) {
+			t.Fatalf("Clog2(%#x) = %d, reference %d", u, got, ref(u))
+		}
+	}
+}
+
+// TestShiftCount pins the shift operators' unsigned count: the value
+// below 2^31, saturated above it and whenever a bit above the low 64 is
+// set, never negative.
+func TestShiftCount(t *testing.T) {
+	cases := []struct {
+		v    Vec
+		want int
+	}{
+		{Vec{}, 0},
+		{FromUint64(8, 7), 7},
+		{FromUint64(64, 1<<31-2), 1<<31 - 2},
+		{FromUint64(64, 1<<31), 1<<31 - 1},
+		{FromUint64(64, 1<<63), 1<<31 - 1},
+		{FromUint64(64, 1<<64-1), 1<<31 - 1},
+		{FromUint64(65, 0).SetBit(64, true), 1<<31 - 1},
+	}
+	for _, tc := range cases {
+		if got := tc.v.ShiftCount(); got != tc.want {
+			t.Errorf("ShiftCount(%s) = %d, want %d", tc.v, got, tc.want)
+		}
+	}
+	// A saturated count shifts every bit out, in either direction.
+	a := FromUint64(8, 0x81)
+	for _, n := range []Vec{FromUint64(64, 1<<63), FromUint64(64, 1<<64-1)} {
+		if !a.Shl(n.ShiftCount()).IsZero() || !a.Shr(n.ShiftCount()).IsZero() {
+			t.Errorf("0x81 shifted by %s is not zero", n)
+		}
+	}
+}

@@ -222,7 +222,7 @@ func (e *elaborator) collectParams(m *verilog.Module) {
 				e.declareUnknownParam(dn.Name)
 				continue
 			}
-			v, ok := e.evalConst(dn.Init)
+			v, ok := e.design.constValue(dn.Init)
 			if !ok {
 				e.errorf(diag.CatNonConstantExpr, dn.NamePos, dn.Name,
 					"Parameter values must be constant expressions.",
@@ -297,8 +297,8 @@ func (e *elaborator) rangeBounds(r *verilog.Range, kind verilog.NetKind) (msb, l
 		}
 		return 0, 0
 	}
-	m, okM := e.evalConstInt(r.MSB)
-	l, okL := e.evalConstInt(r.LSB)
+	m, okM := e.design.ConstInt(r.MSB)
+	l, okL := e.design.ConstInt(r.LSB)
 	if !okM || !okL {
 		e.errorf(diag.CatNonConstantExpr, r.Pos(), "",
 			"Range bounds must be constant expressions.",
@@ -405,7 +405,7 @@ func (e *elaborator) checkDrivers(m *verilog.Module) {
 	for _, item := range m.Items {
 		switch it := item.(type) {
 		case *verilog.AssignItem:
-			for _, name := range lhsBaseNames(it.LHS) {
+			for _, name := range verilog.LHSBases(it.LHS) {
 				if assignSites[name] == nil {
 					assignNames = append(assignNames, name)
 				}
@@ -418,7 +418,7 @@ func (e *elaborator) checkDrivers(m *verilog.Module) {
 				if !ok {
 					return
 				}
-				for _, name := range lhsBaseNames(as.LHS) {
+				for _, name := range verilog.LHSBases(as.LHS) {
 					if !seen[name] {
 						seen[name] = true
 						if alwaysSites[name] == nil {
@@ -458,40 +458,24 @@ func (e *elaborator) checkDrivers(m *verilog.Module) {
 	}
 }
 
-// lhsBaseNames lists the root signal names an l-value writes.
-func lhsBaseNames(lhs verilog.Expr) []string {
-	switch x := lhs.(type) {
-	case *verilog.Ident:
-		return []string{x.Name}
-	case *verilog.Index:
-		return lhsBaseNames(x.X)
-	case *verilog.Slice:
-		return lhsBaseNames(x.X)
-	case *verilog.Concat:
-		var out []string
-		for _, el := range x.Elems {
-			out = append(out, lhsBaseNames(el)...)
-		}
-		return out
-	}
-	return nil
-}
-
 // ---------- expression checking ----------
 
-// lookup resolves a name against locals, params, then module signals.
-func (e *elaborator) lookup(name string) *Signal {
-	if e.locals != nil {
-		if s, ok := e.locals[name]; ok {
-			return s
-		}
+// lookup resolves a name against the elaborator's block locals, then
+// the module scope.
+func (e *elaborator) lookup(name string) *Signal { return e.design.lookup(name, e.locals) }
+
+// lookup resolves a name against locals (nil at module scope), params,
+// then module signals.
+func (d *Design) lookup(name string, locals map[string]*Signal) *Signal {
+	if s, ok := locals[name]; ok {
+		return s
 	}
-	if _, ok := e.design.Params[name]; ok {
+	if _, ok := d.Params[name]; ok {
 		// Parameters behave as constants; model as a 32-bit signal for
 		// range purposes.
 		return &Signal{Name: name, MSB: 31, LSB: 0}
 	}
-	return e.design.Signals[name]
+	return d.Signals[name]
 }
 
 func (e *elaborator) checkExpr(expr verilog.Expr) {
@@ -529,7 +513,7 @@ func (e *elaborator) checkIndex(n *verilog.Index) {
 	if sig == nil {
 		return // undeclared base reported separately
 	}
-	idx, ok := e.evalConstInt(n.Idx)
+	idx, ok := e.design.ConstInt(n.Idx)
 	if !ok {
 		return // dynamic index: legal, checked at runtime by the simulator
 	}
@@ -548,8 +532,8 @@ func (e *elaborator) checkSlice(n *verilog.Slice) {
 	}
 	switch n.Kind {
 	case verilog.SelectConst:
-		hi, okH := e.evalConstInt(n.Hi)
-		lo, okL := e.evalConstInt(n.Lo)
+		hi, okH := e.design.ConstInt(n.Hi)
+		lo, okL := e.design.ConstInt(n.Lo)
 		if !okH || !okL {
 			e.errorf(diag.CatNonConstantExpr, n.Pos(), sig.Name,
 				"Part-select bounds must be constant; use an indexed part-select '[base +: width]' for variable bases.",
@@ -570,7 +554,7 @@ func (e *elaborator) checkSlice(n *verilog.Slice) {
 				hi, lo, sig.MSB, sig.LSB, sig.Name)
 		}
 	case verilog.SelectPlus, verilog.SelectMinus:
-		w, ok := e.evalConstInt(n.Lo)
+		w, ok := e.design.ConstInt(n.Lo)
 		if !ok {
 			e.errorf(diag.CatNonConstantExpr, n.Pos(), sig.Name,
 				"The width of an indexed part-select must be constant.",
@@ -758,46 +742,39 @@ func (e *elaborator) checkLHSBase(base verilog.Expr, pos diag.Pos, mode lhsMode)
 // checkWidths emits a width-mismatch warning when both sides have
 // statically-known widths that disagree. Warnings never fail compilation.
 func (e *elaborator) checkWidths(lhs, rhs verilog.Expr, pos diag.Pos) {
-	lw, okL := e.exprWidth(lhs)
-	rw, okR := e.exprWidth(rhs)
+	lw, okL := e.design.staticWidth(lhs, e.locals)
+	rw, okR := e.design.staticWidth(rhs, e.locals)
 	if okL && okR && lw != rw {
 		e.warnf(diag.CatWidthMismatch, pos, "",
 			"assignment target is %d bits but expression is %d bits", lw, rw)
 	}
 }
 
-// exprWidth computes a conservative static width. The second return is
-// false when the width is context-dependent (plain numbers, comparisons
-// feeding muxes, etc. are deliberately excluded to avoid noisy warnings).
-func (e *elaborator) exprWidth(x verilog.Expr) (int, bool) {
+// StaticWidth is the width rule of sema's own width check, at module
+// scope: the width of x when it is statically known from its shape
+// alone (signals, bit- and part-selects, concatenations, replications),
+// false when it is context-dependent (plain numbers, operator results
+// and the like are deliberately left out to avoid noisy warnings). A
+// parameter reads as 32 bits. When StaticWidth knows both sides of a
+// continuous or procedural assignment, the elaborator has already
+// compared them.
+func (d *Design) StaticWidth(x verilog.Expr) (int, bool) { return d.staticWidth(x, nil) }
+
+// staticWidth is StaticWidth with block locals in scope.
+func (d *Design) staticWidth(x verilog.Expr, locals map[string]*Signal) (int, bool) {
 	switch n := x.(type) {
 	case *verilog.Ident:
-		if sig := e.lookup(n.Name); sig != nil {
+		if sig := d.lookup(n.Name, locals); sig != nil {
 			return sig.Width(), true
 		}
 	case *verilog.Index:
 		return 1, true
 	case *verilog.Slice:
-		switch n.Kind {
-		case verilog.SelectConst:
-			hi, okH := e.evalConstInt(n.Hi)
-			lo, okL := e.evalConstInt(n.Lo)
-			if okH && okL {
-				d := hi - lo
-				if d < 0 {
-					d = -d
-				}
-				return d + 1, true
-			}
-		case verilog.SelectPlus, verilog.SelectMinus:
-			if w, ok := e.evalConstInt(n.Lo); ok {
-				return w, true
-			}
-		}
+		return d.SliceWidth(n)
 	case *verilog.Concat:
 		total := 0
 		for _, el := range n.Elems {
-			w, ok := e.exprWidth(el)
+			w, ok := d.staticWidth(el, locals)
 			if !ok {
 				return 0, false
 			}
@@ -805,8 +782,8 @@ func (e *elaborator) exprWidth(x verilog.Expr) (int, bool) {
 		}
 		return total, true
 	case *verilog.Repl:
-		cnt, okC := e.evalConstInt(n.Count)
-		w, okW := e.exprWidth(n.Value)
+		cnt, okC := d.ConstInt(n.Count)
+		w, okW := d.staticWidth(n.Value, locals)
 		if okC && okW {
 			return cnt * w, true
 		}
@@ -814,10 +791,31 @@ func (e *elaborator) exprWidth(x verilog.Expr) (int, bool) {
 	return 0, false
 }
 
+// SliceWidth is the width of a part-select whose bounds (or indexed
+// width) fold to constants.
+func (d *Design) SliceWidth(n *verilog.Slice) (int, bool) {
+	switch n.Kind {
+	case verilog.SelectConst:
+		hi, okH := d.ConstInt(n.Hi)
+		lo, okL := d.ConstInt(n.Lo)
+		if okH && okL {
+			return rangeWidth(hi, lo), true
+		}
+	case verilog.SelectPlus, verilog.SelectMinus:
+		return d.ConstInt(n.Lo)
+	}
+	return 0, false
+}
+
 // ---------- constant folding ----------
 
-func (e *elaborator) evalConstInt(x verilog.Expr) (int, bool) {
-	v, ok := e.evalConst(x)
+// ConstInt folds a constant expression to an int: literals, parameter
+// references, and the operators, system calls and ternaries the
+// elaborator accepts in parameter values and range bounds, with
+// bit-vector wraparound. It is the one constant folder behind the
+// frontend and the semantic analyzer, and reads only d.Params.
+func (d *Design) ConstInt(x verilog.Expr) (int, bool) {
+	v, ok := d.constValue(x)
 	if !ok {
 		return 0, false
 	}
@@ -834,7 +832,7 @@ func (e *elaborator) evalConstInt(x verilog.Expr) (int, bool) {
 	return int(u), true
 }
 
-func (e *elaborator) evalConst(x verilog.Expr) (bitvec.Vec, bool) {
+func (d *Design) constValue(x verilog.Expr) (bitvec.Vec, bool) {
 	switch n := x.(type) {
 	case *verilog.Number:
 		v, err := n.Value()
@@ -843,12 +841,12 @@ func (e *elaborator) evalConst(x verilog.Expr) (bitvec.Vec, bool) {
 		}
 		return v, true
 	case *verilog.Ident:
-		if v, ok := e.design.Params[n.Name]; ok {
+		if v, ok := d.Params[n.Name]; ok {
 			return v, true
 		}
 		return bitvec.Vec{}, false
 	case *verilog.Unary:
-		v, ok := e.evalConst(n.X)
+		v, ok := d.constValue(n.X)
 		if !ok {
 			return bitvec.Vec{}, false
 		}
@@ -867,33 +865,28 @@ func (e *elaborator) evalConst(x verilog.Expr) (bitvec.Vec, bool) {
 		}
 		return bitvec.Vec{}, false
 	case *verilog.Binary:
-		a, okA := e.evalConst(n.X)
-		b, okB := e.evalConst(n.Y)
+		a, okA := d.constValue(n.X)
+		b, okB := d.constValue(n.Y)
 		if !okA || !okB {
 			return bitvec.Vec{}, false
 		}
 		return foldBinary(n.Op, a, b)
 	case *verilog.Ternary:
-		c, ok := e.evalConst(n.Cond)
+		c, ok := d.constValue(n.Cond)
 		if !ok {
 			return bitvec.Vec{}, false
 		}
 		if c.Bool() {
-			return e.evalConst(n.Then)
+			return d.constValue(n.Then)
 		}
-		return e.evalConst(n.Else)
+		return d.constValue(n.Else)
 	case *verilog.Call:
 		if n.Name == "$clog2" && len(n.Args) == 1 {
-			v, ok := e.evalConst(n.Args[0])
+			v, ok := d.constValue(n.Args[0])
 			if !ok {
 				return bitvec.Vec{}, false
 			}
-			u := v.Uint64()
-			r := 0
-			for (uint64(1) << r) < u {
-				r++
-			}
-			return bitvec.FromUint64(32, uint64(r)), true
+			return bitvec.FromUint64(32, uint64(bitvec.Clog2(v.Uint64()))), true
 		}
 		return bitvec.Vec{}, false
 	}
@@ -931,9 +924,9 @@ func foldBinary(op string, a, b bitvec.Vec) (bitvec.Vec, bool) {
 	case "^":
 		return a.Xor(b), true
 	case "<<", "<<<":
-		return a.Shl(int(b.Uint64())), true
+		return a.Shl(b.ShiftCount()), true
 	case ">>", ">>>":
-		return a.Shr(int(b.Uint64())), true
+		return a.Shr(b.ShiftCount()), true
 	case "==", "===":
 		return boolVec(a.Eq(b)), true
 	case "!=", "!==":

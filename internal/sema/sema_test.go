@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/diag"
 	"repro/internal/verilog"
@@ -616,5 +617,116 @@ func TestDesignBitsLimit(t *testing.T) {
 	if len(limits) != 1 || limits[0].Pos.Line != 1 ||
 		!strings.Contains(limits[0].Message, "7864320002 bits of signal state, over the limit of 1048576 bits per design") {
 		t.Fatalf("want one design-bits error at the header, got %s", limits.Summary())
+	}
+}
+
+// TestClog2TopOfRange elaborates $clog2 of constants at the top of the
+// 64-bit range within a deadline: the doubling loop the folder once ran
+// never ended above 2^63, hanging vlint, /v1/lint and /v1/fix.
+func TestClog2TopOfRange(t *testing.T) {
+	cases := map[string]uint64{
+		"64'd0": 0, "64'd1": 0, "64'd2": 1, "64'd3": 2,
+		"64'h8000000000000000": 63, "64'h8000000000000001": 64, "64'hFFFFFFFFFFFFFFFF": 64,
+	}
+	for lit, want := range cases {
+		done := make(chan *Design, 1)
+		go func() {
+			file, _ := verilog.Parse("module m(output [31:0] y);\n\tlocalparam P = $clog2(" + lit + ");\n\tassign y = P;\nendmodule\n")
+			d, _ := Elaborate(file)
+			done <- d
+		}()
+		select {
+		case d := <-done:
+			if got := d.Params["P"].Uint64(); got != want {
+				t.Errorf("$clog2(%s) = %d, want %d", lit, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("$clog2(%s) did not elaborate within 10s", lit)
+		}
+	}
+}
+
+// TestDesignConstInt is the folder analyze reads: it folds what the
+// elaborator accepts in parameter values — $clog2, shifts, ternaries —
+// with 32-bit wraparound, reading only Design.Params.
+func TestDesignConstInt(t *testing.T) {
+	d := wantClean(t, `
+module m #(parameter N = 16) (input x, output y);
+	assign y = x;
+endmodule`)
+	cases := map[string]struct {
+		want int
+		ok   bool
+	}{
+		"$clog2(N)":         {4, true},
+		"$clog2(N) - 1":     {3, true},
+		"N >> 2":            {4, true},
+		"1 << 4":            {16, true},
+		"N > 8 ? N : 8":     {16, true},
+		"0 - 1":             {-1, true},
+		"N / 0":             {0, false},
+		"M":                 {0, false},
+		"64'h100000000":     {0, false},
+		"(N * 2) % 5":       {2, true},
+		"~0":                {-1, true},
+		"$clog2(N + 1) * 2": {10, true},
+		// A shift count is unsigned: 2^63 and up shift every bit out
+		// (2^63 once recursed without end, 2^64-1 shifted the other way),
+		// and so does a count with a bit above the low 64.
+		"1 << 64'h8000000000000000":  {0, true},
+		"4 >> 64'hFFFFFFFFFFFFFFFF":  {0, true},
+		"1 << 65'h10000000000000000": {0, true},
+	}
+	for src, tc := range cases {
+		file, diags := verilog.Parse("module t; localparam Q = " + src + "; endmodule")
+		if diags.HasErrors() {
+			t.Fatalf("%s: %s", src, diags.Summary())
+		}
+		x := file.Modules[0].Items[0].(*verilog.ParamDecl).Names[0].Init
+		got, ok := d.ConstInt(x)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("ConstInt(%s) = %d, %v; want %d, %v", src, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestStaticWidthScope pins the width rule sema's width check uses: at
+// module scope (StaticWidth) a parameter is 32 bits and a block local
+// is unknown; the elaborator runs the same rule with its locals in
+// scope, so an assignment to a narrower local warns.
+func TestStaticWidthScope(t *testing.T) {
+	src := `
+module m #(parameter W = 4) (input [7:0] a, output reg [7:0] y);
+	always @(*) begin : blk
+		reg [3:0] t;
+		t = a;
+		y = {a[W-1:0], a[$clog2(W*4)-1:0]};
+	end
+endmodule`
+	d, diags := elab(t, src)
+	var widths []string
+	for _, dg := range diags {
+		if dg.Category == diag.CatWidthMismatch {
+			widths = append(widths, fmt.Sprintf("%d: %s", dg.Pos.Line, dg.Message))
+		}
+	}
+	if want := []string{"5: assignment target is 4 bits but expression is 8 bits"}; fmt.Sprint(widths) != fmt.Sprint(want) {
+		t.Fatalf("width warnings = %q, want %q", widths, want)
+	}
+	for _, tc := range []struct {
+		name string
+		x    verilog.Expr
+		want int
+		ok   bool
+	}{
+		{"param", &verilog.Ident{Name: "W"}, 32, true},
+		{"local", &verilog.Ident{Name: "t"}, 0, false},
+		{"port", &verilog.Ident{Name: "a"}, 8, true},
+		{"number", &verilog.Number{Text: "8'hFF"}, 0, false},
+	} {
+		got, ok := d.StaticWidth(tc.x)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("StaticWidth(%s) = %d, %v; want %d, %v", tc.name, got, ok, tc.want, tc.ok)
+		}
 	}
 }

@@ -301,12 +301,17 @@ func TestBrownoutShedsLint(t *testing.T) {
 // literal made constant interning allocate gigabytes; both killed the
 // process. The compiler's register-state bound and the literal-size
 // bound refuse them, so each request is answered, allocates little, and
-// the process stays healthy.
+// the process stays healthy. Constants at the top of the 64-bit range
+// are time, not space: $clog2 of 2^64-1 looped forever in sema's folder,
+// and a shift by 2^63 recursed in the folder and both backends until the
+// stack overflowed. bitvec.Clog2 and bitvec.(Vec).ShiftCount bound them.
 func TestHostileExpressionsDoNotKillServer(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, src := range []string{
 		"module top_module(input a, output y); wire [7:0] w = {4096{{4096{{4096{a}}}}}}; assign y = w[0]; endmodule",
 		"module top_module(input a, output y); assign y = a ^ 2000000000'd0; endmodule",
+		"module top_module(output [31:0] y); localparam P = $clog2(64'hFFFFFFFFFFFFFFFF); assign y = P; endmodule",
+		"module top_module(input [7:0] a, output [7:0] y); localparam P = 1 << 64'h8000000000000000; assign y = (a << 64'h8000000000000000) ^ P; endmodule",
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -9,11 +9,8 @@
 package server
 
 import (
-	"strings"
-
 	"repro/internal/agent"
 	"repro/internal/resilience"
-	"repro/internal/sema"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wave"
@@ -94,7 +91,7 @@ func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) (result s
 		}
 		return "settle_error"
 	}
-	if clk := clockInput(sm.Design()); clk != "" {
+	if clk := sim.ClockInput(sm.Design()); clk != "" {
 		sp.SetStr("clock", clk)
 		if err := sm.ClockPulse(clk); err != nil {
 			if resilience.IsWatchdog(err) {
@@ -104,15 +101,4 @@ func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) (result s
 		}
 	}
 	return "ok"
-}
-
-// clockInput finds the design's clock-looking input port, if any.
-func clockInput(d *sema.Design) string {
-	for _, in := range d.Inputs() {
-		switch strings.ToLower(in.Name) {
-		case "clk", "clock":
-			return in.Name
-		}
-	}
-	return ""
 }

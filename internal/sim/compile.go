@@ -63,7 +63,7 @@ const (
 	opMul
 	opDiv // low-64 quotient at a's width, 0 on division by zero
 	opMod
-	opShl // dst = a << int(b.Uint64()) at a's width
+	opShl // dst = a << b.ShiftCount() at a's width
 	opShr
 	opEq // 1-bit comparison results
 	opNe
@@ -468,7 +468,7 @@ func (c *compiler) snapshotSlots(blk *verilog.AlwaysBlock) []int32 {
 		if !ok {
 			return
 		}
-		for _, name := range lhsNames(a.LHS) {
+		for _, name := range verilog.LHSBases(a.LHS) {
 			if slot, ok := c.prog.slotOf[name]; ok && !seen[slot] {
 				seen[slot] = true
 				out = append(out, slot)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/bitvec"
@@ -17,6 +18,21 @@ import (
 // unit tests, the generative fuzz harness (internal/fuzz), and the
 // delta-debugging minimizer. All three must agree on what "diverges"
 // means, so none of them roll their own loop.
+
+// ClockInput names the design's clock input, the first input port
+// called clk or clock in any letter case, or "" when the design is to be
+// driven combinationally. It is the one clock lookup of the tools that
+// simulate a design they did not write a testbench for: vlint and
+// rtlfixer -coverage/-vcd, and the fix service's sim check.
+func ClockInput(d *sema.Design) string {
+	for _, in := range d.Inputs() {
+		switch strings.ToLower(in.Name) {
+		case "clk", "clock":
+			return in.Name
+		}
+	}
+	return ""
+}
 
 // DiffConfig controls one differential run.
 type DiffConfig struct {

@@ -371,9 +371,9 @@ func (e *engine) exec(code []instr) error {
 		case opMod:
 			regs[in.dst].ModLowOf(regs[in.a], regs[in.b])
 		case opShl:
-			regs[in.dst].ShlOf(regs[in.a], int(regs[in.b].Uint64()))
+			regs[in.dst].ShlOf(regs[in.a], regs[in.b].ShiftCount())
 		case opShr:
-			regs[in.dst].ShrOf(regs[in.a], int(regs[in.b].Uint64()))
+			regs[in.dst].ShrOf(regs[in.a], regs[in.b].ShiftCount())
 		case opEq:
 			regs[in.dst].SetBool(regs[in.a].Eq(regs[in.b]))
 		case opNe:
@@ -407,12 +407,7 @@ func (e *engine) exec(code []instr) error {
 		case opPopCnt:
 			regs[in.dst].SetUint64(uint64(regs[in.a].PopCount()))
 		case opClog2:
-			u := regs[in.a].Uint64()
-			r := 0
-			for r < 64 && uint64(1)<<r < u {
-				r++
-			}
-			regs[in.dst].SetUint64(uint64(r))
+			regs[in.dst].SetUint64(uint64(bitvec.Clog2(regs[in.a].Uint64())))
 		case opConcat:
 			regs[in.dst].ConcatOf(regs[in.a], regs[in.b])
 		case opRepeatC:

@@ -1,6 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/sema"
+)
 
 // TestEngineRegressions is the permanent home for every minimized
 // walker-vs-engine divergence. Each entry started life as a fuzzer or
@@ -131,6 +137,19 @@ module top_module(input [7:0] in, output [7:0] out);
 	assign out = ~((in[7] ? (in - 1) : in));
 endmodule`,
 		},
+		{
+			// $clog2 of a 64-bit input: the walker's doubling loop
+			// never ended above 2^63 (1<<64 is 0 in Go), while the
+			// engine stopped at 64; half of all random x, and every
+			// ~x below 2^63, sit there. Fixed by bitvec.Clog2 in
+			// both backends and sema (TestClog2Range pins x = 2^64-1).
+			name: "clog2_top_of_range", clock: "", cycles: 32, seed: 31,
+			src: `
+module m(input [63:0] x, output [31:0] y, output [31:0] z);
+	assign y = $clog2(x);
+	assign z = $clog2(~x);
+endmodule`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,6 +202,94 @@ endmodule`, map[string]uint64{"c": 1, "a": 5}, 261},
 			}
 			if got := s.Get("y").Uint64(); got != tc.want {
 				t.Errorf("%s engine %d: y = %#x, want %#x", tc.name, eng, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestClog2Range pins $clog2 at the edges of the 64-bit range on both
+// backends and in sema's constant folder, within a deadline: the
+// walker's and sema's doubling loops never ended above 2^63.
+func TestClog2Range(t *testing.T) {
+	design := buildDesign(t, `
+module m(input [63:0] x, output [31:0] y);
+	assign y = $clog2(x);
+endmodule`)
+	cases := []struct{ u, want uint64 }{
+		{0, 0}, {1, 0}, {2, 1}, {3, 2},
+		{1 << 63, 63}, {1<<63 + 1, 64}, {1<<64 - 1, 64},
+	}
+	for _, tc := range cases {
+		done := make(chan string, 1)
+		go func() {
+			var got []uint64
+			for _, eng := range []Engine{EngineCompiled, EngineWalker} {
+				s, err := NewWith(design, eng)
+				if err == nil {
+					err = s.SetInputUint("x", tc.u)
+				}
+				if err == nil {
+					err = s.Settle()
+				}
+				if err != nil {
+					done <- err.Error()
+					return
+				}
+				got = append(got, s.Get("y").Uint64())
+			}
+			_, d, _ := sema.ParseAndElaborate(fmt.Sprintf("module m(output [31:0] y);\n\tlocalparam P = $clog2(64'd%d);\n\tassign y = P;\nendmodule\n", tc.u))
+			got = append(got, d.Params["P"].Uint64())
+			if got[0] != tc.want || got[1] != tc.want || got[2] != tc.want {
+				done <- fmt.Sprintf("engine, walker, sema = %v, want %d", got, tc.want)
+				return
+			}
+			done <- ""
+		}()
+		select {
+		case msg := <-done:
+			if msg != "" {
+				t.Errorf("$clog2(%#x): %s", tc.u, msg)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("$clog2(%#x) did not settle within 10s", tc.u)
+		}
+	}
+}
+
+// TestShiftCountRange pins shifts by 64-bit counts on both backends: a
+// count is unsigned, so 2^63 and up shift every bit out. Converted
+// straight to int, 2^64-1 shifted the other way on both backends alike
+// (so the differential could not see it), and a constant count of 2^63
+// recursed until the stack overflowed.
+func TestShiftCountRange(t *testing.T) {
+	design := buildDesign(t, `
+module m(input [7:0] a, input [63:0] x, output [7:0] y, output [7:0] z, output [7:0] w);
+	assign y = a << x;
+	assign z = a >> x;
+	assign w = a << 64'h8000000000000000;
+endmodule`)
+	cases := []struct{ x, y, z uint64 }{
+		{0, 0x81, 0x81}, {3, 0x08, 0x10}, {8, 0, 0},
+		{1 << 63, 0, 0}, {1<<64 - 1, 0, 0},
+	}
+	for _, eng := range []Engine{EngineCompiled, EngineWalker} {
+		s, err := NewWith(design, eng)
+		if err != nil {
+			t.Fatalf("engine %d: %v", eng, err)
+		}
+		for _, tc := range cases {
+			if err := s.SetInputUint("a", 0x81); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetInputUint("x", tc.x); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Settle(); err != nil {
+				t.Fatal(err)
+			}
+			y, z, w := s.Get("y").Uint64(), s.Get("z").Uint64(), s.Get("w").Uint64()
+			if y != tc.y || z != tc.z || w != 0 {
+				t.Errorf("engine %d, x = %#x: y, z, w = %#x, %#x, %#x; want %#x, %#x, 0", eng, tc.x, y, z, w, tc.y, tc.z)
 			}
 		}
 	}

@@ -270,7 +270,7 @@ func snapshotTargets(s *walkerSim, blk *verilog.AlwaysBlock) map[string]bitvec.V
 		if !ok {
 			return
 		}
-		for _, name := range lhsNames(a.LHS) {
+		for _, name := range verilog.LHSBases(a.LHS) {
 			if v, ok := s.values[name]; ok {
 				out[name] = v
 			}
@@ -286,24 +286,6 @@ func equalSnapshot(s *walkerSim, snap map[string]bitvec.Vec) bool {
 		}
 	}
 	return true
-}
-
-func lhsNames(e verilog.Expr) []string {
-	switch x := e.(type) {
-	case *verilog.Ident:
-		return []string{x.Name}
-	case *verilog.Index:
-		return lhsNames(x.X)
-	case *verilog.Slice:
-		return lhsNames(x.X)
-	case *verilog.Concat:
-		var out []string
-		for _, el := range x.Elems {
-			out = append(out, lhsNames(el)...)
-		}
-		return out
-	}
-	return nil
 }
 
 // ---------- evaluation environment ----------
@@ -957,12 +939,7 @@ func (e *env) evalCall(n *verilog.Call) (bitvec.Vec, error) {
 			if err != nil {
 				return bitvec.Vec{}, err
 			}
-			u := v.Uint64()
-			r := 0
-			for (uint64(1) << r) < u {
-				r++
-			}
-			return bitvec.FromUint64(32, uint64(r)), nil
+			return bitvec.FromUint64(32, uint64(bitvec.Clog2(v.Uint64()))), nil
 		}
 	case "$countones":
 		if len(n.Args) == 1 {
@@ -1038,9 +1015,9 @@ func evalBinary(op string, a, b bitvec.Vec) (bitvec.Vec, error) {
 	case "~^", "^~":
 		return a.Xor(b).Not(), nil
 	case "<<", "<<<":
-		return a.Shl(int(b.Uint64())), nil
+		return a.Shl(b.ShiftCount()), nil
 	case ">>", ">>>":
-		return a.Shr(int(b.Uint64())), nil
+		return a.Shr(b.ShiftCount()), nil
 	case "==", "===":
 		return boolVec(a.Eq(b)), nil
 	case "!=", "!==":

@@ -22,12 +22,11 @@ import (
 type StageAgg struct {
 	mu    sync.Mutex
 	hists map[string]*metrics.Histogram
-	sums  map[string]float64
 }
 
 // NewStageAgg builds an empty aggregate.
 func NewStageAgg() *StageAgg {
-	return &StageAgg{hists: map[string]*metrics.Histogram{}, sums: map[string]float64{}}
+	return &StageAgg{hists: map[string]*metrics.Histogram{}}
 }
 
 // Observe folds one finished trace in — the Collector.SetOnFinish hook.
@@ -46,9 +45,7 @@ func (a *StageAgg) Observe(t *Trace) {
 			h = metrics.NewLatencyHistogram()
 			a.hists[name] = h
 		}
-		ms := float64(dur) / float64(time.Millisecond)
-		h.Observe(ms)
-		a.sums[name] += ms
+		h.Observe(float64(dur) / float64(time.Millisecond))
 	})
 }
 
@@ -139,11 +136,8 @@ func StageNames(stages map[string]metrics.HistogramSnapshot) []string {
 // table loadgen -stages and benchmark -stages print. Returns "" when
 // there is nothing to report.
 func RenderStageTable(stages map[string]metrics.HistogramSnapshot) string {
-	if len(stages) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(stages))
-	for name := range stages {
+	var names []string
+	for _, name := range StageNames(stages) {
 		if stages[name].Count > 0 {
 			names = append(names, name)
 		}
@@ -151,13 +145,6 @@ func RenderStageTable(stages map[string]metrics.HistogramSnapshot) string {
 	if len(names) == 0 {
 		return ""
 	}
-	sort.Slice(names, func(i, j int) bool {
-		ri, rj := stageRank(names[i]), stageRank(names[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return names[i] < names[j]
-	})
 	var b strings.Builder
 	b.WriteString("Stage latency attribution (ms per span):\n")
 	fmt.Fprintf(&b, "%-12s %8s %10s %10s %10s %10s %12s\n",

@@ -683,6 +683,26 @@ func WalkExprs(e Expr, fn func(Expr)) {
 	}
 }
 
+// LHSBases lists the root signal names an l-value writes, in syntactic
+// order: the base of every bit- and part-select, through concatenations.
+func LHSBases(lhs Expr) []string {
+	switch x := lhs.(type) {
+	case *Ident:
+		return []string{x.Name}
+	case *Index:
+		return LHSBases(x.X)
+	case *Slice:
+		return LHSBases(x.X)
+	case *Concat:
+		var out []string
+		for _, el := range x.Elems {
+			out = append(out, LHSBases(el)...)
+		}
+		return out
+	}
+	return nil
+}
+
 // WalkStmts calls fn for s and every sub-statement, pre-order.
 func WalkStmts(s Stmt, fn func(Stmt)) {
 	if s == nil {

@@ -71,4 +71,24 @@ HLOG="$("$VLINT" -coverage "$HOSTILE")" || true
 echo "$HLOG" | grep -q 'over the limit of 65536 bits' \
   || fail "$HOSTILE: the persona log does not report the width limit"
 
+# --- hostile input: $clog2 and shifts at the top of the 64-bit range --
+# A doubling loop never ends above 2^63 (1<<64 is 0 in Go): the $clog2
+# constant hung sema's folder, the 64-bit input hung the walker under
+# -coverage. A shift count of 2^63, read as a negative int, recursed in
+# sema's folder and both backends until the stack overflowed (a Go fatal
+# error exits 2). All must finish (timeout exits 124) with exit 0, and
+# $clog2(2^64-1) must read 64.
+for HOSTILE in testdata/hostile/clog2_constant.v testdata/hostile/clog2_input.v \
+               testdata/hostile/shift_top_of_range.v; do
+  rc=0; timeout 10 "$VLINT" "$HOSTILE" >/dev/null || rc=$?
+  [ "$rc" -eq 0 ] || fail "vlint on $HOSTILE exited $rc, want 0"
+  rc=0; CLOG="$(timeout 10 "$VLINT" -coverage "$HOSTILE" 2>&1)" || rc=$?
+  [ "$rc" -eq 0 ] || fail "vlint -coverage on $HOSTILE exited $rc, want 0"
+  echo "$CLOG" | grep -q "$HOSTILE: coverage" || fail "$HOSTILE: no coverage summary"
+done
+VCD="$(dirname "$VLINT")/clog2.vcd"
+timeout 10 "$VLINT" -vcd "$VCD" testdata/hostile/clog2_constant.v >/dev/null \
+  || fail "vlint -vcd on clog2_constant.v failed"
+grep -q '^b1000000 ' "$VCD" || fail "clog2_constant.v: y is not \$clog2(2^64-1) = 64 in the VCD"
+
 echo "vlint_smoke: OK"
