@@ -6,6 +6,8 @@
 package cluster
 
 import (
+	"cmp"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -144,32 +146,122 @@ func SetJaccard(a, b ShingleSet) float64 {
 // in curation.
 func SetJaccardDistance(a, b ShingleSet) float64 { return 1 - SetJaccard(a, b) }
 
-// DBSCAN clusters n points given a pairwise distance function. eps is the
-// neighbourhood radius and minPts the core-point density threshold
-// (including the point itself). The result assigns each point a cluster
-// id starting at 0, or Noise.
-//
-// dist must be symmetric: it is called once per unordered pair i<j, and
-// never for i == j (a point is always its own neighbour).
-func DBSCAN(n int, dist func(i, j int) float64, eps float64, minPts int) []int {
+// Neighbours returns every set's neighbours within Jaccard distance eps
+// (SetJaccardDistance(sets[i], sets[j]) <= eps): row i is ascending and
+// includes i itself. It is an exact all-pairs similarity join with
+// prefix filtering (Bayardo et al., "Scaling up all pairs similarity
+// search", WWW 2007): sets within the distance share at least
+// ceil(t·|x|) ids, for t = 1-eps, so ordering each set's ids rarest
+// first, any two such sets share an id among the first
+// |x| - ceil(t·|x|) + 1 of each. Only pairs sharing a prefix id are
+// measured, each once, with SetJaccardDistance itself. Empty sets have
+// no ids: they are each other's neighbours (distance 0) and nobody
+// else's below eps 1, and eps >= 1 makes every pair neighbours.
+func Neighbours(sets []ShingleSet, eps float64) [][]int {
+	n := len(sets)
+	rows := make([][]int, n)
+	if eps >= 1 {
+		for i := range rows {
+			rows[i] = make([]int, n)
+			for j := range rows[i] {
+				rows[i][j] = j
+			}
+		}
+		return rows
+	}
+	for i := range rows {
+		rows[i] = []int{i}
+	}
+	if !(eps >= 0) {
+		return rows // no distance is negative (or below NaN)
+	}
+
+	// Rank ids rarest first (ties by id), so prefixes hold rare ids and
+	// the index lists they meet are short.
+	freq := map[int32]int{}
+	for _, s := range sets {
+		for _, id := range s {
+			freq[id]++
+		}
+	}
+	ids := make([]int32, 0, len(freq))
+	for id := range freq {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b int32) int {
+		if freq[a] != freq[b] {
+			return freq[a] - freq[b]
+		}
+		return cmp.Compare(a, b)
+	})
+	rank := make(map[int32]int32, len(ids))
+	for r, id := range ids {
+		rank[id] = int32(r)
+	}
+	// A hair below 1-eps: a pair SetJaccardDistance accepts after
+	// rounding then still meets the bound, at the cost of a prefix one
+	// id longer in rare cases.
+	t := 1 - eps - 1e-9
+	prefixes := make([][]int32, n) // ranks
+	var empty []int
+	for i, s := range sets {
+		if len(s) == 0 {
+			empty = append(empty, i)
+			continue
+		}
+		p := make([]int32, len(s))
+		for k, id := range s {
+			p[k] = rank[id]
+		}
+		slices.Sort(p)
+		keep := len(s) - int(math.Ceil(t*float64(len(s)))) + 1
+		prefixes[i] = p[:min(max(keep, 0), len(p))]
+	}
+
+	// Index the prefixes; a set meets its candidates below it in the
+	// index as it is built, so each pair is measured once.
+	index := make([][]int, len(ids))
+	seen := make([]int, n) // seen[j] == i+1: j is already a candidate of i
+	for i, p := range prefixes {
+		for _, r := range p {
+			for _, j := range index[r] {
+				if seen[j] == i+1 {
+					continue
+				}
+				seen[j] = i + 1
+				if SetJaccardDistance(sets[i], sets[j]) <= eps {
+					rows[i] = append(rows[i], j)
+					rows[j] = append(rows[j], i)
+				}
+			}
+			index[r] = append(index[r], i)
+		}
+	}
+	for _, i := range empty {
+		for _, j := range empty {
+			if j != i {
+				rows[i] = append(rows[i], j)
+			}
+		}
+	}
+	for _, row := range rows {
+		slices.Sort(row)
+	}
+	return rows
+}
+
+// DBSCAN clusters points given their eps-neighbourhoods: row i of
+// neighbours lists the points within eps of point i, ascending and
+// including i, as Neighbours returns them. minPts is the core-point
+// density threshold, the point itself included. The result assigns each
+// point a cluster id starting at 0, or Noise.
+func DBSCAN(neighbours [][]int, minPts int) []int {
+	n := len(neighbours)
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = Noise
 	}
 	visited := make([]bool, n)
-
-	// Every point's eps-neighbours, ascending and including itself: by
-	// row i, the neighbours below i were appended by earlier rows.
-	neighbours := make([][]int, n)
-	for i := 0; i < n; i++ {
-		neighbours[i] = append(neighbours[i], i)
-		for j := i + 1; j < n; j++ {
-			if dist(i, j) <= eps {
-				neighbours[i] = append(neighbours[i], j)
-				neighbours[j] = append(neighbours[j], i)
-			}
-		}
-	}
 
 	cluster := 0
 	for p := 0; p < n; p++ {

@@ -64,6 +64,24 @@ func randSet(rng *rand.Rand) map[string]struct{} {
 	return out
 }
 
+// AllPairs is every point's eps-neighbours by measuring each unordered
+// pair once: row i ascending and including i. It is the loop DBSCAN ran
+// before Neighbours, kept as Neighbours' oracle (oracle_test.go) and as
+// the neighbour rows of these tests' distance functions.
+func AllPairs(n int, dist func(i, j int) float64, eps float64) [][]int {
+	rows := make([][]int, n)
+	for i := 0; i < n; i++ {
+		rows[i] = append(rows[i], i)
+		for j := i + 1; j < n; j++ {
+			if dist(i, j) <= eps {
+				rows[i] = append(rows[i], j)
+				rows[j] = append(rows[j], i)
+			}
+		}
+	}
+	return rows
+}
+
 // TestDBSCANTwoBlobs clusters two well-separated groups plus an outlier.
 func TestDBSCANTwoBlobs(t *testing.T) {
 	// 1-D points: cluster A around 0, cluster B around 10, outlier at 100.
@@ -75,7 +93,7 @@ func TestDBSCANTwoBlobs(t *testing.T) {
 		}
 		return d
 	}
-	labels := DBSCAN(len(points), dist, 0.5, 2)
+	labels := DBSCAN(AllPairs(len(points), dist, 0.5), 2)
 	if labels[0] != labels[1] || labels[1] != labels[2] || labels[2] != labels[3] {
 		t.Errorf("cluster A fragmented: %v", labels)
 	}
@@ -99,7 +117,7 @@ func TestDBSCANAllNoise(t *testing.T) {
 		}
 		return d
 	}
-	labels := DBSCAN(len(points), dist, 1, 2)
+	labels := DBSCAN(AllPairs(len(points), dist, 1), 2)
 	for i, l := range labels {
 		if l != Noise {
 			t.Errorf("point %d should be noise, got %d", i, l)
@@ -110,7 +128,7 @@ func TestDBSCANAllNoise(t *testing.T) {
 func TestDBSCANSingleCluster(t *testing.T) {
 	n := 20
 	dist := func(i, j int) float64 { return 0.01 }
-	labels := DBSCAN(n, dist, 0.5, 3)
+	labels := DBSCAN(AllPairs(n, dist, 0.5), 3)
 	for i := 1; i < n; i++ {
 		if labels[i] != labels[0] {
 			t.Fatalf("all points should share one cluster: %v", labels)
@@ -119,7 +137,7 @@ func TestDBSCANSingleCluster(t *testing.T) {
 }
 
 func TestDBSCANEmpty(t *testing.T) {
-	labels := DBSCAN(0, func(i, j int) float64 { return 0 }, 0.5, 2)
+	labels := DBSCAN(nil, 2)
 	if len(labels) != 0 {
 		t.Fatal("empty input should give empty labels")
 	}
@@ -134,7 +152,7 @@ func TestRepresentativesOnePerClusterPlusNoise(t *testing.T) {
 		}
 		return d
 	}
-	labels := DBSCAN(len(points), dist, 0.5, 2)
+	labels := DBSCAN(AllPairs(len(points), dist, 0.5), 2)
 	reps := Representatives(labels, dist)
 	// two clusters -> 2 reps, plus the noise point
 	if len(reps) != 3 {
@@ -163,8 +181,8 @@ func TestDBSCANDeterministic(t *testing.T) {
 		}
 		return d
 	}
-	first := DBSCAN(len(points), dist, 1.0, 3)
-	second := DBSCAN(len(points), dist, 1.0, 3)
+	first := DBSCAN(AllPairs(len(points), dist, 1.0), 3)
+	second := DBSCAN(AllPairs(len(points), dist, 1.0), 3)
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatal("DBSCAN not deterministic")
@@ -183,8 +201,7 @@ func TestSimilarCodeClusters(t *testing.T) {
 		"module c(input clk, input rst, output reg [7:0] q); always @(posedge clk) q <= rst ? 8'h00 : q + 1; endmodule",
 	}
 	sets := InternShingles(variants, 3)
-	dist := func(i, j int) float64 { return SetJaccardDistance(sets[i], sets[j]) }
-	labels := DBSCAN(len(variants), dist, 0.4, 2)
+	labels := DBSCAN(Neighbours(sets, 0.4), 2)
 	if labels[0] != labels[1] || labels[1] != labels[2] {
 		t.Errorf("near-duplicates split: %v", labels)
 	}

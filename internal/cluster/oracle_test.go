@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,7 +12,7 @@ import (
 	"repro/internal/dataset"
 )
 
-// referenceDBSCAN is the per-point DBSCAN the pair-once version replaced:
+// referenceDBSCAN is the per-point DBSCAN the neighbour-row version replaced:
 // each visited point scans all n points for its neighbours, so every
 // unordered pair is measured twice. Kept as the oracle for DBSCAN.
 func referenceDBSCAN(n int, dist func(i, j int) float64, eps float64, minPts int) []int {
@@ -120,12 +121,12 @@ func TestSetJaccardMatchesMap(t *testing.T) {
 	}
 }
 
-// checkDBSCAN asserts DBSCAN and its Representatives equal the
-// reference's on one input.
-func checkDBSCAN(t *testing.T, name string, n int, dist func(i, j int) float64, eps float64, minPts int) {
+// checkDBSCAN asserts DBSCAN over the given neighbour rows, and its
+// Representatives, equal the reference's on one input.
+func checkDBSCAN(t *testing.T, name string, rows [][]int, dist func(i, j int) float64, eps float64, minPts int) {
 	t.Helper()
-	want := referenceDBSCAN(n, dist, eps, minPts)
-	got := cluster.DBSCAN(n, dist, eps, minPts)
+	want := referenceDBSCAN(len(rows), dist, eps, minPts)
+	got := cluster.DBSCAN(rows, minPts)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: labels\n got %v\nwant %v", name, got, want)
 	}
@@ -134,9 +135,10 @@ func checkDBSCAN(t *testing.T, name string, n int, dist func(i, j int) float64, 
 	}
 }
 
-// TestDBSCANMatchesReferenceRandom runs both DBSCANs on random symmetric
-// distance matrices (zero diagonal) whose entries are multiples of 0.05,
-// so many sit exactly at eps, for n from 0 up.
+// TestDBSCANMatchesReferenceRandom runs DBSCAN over all-pairs neighbour
+// rows and the reference on random symmetric distance matrices (zero
+// diagonal) whose entries are multiples of 0.05, so many sit exactly at
+// eps, for n from 0 up.
 func TestDBSCANMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 400; trial++ {
@@ -154,15 +156,14 @@ func TestDBSCANMatchesReferenceRandom(t *testing.T) {
 		dist := func(i, j int) float64 { return m[i][j] }
 		eps := float64(rng.Intn(21)) * 0.05
 		minPts := 1 + rng.Intn(5)
-		checkDBSCAN(t, "random", n, dist, eps, minPts)
+		checkDBSCAN(t, "random", cluster.AllPairs(n, dist, eps), dist, eps, minPts)
 	}
 }
 
-// TestDBSCANMatchesReferenceOnCurationInput runs both DBSCANs on what
-// curation clusters: every filtered sample (a Target above the pool size
-// returns the whole pool), at curation's default eps and minPts and a
-// few others.
-func TestDBSCANMatchesReferenceOnCurationInput(t *testing.T) {
+// curationSets is what curation clusters: the shingle sets of every
+// filtered sample (a Target above the pool size returns the whole pool).
+func curationSets(t testing.TB) []cluster.ShingleSet {
+	t.Helper()
 	entries, stats := curate.Build(curate.Options{Seed: 2024, Target: 1 << 20})
 	if len(entries) != stats.Filtered {
 		t.Fatalf("got %d entries, want the whole filtered pool of %d", len(entries), stats.Filtered)
@@ -171,12 +172,100 @@ func TestDBSCANMatchesReferenceOnCurationInput(t *testing.T) {
 	for i, e := range entries {
 		codes[i] = e.Code
 	}
-	sets := cluster.InternShingles(codes, 4)
+	return cluster.InternShingles(codes, 4)
+}
+
+// TestDBSCANMatchesReferenceOnCurationInput runs DBSCAN over Neighbours
+// rows and the reference on curation's input, at curation's default eps
+// and minPts and a few others.
+func TestDBSCANMatchesReferenceOnCurationInput(t *testing.T) {
+	sets := curationSets(t)
 	dist := func(i, j int) float64 { return cluster.SetJaccardDistance(sets[i], sets[j]) }
 	for _, c := range []struct {
 		eps    float64
 		minPts int
 	}{{0.35, 2}, {0.2, 3}, {0.5, 2}} {
-		checkDBSCAN(t, "curation input", len(codes), dist, c.eps, c.minPts)
+		checkDBSCAN(t, "curation input", cluster.Neighbours(sets, c.eps), dist, c.eps, c.minPts)
 	}
+}
+
+// TestNeighboursMatchesAllPairs: the prefix-filtered join's rows equal
+// the all-pairs rows over the corpus documents (empty and
+// shorter-than-a-shingle inputs included) and over curation's input, at
+// eps from 0 to 1, and on random small sets where many distances sit
+// exactly at eps.
+func TestNeighboursMatchesAllPairs(t *testing.T) {
+	inputs := map[string][]cluster.ShingleSet{
+		"corpus":   cluster.InternShingles(corpusDocs(t), 4),
+		"curation": curationSets(t),
+	}
+	for name, sets := range inputs {
+		dist := func(i, j int) float64 { return cluster.SetJaccardDistance(sets[i], sets[j]) }
+		for _, eps := range []float64{0, 0.2, 0.35, 0.5, 1} {
+			checkNeighbours(t, fmt.Sprintf("%s eps %v", name, eps), sets, dist, eps)
+		}
+	}
+	// 1-3/10 rounds to 0.7 exactly, while (1-0.7)*10 rounds above 3: a
+	// prefix sized from 1-eps itself would hold only x's seven ids that
+	// y lacks, and lose the pair.
+	x := cluster.ShingleSet{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	y := cluster.ShingleSet{0, 1, 2}
+	rounding := []cluster.ShingleSet{x, y}
+	checkNeighbours(t, "rounding", rounding, func(i, j int) float64 {
+		return cluster.SetJaccardDistance(rounding[i], rounding[j])
+	}, 0.7)
+	if rows := cluster.Neighbours(rounding, 0.7); len(rows[0]) != 2 {
+		t.Fatalf("rounding: rows %v, want the pair", rows)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		sets := make([]cluster.ShingleSet, trial%30)
+		for i := range sets {
+			var s cluster.ShingleSet
+			for id := int32(0); id < 10; id++ {
+				if rng.Intn(3) == 0 {
+					s = append(s, id)
+				}
+			}
+			sets[i] = s
+		}
+		dist := func(i, j int) float64 { return cluster.SetJaccardDistance(sets[i], sets[j]) }
+		eps := []float64{-0.1, 0, 0.1, 0.2, 0.25, 1.0 / 3, 0.5, 2.0 / 3, 0.75, 0.9, 1, 1.5}[trial%12]
+		checkNeighbours(t, fmt.Sprintf("random trial %d eps %v", trial, eps), sets, dist, eps)
+	}
+}
+
+func checkNeighbours(t *testing.T, name string, sets []cluster.ShingleSet, dist func(i, j int) float64, eps float64) {
+	t.Helper()
+	want := cluster.AllPairs(len(sets), dist, eps)
+	got := cluster.Neighbours(sets, eps)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s: row %d\n got %v\nwant %v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// BenchmarkNeighbours times curation's neighbour pass over its whole
+// filtered pool at the default eps: the prefix-filtered join against the
+// all-pairs loop it replaced.
+func BenchmarkNeighbours(b *testing.B) {
+	sets := curationSets(b)
+	dist := func(i, j int) float64 { return cluster.SetJaccardDistance(sets[i], sets[j]) }
+	b.Run("prefix", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cluster.Neighbours(sets, 0.35)
+		}
+	})
+	b.Run("all-pairs", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cluster.AllPairs(len(sets), dist, 0.35)
+		}
+	})
 }

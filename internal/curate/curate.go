@@ -145,7 +145,7 @@ func Build(opts Options) ([]Entry, Stats) {
 	}
 	shingles := cluster.InternShingles(codes, 4)
 	dist := func(i, j int) float64 { return cluster.SetJaccardDistance(shingles[i], shingles[j]) }
-	labels := cluster.DBSCAN(len(filtered), dist, opts.Eps, opts.MinPts)
+	labels := cluster.DBSCAN(cluster.Neighbours(shingles, opts.Eps), opts.MinPts)
 	maxLabel := -1
 	for _, l := range labels {
 		if l > maxLabel {

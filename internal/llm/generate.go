@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"regexp"
 	"strings"
+	"sync"
 
 	"repro/internal/compiler"
 	"repro/internal/inject"
+	"repro/internal/memo"
 )
 
 // This file is the *generation* half of the simulated LLM: where repair.go
@@ -128,6 +130,11 @@ type Sample struct {
 // Generate produces one sample for a reference solution under the given
 // rates. The reference is assumed correct and compiling.
 func Generate(ref string, rates GenRates, rng *rand.Rand) Sample {
+	return mutants.generate(ref, rates, rng)
+}
+
+// generate is Generate reading semantic mutants from t.
+func (t *mutantTable) generate(ref string, rates GenRates, rng *rand.Rand) Sample {
 	roll := rng.Float64()
 	switch {
 	case roll < rates.Pass:
@@ -136,7 +143,7 @@ func Generate(ref string, rates GenRates, rng *rand.Rand) Sample {
 		base := ref
 		logicOK := true
 		if rng.Float64() >= rates.LogicOKGivenSyntax {
-			mutated := semanticMutate(ref, rng)
+			mutated := t.semanticMutate(ref, rng)
 			logicOK = mutated == ref
 			base = mutated
 		}
@@ -153,7 +160,7 @@ func Generate(ref string, rates GenRates, rng *rand.Rand) Sample {
 		}
 		return Sample{Code: decorate(broken, rng), Kind: KindSyntaxErr, Mutations: muts, LogicOK: logicOK}
 	default:
-		mutated := semanticMutate(ref, rng)
+		mutated := t.semanticMutate(ref, rng)
 		return Sample{Code: decorate(mutated, rng), Kind: KindSimErr, LogicOK: mutated == ref}
 	}
 }
@@ -176,12 +183,14 @@ func decorate(code string, rng *rand.Rand) string {
 
 // ---------- semantic mutation (compiles, wrong behaviour) ----------
 
+// A semanticMutator's result is a function of the text alone, which is
+// what lets the mutant table compute it once per reference.
 type semanticMutator struct {
 	name  string
-	apply func(src string, rng *rand.Rand) (string, bool)
+	apply func(src string) (string, bool)
 }
 
-var semanticMutators = []semanticMutator{
+var semanticMutators = [...]semanticMutator{
 	{"swap-add-sub", reSwap(`([^+])\+ 1\b`, "${1}- 1")},
 	{"swap-and-or", reSwapLiteral(" & ", " | ")},
 	{"swap-xor-and", reSwapLiteral(" ^ ", " & ")},
@@ -195,8 +204,8 @@ var semanticMutators = []semanticMutator{
 	{"invert-assign-rhs", invertAssignRHS},
 }
 
-func reSwapLiteral(old, new string) func(string, *rand.Rand) (string, bool) {
-	return func(src string, _ *rand.Rand) (string, bool) {
+func reSwapLiteral(old, new string) func(string) (string, bool) {
+	return func(src string) (string, bool) {
 		idx := strings.Index(src, old)
 		if idx < 0 {
 			return src, false
@@ -205,9 +214,9 @@ func reSwapLiteral(old, new string) func(string, *rand.Rand) (string, bool) {
 	}
 }
 
-func reSwap(pattern, repl string) func(string, *rand.Rand) (string, bool) {
+func reSwap(pattern, repl string) func(string) (string, bool) {
 	re := regexp.MustCompile(pattern)
-	return func(src string, _ *rand.Rand) (string, bool) {
+	return func(src string) (string, bool) {
 		loc := re.FindStringIndex(src)
 		if loc == nil {
 			return src, false
@@ -218,7 +227,7 @@ func reSwap(pattern, repl string) func(string, *rand.Rand) (string, bool) {
 
 var ternaryRe = regexp.MustCompile(`\?\s*([^:;]+?)\s*:\s*([^;]+?);`)
 
-func swapTernaryArms(src string, _ *rand.Rand) (string, bool) {
+func swapTernaryArms(src string) (string, bool) {
 	m := ternaryRe.FindStringSubmatchIndex(src)
 	if m == nil {
 		return src, false
@@ -230,7 +239,7 @@ func swapTernaryArms(src string, _ *rand.Rand) (string, bool) {
 
 var compareConstRe = regexp.MustCompile(`(==|<|>)\s*(\d+)\b`)
 
-func offByOneConstant(src string, _ *rand.Rand) (string, bool) {
+func offByOneConstant(src string) (string, bool) {
 	m := compareConstRe.FindStringSubmatchIndex(src)
 	if m == nil {
 		return src, false
@@ -250,7 +259,7 @@ func offByOneConstant(src string, _ *rand.Rand) (string, bool) {
 
 var resetZeroRe = regexp.MustCompile(`(<=\s*)0(;)`)
 
-func flipResetValue(src string, _ *rand.Rand) (string, bool) {
+func flipResetValue(src string) (string, bool) {
 	loc := resetZeroRe.FindStringSubmatchIndex(src)
 	if loc == nil {
 		return src, false
@@ -263,7 +272,7 @@ var nbaRHSRe = regexp.MustCompile(`<=\s*([A-Za-z_][^;]*);`)
 
 // invertNBARHS complements the right-hand side of the first non-blocking
 // assignment — a near-universal behavioural mutation for clocked designs.
-func invertNBARHS(src string, _ *rand.Rand) (string, bool) {
+func invertNBARHS(src string) (string, bool) {
 	m := nbaRHSRe.FindStringSubmatchIndex(src)
 	if m == nil {
 		return src, false
@@ -275,7 +284,7 @@ var assignRHSRe = regexp.MustCompile(`\bassign\s+[A-Za-z_][A-Za-z0-9_]*\s*=\s*([
 
 // invertAssignRHS complements the right-hand side of the first continuous
 // assignment — the combinational counterpart of invertNBARHS.
-func invertAssignRHS(src string, _ *rand.Rand) (string, bool) {
+func invertAssignRHS(src string) (string, bool) {
 	m := assignRHSRe.FindStringSubmatchIndex(src)
 	if m == nil {
 		return src, false
@@ -283,23 +292,84 @@ func invertAssignRHS(src string, _ *rand.Rand) (string, bool) {
 	return src[:m[2]] + "~(" + src[m[2]:m[3]] + ")" + src[m[3]:], true
 }
 
-// semanticMutate applies one compiling-but-wrong transformation. It
-// verifies the result still compiles (trying mutators in random order) and
-// falls back to the reference if none applies — an honest tail: some
-// "wrong" samples are accidentally right.
-func semanticMutate(ref string, rng *rand.Rand) string {
+// mutants is the process-wide mutant table Generate reads.
+var mutants = newMutantTable()
+
+// mutantCapacity bounds the mutant table, one row per reference. Callers
+// hand Generate the corpus references: the 314 problems of Human,
+// Machine and RTLLM carry 171 distinct texts (Human and Machine share
+// them). Their hashes put at most 7 in one of the 64 shards, so 448
+// rows is the least that holds them all; 256 displace 15 of them, 384
+// displace 2 (TestMutantTableHoldsEveryReference, run at each bound).
+// 1024 rows (16 per shard) hold every reference with no eviction and
+// leave room for texts outside the corpus; a row is a few hundred bytes
+// plus the mutants it has computed.
+const mutantCapacity = 1024
+
+// mutantTable holds each reference's semantic mutants: one row per
+// reference, one slot per mutator, on the cache core (counted in the
+// reads layer). A slot is filled the first time a random order reaches
+// it, so a reference's first samples do the work semanticMutate always
+// did, in the same order, and later samples run no mutator and no
+// frontend.
+type mutantTable struct {
+	rows *memo.Reads[*mutantRow]
+}
+
+func newMutantTable() *mutantTable {
+	return &mutantTable{rows: memo.NewReads(mutantCapacity, func(string) *mutantRow {
+		return new(mutantRow)
+	})}
+}
+
+// mutantRow is one reference's slots, indexed like semanticMutators.
+type mutantRow [len(semanticMutators)]mutantSlot
+
+// mutantSlot is what one mutator makes of one reference, computed once.
+type mutantSlot struct {
+	once sync.Once
+	// out is the mutant, or "" when the mutator does not apply, changes
+	// nothing or does not compile (an empty text never compiles, so ""
+	// is no mutant's value).
+	out string
+}
+
+// get returns the slot's mutant of ref under m, computing it on first use.
+// A panic in m or the frontend would leave the slot empty for later
+// callers (sync.Once counts the call as done); neither panics on the
+// corpus references (TestGenerateMatchesDirectMutation).
+func (s *mutantSlot) get(ref string, m semanticMutator) string {
+	s.once.Do(func() {
+		out, ok := m.apply(ref)
+		if !ok || out == ref {
+			return
+		}
+		if _, design, _ := compiler.Frontend(out); design != nil {
+			s.out = out
+		}
+	})
+	return s.out
+}
+
+// semanticMutate applies one compiling-but-wrong transformation: the
+// first mutator, in a random order, whose result differs from the
+// reference and compiles. It falls back to the reference if none
+// applies — an honest tail: some "wrong" samples are accidentally right.
+// The order is drawn whether or not the row is warm, so the caller's
+// RNG stream does not depend on the table.
+func (t *mutantTable) semanticMutate(ref string, rng *rand.Rand) string {
 	// Subtle mutators first in random order; the two universal RHS
 	// inverters act as a fallback so a "wrong logic" sample almost never
 	// silently degenerates into the reference.
 	subtle := len(semanticMutators) - 2
-	order := rng.Perm(subtle)
-	order = append(order, subtle, subtle+1)
-	for _, i := range order {
-		out, ok := semanticMutators[i].apply(ref, rng)
-		if !ok || out == ref {
-			continue
+	row := t.rows.Get(ref)
+	for _, i := range rng.Perm(subtle) {
+		if out := row[i].get(ref, semanticMutators[i]); out != "" {
+			return out
 		}
-		if _, design, _ := compiler.Frontend(out); design != nil {
+	}
+	for i := subtle; i < len(semanticMutators); i++ {
+		if out := row[i].get(ref, semanticMutators[i]); out != "" {
 			return out
 		}
 	}
@@ -315,7 +385,7 @@ func semanticMutate(ref string, rng *rand.Rand) string {
 func ProposeLogicEdit(src string, rng *rand.Rand) string {
 	order := rng.Perm(len(semanticMutators))
 	for _, i := range order {
-		out, ok := semanticMutators[i].apply(src, rng)
+		out, ok := semanticMutators[i].apply(src)
 		if ok && out != src {
 			return out
 		}

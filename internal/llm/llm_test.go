@@ -421,7 +421,7 @@ endmodule
 	rng := rand.New(rand.NewSource(10))
 	changed := 0
 	for i := 0; i < 50; i++ {
-		out := semanticMutate(ref, rng)
+		out := mutants.semanticMutate(ref, rng)
 		if _, design, _ := compiler.Frontend(out); design == nil {
 			t.Fatalf("semantic mutation broke compilation:\n%s", out)
 		}

@@ -33,9 +33,10 @@
 //     so the pass@k loop simulates a reference once per stimulus and
 //     every candidate replays against the recording.
 //   - Reads (reads.go) — a bounded cache of one pure function of a text,
-//     so a text the agent loop reads again is read once per process: the
-//     model's blind inspection (llm.BlindHypotheses) is a process-wide
-//     instance.
+//     so a text read again is read once per process. Two process-wide
+//     instances, both counted in the reads layer: the model's blind
+//     inspection (llm.BlindHypotheses), and the generator's mutant table
+//     (one row of semantic mutants per reference llm.Generate samples).
 //
 // All six share one cache core (cache.go): a sharded map with FIFO
 // displacement, a source-compare collision guard, and per-cache
@@ -45,7 +46,8 @@
 // Correctness contract: every component is transparent. A cached compile
 // returns the same Result the wrapped persona would produce; a cached
 // read returns the same value its uncached function
-// (llm.BlindHypotheses) computes for the text; a cached retrieval
+// (llm.BlindHypotheses, or the mutators and the frontend behind a mutant
+// row) computes for the text; a cached retrieval
 // returns the same entries in the same order as the strategy's scan.
 // Cached values are shared, so callers must treat them as read-only —
 // which every consumer already does — and a cached slice has clipped
