@@ -112,7 +112,7 @@ func BenchmarkAblationRetrievers(b *testing.B) {
 	b.ResetTimer()
 	var last []bench.AblationResult
 	for i := 0; i < b.N; i++ {
-		last = bench.RunRetrieverAblation(2024, 1, entries, 0, false)
+		last = bench.RunRetrieverAblation(2024, 1, entries, 0)
 	}
 	for _, r := range last {
 		b.ReportMetric(r.FixRate, "fixrate-"+r.Name)
@@ -125,7 +125,7 @@ func BenchmarkAblationIterationBudget(b *testing.B) {
 	b.ResetTimer()
 	var last []bench.AblationResult
 	for i := 0; i < b.N; i++ {
-		last = bench.RunIterationBudgetAblation(2024, 1, 10, entries, 0, false)
+		last = bench.RunIterationBudgetAblation(2024, 1, 10, entries, 0)
 	}
 	b.ReportMetric(last[0].FixRate, "fixrate-budget1")
 	b.ReportMetric(last[len(last)-1].FixRate, "fixrate-budget10")
@@ -137,7 +137,7 @@ func BenchmarkAblationGuidanceSize(b *testing.B) {
 	b.ResetTimer()
 	var last []bench.AblationResult
 	for i := 0; i < b.N; i++ {
-		last = bench.RunGuidanceSizeAblation(2024, 1, entries, 0, false)
+		last = bench.RunGuidanceSizeAblation(2024, 1, entries, 0)
 	}
 	b.ReportMetric(last[len(last)-1].FixRate-last[0].FixRate, "rag-gain-full-db")
 }
@@ -198,8 +198,9 @@ func BenchmarkPipelineSpeedup(b *testing.B) {
 }
 
 // TestPipelineTableDeterminism is the acceptance gate for the evaluation
-// pipeline: every table must render byte-identically for 1 worker and for
-// a larger pool.
+// pipeline: every table, the retriever ablation and the guidance-size
+// ablation must render byte-identically for 1 worker and for a larger
+// pool.
 func TestPipelineTableDeterminism(t *testing.T) {
 	entries, _ := curate.Build(curate.Options{Seed: 2024})
 	slice := entries
@@ -221,57 +222,15 @@ func TestPipelineTableDeterminism(t *testing.T) {
 	if t3a.Render() != t3b.Render() {
 		t.Error("Table 3 output differs across worker counts")
 	}
-}
-
-// TestCacheTableDeterminism is the acceptance gate for the memoization
-// layer: every table and ablation must render byte-identically with the
-// cache on and off, at more than one worker count.
-func TestCacheTableDeterminism(t *testing.T) {
-	entries, _ := curate.Build(curate.Options{Seed: 2024})
-	slice := entries
-	if len(slice) > 8 {
-		slice = slice[:8]
+	ablA := bench.RunRetrieverAblation(2024, 1, slice, 1)
+	ablB := bench.RunRetrieverAblation(2024, 1, slice, 3)
+	if bench.RenderAblation("x", ablA) != bench.RenderAblation("x", ablB) {
+		t.Error("retriever ablation differs across worker counts")
 	}
-	for _, workers := range []int{1, 6} {
-		off := bench.RunTable1(bench.Table1Config{Seed: 2024, Repeats: 2, Entries: slice, Workers: workers})
-		on := bench.RunTable1(bench.Table1Config{Seed: 2024, Repeats: 2, Entries: slice, Workers: workers, Cache: true})
-		if off.Render() != on.Render() || off.RenderFigure7() != on.RenderFigure7() {
-			t.Errorf("Table 1 output differs with cache on vs off at %d workers", workers)
-		}
-	}
-	t2off := bench.RunTable2(bench.Table2Config{Seed: 2024, SampleN: 3, MaxProblems: 6, Workers: 5})
-	t2on := bench.RunTable2(bench.Table2Config{Seed: 2024, SampleN: 3, MaxProblems: 6, Workers: 5, Cache: true})
-	if t2off.Render() != t2on.Render() || t2off.RenderFigure4() != t2on.RenderFigure4() {
-		t.Error("Table 2 output differs with cache on vs off")
-	}
-	t3off := bench.RunTable3(bench.Table3Config{Seed: 2024, SampleN: 4, Workers: 3})
-	t3on := bench.RunTable3(bench.Table3Config{Seed: 2024, SampleN: 4, Workers: 3, Cache: true})
-	if t3off.Render() != t3on.Render() {
-		t.Error("Table 3 output differs with cache on vs off")
-	}
-	ablOff := bench.RunRetrieverAblation(2024, 1, slice, 3, false)
-	ablOn := bench.RunRetrieverAblation(2024, 1, slice, 3, true)
-	if bench.RenderAblation("x", ablOff) != bench.RenderAblation("x", ablOn) {
-		t.Error("retriever ablation differs with cache on vs off")
-	}
-	gsOff := bench.RunGuidanceSizeAblation(2024, 1, slice, 3, false)
-	gsOn := bench.RunGuidanceSizeAblation(2024, 1, slice, 3, true)
-	if bench.RenderAblation("x", gsOff) != bench.RenderAblation("x", gsOn) {
-		t.Error("guidance-size ablation differs with cache on vs off")
-	}
-}
-
-// BenchmarkTable1Cached regenerates the Table 1 grid with the memo layer
-// on, for an apples-to-apples comparison with BenchmarkTable1.
-func BenchmarkTable1Cached(b *testing.B) {
-	entries, _ := curate.Build(curate.Options{Seed: 2024})
-	b.ResetTimer()
-	var last *bench.Table1Result
-	for i := 0; i < b.N; i++ {
-		last = bench.RunTable1(bench.Table1Config{Seed: 2024, Repeats: 2, Entries: entries, Cache: true})
-	}
-	if c, ok := last.Cell(core.ModeReAct, true, "Quartus", "gpt-3.5"); ok {
-		b.ReportMetric(c.FixRate, "fixrate-react-rag-quartus")
+	gsA := bench.RunGuidanceSizeAblation(2024, 1, slice, 1)
+	gsB := bench.RunGuidanceSizeAblation(2024, 1, slice, 3)
+	if bench.RenderAblation("x", gsA) != bench.RenderAblation("x", gsB) {
+		t.Error("guidance-size ablation differs across worker counts")
 	}
 }
 

@@ -9,15 +9,14 @@
 //	benchmark -exp all               # everything (the default)
 //	benchmark -exp table1 -repeats 3 # quicker, noisier
 //	benchmark -workers 8             # size the evaluation pool
-//	benchmark -cache=false           # disable the per-fixer memoization layer
 //	benchmark -exp table1 -json      # machine-readable results on stdout
 //	benchmark -exp table1 -stages    # stage latency table on stderr
 //
 // The expensive agent runs are fanned out over a worker pool
 // (internal/pipeline) and memoized through the sharded cache layer
-// (internal/memo); output is byte-identical for any -workers value and
-// for -cache on or off. Cache counters go to stderr, never stdout, so
-// table output stays comparable across configurations.
+// (internal/memo); output is byte-identical for any -workers value.
+// Cache counters go to stderr, never stdout, so table output stays
+// comparable across configurations.
 //
 // With -json, stdout carries exactly one JSON document — an object with
 // "schema", "seed", and one entry per selected experiment under
@@ -46,7 +45,6 @@ func main() {
 	repeats := flag.Int("repeats", 10, "table 1 repeats per sample (paper: 10)")
 	samples := flag.Int("samples", 20, "table 2/3 samples per problem (paper: 20)")
 	workers := flag.Int("workers", runtime.NumCPU(), "evaluation pool size (output is identical for any value)")
-	cache := flag.Bool("cache", true, "enable the per-fixer memoization layer: compile cache and retrieval result cache (output is identical either way; the process-wide caches of the model's blind inspection and the sim oracle stay on)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON on stdout (tables move to stderr)")
 	stages := flag.Bool("stages", false, "trace every agent job and print a per-stage latency table to stderr at exit")
 	coverage := flag.Bool("coverage", false, "print a per-problem reference-design toggle-coverage table to stderr at exit")
@@ -103,7 +101,7 @@ func main() {
 	var t1 *bench.Table1Result
 	table1 := func() *bench.Table1Result {
 		if t1 == nil {
-			t1 = bench.RunTable1(bench.Table1Config{Seed: *seed, Repeats: *repeats, Workers: *workers, Cache: *cache})
+			t1 = bench.RunTable1(bench.Table1Config{Seed: *seed, Repeats: *repeats, Workers: *workers})
 		}
 		return t1
 	}
@@ -111,7 +109,7 @@ func main() {
 	var t2 *bench.Table2Result
 	table2 := func() *bench.Table2Result {
 		if t2 == nil {
-			t2 = bench.RunTable2(bench.Table2Config{Seed: *seed, SampleN: *samples, Workers: *workers, Cache: *cache})
+			t2 = bench.RunTable2(bench.Table2Config{Seed: *seed, SampleN: *samples, Workers: *workers})
 		}
 		return t2
 	}
@@ -149,15 +147,15 @@ func main() {
 		return table2().JSON().Figure4
 	})
 	run("table3", func() any {
-		res := bench.RunTable3(bench.Table3Config{Seed: *seed, SampleN: *samples, Workers: *workers, Cache: *cache})
+		res := bench.RunTable3(bench.Table3Config{Seed: *seed, SampleN: *samples, Workers: *workers})
 		fmt.Fprint(human, res.Render())
 		return res.JSON()
 	})
 	run("ablation", func() any {
 		entries, _ := curate.Build(curate.Options{Seed: *seed})
-		retriever := bench.RunRetrieverAblation(*seed, 3, entries, *workers, *cache)
-		budget := bench.RunIterationBudgetAblation(*seed, 3, 10, entries, *workers, *cache)
-		guidance := bench.RunGuidanceSizeAblation(*seed, 3, entries, *workers, *cache)
+		retriever := bench.RunRetrieverAblation(*seed, 3, entries, *workers)
+		budget := bench.RunIterationBudgetAblation(*seed, 3, 10, entries, *workers)
+		guidance := bench.RunGuidanceSizeAblation(*seed, 3, entries, *workers)
 		fmt.Fprint(human, bench.RenderAblation("Retriever ablation (ReAct+RAG+Quartus fix rate):", retriever))
 		fmt.Fprint(human, bench.RenderAblation("Iteration-budget ablation:", budget))
 		fmt.Fprint(human, bench.RenderAblation("Guidance-size ablation (Quartus DB truncated):", guidance))
@@ -174,7 +172,7 @@ func main() {
 	})
 	run("analyzer", func() any {
 		entries, _ := curate.Build(curate.Options{Seed: *seed})
-		res := bench.RunAnalyzerAB(*seed, *repeats, entries, *workers, *cache)
+		res := bench.RunAnalyzerAB(*seed, *repeats, entries, *workers)
 		fmt.Fprint(human, res.Render())
 		return res.JSON()
 	})
@@ -206,8 +204,7 @@ func main() {
 
 // printCacheDeltas writes one stderr line per memo layer (frontend
 // artifacts, compile cache, sim cache, reference traces, retrieval
-// index, text reads) that one experiment touched. It runs with -cache
-// on or off: the process-wide layers stay on either way.
+// index, text reads) that one experiment touched.
 func printCacheDeltas(exp string, before, after memo.KindTotals) {
 	if d := after.Frontend.Sub(before.Frontend); d != (memo.Stats{}) {
 		fmt.Fprintf(os.Stderr, "[%s frontend artifacts: %d hits, %d misses, %d evictions]\n", exp, d.Hits, d.Misses, d.Evictions)

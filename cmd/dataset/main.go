@@ -38,7 +38,6 @@ func main() {
 	dump := flag.String("dump", "", "directory to write curated .v files into")
 	verify := flag.Bool("verify", false, "sanity-check the curated set with the reference agent")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel agent runs for -verify")
-	cache := flag.Bool("cache", true, "enable the sharded memoization layer for -verify (output is identical either way)")
 	show := flag.String("show", "", "print one problem (by ID, searched across suites)")
 	seed := flag.Int64("seed", 2024, "random seed")
 	flag.Parse()
@@ -103,7 +102,7 @@ func main() {
 			}
 
 			fixer, err := core.New(core.Options{
-				CompilerName: "quartus", RAG: true, Mode: core.ModeReAct, Seed: *seed, Cache: *cache})
+				CompilerName: "quartus", RAG: true, Mode: core.ModeReAct, Seed: *seed})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "dataset: %v\n", err)
 				os.Exit(1)

@@ -74,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quiet := fs.Bool("quiet", false, "print only the final code")
 	workers := fs.Int("workers", runtime.NumCPU(), "parallel agent runs when fixing several files")
 	timeout := fs.Duration("timeout", 0, "per-file wall-clock budget (0 = none)")
-	cache := fs.Bool("cache", true, "enable the sharded memoization layer (output is identical either way)")
 	coverage := fs.Bool("coverage", false, "simulate each fixed design briefly and print its toggle coverage to stderr")
 	vcdDir := fs.String("vcd", "", "directory to write a VCD waveform dump of each fixed design's check run")
 	if err := fs.Parse(args); err != nil {
@@ -115,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Mode:          m,
 		MaxIterations: *iters,
 		Seed:          *seed,
-		Cache:         *cache,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "rtlfixer: %v\n", err)
@@ -166,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	// Cache counters go to stderr so stdout stays byte-deterministic.
-	if s := fixer.CacheStats(); *cache && !*quiet {
+	if s := fixer.CacheStats(); !*quiet {
 		fmt.Fprintf(stderr, "rtlfixer: cache: %d hits, %d misses, %d evictions\n", s.Hits, s.Misses, s.Evictions)
 	}
 	if failed {

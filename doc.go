@@ -12,7 +12,7 @@
 // benchmarks in bench_test.go and by cmd/benchmark, which fan the agent
 // runs out over the internal/pipeline worker pool and memoize the compile
 // and retrieval hot paths through internal/memo — output is byte-identical
-// for any worker count and with the cache on or off.
+// for any worker count and to an uncached fixer's.
 //
 // The functional oracle behind pass@k is the problem's reference RTL:
 // as in VerilogEval, a candidate is driven with the reference's

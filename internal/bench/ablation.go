@@ -32,11 +32,8 @@ func runFixRate(f *core.RTLFixer, entries []curate.Entry, repeats, workers int) 
 
 // RunRetrieverAblation compares retrieval strategies under the full
 // configuration (ReAct + RAG + Quartus + gpt-3.5), plus the no-RAG
-// baseline. workers sizes the evaluation pool (<= 0 = runtime.NumCPU());
-// cache enables the memoization layer (output is identical either way —
-// the exact-tag, fuzzy, and keyword strategies' results are cached per
-// log by the retrieval index, custom strategies run uncached).
-func RunRetrieverAblation(seed int64, repeats int, entries []curate.Entry, workers int, cache bool) []AblationResult {
+// baseline. workers sizes the evaluation pool (<= 0 = runtime.NumCPU()).
+func RunRetrieverAblation(seed int64, repeats int, entries []curate.Entry, workers int) []AblationResult {
 	if entries == nil {
 		entries, _ = curate.Build(curate.Options{Seed: seed})
 	}
@@ -55,17 +52,13 @@ func RunRetrieverAblation(seed int64, repeats int, entries []curate.Entry, worke
 	}
 	var out []AblationResult
 	for _, cfg := range configs {
-		f, err := core.New(core.Options{
+		f := newFixer(core.Options{
 			CompilerName: "quartus",
 			RAG:          cfg.ragOn,
 			Retriever:    cfg.retriever,
 			Mode:         core.ModeReAct,
 			Seed:         seed,
-			Cache:        cache,
 		})
-		if err != nil {
-			panic(err)
-		}
 		out = append(out, AblationResult{Name: cfg.name,
 			FixRate: runFixRate(f, entries, repeats, workers)})
 	}
@@ -74,7 +67,7 @@ func RunRetrieverAblation(seed int64, repeats int, entries []curate.Entry, worke
 
 // RunIterationBudgetAblation sweeps the ReAct iteration budget 1..max,
 // locating the knee implied by Figure 7.
-func RunIterationBudgetAblation(seed int64, repeats, max int, entries []curate.Entry, workers int, cache bool) []AblationResult {
+func RunIterationBudgetAblation(seed int64, repeats, max int, entries []curate.Entry, workers int) []AblationResult {
 	if entries == nil {
 		entries, _ = curate.Build(curate.Options{Seed: seed})
 	}
@@ -86,17 +79,13 @@ func RunIterationBudgetAblation(seed int64, repeats, max int, entries []curate.E
 	}
 	var out []AblationResult
 	for budget := 1; budget <= max; budget++ {
-		f, err := core.New(core.Options{
+		f := newFixer(core.Options{
 			CompilerName:  "quartus",
 			RAG:           true,
 			Mode:          core.ModeReAct,
 			MaxIterations: budget,
 			Seed:          seed,
-			Cache:         cache,
 		})
-		if err != nil {
-			panic(err)
-		}
 		out = append(out, AblationResult{
 			Name:    fmt.Sprintf("budget=%d", budget),
 			FixRate: runFixRate(f, entries, repeats, workers),
@@ -126,7 +115,7 @@ func (t truncatedRetriever) Retrieve(db *rag.Database, log string, k int) []rag.
 
 // RunGuidanceSizeAblation truncates the curated Quartus database to
 // fractions of its 45 entries and measures the fix rate.
-func RunGuidanceSizeAblation(seed int64, repeats int, entries []curate.Entry, workers int, cache bool) []AblationResult {
+func RunGuidanceSizeAblation(seed int64, repeats int, entries []curate.Entry, workers int) []AblationResult {
 	if entries == nil {
 		entries, _ = curate.Build(curate.Options{Seed: seed})
 	}
@@ -136,27 +125,14 @@ func RunGuidanceSizeAblation(seed int64, repeats int, entries []curate.Entry, wo
 	full := rag.QuartusDB().Len()
 	var out []AblationResult
 	for _, keep := range []int{0, full / 4, full / 2, full} {
-		var f *core.RTLFixer
-		var err error
-		if keep == 0 {
-			f, err = core.New(core.Options{
-				CompilerName: "quartus", Mode: core.ModeReAct, Seed: seed, Cache: cache})
-		} else {
+		opts := core.Options{CompilerName: "quartus", Mode: core.ModeReAct, Seed: seed}
+		if keep > 0 {
 			// The truncating retriever is a custom strategy, so the
 			// retrieval index passes it through uncached; the compile
 			// cache still applies.
-			f, err = core.New(core.Options{
-				CompilerName: "quartus",
-				RAG:          true,
-				Retriever:    truncatedRetriever{inner: rag.ExactTag{}, keep: keep},
-				Mode:         core.ModeReAct,
-				Seed:         seed,
-				Cache:        cache,
-			})
+			opts.RAG, opts.Retriever = true, truncatedRetriever{inner: rag.ExactTag{}, keep: keep}
 		}
-		if err != nil {
-			panic(err)
-		}
+		f := newFixer(opts)
 		out = append(out, AblationResult{
 			Name:    fmt.Sprintf("entries=%d", keep),
 			FixRate: runFixRate(f, entries, repeats, workers),

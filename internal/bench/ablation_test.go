@@ -6,7 +6,7 @@ import "testing"
 // ordering assertions.
 
 func TestAblationRetrievers(t *testing.T) {
-	res := RunRetrieverAblation(7, 2, testEntries(t), 0, false)
+	res := RunRetrieverAblation(7, 2, testEntries(t), 0)
 	byName := map[string]float64{}
 	for _, r := range res {
 		byName[r.Name] = r.FixRate
@@ -21,7 +21,7 @@ func TestAblationRetrievers(t *testing.T) {
 }
 
 func TestAblationIterationBudget(t *testing.T) {
-	res := RunIterationBudgetAblation(7, 2, 6, testEntries(t), 0, false)
+	res := RunIterationBudgetAblation(7, 2, 6, testEntries(t), 0)
 	// Fix rate must be monotone non-decreasing in the budget (small noise
 	// tolerance) and the knee must be early: budget 2 captures most of
 	// budget 6's value, per Figure 7.
@@ -39,7 +39,7 @@ func TestAblationIterationBudget(t *testing.T) {
 }
 
 func TestAblationGuidanceSize(t *testing.T) {
-	res := RunGuidanceSizeAblation(7, 2, testEntries(t), 0, false)
+	res := RunGuidanceSizeAblation(7, 2, testEntries(t), 0)
 	if len(res) < 3 {
 		t.Fatal("expected at least 3 sizes")
 	}

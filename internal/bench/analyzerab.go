@@ -40,22 +40,18 @@ type AnalyzerABResult struct {
 }
 
 // RunAnalyzerAB measures both arms over the curated dataset.
-func RunAnalyzerAB(seed int64, repeats int, entries []curate.Entry, workers int, cache bool) *AnalyzerABResult {
+func RunAnalyzerAB(seed int64, repeats int, entries []curate.Entry, workers int) *AnalyzerABResult {
 	if repeats <= 0 {
 		repeats = 3
 	}
 	arm := func(disable bool) AnalyzerABArm {
-		f, err := core.New(core.Options{
+		f := newFixer(core.Options{
 			CompilerName:    "quartus",
 			RAG:             true,
 			Mode:            core.ModeReAct,
 			Seed:            seed,
-			Cache:           cache,
 			DisableAnalyzer: disable,
 		})
-		if err != nil {
-			panic(err) // fixed configuration: always valid
-		}
 		sum := runFixRateJobs(f, entries, repeats, workers)
 		return AnalyzerABArm{
 			Analyzer:     !disable,

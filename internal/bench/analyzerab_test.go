@@ -3,7 +3,7 @@ package bench
 import "testing"
 
 func TestAnalyzerAB(t *testing.T) {
-	res := RunAnalyzerAB(7, 2, testEntries(t), 0, false)
+	res := RunAnalyzerAB(7, 2, testEntries(t), 0)
 	if !res.RatesEqual {
 		t.Errorf("analyzer changed the fix rate: on=%.3f off=%.3f — the lint dialect leaked into log analysis",
 			res.On.FixRate, res.Off.FixRate)

@@ -50,11 +50,8 @@ func RunSimFeedback(seed int64, sampleN int) *SimFeedbackResult {
 	problems := dataset.Problems(dataset.SuiteHuman)
 	rng := rand.New(rand.NewSource(seed*13 + 1))
 
-	rtlfixer, err := core.New(core.Options{
+	rtlfixer := newFixer(core.Options{
 		CompilerName: "quartus", RAG: true, Mode: core.ModeReAct, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
 	persona := llm.GPT35()
 
 	res := &SimFeedbackResult{Problems: len(problems)}

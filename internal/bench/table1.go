@@ -42,8 +42,7 @@ type Table1Config struct {
 	// Workers sizes the evaluation pool; <= 0 means runtime.NumCPU().
 	// Results are identical for any worker count.
 	Workers int
-	// Cache enables the sharded memoization layer (internal/memo).
-	// Table output is byte-identical with it on or off.
+	// Deprecated: ignored; the memo layer is always on.
 	Cache bool
 }
 
@@ -130,17 +129,13 @@ func RunTable1(cfg Table1Config) *Table1Result {
 			res.Cells = append(res.Cells, cell)
 			continue
 		}
-		fixer, err := core.New(core.Options{
+		fixer := newFixer(core.Options{
 			CompilerName: cb.comp,
 			PersonaName:  cb.persona,
 			RAG:          cb.rag,
 			Mode:         cb.prompt,
 			Seed:         cfg.Seed,
-			Cache:        cfg.Cache,
 		})
-		if err != nil {
-			panic(err) // combos are all valid by construction
-		}
 		collectHist := cb.prompt == core.ModeReAct && cb.rag &&
 			cb.comp == "quartus" && cb.persona == "gpt-3.5"
 
@@ -152,6 +147,16 @@ func RunTable1(cfg Table1Config) *Table1Result {
 		res.Cells = append(res.Cells, cell)
 	}
 	return res
+}
+
+// newFixer builds a fixer whose configuration the bench fixes in code,
+// so an error is a bug.
+func newFixer(opts core.Options) *core.RTLFixer {
+	f, err := core.New(opts)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 // runFixRateJobs fans all (entry, repeat) attempts for one fixer

@@ -31,8 +31,7 @@ type Table2Config struct {
 	// Results are identical for any worker count: sample generation stays
 	// on one RNG stream, only the agent runs are parallel.
 	Workers int
-	// Cache enables the sharded memoization layer (internal/memo).
-	// Table output is byte-identical with it on or off.
+	// Deprecated: ignored; the memo layer is always on.
 	Cache bool
 }
 
@@ -134,17 +133,13 @@ func RunTable2(cfg Table2Config) *Table2Result {
 		SyntaxErrorShare: map[dataset.Suite]float64{},
 	}
 
-	rtlfixer, err := core.New(core.Options{
+	rtlfixer := newFixer(core.Options{
 		CompilerName: "quartus",
 		PersonaName:  "gpt-3.5",
 		RAG:          true,
 		Mode:         core.ModeReAct,
 		Seed:         cfg.Seed,
-		Cache:        cfg.Cache,
 	})
-	if err != nil {
-		panic(err)
-	}
 
 	for _, suite := range cfg.Suites {
 		problems := dataset.Problems(suite)

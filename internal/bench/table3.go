@@ -20,9 +20,6 @@ type Table3Config struct {
 	SampleN int // samples per problem (default 20)
 	// Workers sizes the fixing pool; <= 0 means runtime.NumCPU().
 	Workers int
-	// Cache enables the sharded memoization layer (internal/memo).
-	// Table output is byte-identical with it on or off.
-	Cache bool
 }
 
 func (c Table3Config) withDefaults() Table3Config {
@@ -51,17 +48,13 @@ func RunTable3(cfg Table3Config) *Table3Result {
 	problems := dataset.Problems(dataset.SuiteRTLLM)
 	rng := rand.New(rand.NewSource(cfg.Seed*17 + 3))
 
-	rtlfixer, err := core.New(core.Options{
+	rtlfixer := newFixer(core.Options{
 		CompilerName: "quartus",
 		PersonaName:  "gpt-3.5",
 		RAG:          true, // the same curated DB as Table 1: nothing new
 		Mode:         core.ModeReAct,
 		Seed:         cfg.Seed,
-		Cache:        cfg.Cache,
 	})
-	if err != nil {
-		panic(err)
-	}
 
 	res := &Table3Result{Problems: len(problems)}
 	origCompiles, fixedCompiles, total := 0, 0, 0

@@ -48,13 +48,7 @@ type Options struct {
 	MaxIterations int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Cache enables the sharded memoization layer (internal/memo): a
-	// content-addressed compile cache in front of the persona and, with
-	// RAG on, a retrieval index that caches the strategy's results per
-	// (log, k) over the guidance database. Transparent: transcripts and
-	// table output are byte-identical with the cache on or off. The
-	// process-wide caches stay on with Cache off: the model's blind
-	// inspection (llm.BlindHypotheses) and the sim oracle's caches.
+	// Deprecated: ignored; the memo layer is always on.
 	Cache bool
 	// DisableAnalyzer turns off the semantic lint engine
 	// (internal/analyze). With the analyzer on — the default — Lint
@@ -70,15 +64,16 @@ type RTLFixer struct {
 	compiler compiler.Compiler
 	persona  llm.Persona
 	db       *rag.Database
-	// retriever is the effective retrieval strategy: Options.Retriever,
-	// possibly wrapped by the memo index when caching is on.
-	retriever rag.Retriever
-	// compileCache and index are non-nil only when Options.Cache is set.
+	// retriever is Options.Retriever behind index; both are nil with RAG
+	// off.
+	retriever    rag.Retriever
 	compileCache *memo.CompileCache
 	index        *memo.RetrievalIndex
 }
 
-// New validates options and builds a fixer.
+// New validates options and builds a fixer behind its own memo layer: a
+// compile cache and, with RAG on, a retrieval index (internal/memo).
+// Both are transparent, so transcripts match an uncached fixer's.
 func New(opts Options) (*RTLFixer, error) {
 	if opts.CompilerName == "" {
 		opts.CompilerName = "quartus"
@@ -97,31 +92,21 @@ func New(opts Options) (*RTLFixer, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown LLM persona %q", opts.PersonaName)
 	}
-	f := &RTLFixer{opts: opts, compiler: comp, persona: persona, retriever: opts.Retriever}
-	if opts.Cache {
-		f.compileCache = memo.NewCompileCache(0)
-		f.compiler = f.compileCache.Cached(comp)
-	}
+	cc := memo.NewCompileCache(0)
+	f := &RTLFixer{opts: opts, compiler: cc.Cached(comp), persona: persona, compileCache: cc}
 	if opts.RAG {
 		f.db = rag.ForCompiler(comp.Name())
-		if opts.Cache {
-			// One result cache per fixer, shared by every worker. Wrap
-			// passes a custom strategy through uncached.
-			f.index = memo.NewRetrievalIndex(f.db)
-			f.retriever = f.index.Wrap(opts.Retriever)
-		}
+		// Wrap passes a custom strategy through uncached.
+		f.index = memo.NewRetrievalIndex(f.db)
+		f.retriever = f.index.Wrap(opts.Retriever)
 	}
 	return f, nil
 }
 
 // CacheStats snapshots the fixer's own cache counters, the compile
-// cache's plus, with RAG on, the retrieval index's (zero when
-// Options.Cache is off).
+// cache's plus, with RAG on, the retrieval index's.
 func (f *RTLFixer) CacheStats() memo.Stats {
-	var s memo.Stats
-	if f.compileCache != nil {
-		s = s.Add(f.compileCache.Stats())
-	}
+	s := f.compileCache.Stats()
 	if f.index != nil {
 		s = s.Add(f.index.Stats())
 	}
@@ -137,8 +122,8 @@ func (f *RTLFixer) Compiler() compiler.Compiler { return f.compiler }
 func (f *RTLFixer) Options() Options { return f.opts }
 
 // Lint compiles the source through the configured persona without running
-// the agent — the cheap diagnostic path (served from the compile cache
-// when Options.Cache is on). The returned Result carries the persona log
+// the agent — the cheap diagnostic path, served from the compile
+// cache. The returned Result carries the persona log
 // and the structured diagnostics; with the analyzer on, the result's
 // semantic-lint findings are appended to a copy of the diagnostics (the
 // cached slice is never mutated).

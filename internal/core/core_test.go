@@ -8,9 +8,10 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/analyze"
+	"repro/internal/compiler"
 	"repro/internal/diag"
 	"repro/internal/llm"
-	"repro/internal/memo"
+	"repro/internal/rag"
 )
 
 const paperClkExample = `module top_module (
@@ -121,17 +122,17 @@ func TestFixMarkdownWrappedCode(t *testing.T) {
 	}
 }
 
+// TestCacheIsTransparent: the memo layer must not change a single
+// transcript byte. The reference is a fixer with no memo layer at all
+// (the raw persona, the guidance database, no retrieval index); New's
+// fixer runs the same sessions through its compile cache and index.
 func TestCacheIsTransparent(t *testing.T) {
-	// The memo layer must not change a single transcript byte: run the
-	// same sessions through a cached and an uncached fixer and compare.
-	mk := func(cache bool) *RTLFixer {
-		f, err := New(Options{CompilerName: "quartus", RAG: true, Seed: 42, Cache: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
+	cached, err := New(Options{CompilerName: "quartus", RAG: true, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain, cached := mk(false), mk(true)
+	comp := compiler.Quartus{}
+	plain := &RTLFixer{opts: cached.opts, compiler: comp, persona: cached.persona, db: rag.ForCompiler(comp.Name())}
 	for seed := int64(0); seed < 6; seed++ {
 		a := plain.Fix("vector100r.sv", paperClkExample, seed)
 		b := cached.Fix("vector100r.sv", paperClkExample, seed)
@@ -149,31 +150,14 @@ func TestCacheIsTransparent(t *testing.T) {
 	if c := cached.compileCache.Stats(); s != c.Add(cached.index.Stats()) {
 		t.Fatalf("CacheStats %+v is not the compile cache %+v plus the index", s, c)
 	}
-	if z := plain.CacheStats(); z != (memo.Stats{}) {
-		t.Fatalf("uncached fixer reports stats: %+v", z)
-	}
 }
 
-func TestCacheStatsZeroWhenOff(t *testing.T) {
-	f, err := New(Options{CompilerName: "quartus", RAG: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Fix("main.v", paperClkExample, 3)
-	if s := f.CacheStats(); s != (memo.Stats{}) {
-		t.Fatalf("cache off but stats non-zero: %+v", s)
-	}
-	if f.index != nil || f.compileCache != nil {
-		t.Fatal("cache off but a fixer cache was built")
-	}
-}
-
-// TestNewAllocs pins the set-up cost of a caching RAG fixer: the
+// TestNewAllocs pins the set-up cost of a RAG fixer: the
 // retrieval index is an empty result cache, so core.New builds no
 // per-entry state (an index that precomputes postings and shingle sets
 // over the Quartus database costs about 3,500 allocations here).
 func TestNewAllocs(t *testing.T) {
-	opts := Options{CompilerName: "quartus", RAG: true, Cache: true}
+	opts := Options{CompilerName: "quartus", RAG: true}
 	allocs := testing.AllocsPerRun(50, func() {
 		if _, err := New(opts); err != nil {
 			t.Fatal(err)
@@ -186,7 +170,7 @@ func TestNewAllocs(t *testing.T) {
 }
 
 func TestLintAndOptions(t *testing.T) {
-	f, err := New(Options{Seed: 1, Cache: true})
+	f, err := New(Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +235,7 @@ func TestPooledModelGeneratorsMatchFreshOnes(t *testing.T) {
 // text, and a cached repeat reuses them rather than re-analyzing.
 func TestLintReadsFindingsFromCompileResult(t *testing.T) {
 	const latch = "module top_module(input sel, input a, output reg y);\n\talways @(*) begin\n\t\tif (sel) y = a;\n\tend\nendmodule\n"
-	f, err := New(Options{Cache: true})
+	f, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

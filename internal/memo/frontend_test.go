@@ -194,7 +194,7 @@ func TestFixersShareOneFrontend(t *testing.T) {
 	before := memo.TotalsByKind()
 	var firstFinding []*diag.Diagnostic
 	for _, name := range []string{"simple", "iverilog", "quartus"} {
-		f, err := core.New(core.Options{CompilerName: name, Cache: true})
+		f, err := core.New(core.Options{CompilerName: name})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestSharedArtifactIsNotMutated(t *testing.T) {
 	first := memo.NewCompileCache(0).Cached(compiler.Quartus{}).Compile("main.v", src)
 	diags, ast := slices.Clone(first.Diags), printAST(first.File)
 	for _, name := range []string{"simple", "iverilog", "quartus"} {
-		f, err := core.New(core.Options{CompilerName: name, Cache: true, RAG: name != "simple"})
+		f, err := core.New(core.Options{CompilerName: name, RAG: name != "simple"})
 		if err != nil {
 			t.Fatal(err)
 		}

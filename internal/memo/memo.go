@@ -51,8 +51,9 @@
 // returns the same entries in the same order as the strategy's scan.
 // Cached values are shared, so callers must treat them as read-only —
 // which every consumer already does — and a cached slice has clipped
-// capacity, so a caller's append copies it. Table output is therefore
-// byte-identical with the layer on or off, at any worker count.
+// capacity, so a caller's append copies it. Transcripts and table output
+// are therefore byte-identical to those of a fixer with no memo layer,
+// at any worker count.
 package memo
 
 import (

@@ -251,7 +251,7 @@ func TestCanceledSlotsCarryCtxErr(t *testing.T) {
 // byte-identical to an untraced run — tracing must be a pure observer.
 func TestTracerCollectsJobTraces(t *testing.T) {
 	fixer, err := core.New(core.Options{
-		CompilerName: "quartus", RAG: true, Cache: true, Mode: core.ModeReAct, Seed: 7})
+		CompilerName: "quartus", RAG: true, Mode: core.ModeReAct, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,6 +305,10 @@ func TestBrownoutShedsLint(t *testing.T) {
 // are time, not space: $clog2 of 2^64-1 looped forever in sema's folder,
 // and a shift by 2^63 recursed in the folder and both backends until the
 // stack overflowed. bitvec.Clog2 and bitvec.(Vec).ShiftCount bound them.
+// Nesting costs goroutine stack, which TotalAlloc does not count: 50,000
+// parentheses grew StackSys by 63 MB in the recursive-descent parser,
+// and 2 MB of them overflow Go's stack limit, a fatal error.
+// verilog.MaxNestingDepth stops the parser, so StackSys stays put too.
 func TestHostileExpressionsDoNotKillServer(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, src := range []string{
@@ -312,6 +316,7 @@ func TestHostileExpressionsDoNotKillServer(t *testing.T) {
 		"module top_module(input a, output y); assign y = a ^ 2000000000'd0; endmodule",
 		"module top_module(output [31:0] y); localparam P = $clog2(64'hFFFFFFFFFFFFFFFF); assign y = P; endmodule",
 		"module top_module(input [7:0] a, output [7:0] y); localparam P = 1 << 64'h8000000000000000; assign y = (a << 64'h8000000000000000) ^ P; endmodule",
+		"module top_module(input a, output y); assign y = " + strings.Repeat("(", 50000) + "a" + strings.Repeat(")", 50000) + "; endmodule",
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -321,10 +326,13 @@ func TestHostileExpressionsDoNotKillServer(t *testing.T) {
 			t.Fatalf("status %d, body %v: want a 200 fix response", status, out)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
-			t.Fatalf("%q: the request allocated %d MB", src, grew>>20)
+			t.Fatalf("%.80q: the request allocated %d MB", src, grew>>20)
+		}
+		if grew := int64(after.StackSys) - int64(before.StackSys); grew > 16<<20 {
+			t.Fatalf("%.80q: goroutine stacks grew by %d MB", src, grew>>20)
 		}
 		if code, health := getJSON(t, ts.URL+"/v1/healthz"); code != http.StatusOK {
-			t.Fatalf("healthz after %q: %d %v", src, code, health)
+			t.Fatalf("healthz after %.80q: %d %v", src, code, health)
 		}
 	}
 }

@@ -543,7 +543,6 @@ func (s *Server) fixerFor(key fixerKey) (*core.RTLFixer, error) {
 		Mode:            key.mode,
 		MaxIterations:   key.iters,
 		Seed:            s.cfg.Seed,
-		Cache:           true,
 		DisableAnalyzer: !key.analyze,
 	})
 	if err != nil {

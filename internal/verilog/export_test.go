@@ -50,3 +50,11 @@ func (lx *Lexer) lexOpHasPrefix(pos diag.Pos) Token {
 		Pos:  pos, Cat: diag.CatUnexpectedToken,
 	}
 }
+
+// NestingPeak parses src and returns the deepest nesting level the
+// parser entered (the quantity MaxNestingDepth bounds).
+func NestingPeak(src string) int {
+	p := &Parser{toks: Lex(src)}
+	p.parseFile()
+	return p.peak
+}

@@ -9,6 +9,16 @@ import (
 // the first few anyway.
 const maxParseErrors = 10
 
+// MaxNestingDepth bounds how deeply a source may nest statements,
+// expressions, unary operators and l-value concatenations, counted on
+// one counter. A level costs a few recursive-descent frames (about
+// 2.4 KB of stack per parenthesis), and the walkers downstream recurse
+// along the same nesting (a chain of binary operators is parsed by a
+// loop and is not counted). The deepest benchmark reference or curated
+// entry nests 10 levels. Past the bound the parser reports one
+// diag.CatResourceLimit error and parses no further.
+const MaxNestingDepth = 256
+
 // Parser is a recursive-descent parser with error recovery. Parse errors
 // are collected as category-tagged diagnostics; the parser synchronizes at
 // statement boundaries and keeps going so that multi-error files produce
@@ -21,6 +31,10 @@ type Parser struct {
 	// declarations and comma-chained assigns; parseModule drains it after
 	// each parseItem call.
 	pendingItems []Item
+	// depth is the nesting being parsed (peak its maximum); halted is set
+	// once it would pass MaxNestingDepth.
+	depth, peak int
+	halted      bool
 }
 
 // Parse parses src and returns the AST plus all diagnostics. The AST is
@@ -51,11 +65,31 @@ func (p *Parser) accept(text string) bool {
 }
 
 func (p *Parser) errorf(cat diag.Category, pos diag.Pos, format string, args ...any) {
-	if len(p.diags.Errors()) >= maxParseErrors {
+	if p.halted || len(p.diags.Errors()) >= maxParseErrors {
 		return
 	}
 	p.diags.Add(diag.Errorf(cat, pos, format, args...))
 }
+
+// enter descends one nesting level; leave climbs back. Past
+// MaxNestingDepth, enter records one resource-limit error and moves the
+// cursor to EOF, where every open construct unwinds with its own errors
+// suppressed, and returns false: the caller returns a placeholder.
+func (p *Parser) enter() bool {
+	if p.depth == MaxNestingDepth {
+		if !p.halted {
+			p.diags.Add(diag.Errorf(diag.CatResourceLimit, p.cur().Pos,
+				"nesting is deeper than %d levels; the rest of the source is not parsed", MaxNestingDepth))
+			p.halted, p.pos = true, len(p.toks)-1
+		}
+		return false
+	}
+	p.depth++
+	p.peak = max(p.peak, p.depth)
+	return true
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // expect consumes the given operator/keyword or records an error. The
 // category lets callers classify what a missing token means (a missing ';'
@@ -537,6 +571,10 @@ func (p *Parser) parseAlways() Item {
 // ---------- statements ----------
 
 func (p *Parser) parseStmt() Stmt {
+	if !p.enter() {
+		return &NullStmt{StmtPos: p.cur().Pos}
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case t.Kind == TokError:
@@ -822,6 +860,10 @@ func (p *Parser) parseLValue() Expr {
 	if t.Is("{") {
 		p.advance()
 		c := &Concat{BracePos: t.Pos}
+		if !p.enter() {
+			return c
+		}
+		defer p.leave()
 		for {
 			c.Elems = append(c.Elems, p.parseLValue())
 			if !p.accept(",") {
@@ -869,7 +911,13 @@ func binaryPrec(op string) int {
 	return 0
 }
 
-func (p *Parser) parseExpr() Expr { return p.parseTernary() }
+func (p *Parser) parseExpr() Expr {
+	if !p.enter() {
+		return &Number{Text: "0", NumPos: p.cur().Pos}
+	}
+	defer p.leave()
+	return p.parseTernary()
+}
 
 func (p *Parser) parseTernary() Expr {
 	cond := p.parseBinary(1)
@@ -906,16 +954,24 @@ func (p *Parser) parseUnary() Expr {
 		switch t.Text {
 		case "~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^":
 			p.advance()
-			x := p.parseUnary()
-			return &Unary{Op: t.Text, X: x, OpPos: t.Pos}
+			return &Unary{Op: t.Text, X: p.parseOperand(), OpPos: t.Pos}
 		case "++", "--":
 			p.errorf(diag.CatCStyleSyntax, t.Pos,
 				"'%s' is not a Verilog operator", t.Text)
 			p.advance()
-			return p.parseUnary()
+			return p.parseOperand()
 		}
 	}
 	return p.parsePrimary()
+}
+
+// parseOperand parses a unary operator's operand one level down.
+func (p *Parser) parseOperand() Expr {
+	if !p.enter() {
+		return &Number{Text: "0", NumPos: p.cur().Pos}
+	}
+	defer p.leave()
+	return p.parseUnary()
 }
 
 func (p *Parser) parsePrimary() Expr {
