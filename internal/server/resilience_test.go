@@ -309,6 +309,9 @@ func TestBrownoutShedsLint(t *testing.T) {
 // parentheses grew StackSys by 63 MB in the recursive-descent parser,
 // and 2 MB of them overflow Go's stack limit, a fatal error.
 // verilog.MaxNestingDepth stops the parser, so StackSys stays put too.
+// A chain of 200,000 binary operators is one left-deep tree that every
+// walker recursed down; the request allocated over 64 MB. The same bound
+// counts each operator of a chain as a level.
 func TestHostileExpressionsDoNotKillServer(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, src := range []string{
@@ -317,6 +320,7 @@ func TestHostileExpressionsDoNotKillServer(t *testing.T) {
 		"module top_module(output [31:0] y); localparam P = $clog2(64'hFFFFFFFFFFFFFFFF); assign y = P; endmodule",
 		"module top_module(input [7:0] a, output [7:0] y); localparam P = 1 << 64'h8000000000000000; assign y = (a << 64'h8000000000000000) ^ P; endmodule",
 		"module top_module(input a, output y); assign y = " + strings.Repeat("(", 50000) + "a" + strings.Repeat(")", 50000) + "; endmodule",
+		"module top_module(input a, output y); assign y = a" + strings.Repeat("+a", 200000) + "; endmodule",
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

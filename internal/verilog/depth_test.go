@@ -64,6 +64,9 @@ func TestNestingDepthLimit(t *testing.T) {
 		{"concat", 1, func(n int) string {
 			return "module m(input a, output y); assign y = " + strings.Repeat("{", n) + "a" + strings.Repeat("}", n) + "; endmodule"
 		}},
+		{"chain", 1, func(n int) string {
+			return "module m(input a, output y); assign y = a" + strings.Repeat(" + a", n) + "; endmodule"
+		}},
 		{"ternary", 1, func(n int) string {
 			return "module m(input a, output y); assign y = " + strings.Repeat("a ? a : ", n) + "a; endmodule"
 		}},

@@ -6,6 +6,24 @@ import (
 	"repro/internal/diag"
 )
 
+// NewLexer returns a lexer over src.
+func NewLexer(src string) *Lexer {
+	return &Lexer{src: src, line: 1, col: 1}
+}
+
+// Lex tokenizes the whole input, appending a final TokEOF.
+func Lex(src string) []Token {
+	lx := NewLexer(src)
+	var toks []Token
+	for {
+		t := lx.Next()
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks
+		}
+	}
+}
+
 // LexHasPrefix is Lex with the operator scan it had before the first-byte
 // table: every operator in the table tried in turn with strings.HasPrefix.
 // Everything else is the production lexer, so a differential against Lex
@@ -54,7 +72,7 @@ func (lx *Lexer) lexOpHasPrefix(pos diag.Pos) Token {
 // NestingPeak parses src and returns the deepest nesting level the
 // parser entered (the quantity MaxNestingDepth bounds).
 func NestingPeak(src string) int {
-	p := &Parser{toks: Lex(src)}
+	p := newParser(src)
 	p.parseFile()
 	return p.peak
 }

@@ -17,27 +17,6 @@ type Lexer struct {
 	col  int
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
-}
-
-// Lex tokenizes the whole input, appending a final TokEOF. The token
-// slice is pre-sized from the source length — Verilog averages well over
-// four bytes per token, so one allocation covers the whole file and the
-// cache-miss compile path stops growing the slice log₂(n) times.
-func Lex(src string) []Token {
-	lx := NewLexer(src)
-	toks := make([]Token, 0, len(src)/4+8)
-	for {
-		t := lx.Next()
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks
-		}
-	}
-}
-
 func (lx *Lexer) peek() byte {
 	if lx.off >= len(lx.src) {
 		return 0

@@ -10,22 +10,23 @@ import (
 const maxParseErrors = 10
 
 // MaxNestingDepth bounds how deeply a source may nest statements,
-// expressions, unary operators and l-value concatenations, counted on
-// one counter. A level costs a few recursive-descent frames (about
-// 2.4 KB of stack per parenthesis), and the walkers downstream recurse
-// along the same nesting (a chain of binary operators is parsed by a
-// loop and is not counted). The deepest benchmark reference or curated
-// entry nests 10 levels. Past the bound the parser reports one
-// diag.CatResourceLimit error and parses no further.
+// expressions, unary operators, binary-operator chains and l-value
+// concatenations, counted on one counter. A level costs a few
+// recursive-descent frames (about 2.4 KB of stack per parenthesis), and
+// the walkers downstream recurse along the same nesting (each operator
+// of a chain deepens its left-deep tree by one). The deepest benchmark
+// reference or curated entry nests 10 levels. Past the bound the parser
+// reports one diag.CatResourceLimit error and parses no further.
 const MaxNestingDepth = 256
 
 // Parser is a recursive-descent parser with error recovery. Parse errors
 // are collected as category-tagged diagnostics; the parser synchronizes at
 // statement boundaries and keeps going so that multi-error files produce
-// multi-error logs, as both reference compilers do.
+// multi-error logs, as both reference compilers do. It pulls one token
+// at a time from its lexer; no token array is built.
 type Parser struct {
-	toks  []Token
-	pos   int
+	lx    Lexer
+	tok   Token // the current token; lx is positioned just past it
 	diags diag.List
 	// pendingItems buffers extra items produced by multi-name
 	// declarations and comma-chained assigns; parseModule drains it after
@@ -40,17 +41,24 @@ type Parser struct {
 // Parse parses src and returns the AST plus all diagnostics. The AST is
 // always non-nil, though it may be partial when errors occurred.
 func Parse(src string) (*SourceFile, diag.List) {
-	p := &Parser{toks: Lex(src)}
+	p := newParser(src)
 	file := p.parseFile()
 	return file, p.diags
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.advance(); return t }
+func newParser(src string) *Parser {
+	p := &Parser{lx: Lexer{src: src, line: 1, col: 1}}
+	p.tok = p.lx.Next()
+	return p
+}
 
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
+
+// advance moves to the next token; at EOF it stays there.
 func (p *Parser) advance() {
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	if p.tok.Kind != TokEOF {
+		p.tok = p.lx.Next()
 	}
 }
 
@@ -72,15 +80,18 @@ func (p *Parser) errorf(cat diag.Category, pos diag.Pos, format string, args ...
 }
 
 // enter descends one nesting level; leave climbs back. Past
-// MaxNestingDepth, enter records one resource-limit error and moves the
-// cursor to EOF, where every open construct unwinds with its own errors
+// MaxNestingDepth, enter records one resource-limit error and lexes on
+// to EOF, where every open construct unwinds with its own errors
 // suppressed, and returns false: the caller returns a placeholder.
 func (p *Parser) enter() bool {
 	if p.depth == MaxNestingDepth {
 		if !p.halted {
 			p.diags.Add(diag.Errorf(diag.CatResourceLimit, p.cur().Pos,
 				"nesting is deeper than %d levels; the rest of the source is not parsed", MaxNestingDepth))
-			p.halted, p.pos = true, len(p.toks)-1
+			p.halted = true
+			for p.tok.Kind != TokEOF {
+				p.advance()
+			}
 		}
 		return false
 	}
@@ -621,28 +632,26 @@ func (p *Parser) parseStmt() Stmt {
 
 // braceStartsAssignment looks ahead from a '{' at statement position and
 // reports whether its matching '}' is directly followed by '=' or '<=',
-// i.e. the brace opens a concatenation assignment target.
+// i.e. the brace opens a concatenation assignment target. It scans a
+// copy of the lexer, so the parser's own position does not move.
 func (p *Parser) braceStartsAssignment() bool {
+	lx, t := p.lx, p.tok
 	depth := 0
-	for i := p.pos; i < len(p.toks); i++ {
-		t := p.toks[i]
+	for {
 		switch {
 		case t.Is("{"):
 			depth++
 		case t.Is("}"):
 			depth--
 			if depth == 0 {
-				if i+1 < len(p.toks) {
-					next := p.toks[i+1]
-					return next.Is("=") || next.Is("<=")
-				}
-				return false
+				next := lx.Next()
+				return next.Is("=") || next.Is("<=")
 			}
 		case t.Kind == TokEOF, t.Is("endmodule"), t.Is(";"):
 			return false
 		}
+		t = lx.Next()
 	}
-	return false
 }
 
 // skipBraceBlock consumes a balanced {...} region after a C-style block
@@ -931,21 +940,28 @@ func (p *Parser) parseTernary() Expr {
 	return cond
 }
 
+// parseBinary builds a chain of operators into a left-deep tree, one
+// operator per turn. Each turn nests the tree one level deeper, so each
+// counts as one level; the chain's levels are undone on return.
 func (p *Parser) parseBinary(minPrec int) Expr {
 	lhs := p.parseUnary()
+	levels := 0
 	for {
 		t := p.cur()
 		if t.Kind != TokOp {
-			return lhs
+			break
 		}
 		prec := binaryPrec(t.Text)
-		if prec == 0 || prec < minPrec {
-			return lhs
+		if prec == 0 || prec < minPrec || !p.enter() {
+			break
 		}
+		levels++
 		p.advance()
 		rhs := p.parseBinary(prec + 1)
 		lhs = &Binary{Op: t.Text, X: lhs, Y: rhs, OpPos: t.Pos}
 	}
+	p.depth -= levels
+	return lhs
 }
 
 func (p *Parser) parseUnary() Expr {

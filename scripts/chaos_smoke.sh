@@ -11,7 +11,9 @@
 #   - the fault schedule is deterministic per seed (two daemons, same
 #     seed, same single-threaded workload → identical fault counters);
 #   - a zero-rate profile changes nothing (byte-identical fix response
-#     against a no-fault daemon).
+#     against a no-fault daemon);
+#   - every testdata/hostile/*.v posted to /v1/fix and /v1/lint gets a
+#     JSON reply, and /v1/healthz answers 200 after each.
 #
 # Run from the repo root (CI does; locally: scripts/chaos_smoke.sh).
 set -euo pipefail
@@ -48,6 +50,13 @@ start_daemon() { # $1: log suffix, rest: extra daemon flags
     echo "== daemon up on port $port (pid $daemon, $suffix)"
 }
 
+wait_ready() { # polls the last started daemon's /v1/readyz for up to 10 s
+    for _ in $(seq 1 100); do
+        curl -sf "http://127.0.0.1:$port/v1/readyz" >/dev/null 2>&1 && break
+        sleep 0.1
+    done
+}
+
 stat_of() { # $1: port, $2: jq path
     curl -sf "http://127.0.0.1:$1/v1/stats" | jq -r "$2"
 }
@@ -82,10 +91,7 @@ kill -9 "$daemon"
 daemon=""
 wait "$loadpid" 2>/dev/null || true   # transport errors expected: the daemon was murdered
 start_daemon restart -fault-profile "$profile" -fault-seed 7
-for _ in $(seq 1 100); do
-    curl -sf "http://127.0.0.1:$port/v1/readyz" >/dev/null 2>&1 && break
-    sleep 0.1
-done
+wait_ready
 curl -sf -X POST "http://127.0.0.1:$port/v1/fix" -d "$fixbody" | jq -e '.success == true' >/dev/null || {
     echo "FAIL: restarted daemon cannot serve the canonical fix" >&2
     cat "$workdir/daemon.restart.err" >&2; exit 1; }
@@ -128,4 +134,23 @@ cmp "$workdir/fix.nofault.json" "$workdir/fix.zerorate.json" || {
 kill "$daemon"; wait "$daemon" 2>/dev/null || true; daemon=""
 echo "   zero-rate profile byte-identical to no profile"
 
-echo "PASS: chaos smoke (no crashes, panics isolated, deterministic schedule)"
+echo "== hostile inputs: every testdata/hostile/*.v through /v1/fix and /v1/lint"
+start_daemon hostile
+wait_ready
+for f in testdata/hostile/*.v; do
+    jq -Rs '{source: .}' "$f" >"$workdir/hostile.json"
+    for ep in fix lint; do
+        curl -s -X POST "http://127.0.0.1:$port/v1/$ep" --data-binary @"$workdir/hostile.json" \
+            | jq -e . >/dev/null || {
+            echo "FAIL: /v1/$ep on $f: the reply is not JSON" >&2
+            cat "$workdir/daemon.hostile.err" >&2; exit 1; }
+        code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$port/v1/healthz")
+        [ "$code" = 200 ] || {
+            echo "FAIL: /v1/healthz returned $code after /v1/$ep on $f" >&2
+            cat "$workdir/daemon.hostile.err" >&2; exit 1; }
+    done
+    echo "   $f: fix and lint answered, healthz 200"
+done
+kill "$daemon"; wait "$daemon" 2>/dev/null || true; daemon=""
+
+echo "PASS: chaos smoke (no crashes, panics isolated, deterministic schedule, hostile inputs answered)"

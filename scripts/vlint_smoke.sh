@@ -94,15 +94,18 @@ grep -q '^b1000000 ' "$VCD" || fail "clog2_constant.v: y is not \$clog2(2^64-1) 
 # --- hostile input: nesting past verilog.MaxNestingDepth ---------------
 # Each parenthesis costs the recursive-descent parser about 2.4 KB of
 # goroutine stack, and 2 MB of them overflow Go's stack limit (a fatal
-# error exits 2). The parser stops at the bound with one typed
-# resource-limit error, so vlint exits 1 at once.
-HOSTILE=testdata/hostile/deep_parens.v
-rc=0; HOUT="$(timeout 10 "$VLINT" -json "$HOSTILE")" || rc=$?
-[ "$rc" -eq 1 ] || fail "vlint on $HOSTILE exited $rc, want 1"
-echo "$HOUT" | jq -e '(.[0].findings | length) == 1 and .[0].findings[0].category == "resource-limit"' \
-  >/dev/null || fail "$HOSTILE: want exactly one resource-limit diagnostic in -json output"
-HLOG="$("$VLINT" "$HOSTILE")" || true
-echo "$HLOG" | grep -q 'nesting is deeper than 256 levels' \
-  || fail "$HOSTILE: the persona log does not report the nesting limit"
+# error exits 2). A chain of binary operators (a+a+...+a) is a left-deep
+# tree that every walker downstream recurses down, one level per
+# operator. The parser stops at the bound with one typed resource-limit
+# error for either shape, so vlint exits 1 at once.
+for HOSTILE in testdata/hostile/deep_parens.v testdata/hostile/long_chain.v; do
+  rc=0; HOUT="$(timeout 10 "$VLINT" -json "$HOSTILE")" || rc=$?
+  [ "$rc" -eq 1 ] || fail "vlint on $HOSTILE exited $rc, want 1"
+  echo "$HOUT" | jq -e '(.[0].findings | length) == 1 and .[0].findings[0].category == "resource-limit"' \
+    >/dev/null || fail "$HOSTILE: want exactly one resource-limit diagnostic in -json output"
+  HLOG="$("$VLINT" "$HOSTILE")" || true
+  echo "$HLOG" | grep -q 'nesting is deeper than 256 levels' \
+    || fail "$HOSTILE: the persona log does not report the nesting limit"
+done
 
 echo "vlint_smoke: OK"
