@@ -55,8 +55,21 @@ func FromWords(width int, words []uint64) Vec {
 	return out
 }
 
+// Carve returns a vector of the given width backed by the first
+// WordsFor(width) words of arena, and the rest of arena. The vector's
+// words are capacity-clipped, so vectors carved from one arena never
+// share a word: a caller that sums WordsFor over its widths makes one
+// allocation for all of them. A fresh arena carves zero vectors.
+func Carve(arena []uint64, width int) (Vec, []uint64) {
+	n := wordsFor(width)
+	return Vec{width: width, words: arena[:n:n]}, arena[n:]
+}
+
 // WordsFor returns how many 64-bit words hold a value of the given width.
 func WordsFor(width int) int { return wordsFor(width) }
+
+// Word returns word i of v (bits 64i..64i+63), zero past its storage.
+func (v Vec) Word(i int) uint64 { return wordAt(v, i) }
 
 func wordsFor(width int) int { return (width + wordBits - 1) / wordBits }
 

@@ -130,8 +130,9 @@ func wordAt(o Vec, i int) uint64 {
 const aliasBufWords = 8
 
 // aliases reports whether v and o share backing storage. Vectors are
-// allocated whole (the package never subslices words), so identity of the
-// first word identifies identity of the whole array.
+// allocated whole or carved from disjoint word ranges (Carve), never
+// overlapping in part, so identity of the first word identifies identity
+// of the whole array.
 func (v *Vec) aliases(o Vec) bool {
 	return len(v.words) > 0 && len(o.words) > 0 && &v.words[0] == &o.words[0]
 }

@@ -186,3 +186,46 @@ func TestWordsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestCarve: vectors carved from one arena take exactly their words,
+// capacity-clipped, so writing one never touches its neighbours, no two
+// of them alias, and in-place ops over carved operands equal the
+// allocating ops.
+func TestCarve(t *testing.T) {
+	widths := []int{1, 0, 64, 65, 130, 7}
+	n := 0
+	for _, w := range widths {
+		n += WordsFor(w)
+	}
+	arena := make([]uint64, n)
+	vs := make([]Vec, len(widths))
+	rest := arena
+	for i, w := range widths {
+		vs[i], rest = Carve(rest, w)
+		if vs[i].Width() != w || len(vs[i].words) != WordsFor(w) || cap(vs[i].words) != len(vs[i].words) {
+			t.Fatalf("Carve(%d): width %d, %d words, cap %d", w, vs[i].Width(), len(vs[i].words), cap(vs[i].words))
+		}
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d words left over", len(rest))
+	}
+	for i := range vs {
+		vs[i].NotOf(vs[i]) // all ones
+		for j := range vs {
+			if j != i && !vs[j].IsZero() {
+				t.Fatalf("writing vector %d changed vector %d", i, j)
+			}
+			if j != i && vs[i].aliases(vs[j]) {
+				t.Fatalf("vectors %d and %d alias", i, j)
+			}
+		}
+		vs[i].Zero()
+	}
+	a, b, dst := vs[3], vs[4], vs[2]
+	a.SetUint64(0xdead_beef)
+	b.NotOf(b)
+	dst.ConcatOf(a, b)
+	if want := a.Concat(b).Resize(64); !dst.Eq(want) {
+		t.Fatalf("ConcatOf over carved vectors = %s, want %s", dst.Hex(), want.Hex())
+	}
+}

@@ -46,11 +46,9 @@ func (s *Server) simCheck(tr *agent.Transcript, parent *trace.Span) {
 // the result label it records on a "sim" child of parent, or "" when no
 // check applies (the run failed). Sources that do not elaborate (the
 // personas accept code the stricter sim frontend rejects) or whose design
-// the compiled engine rejects are skipped, not failed; a simulation that
-// blows its watchdog budget is canceled, never request-fatal. Every
-// simulated check is observed: coverage and the engine profile fold into
-// simObs. The shared SimCache means a coalesced-or-repeated source pays
-// frontend+compile once.
+// the compiled engine rejects are skipped, not failed. The shared
+// SimCache means a coalesced-or-repeated source pays frontend+compile
+// once.
 func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) (result string) {
 	if tr == nil || !tr.Success {
 		return ""
@@ -68,6 +66,15 @@ func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) (result s
 	case prog == nil:
 		return "not_simulable" // the compiled engine rejected the design
 	}
+	return smokeRun(prog, sp, s.simObs)
+}
+
+// smokeRun settles one instance of prog and pulses its clock once,
+// returning the result label. A simulation that blows its watchdog
+// budget is canceled, never request-fatal. Every run is observed:
+// coverage and the engine profile fold into obs, and sp (nil with
+// tracing off) gets the clock and the coverage summary.
+func smokeRun(prog *sim.Program, sp *trace.Span, obs *simObs) string {
 	sm := sim.NewFromProgram(prog)
 
 	// The settle-plus-one-pulse run is microseconds on healthy designs,
@@ -82,8 +89,10 @@ func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) (result s
 	sm.EnableProfile()
 	defer func() {
 		cov.AddActivations(sm.Activations())
-		s.simObs.fold(cov, sm.Profile())
-		sp.SetStr("coverage", cov.Stats().String())
+		obs.fold(cov, sm.Profile())
+		if sp != nil {
+			sp.SetStr("coverage", cov.Stats().String())
+		}
 	}()
 	if err := sm.Settle(); err != nil {
 		if resilience.IsWatchdog(err) {

@@ -42,6 +42,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/sema"
 	"repro/internal/verilog"
+	"repro/internal/wave"
 )
 
 // opcode enumerates the engine's instruction set.
@@ -121,11 +122,6 @@ type instr struct {
 	mode uint8
 }
 
-type slotMeta struct {
-	name  string
-	width int
-}
-
 type constEntry struct {
 	reg int32
 	val bitvec.Vec
@@ -177,11 +173,19 @@ type schedItem struct {
 // Program is a compiled design: immutable, safe to share across
 // goroutines, instantiated per run with NewFromProgram.
 type Program struct {
-	design   *sema.Design
-	slots    []slotMeta
+	design *sema.Design
+	// slots is the design's signal table in sorted-name order: slot i
+	// is register i, and Observe hands the table to observers as is.
+	slots    []wave.Signal
 	slotOf   map[string]int32
 	regWidth []int
-	consts   []constEntry
+	// consts holds the constant registers in ascending register order.
+	consts []constEntry
+	// arena is how many words one instance's register and shadow
+	// vectors take together; newEngine carves them all out of one
+	// slice of this length. Constant registers share the program's
+	// vectors and take none.
+	arena    int
 	initCode []instr
 	nodes    [][]instr // combinational processes, original program order
 	// tracked lists, per node, the slots whose before/after comparison
@@ -273,6 +277,7 @@ func (c *compiler) newTemp(width int) int32 {
 	}
 	r := int32(len(c.prog.regWidth))
 	c.prog.regWidth = append(c.prog.regWidth, width)
+	c.prog.arena += bitvec.WordsFor(width)
 	return r
 }
 
@@ -285,6 +290,7 @@ func (c *compiler) constReg(v bitvec.Vec) int32 {
 		return r
 	}
 	r := c.newTemp(v.Width())
+	c.prog.arena -= bitvec.WordsFor(v.Width())
 	c.constIdx[key] = r
 	c.prog.consts = append(c.prog.consts, constEntry{reg: r, val: v})
 	return r
@@ -330,17 +336,12 @@ func normConst(mode uint8, lsb int32, idx int) int {
 
 func (c *compiler) run() {
 	p := c.prog
-	// Slot interning: deterministic order (sorted names).
-	names := make([]string, 0, len(c.design.Signals))
-	for name := range c.design.Signals {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		sig := c.design.Signals[name]
-		r := c.newTemp(sig.Width())
-		p.slots = append(p.slots, slotMeta{name: name, width: sig.Width()})
-		p.slotOf[name] = r
+	// Slot interning: deterministic order (sorted names). Each slot
+	// also has a shadow vector for fixpoint change detection.
+	p.slots = signalTable(c.design)
+	for _, sig := range p.slots {
+		p.slotOf[sig.Name] = c.newTemp(sig.Width)
+		p.arena += bitvec.WordsFor(sig.Width)
 	}
 
 	// Variable declaration initializers (reg r = 0), in declaration

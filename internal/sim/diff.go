@@ -25,10 +25,10 @@ import (
 // simulate a design they did not write a testbench for: vlint and
 // rtlfixer -coverage/-vcd, and the fix service's sim check.
 func ClockInput(d *sema.Design) string {
-	for _, in := range d.Inputs() {
-		switch strings.ToLower(in.Name) {
-		case "clk", "clock":
-			return in.Name
+	for _, name := range d.PortOrder {
+		if sig := d.Signals[name]; sig != nil && sig.Dir == verilog.DirInput &&
+			(strings.EqualFold(name, "clk") || strings.EqualFold(name, "clock")) {
+			return sig.Name
 		}
 	}
 	return ""

@@ -27,7 +27,7 @@ type engine struct {
 	nba     []int32
 	nbaVals []bitvec.Vec
 	curNBA  bitvec.Vec // value being applied by the running fragment
-	trips   []int
+	trips   []uint64   // per loop: trips since its opLoopInit
 	// Fixpoint change detection. Continuous assigns track incrementally
 	// (trackStores gates the store ops' reporting); comb always blocks
 	// compare their tracked slots against the shadow copies taken before
@@ -66,21 +66,18 @@ func (e *engine) enableActivations() {
 func (e *engine) activationCounts() []uint64 { return e.actCounts }
 
 // enableProfile (re)arms full execution profiling: opcode histogram,
-// fixpoint iteration counts, and activation counters.
+// fixpoint iteration counts, and activation counters, all three carved
+// from one slice on first use.
 func (e *engine) enableProfile() {
-	if len(e.opCounts) != len(opNames) {
-		e.opCounts = make([]uint64, len(opNames))
+	if e.opCounts == nil {
+		nOps, nSched := len(opNames), len(e.p.sched)
+		c := make([]uint64, nOps+nSched+len(e.p.nodes)+len(e.p.seq))
+		e.opCounts = c[:nOps:nOps]
+		e.fixIters = c[nOps : nOps+nSched : nOps+nSched]
+		e.actCounts = c[nOps+nSched:]
 	} else {
-		for i := range e.opCounts {
-			e.opCounts[i] = 0
-		}
-	}
-	if len(e.fixIters) != len(e.p.sched) {
-		e.fixIters = make([]uint64, len(e.p.sched))
-	} else {
-		for i := range e.fixIters {
-			e.fixIters[i] = 0
-		}
+		clear(e.opCounts)
+		clear(e.fixIters)
 	}
 	e.settles = 0
 	e.enableActivations()
@@ -92,6 +89,13 @@ func (e *engine) profileSnapshot() *wave.EngineProfile {
 		return nil
 	}
 	prof := &wave.EngineProfile{Settles: e.settles}
+	nOps := 0
+	for _, n := range e.opCounts {
+		if n > 0 {
+			nOps++
+		}
+	}
+	prof.Ops = make([]wave.OpCount, 0, nOps)
 	for op, n := range e.opCounts {
 		if n > 0 {
 			prof.Instructions += n
@@ -108,41 +112,42 @@ func (e *engine) profileSnapshot() *wave.EngineProfile {
 			prof.MaxGroupIters = e.fixIters[si]
 		}
 	}
+	prof.Processes = make([]wave.ProcessStat, len(e.p.procs))
 	for i, pm := range e.p.procs {
-		var acts uint64
-		if i < len(e.actCounts) {
-			acts = e.actCounts[i]
-		}
-		prof.Processes = append(prof.Processes, wave.ProcessStat{
-			Kind: pm.kind, Line: pm.line, Activations: acts,
-		})
+		prof.Processes[i] = wave.ProcessStat{Kind: pm.kind, Line: pm.line, Activations: e.actCounts[i]}
 	}
 	prof.Sort()
 	return prof
 }
 
+// newEngine instantiates p in a constant number of allocations: the
+// register and shadow vectors share one Vec slice, and their words and
+// the loop trip counters are carved from one arena.
 func newEngine(p *Program) *engine {
+	nRegs, nLoops := len(p.regWidth), len(p.loops)
+	vecs := make([]bitvec.Vec, nRegs+len(p.slots))
+	arena := make([]uint64, nLoops+p.arena)
 	e := &engine{
 		p:      p,
-		regs:   make([]bitvec.Vec, len(p.regWidth)),
+		regs:   vecs[:nRegs:nRegs],
+		shadow: vecs[nRegs:],
 		nSlots: len(p.slots),
-		trips:  make([]int, len(p.loops)),
+		trips:  arena[:nLoops:nLoops],
 	}
-	isConst := make([]bool, len(p.regWidth))
-	for _, ce := range p.consts {
-		isConst[ce.reg] = true
-		// Constant registers share the program's vectors: the compiler
-		// never emits a write to them.
-		e.regs[ce.reg] = ce.val
-	}
+	arena = arena[nLoops:]
+	consts := p.consts
 	for i, w := range p.regWidth {
-		if !isConst[i] {
-			e.regs[i] = bitvec.New(w)
+		if len(consts) > 0 && int(consts[0].reg) == i {
+			// Constant registers share the program's vectors: the
+			// compiler never emits a write to them.
+			e.regs[i] = consts[0].val
+			consts = consts[1:]
+			continue
 		}
+		e.regs[i], arena = bitvec.Carve(arena, w)
 	}
-	e.shadow = make([]bitvec.Vec, e.nSlots)
-	for i := range e.shadow {
-		e.shadow[i] = bitvec.New(p.slots[i].width)
+	for i, sig := range p.slots {
+		e.shadow[i], arena = bitvec.Carve(arena, sig.Width)
 	}
 	e.runInit()
 	return e

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/diag"
 )
 
 // diffBoth runs src through the shared differential path (diff.go) and
@@ -244,6 +246,31 @@ func TestCompileBoundsProgramState(t *testing.T) {
 	}
 }
 
+// TestWalkerBoundsExpressionState: the walker, handed a design the
+// engine never compiled, refuses the same oversized values at run time
+// with a resource-limit diagnostic: a nested replication, a
+// concatenation chain, and a conditional whose context width is a
+// replication's, each past maxProgramBits. The sizes stay small enough
+// (a few megabytes) for a walker without the bound to finish.
+func TestWalkerBoundsExpressionState(t *testing.T) {
+	chain := "s" + strings.Repeat(", s", 69)
+	for _, src := range []string{
+		"module m(input a, output y);\n\twire [7:0] w = {4096{{4096{a}}}};\n\tassign y = w[0];\nendmodule",
+		"module m(input [65535:0] s, output y);\n\twire [7:0] w = {" + chain + "};\n\tassign y = w[0];\nendmodule",
+		"module m(input a, output y);\n\twire [7:0] w = a ? 8'd1 : {4096{{4096{a}}}};\n\tassign y = w[0];\nendmodule",
+	} {
+		s, err := NewWith(buildDesign(t, src), EngineWalker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.Settle()
+		var d diag.Diagnostic
+		if !errors.As(err, &d) || d.Category != diag.CatResourceLimit {
+			t.Errorf("walker Settle error = %v, want a resource-limit diagnostic", err)
+		}
+	}
+}
+
 // TestNewRejectsDynamicReplication: a design the compiler rejects does
 // not simulate. New returns the compile error rather than running the
 // design on the walker; only an explicit EngineWalker reaches it.
@@ -320,6 +347,32 @@ endmodule`
 				t.Fatalf("engine %d round %d: net init not recomputed, inv = %d", eng, round, got)
 			}
 		}
+	}
+}
+
+// TestNewFromProgramAllocs: an instance costs a constant number of
+// allocations, whatever the design's size. Every register, shadow
+// vector and loop trip counter comes out of one word arena sized at
+// compile time, so a 1-signal design and a 100-bit bit reverser with a
+// for loop instantiate in the same count.
+func TestNewFromProgramAllocs(t *testing.T) {
+	count := func(src string) float64 {
+		prog, err := Compile(buildDesign(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() { NewFromProgram(prog) })
+	}
+	one := count("module one(input a);\nendmodule\n")
+	wide := count(`module top_module(input [99:0] in, output reg [99:0] out);
+	always @(*) begin
+		for (int i = 0; i < 100; i = i + 1)
+			out[i] = in[99 - i];
+	end
+endmodule`)
+	t.Logf("NewFromProgram: %.0f allocations (1 signal), %.0f (100-bit reverser)", one, wide)
+	if one != wide {
+		t.Fatalf("NewFromProgram allocates %.0f times for 1 signal and %.0f for the 100-bit reverser, want the same", one, wide)
 	}
 }
 

@@ -9,47 +9,56 @@ package sim
 // pin.
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/bitvec"
+	"repro/internal/sema"
 	"repro/internal/wave"
 )
 
 // Observe attaches an observer (nil detaches). The observer's Init is
-// called immediately with the design's signals in sorted-name order;
-// from then on every successful Settle — including the three inside
-// ClockPulse — delivers one Sample whose values alias live simulator
-// storage. Use wave.Multi to attach several observers at once.
+// called immediately with the design's signals in sorted-name order (a
+// table shared by every instance of a program, which observers must not
+// modify); from then on every successful Settle — including the three
+// inside ClockPulse — delivers one Sample whose values alias live
+// simulator storage. Use wave.Multi to attach several observers at once.
 func (s *Simulator) Observe(o wave.Observer) {
 	if o == nil {
 		s.obs = nil
-		s.obsNames = nil
+		s.obsPorts = nil
 		s.obsVals = nil
 		return
 	}
-	names := make([]string, 0, len(s.design.Signals))
-	for name := range s.design.Signals {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	sigs := make([]wave.Signal, len(names))
-	for i, name := range names {
-		sigs[i] = wave.Signal{Name: name, Width: s.design.Signals[name].Width()}
-	}
-	o.Init(s.design.Module.Name, sigs)
+	o.Init(s.design.Module.Name, s.signals)
 	s.obs = o
-	s.obsNames = names
-	s.obsVals = make([]bitvec.Vec, len(names))
+	s.obsPorts = make([]int32, len(s.signals))
+	for i, sig := range s.signals {
+		s.obsPorts[i] = s.b.port(sig.Name)
+	}
+	s.obsVals = make([]bitvec.Vec, len(s.signals))
 	s.obsTime = 0
 }
 
 // sample delivers one post-settle snapshot to the attached observer.
 func (s *Simulator) sample() {
-	for i, name := range s.obsNames {
-		s.obsVals[i] = s.b.Get(name)
+	for i, port := range s.obsPorts {
+		s.obsVals[i] = s.b.value(port)
 	}
 	s.obs.Sample(s.obsTime, s.obsVals)
 	s.obsTime++
+}
+
+// signalTable lists the design's signals in sorted-name order with their
+// widths: the compiled program's slot order, and the table Observe hands
+// to observers on either backend.
+func signalTable(d *sema.Design) []wave.Signal {
+	sigs := make([]wave.Signal, 0, len(d.Signals))
+	for name, sig := range d.Signals {
+		sigs = append(sigs, wave.Signal{Name: name, Width: sig.Width()})
+	}
+	slices.SortFunc(sigs, func(a, b wave.Signal) int { return strings.Compare(a.Name, b.Name) })
+	return sigs
 }
 
 // EnableActivations (re)arms per-process activation counting on the

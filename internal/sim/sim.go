@@ -107,11 +107,16 @@ type Simulator struct {
 	b      backend
 	wd     *resilience.Watchdog
 
+	// signals is the design's signal table in sorted-name order (the
+	// program's slot table on the compiled engine).
+	signals []wave.Signal
+
 	// Observation state (observe.go). obs is nil unless an observer is
-	// attached; obsNames/obsVals are the preallocated snapshot carriers
-	// so sampling itself does not allocate.
+	// attached; obsPorts are the signals resolved once at Observe, and
+	// obsVals is the preallocated snapshot carrier, so sampling itself
+	// does not allocate.
 	obs      wave.Observer
-	obsNames []string
+	obsPorts []int32
 	obsVals  []bitvec.Vec
 	obsTime  uint64
 }
@@ -143,7 +148,7 @@ func NewWith(design *sema.Design, eng Engine) (*Simulator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Simulator{design: design, b: w}, nil
+		return &Simulator{design: design, b: w, signals: signalTable(design)}, nil
 	}
 	prog, err := Compile(design)
 	if err != nil {
@@ -155,9 +160,10 @@ func NewWith(design *sema.Design, eng Engine) (*Simulator, error) {
 // NewFromProgram instantiates a simulator over an already-compiled
 // program. The program is immutable and may be shared across goroutines;
 // each call returns independent mutable state, so a cached Program turns
-// the per-testbench-run cost into a single allocation pass.
+// the per-testbench-run cost into a constant number of allocations,
+// whatever the design's size.
 func NewFromProgram(p *Program) *Simulator {
-	return &Simulator{design: p.design, b: newEngine(p)}
+	return &Simulator{design: p.design, b: newEngine(p), signals: p.slots}
 }
 
 // Compiled reports whether the compiled engine backs this simulator.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitvec"
+	"repro/internal/diag"
 	"repro/internal/resilience"
 	"repro/internal/sema"
 	"repro/internal/verilog"
@@ -709,6 +710,9 @@ func (e *env) evalTernary(n *verilog.Ternary, width int) (bitvec.Vec, error) {
 	if err != nil {
 		return bitvec.Vec{}, err
 	}
+	if w > maxProgramBits {
+		return bitvec.Vec{}, stateLimit(n)
+	}
 	w = max(w, width)
 	x := n.Else
 	if c.Bool() {
@@ -760,6 +764,9 @@ func (e *env) eval(x verilog.Expr) (bitvec.Vec, error) {
 			if err != nil {
 				return bitvec.Vec{}, err
 			}
+			if out.Width()+v.Width() > maxProgramBits {
+				return bitvec.Vec{}, stateLimit(n)
+			}
 			out = out.Concat(v)
 		}
 		return out, nil
@@ -771,6 +778,9 @@ func (e *env) eval(x verilog.Expr) (bitvec.Vec, error) {
 		v, err := e.eval(n.Value)
 		if err != nil {
 			return bitvec.Vec{}, err
+		}
+		if c*v.Width() > maxProgramBits {
+			return bitvec.Vec{}, stateLimit(n)
 		}
 		return v.Repeat(c), nil
 	case *verilog.Index:
@@ -921,6 +931,16 @@ func identName(x verilog.Expr) string {
 
 func unknownSignal(n *verilog.Ident) error {
 	return fmt.Errorf("sim: read of unknown signal %q at line %d", n.Name, n.Pos().Line)
+}
+
+// stateLimit refuses a value wider than one program's register state,
+// the bound the compiler puts on the same design: the walker may be
+// handed a design the engine never compiled, and a few bytes of nested
+// replication would otherwise ask it for gigabytes. The error is a
+// resource-limit diagnostic.
+func stateLimit(x verilog.Expr) error {
+	return diag.Errorf(diag.CatResourceLimit, x.Pos(),
+		"sim: expression needs over %d bits of state", maxProgramBits)
 }
 
 func unresolvableSlice(n *verilog.Slice) error {

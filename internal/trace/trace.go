@@ -88,19 +88,30 @@ func (s *Span) End() {
 	}
 }
 
-// SetStr attaches a string attribute.
-func (s *Span) SetStr(key, val string) { s.set(key, val) }
+// SetStr attaches a string attribute. The setters return before boxing
+// the value when s is nil, so tracing off allocates nothing here.
+func (s *Span) SetStr(key, val string) {
+	if s != nil {
+		s.set(key, val)
+	}
+}
 
 // SetInt attaches an integer attribute.
-func (s *Span) SetInt(key string, val int64) { s.set(key, val) }
+func (s *Span) SetInt(key string, val int64) {
+	if s != nil {
+		s.set(key, val)
+	}
+}
 
 // SetBool attaches a boolean attribute.
-func (s *Span) SetBool(key string, val bool) { s.set(key, val) }
-
-func (s *Span) set(key string, val any) {
-	if s == nil {
-		return
+func (s *Span) SetBool(key string, val bool) {
+	if s != nil {
+		s.set(key, val)
 	}
+}
+
+// set appends one attribute to a non-nil span.
+func (s *Span) set(key string, val any) {
 	s.t.mu.Lock()
 	s.attrs = append(s.attrs, Attr{Key: key, Val: val})
 	s.t.mu.Unlock()

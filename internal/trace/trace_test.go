@@ -107,6 +107,26 @@ func TestTraceOffZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestNilSpanSettersAllocNothing: the attribute setters of a nil span
+// return before boxing their value, so a string built at run time or an
+// integer outside the runtime's small-value table costs nothing with
+// tracing off.
+func TestNilSpanSettersAllocNothing(t *testing.T) {
+	var sp *Span
+	strs := []string{strings.Repeat("ok", 3), strings.Repeat("clk", 2)}
+	n := int64(1) << 40
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
+		sp.SetStr("result", strs[i%2])
+		sp.SetInt("cycles", n+int64(i))
+		sp.SetBool("ok", i%2 == 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("nil-span setters allocate %v per run, want 0", allocs)
+	}
+}
+
 func TestRingEvictionAndSlowRetention(t *testing.T) {
 	c := NewCollector(4, 2, 30*time.Millisecond)
 	slowIDs := make([]string, 0, 3)

@@ -157,13 +157,20 @@ func (lx *Lexer) lexNumber(pos diag.Pos) Token {
 	return Token{Kind: TokNumber, Text: sizeText, Pos: pos}
 }
 
+// lexBasedLiteral lexes from the quote of a based literal; sizeText is
+// the size just lexed before it ("" when unsized). The token text is the
+// canonical form size'<lowercase base><digits>, without a signed
+// marker: the source's own bytes when it already spells the literal so
+// (8'hFF), a new string only when it does not (8'HFF, 8'sd4).
 func (lx *Lexer) lexBasedLiteral(pos diag.Pos, sizeText string) Token {
+	start := lx.off - len(sizeText)
 	lx.advance() // consume '
 	if lx.off >= len(lx.src) {
 		return Token{Kind: TokError, Text: "truncated based literal", Pos: pos, Cat: diag.CatMalformedLiteral}
 	}
 	base := lx.advance()
-	if base == 's' || base == 'S' { // signed marker: 8'sd4
+	signed := base == 's' || base == 'S'
+	if signed { // signed marker: 8'sd4
 		if lx.off >= len(lx.src) {
 			return Token{Kind: TokError, Text: "truncated based literal", Pos: pos, Cat: diag.CatMalformedLiteral}
 		}
@@ -193,6 +200,9 @@ func (lx *Lexer) lexBasedLiteral(pos diag.Pos, sizeText string) Token {
 				Pos:  pos, Cat: diag.CatMalformedLiteral,
 			}
 		}
+	}
+	if !signed && base == baseLower {
+		return Token{Kind: TokNumber, Text: lx.src[start:lx.off], Pos: pos}
 	}
 	return Token{Kind: TokNumber, Text: sizeText + "'" + string(baseLower) + digits, Pos: pos}
 }

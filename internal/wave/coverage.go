@@ -2,29 +2,31 @@ package wave
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 )
 
 // Coverage is an Observer accumulating toggle/activity coverage over a
 // run: per-signal sticky masks of bits seen rising (0→1) and falling
-// (1→0), total toggle-event counts, and — folded in separately via
+// (1→0), the total toggle-event count, and — folded in separately via
 // AddActivations — per-process activation counts. The whole run merges
 // into a compact Signature for corpus guidance and into Stats for
 // reporting.
+//
+// The per-signal state is three flat word planes, one allocation for
+// the whole design: signal i owns words [off, off+WordsFor(width)) of
+// each plane, where off sums the word counts of the signals before it.
 type Coverage struct {
 	module  string
 	signals []Signal
-	// prev holds the previous sample per signal; the first sample only
-	// initializes it (power-on values are state, not toggles).
-	prev  []bitvec.Vec
-	have  bool
-	rose  []bitvec.Vec // sticky per-bit 0→1 masks
-	fell  []bitvec.Vec // sticky per-bit 1→0 masks
-	diff  []bitvec.Vec // scratch: bits that changed this sample
-	tmp   []bitvec.Vec // scratch: direction-filtered change bits
-	tog   []uint64     // per-signal toggle events (changed bits summed)
-	procs []uint64     // per-process activations (AddActivations)
+	// prev holds the previous sample (the first sample only initializes
+	// it: power-on values are state, not toggles); rose and fell are the
+	// sticky per-bit 0→1 and 1→0 masks.
+	prev, rose, fell []uint64
+	have             bool
+	toggles          uint64   // bit-change events (changed bits summed)
+	procs            []uint64 // per-process activations (AddActivations)
 
 	samples uint64
 }
@@ -36,21 +38,14 @@ func NewCoverage() *Coverage { return &Coverage{} }
 func (c *Coverage) Init(module string, signals []Signal) {
 	c.module = module
 	c.signals = signals
-	n := len(signals)
-	c.prev = make([]bitvec.Vec, n)
-	c.rose = make([]bitvec.Vec, n)
-	c.fell = make([]bitvec.Vec, n)
-	c.diff = make([]bitvec.Vec, n)
-	c.tmp = make([]bitvec.Vec, n)
-	c.tog = make([]uint64, n)
-	for i, sig := range signals {
-		c.prev[i] = bitvec.New(sig.Width)
-		c.rose[i] = bitvec.New(sig.Width)
-		c.fell[i] = bitvec.New(sig.Width)
-		c.diff[i] = bitvec.New(sig.Width)
-		c.tmp[i] = bitvec.New(sig.Width)
+	n := 0
+	for _, sig := range signals {
+		n += bitvec.WordsFor(sig.Width)
 	}
+	planes := make([]uint64, 3*n)
+	c.prev, c.rose, c.fell = planes[:n:n], planes[n:2*n:2*n], planes[2*n:]
 	c.have = false
+	c.toggles = 0
 	c.samples = 0
 }
 
@@ -58,25 +53,40 @@ func (c *Coverage) Init(module string, signals []Signal) {
 // sample and fold rising/falling bits into the sticky masks.
 func (c *Coverage) Sample(t uint64, vals []bitvec.Vec) {
 	c.samples++
-	if !c.have {
-		for i := range vals {
-			c.prev[i].CopyResize(vals[i])
+	first := !c.have
+	c.have = true
+	off := 0
+	for i, sig := range c.signals {
+		nw := bitvec.WordsFor(sig.Width)
+		for j := 0; j < nw; j++ {
+			cur := vals[i].Word(j)
+			if j == nw-1 {
+				cur &= topMask(sig.Width)
+			}
+			w := off + j
+			if first {
+				c.prev[w] = cur
+				continue
+			}
+			d := cur ^ c.prev[w]
+			if d == 0 {
+				continue
+			}
+			c.toggles += uint64(bits.OnesCount64(d))
+			c.rose[w] |= d & cur
+			c.fell[w] |= d & c.prev[w]
+			c.prev[w] = cur
 		}
-		c.have = true
-		return
+		off += nw
 	}
-	for i := range vals {
-		c.diff[i].XorOf(vals[i], c.prev[i])
-		if c.diff[i].IsZero() {
-			continue
-		}
-		c.tog[i] += uint64(c.diff[i].PopCount())
-		c.tmp[i].AndOf(c.diff[i], vals[i]) // changed and now 1: rose
-		c.rose[i].OrOf(c.rose[i], c.tmp[i])
-		c.tmp[i].AndOf(c.diff[i], c.prev[i]) // changed and was 1: fell
-		c.fell[i].OrOf(c.fell[i], c.tmp[i])
-		c.prev[i].CopyResize(vals[i])
+}
+
+// topMask keeps the bits of a width's last word.
+func topMask(width int) uint64 {
+	if r := width % 64; r != 0 {
+		return 1<<r - 1
 	}
+	return ^uint64(0)
 }
 
 // AddActivations folds per-process activation counts (from
@@ -139,15 +149,15 @@ func (s Stats) String() string {
 
 // Stats computes the current summary.
 func (c *Coverage) Stats() Stats {
-	st := Stats{Module: c.module, Signals: len(c.signals), Samples: c.samples}
-	for i, sig := range c.signals {
+	st := Stats{Module: c.module, Signals: len(c.signals), Samples: c.samples, Toggles: c.toggles}
+	for _, sig := range c.signals {
 		st.Bits += sig.Width
-		st.Toggles += c.tog[i]
-		r, f := c.rose[i].PopCount(), c.fell[i].PopCount()
-		st.PointsCovered += r + f
+	}
+	for w, r := range c.rose {
+		f := c.fell[w]
+		st.PointsCovered += bits.OnesCount64(r) + bits.OnesCount64(f)
 		// Bits toggled in either direction: |rose ∪ fell|.
-		c.tmp[i].OrOf(c.rose[i], c.fell[i])
-		st.BitsToggled += c.tmp[i].PopCount()
+		st.BitsToggled += bits.OnesCount64(r | f)
 	}
 	st.PointsTotal = 2 * st.Bits
 	st.Processes = len(c.procs)
@@ -238,16 +248,20 @@ func (s *Signature) Union(o *Signature) bool {
 // process that activated.
 func (c *Coverage) Signature() *Signature {
 	sig := &Signature{}
-	for i, s := range c.signals {
+	off := 0
+	for _, s := range c.signals {
 		hname := hashString(fnvOffset, s.Name)
-		for b := 0; b < s.Width; b++ {
-			if c.rose[i].Bit(b) {
-				sig.addKey(hashUint(hashString(hname, "r"), uint64(b)))
+		hr, hf := hashString(hname, "r"), hashString(hname, "f")
+		nw := bitvec.WordsFor(s.Width)
+		for j := 0; j < nw; j++ {
+			for m := c.rose[off+j]; m != 0; m &= m - 1 {
+				sig.addKey(hashUint(hr, uint64(64*j+bits.TrailingZeros64(m))))
 			}
-			if c.fell[i].Bit(b) {
-				sig.addKey(hashUint(hashString(hname, "f"), uint64(b)))
+			for m := c.fell[off+j]; m != 0; m &= m - 1 {
+				sig.addKey(hashUint(hf, uint64(64*j+bits.TrailingZeros64(m))))
 			}
 		}
+		off += nw
 	}
 	for pi, a := range c.procs {
 		if a > 0 {

@@ -1,8 +1,9 @@
 package wave
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -46,9 +47,9 @@ type ProcessStat struct {
 // Sort orders Ops and Processes descending by count (stable on ties so
 // output is deterministic).
 func (p *EngineProfile) Sort() {
-	sort.SliceStable(p.Ops, func(i, j int) bool { return p.Ops[i].Count > p.Ops[j].Count })
-	sort.SliceStable(p.Processes, func(i, j int) bool {
-		return p.Processes[i].Activations > p.Processes[j].Activations
+	slices.SortStableFunc(p.Ops, func(a, b OpCount) int { return cmp.Compare(b.Count, a.Count) })
+	slices.SortStableFunc(p.Processes, func(a, b ProcessStat) int {
+		return cmp.Compare(b.Activations, a.Activations)
 	})
 }
 

@@ -26,7 +26,8 @@ type Signal struct {
 //
 // Init is called once when the observer is attached, with the module
 // name and the signals that every subsequent Sample covers, in a fixed
-// order. Sample receives one snapshot per settle: t is a monotonically
+// order. The signals slice may be shared with other observers and
+// simulators; observers read it and never modify it. Sample receives one snapshot per settle: t is a monotonically
 // increasing observation index (three per clock cycle under ClockPulse:
 // pre-edge, post-rise, post-fall), and vals[i] is signals[i]'s current
 // value. The vectors alias live simulator storage and are only valid
